@@ -153,8 +153,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     """Solve the reference once, then one alternative equilibrium per grid point.
 
     Returns (rows, notes); each row carries the sweep value, the Type-A
-    certainty equivalent exp(M_alt - M_ref), residuals, iteration count of
-    the alternative solve, both M constants and a converged flag.
+    certainty equivalent exp(T (M_alt - M_ref)), residuals, iteration count
+    of the alternative solve, both M constants and a converged flag.
     """
     q = cfg.quadrature()
     ref = solve_mf_finite(cfg.reference, q, cfg.solver)
@@ -171,7 +171,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
         rows.append(
             {
                 "sweep_value": used,
-                "certainty_equivalent": certainty_equivalent(m_a_alt, m_a_ref),
+                "certainty_equivalent": certainty_equivalent(m_a_alt, m_a_ref, cfg.horizon),
                 "residual_ref": ref.residual,
                 "residual_alt": alt.residual,
                 "iterations": alt.iterations,

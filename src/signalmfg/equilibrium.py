@@ -152,6 +152,18 @@ def _initial_table(cfg: SolverConfig, n_rows: int) -> np.ndarray:
     return cfg.init.table.copy()
 
 
+def _mf_result(pop, strategy, q, cfg, residual, iterations, notes) -> EquilibriumResult:
+    """Mean-field result: aggregate the final strategy and evaluate each type's M and value."""
+    stats = aggregate(pop, strategy, q)
+    per_type_M = tuple(M_mf(t, strategy.row(i), stats, q, cfg.opt_tol) for i, t in enumerate(pop.types))
+    per_type_value = tuple(
+        value_mf(t, M, t.x0, stats.xbar0, cfg.horizon) for t, M in zip(pop.types, per_type_M)
+    )
+    return EquilibriumResult(
+        strategy, residual, iterations, per_type_M, per_type_value, residual < cfg.tol, stats, notes
+    )
+
+
 def solve_mf_finite(pop: Population, q: Quadrature, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
     """Signal-driven mean-field equilibrium for a finite-type population."""
     _require_valid(pop)
@@ -165,22 +177,7 @@ def solve_mf_finite(pop: Population, q: Quadrature, cfg: SolverConfig = SolverCo
     point, residual, iterations, notes = damped_fixed_point(
         step, _initial_table(cfg, len(pop)).ravel(), cfg.tol, cfg.max_iter, cfg.damping
     )
-    strategy = Strategy(point.reshape(shape))
-    stats = aggregate(pop, strategy, q)
-    per_type_M = tuple(M_mf(t, strategy.row(i), stats, q, cfg.opt_tol) for i, t in enumerate(pop.types))
-    per_type_value = tuple(
-        value_mf(t, M, t.x0, stats.xbar0, cfg.horizon) for t, M in zip(pop.types, per_type_M)
-    )
-    return EquilibriumResult(
-        strategy=strategy,
-        residual=residual,
-        iterations=iterations,
-        per_type_M=per_type_M,
-        per_type_value=per_type_value,
-        converged=residual < cfg.tol,
-        stats=stats,
-        notes=notes,
-    )
+    return _mf_result(pop, Strategy(point.reshape(shape)), q, cfg, residual, iterations, notes)
 
 
 def solve_nagent(
@@ -258,21 +255,7 @@ def solve_mf_statistic(
     m0 = statistic_of(pop, init_strategy, q)
     point, residual, iterations, notes = damped_fixed_point(step, m0, cfg.tol, cfg.max_iter, cfg.damping)
     strategy = respond_to_statistic(pop, point, q, cfg.opt_tol)
-    stats = aggregate(pop, strategy, q)
-    per_type_M = tuple(M_mf(t, strategy.row(i), stats, q, cfg.opt_tol) for i, t in enumerate(pop.types))
-    per_type_value = tuple(
-        value_mf(t, M, t.x0, stats.xbar0, cfg.horizon) for t, M in zip(pop.types, per_type_M)
-    )
-    return EquilibriumResult(
-        strategy=strategy,
-        residual=residual,
-        iterations=iterations,
-        per_type_M=per_type_M,
-        per_type_value=per_type_value,
-        converged=residual < cfg.tol,
-        stats=stats,
-        notes=notes,
-    )
+    return _mf_result(pop, strategy, q, cfg, residual, iterations, notes)
 
 
 def residual(pop: Population, strat: Strategy, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL) -> float:

@@ -17,6 +17,7 @@ from .model import (
     NONE_INDEX,
     NONZERO_SIGNALS,
     SIGNAL_INDEX,
+    MarketParams,
     Population,
     Signal,
     Strategy,
@@ -42,6 +43,11 @@ class MeanFieldStats:
     xbar0: float
     mean_jump: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     mean_jump_nodes: np.ndarray = field(repr=False)
+
+
+def wealth_drift(m: MarketParams, pi0: float) -> float:
+    """Log-drift of wealth between jumps at stock fraction pi0."""
+    return m.r + pi0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * pi0**2
 
 
 def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
@@ -83,7 +89,7 @@ def aggregate(pop: Population, strat: Strategy, q: Quadrature) -> MeanFieldStats
         pi0 = strat.position(i, Signal.NONE)
         m = t.market
         sigma0pi += t.weight * m.sigma0 * pi0
-        taupi += t.weight * (m.r + pi0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * pi0**2)
+        taupi += t.weight * wealth_drift(m, pi0)
         log_xbar0 += t.weight * np.log(t.x0)
 
     mean_jump = _mean_jump_evaluator(pop, strat)

@@ -15,27 +15,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .meanfield import MeanFieldStats
-from .model import (
-    NONE_INDEX,
-    NONZERO_SIGNALS,
-    SIGNAL_INDEX,
-    SIGNALS,
-    InvestorType,
-    Signal,
-    Strategy,
-    admissible_interval,
-)
+from .model import SIGNALS, InvestorType, Strategy
 from .quad import Quadrature
 from .response import (
     DEFAULT_OPT_TOL,
     TargetContext,
     context_from_stats,
-    maximize_concave_1d,
     nagent_target_context,
     relative_utility,
-    signal_jump_term,
-    target_no_signal,
-    target_signal,
+    respond_type,
+    target_values,
 )
 
 
@@ -48,9 +37,7 @@ class ValueReport:
     T: float
 
 
-def _row_positions(row) -> np.ndarray | None:
-    if row is None:
-        return None
+def _row_positions(row) -> np.ndarray:
     if isinstance(row, Mapping):
         return np.array([row[s] for s in SIGNALS], dtype=float)
     arr = np.asarray(row, dtype=float)
@@ -63,39 +50,17 @@ def _value_constant(ctx: TargetContext, row, opt_tol: float) -> float:
     """Shared M assembly for both game modes.
 
     M = theta*(r - taupi_env) + 0.5*theta^2*(1-alpha)*(sigma0pi_env^2 +
-    sig2pi2_env) + no-signal term + lam*p_s * sum_z unnormalized signal terms.
-    The signal sums carry their N01(I(z, e_c)) weights directly, which equals
-    the mu(z)-weighted conditional suprema for the Gaussian mark law and stays
-    exact for discrete mark laws.
+    sig2pi2_env) + no-signal target + lam*p_s * sum_z N01(I(z)) * signal-z
+    target, each target at the row's position (the best response when ``row``
+    is None).  The signal sums carry their N01(I(z, e_c)) weights directly,
+    which equals the mu(z)-weighted conditional suprema for the Gaussian mark
+    law and stays exact for discrete mark laws.
     """
     t = ctx.investor
-    m = t.market
-    positions = _row_positions(row)
-    out = t.theta * (m.r - ctx.taupi_env)
+    positions = respond_type(t, ctx, opt_tol) if row is None else _row_positions(row)
+    out = t.theta * (t.market.r - ctx.taupi_env)
     out += 0.5 * t.theta**2 * (1.0 - t.alpha) * (ctx.sigma0pi_env**2 + ctx.sig2pi2_env)
-
-    if positions is None:
-        phi0, v0 = maximize_concave_1d(
-            lambda x: target_no_signal(x, ctx), admissible_interval(t, Signal.NONE), opt_tol
-        )
-    else:
-        phi0 = float(positions[NONE_INDEX])
-        v0 = target_no_signal(phi0, ctx)
-    out += v0
-
-    if m.lam > 0.0 and t.p_s > 0.0:
-        for z in NONZERO_SIGNALS:
-            if positions is None:
-                if ctx.jumps_degenerate:
-                    phi_z = phi0
-                else:
-                    phi_z, _ = maximize_concave_1d(
-                        lambda x: target_signal(x, z, ctx), admissible_interval(t, z), opt_tol
-                    )
-            else:
-                phi_z = float(positions[SIGNAL_INDEX[z]])
-            out += m.lam * t.p_s * signal_jump_term(phi_z, z, ctx)
-    return float(out)
+    return float(out + np.dot(target_values(positions, ctx), ctx.row_mass))
 
 
 def M_mf(
@@ -135,9 +100,9 @@ def M_nagent(
     return _value_constant(ctx, strategies.row(i), opt_tol)
 
 
-def certainty_equivalent(M_alt: float, M_ref: float) -> float:
-    """Initial capital ratio exp(M_alt - M_ref) equalizing expected utilities."""
-    return float(np.exp(M_alt - M_ref))
+def certainty_equivalent(M_alt: float, M_ref: float, T: float = 1.0) -> float:
+    """Initial capital ratio exp(T (M_alt - M_ref)) equalizing expected utilities at horizon T."""
+    return float(np.exp(T * (M_alt - M_ref)))
 
 
 def value_report(

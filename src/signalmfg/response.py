@@ -1,21 +1,25 @@
-"""Best-response target functions and the one-dimensional concave maximizer.
+"""Best-response target functions, their Newton maximizer, and a generic 1-D maximizer.
 
 Targets come in two flavors sharing one code path: mean-field mode, where the
 environment is a ``MeanFieldStats``, and n-agent mode, where it is built from
-the other players' explicit strategies.  Each target is strictly concave on
-its admissible interval whenever jumps are live, so a golden-section search
-with one parabolic refinement recovers the unique maximizer.
+the other players' explicit strategies.  A type's seven targets (one per
+signal) are rows of one (7 x nodes) weight table applied to one jump
+integrand.  Each is strictly concave on its admissible interval whenever
+jumps are live, with closed-form first and second derivatives, so
+``respond_type`` solves all seven first-order conditions at once by a
+bracketed Newton iteration.  ``maximize_concave_1d`` (golden section) stays
+as a derivative-free maximizer for arbitrary concave functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .meanfield import MeanFieldStats, aggregate
+from .meanfield import MeanFieldStats, aggregate, wealth_drift
 from .model import (
     NONE_INDEX,
     NONZERO_SIGNALS,
@@ -33,6 +37,10 @@ from .signals import JumpLaw, conditional_prob, eta, signal_interval
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
+# Cap on Newton/bisection steps per best response; case-study types need 4.
+_MAX_NEWTON = 200
+_NONZERO_ROWS = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
+_SIGNAL_MASS = np.array([normal_prob(signal_interval(z)) for z in NONZERO_SIGNALS])
 
 
 def relative_utility(x, xbar, alpha: float, theta: float):
@@ -47,8 +55,11 @@ class TargetContext:
     ``env_jump_pow`` is the environment's jump factor already raised to
     -theta*(1-alpha) (mean-field mode: the mean-jump function; n-agent mode:
     the expected peer product, which keeps the per-peer signal mixture intact
-    rather than collapsing it to a geometric mean).  ``post_weights[z]`` holds
-    N01(I(z, e_c)) per node and ``post_mass[z]`` the unconditional N01(I(z)).
+    rather than collapsing it to a geometric mean).  Row z of
+    ``row_weights`` (``SIGNALS`` order) weighs the jump integrand in target
+    z: lam*(1-p_s)*w for no signal, w*N01(I(z, e_c))/N01(I(z)) for z != 0.
+    ``row_mass`` turns the seven target values into the value constant's
+    jump part: 1 for no signal, lam*p_s*N01(I(z)) for z != 0.
     """
 
     investor: InvestorType
@@ -59,8 +70,8 @@ class TargetContext:
     sig2pi2_env: float
     eta_nodes: np.ndarray = field(repr=False)
     env_jump_pow: np.ndarray = field(repr=False)
-    post_weights: Mapping[Signal, np.ndarray] = field(repr=False)
-    post_mass: Mapping[Signal, float] = field(repr=False)
+    row_weights: np.ndarray = field(repr=False)
+    row_mass: np.ndarray = field(repr=False)
     jumps_degenerate: bool = False
 
     def __post_init__(self):
@@ -68,10 +79,24 @@ class TargetContext:
             raise ValueError(f"unknown target mode {self.mode!r}")
 
 
-def _posterior_tables(inv_type: InvestorType, q: Quadrature):
-    post_w = {z: conditional_prob(z, q.nodes, inv_type.rho) for z in NONZERO_SIGNALS}
-    post_m = {z: normal_prob(signal_interval(z)) for z in NONZERO_SIGNALS}
-    return post_w, post_m
+def _signal_kernel(rho: float, nodes: np.ndarray) -> np.ndarray:
+    """N01(I(z, e_c)) on the nodes, one row per signal in ``NONZERO_SIGNALS`` order."""
+    return np.stack([conditional_prob(z, nodes, rho) for z in NONZERO_SIGNALS])
+
+
+def _context(t: InvestorType, q: Quadrature, mode: str, env: tuple, env_pow, kernel, eta_nodes) -> TargetContext:
+    """Context from env = (sigma0pi, taupi, sig2pi2) and the type's signal kernel."""
+    m = t.market
+    weights = np.empty((len(SIGNALS), q.n_nodes))
+    weights[NONE_INDEX] = m.lam * (1.0 - t.p_s) * q.weights
+    weights[_NONZERO_ROWS] = q.weights * kernel / _SIGNAL_MASS[:, np.newaxis]
+    mass = np.ones(len(SIGNALS))
+    mass[_NONZERO_ROWS] = m.lam * t.p_s * _SIGNAL_MASS
+    return TargetContext(
+        t, q, mode, *(float(v) for v in env), eta_nodes=eta_nodes, env_jump_pow=env_pow,
+        row_weights=weights, row_mass=mass,
+        jumps_degenerate=m.lam == 0.0 or JumpLaw.from_market(m).degenerate,
+    )
 
 
 def mf_target_context(
@@ -82,24 +107,11 @@ def mf_target_context(
     taupi_bar: float = 0.0,
 ) -> TargetContext:
     """Context against a mean-field environment given by its statistic."""
-    law = JumpLaw.from_market(inv_type.market)
-    eta_nodes = eta(law, q.nodes)
     exponent = -inv_type.theta * (1.0 - inv_type.alpha)
     env_pow = np.asarray(mean_jump_nodes, dtype=float) ** exponent
-    post_w, post_m = _posterior_tables(inv_type, q)
-    return TargetContext(
-        investor=inv_type,
-        quad=q,
-        mode="mf",
-        sigma0pi_env=float(sigma0pi_bar),
-        taupi_env=float(taupi_bar),
-        sig2pi2_env=0.0,
-        eta_nodes=eta_nodes,
-        env_jump_pow=env_pow,
-        post_weights=post_w,
-        post_mass=post_m,
-        jumps_degenerate=inv_type.market.lam == 0.0 or law.degenerate,
-    )
+    eta_nodes = eta(JumpLaw.from_market(inv_type.market), q.nodes)
+    kernel = _signal_kernel(inv_type.rho, q.nodes)
+    return _context(inv_type, q, "mf", (sigma0pi_bar, taupi_bar, 0.0), env_pow, kernel, eta_nodes)
 
 
 def context_from_stats(inv_type: InvestorType, stats: MeanFieldStats, q: Quadrature) -> TargetContext:
@@ -108,66 +120,57 @@ def context_from_stats(inv_type: InvestorType, stats: MeanFieldStats, q: Quadrat
     )
 
 
-def nagent_target_context(
-    i: int, types: Sequence[InvestorType], strat: Strategy, q: Quadrature
-) -> TargetContext:
-    """Context for player ``i`` against the other players' strategies.
+def _nagent_contexts(
+    types: Sequence[InvestorType], strat: Strategy, q: Quadrature, players: Sequence[int]
+) -> list[TargetContext]:
+    """n-agent contexts of ``players``, built from one pass over all players.
 
-    Peer aggregates divide by n = number of peers.  The expected peer jump
-    factor is, per node, the product over peers of their signal mixture
-    raised to -theta_i*(1-alpha_i)/n; peers' signal draws are independent
-    given the common mark.
+    Peer aggregates are totals over all players minus the player's own term.
+    The expected peer jump factor of player i is the product over peers of
+    their signal mixture raised to e_i = -theta_i*(1-alpha_i)/n, formed as
+    exp(S(e_i) - log mix_i(e_i)) with S(e) the sum of every player's log
+    mixture; peers' signal draws are independent given the common mark.
     """
     n_players = len(types)
     if strat.n_types != n_players:
         raise ValueError(f"strategy has {strat.n_types} rows for {n_players} players")
-    if not 0 <= i < n_players:
-        raise IndexError(f"player index {i} out of range")
+    if any(not 0 <= i < n_players for i in players):
+        raise IndexError(f"player index out of range for {n_players} players")
     if n_players < 2:
         raise ValueError("n-agent mode needs at least 2 players")
-    me = types[i]
     n = n_players - 1
-    law = JumpLaw.from_market(me.market)
-    eta_nodes = eta(law, q.nodes)
+    pi0 = strat.table[:, NONE_INDEX]
+    markets = [t.market for t in types]
+    drift = np.array([wealth_drift(m, p) for m, p in zip(markets, pi0)])
+    sigma0pi = np.array([m.sigma0 for m in markets]) * pi0
+    sig2pi2 = (np.array([m.sigma for m in markets]) * pi0) ** 2
+    kernels = {rho: _signal_kernel(rho, q.nodes) for rho in {t.rho for t in types}}
+    jumps = np.stack([eta(JumpLaw.from_market(m), q.nodes) for m in markets])
+    exponents = [-t.theta * (1.0 - t.alpha) / n for t in types]
 
-    taupi = 0.0
-    sigma0pi = 0.0
-    sig2pi2 = 0.0
-    peer_pow = np.ones_like(q.nodes)
-    exponent = -me.theta * (1.0 - me.alpha) / n
+    # Signal law P(z | e_c) of every player, NONE row included: (players, 7, nodes).
+    law = np.empty((n_players, len(SIGNALS), q.n_nodes))
     for j, t in enumerate(types):
-        if j == i:
-            continue
-        m = t.market
-        pj = strat.row(j)
-        pj0 = pj[NONE_INDEX]
-        taupi += (m.r + pj0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * pj0**2) / n
-        sigma0pi += m.sigma0 * pj0 / n
-        sig2pi2 += (m.sigma * pj0) ** 2 / n**2
-        if exponent == 0.0:
-            continue
-        jump_j = eta(JumpLaw.from_market(m), q.nodes)
-        mix = (1.0 - t.p_s) * (1.0 + pj0 * jump_j) ** exponent
-        if t.p_s > 0.0:
-            for z in NONZERO_SIGNALS:
-                w = conditional_prob(z, q.nodes, t.rho)
-                mix = mix + t.p_s * w * (1.0 + pj[SIGNAL_INDEX[z]] * jump_j) ** exponent
-        peer_pow = peer_pow * mix
+        law[j, NONE_INDEX] = 1.0 - t.p_s
+        law[j, _NONZERO_ROWS] = t.p_s * kernels[t.rho]
+    returns = 1.0 + strat.table[:, :, np.newaxis] * jumps[:, np.newaxis, :]
+    log_mix = {e: np.log(np.sum(law * returns**e, axis=1)) for e in {exponents[i] for i in players} - {0.0}}
+    total = {e: mix.sum(axis=0) for e, mix in log_mix.items()}
 
-    post_w, post_m = _posterior_tables(me, q)
-    return TargetContext(
-        investor=me,
-        quad=q,
-        mode="nagent",
-        sigma0pi_env=float(sigma0pi),
-        taupi_env=float(taupi),
-        sig2pi2_env=float(sig2pi2),
-        eta_nodes=eta_nodes,
-        env_jump_pow=peer_pow,
-        post_weights=post_w,
-        post_mass=post_m,
-        jumps_degenerate=me.market.lam == 0.0 or law.degenerate,
-    )
+    out = []
+    for i in players:
+        e = exponents[i]
+        peer_pow = np.ones(q.n_nodes) if e == 0.0 else np.exp(total[e] - log_mix[e][i])
+        env = ((sigma0pi.sum() - sigma0pi[i]) / n, (drift.sum() - drift[i]) / n, (sig2pi2.sum() - sig2pi2[i]) / n**2)
+        out.append(_context(types[i], q, "nagent", env, peer_pow, kernels[types[i].rho], jumps[i]))
+    return out
+
+
+def nagent_target_context(
+    i: int, types: Sequence[InvestorType], strat: Strategy, q: Quadrature
+) -> TargetContext:
+    """Context for player ``i`` against the other players' strategies (see ``_nagent_contexts``)."""
+    return _nagent_contexts(types, strat, q, (i,))[0]
 
 
 def _jump_integrand(phi, ctx: TargetContext):
@@ -184,38 +187,38 @@ def _jump_integrand(phi, ctx: TargetContext):
     return vals
 
 
+def _drift_coefficients(ctx: TargetContext) -> tuple[float, float]:
+    """(slope, curvature) of the no-signal drift: slope*phi - curvature*phi^2/2."""
+    t, m = ctx.investor, ctx.investor.market
+    slope = (m.kappa - m.r) - t.theta * (1.0 - t.alpha) * m.sigma0 * ctx.sigma0pi_env
+    return slope, t.alpha * (m.sigma**2 + m.sigma0**2)
+
+
 def target_no_signal(phi, ctx: TargetContext):
     """Objective for the default (no-signal) position; scalar or array phi."""
-    t = ctx.investor
-    m = t.market
+    slope, curvature = _drift_coefficients(ctx)
     phi_arr = np.asarray(phi, dtype=float)
-    drift = (
-        phi_arr * (m.kappa - m.r)
-        - 0.5 * t.alpha * (m.sigma**2 + m.sigma0**2) * phi_arr**2
-        - t.theta * (1.0 - t.alpha) * m.sigma0 * phi_arr * ctx.sigma0pi_env
-    )
-    if m.lam > 0.0:
-        jump = np.dot(_jump_integrand(phi_arr, ctx), ctx.quad.weights)
-        drift = drift + m.lam * (1.0 - t.p_s) * jump
-    return float(drift) if np.isscalar(phi) else drift
-
-
-def signal_jump_term(phi, z: Signal, ctx: TargetContext):
-    """Unnormalized signal-z jump expectation: sum_k w_k N01(I(z, e_c_k)) * integrand.
-
-    Multiplying by lam*p_s gives the mu(z)-weighted contribution to the value
-    constant; dividing by N01(I(z)) gives the best-response target.
-    """
-    if z is Signal.NONE:
-        raise ValueError("signal target is defined for nonzero signals only")
-    vals = _jump_integrand(phi, ctx) * ctx.post_weights[z]
-    out = np.dot(vals, ctx.quad.weights)
+    out = slope * phi_arr - 0.5 * curvature * phi_arr**2
+    if ctx.investor.market.lam > 0.0:
+        out = out + np.dot(_jump_integrand(phi_arr, ctx), ctx.row_weights[NONE_INDEX])
     return float(out) if np.isscalar(phi) else out
 
 
 def target_signal(phi, z: Signal, ctx: TargetContext):
     """Objective for the position taken upon receiving signal z != 0."""
-    return signal_jump_term(phi, z, ctx) / ctx.post_mass[z]
+    if z is Signal.NONE:
+        raise ValueError("signal target is defined for nonzero signals only")
+    out = np.dot(_jump_integrand(phi, ctx), ctx.row_weights[SIGNAL_INDEX[z]])
+    return float(out) if np.isscalar(phi) else out
+
+
+def target_values(row: np.ndarray, ctx: TargetContext) -> np.ndarray:
+    """All seven targets, target z evaluated at ``row[z]`` (``SIGNALS`` order)."""
+    slope, curvature = _drift_coefficients(ctx)
+    out = np.sum(_jump_integrand(row, ctx) * ctx.row_weights, axis=-1)
+    phi0 = row[NONE_INDEX]
+    out[NONE_INDEX] += slope * phi0 - 0.5 * curvature * phi0**2
+    return out
 
 
 def maximize_concave_1d(
@@ -231,8 +234,8 @@ def maximize_concave_1d(
     Localization from double-precision values is flatness-limited: once
     |f(x) - f(x*)| falls below one ulp of f(x*) the probes tie, so the
     effective argmax accuracy is ~sqrt(ulp(f*)/|f''|) even for tiny ``tol``
-    (about 5e-9 for the case-study targets, well inside every tolerance the
-    solvers rely on).
+    (3.5e-8 measured on the case-study targets).  The solvers do not use this
+    function; ``respond_type`` solves the first-order conditions instead.
     """
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
@@ -284,34 +287,63 @@ def maximize_concave_1d(
 def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DEFAULT_OPT_TOL) -> np.ndarray:
     """Best-response row (one position per signal) for a single type.
 
+    Solves the seven first-order conditions g'(phi) = 0 together, where
+    g'(phi) = drift'(phi) + sum_k W_zk eta_k (1 + phi eta_k)^-alpha E_k and
+    g'' < 0 (W = ``row_weights``, E = ``env_jump_pow``; the drift enters the
+    no-signal row only).  If g' keeps one sign on the admissible interval the
+    maximizer is the matching endpoint; otherwise Newton steps run inside the
+    shrinking sign-change bracket, bisecting whenever a step would leave it,
+    until a step is at most ``opt_tol``.
+
     When jumps are absent (lam = 0) or sizeless (eta identically 0) the
     nonzero-signal targets are flat in phi, so every admissible position is a
     maximizer; the default position is the canonical selection then.
     """
-    row = np.empty(len(SIGNALS))
-    phi0, _ = maximize_concave_1d(
-        lambda x: target_no_signal(x, ctx), admissible_interval(inv_type, Signal.NONE), opt_tol
-    )
-    row[NONE_INDEX] = phi0
-    for z in NONZERO_SIGNALS:
-        if ctx.jumps_degenerate:
-            row[SIGNAL_INDEX[z]] = phi0
-            continue
-        phi_z, _ = maximize_concave_1d(
-            lambda x: target_signal(x, z, ctx), admissible_interval(inv_type, z), opt_tol
-        )
-        row[SIGNAL_INDEX[z]] = phi_z
+    if not opt_tol > 0.0:
+        raise ValueError("opt_tol must be > 0")
+    alpha = inv_type.alpha
+    iv = admissible_interval(inv_type)
+    slope, curvature = np.zeros(len(SIGNALS)), np.zeros(len(SIGNALS))
+    slope[NONE_INDEX], curvature[NONE_INDEX] = _drift_coefficients(ctx)
+    w_eta = ctx.row_weights * ctx.env_jump_pow * ctx.eta_nodes
+    w_eta2 = alpha * w_eta * ctx.eta_nodes
+
+    def derivatives(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        returns = 1.0 + phi[..., np.newaxis] * ctx.eta_nodes
+        power = returns**-alpha
+        g1 = slope - curvature * phi + np.sum(w_eta * power, axis=-1)
+        g2 = -curvature - np.sum(w_eta2 * (power / returns), axis=-1)
+        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+            raise ValueError("non-finite first-order condition; position outside its admissible interval?")
+        return g1, g2
+
+    (g_lo, g_hi), _ = derivatives(np.array([[iv.lo], [iv.hi]]).repeat(len(SIGNALS), axis=1))
+    row = np.where(g_lo <= 0.0, iv.lo, iv.hi)
+    active = (g_lo > 0.0) & (g_hi < 0.0)
+    lo, hi = np.full(len(SIGNALS), iv.lo), np.full(len(SIGNALS), iv.hi)
+    phi = 0.5 * (lo + hi)
+    for _ in range(_MAX_NEWTON):
+        if not active.any():
+            break
+        g1, g2 = derivatives(phi)
+        lo, hi = np.where(g1 > 0.0, phi, lo), np.where(g1 > 0.0, hi, phi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = phi - g1 / g2
+        newton = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = active & (np.abs(newton - phi) <= opt_tol)
+        phi = np.where(active, newton, phi)
+        row = np.where(done, phi, row)
+        active &= ~done
+    row = np.where(active, phi, row)
+    if ctx.jumps_degenerate:
+        row[_NONZERO_ROWS] = row[NONE_INDEX]
     return row
 
 
 def best_response_to_stats(
     pop: Population, stats: MeanFieldStats, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
 ) -> Strategy:
-    rows = [
-        respond_type(t, context_from_stats(t, stats, q), opt_tol)
-        for t in pop.types
-    ]
-    return Strategy(np.vstack(rows))
+    return Strategy(np.vstack([respond_type(t, context_from_stats(t, stats, q), opt_tol) for t in pop.types]))
 
 
 def best_response(
@@ -325,8 +357,5 @@ def best_response_nagent(
     types: Sequence[InvestorType], strat: Strategy, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
 ) -> Strategy:
     """Every player's best response to the others' strategies in ``strat``."""
-    rows = [
-        respond_type(t, nagent_target_context(i, types, strat, q), opt_tol)
-        for i, t in enumerate(types)
-    ]
-    return Strategy(np.vstack(rows))
+    contexts = _nagent_contexts(types, strat, q, range(len(types)))
+    return Strategy(np.vstack([respond_type(t, ctx, opt_tol) for t, ctx in zip(types, contexts)]))

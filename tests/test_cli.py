@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -94,6 +95,19 @@ class TestRunExperiment:
         rows, notes = run_experiment(cfg)
         assert rows[0]["sweep_value"] == pytest.approx(1.0 - 1e-6)
         assert any("clamped" in n for n in notes)
+
+    def test_weak_peer_signal_quality_converges(self):
+        # rho_B = 0.03 ran all 500 iterations with a golden-section best response
+        rows, notes = run_experiment(load_config({"sweep": {"parameter": "rho_B", "grid": [0.03]}}))
+        assert rows[0]["converged"], notes
+        assert rows[0]["iterations"] < 50
+
+    def test_certainty_equivalent_uses_horizon(self):
+        cfg = fast_config(horizon=2.0, sweep={"parameter": "p_s_B", "grid": [0.0]})
+        row = run_experiment(cfg)[0][0]
+        assert row["certainty_equivalent"] == pytest.approx(
+            math.exp(2.0 * (row["M_A_alt"] - row["M_A_ref"])), rel=1e-14
+        )
 
     def test_non_convergence_flagged_not_raised(self):
         cfg = fast_config(solver={"tol": 1e-8, "max_iter": 1, "damping": 1.0},

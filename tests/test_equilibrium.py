@@ -159,6 +159,21 @@ class TestSolveNAgent:
         with pytest.raises(ValueError):
             solve_nagent([casestudy.investor()], quad128)
 
+    def test_two_group_game_converges_without_restart(self, quad128):
+        # stalled at a 4e-8 residual and restarted when the best response was a
+        # golden-section search accurate to ~4e-8 only
+        players = [casestudy.investor()] * 2 + [casestudy.investor(p_s=0.25)] * 2
+        res = solve_nagent(players, quad128)
+        assert res.converged
+        assert not any("restarted" in note for note in res.notes)
+
+    def test_weakly_informed_symmetric_game_converges_without_restart(self, quad128):
+        # took 395 iterations with a golden-section best response
+        res = solve_nagent([casestudy.investor(p_s=0.3, rho=0.01, theta=0.7)] * 5, quad128)
+        assert res.converged
+        assert not any("restarted" in note for note in res.notes)
+        assert res.iterations < 50
+
 
 class TestSolveMfStatistic:
     def test_probabilities_must_sum_to_one(self):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
 from signalmfg import casestudy
 from signalmfg.meanfield import aggregate
 from signalmfg.metrics import M_mf, M_nagent, certainty_equivalent, value_mf, value_report
 from signalmfg.model import Population, Strategy
+from signalmfg.response import context_from_stats, respond_type
 
 MERTON_M = 0.0064 / 0.36  # (kappa - r)^2 / (2 alpha sigma0^2)
 
@@ -35,6 +37,11 @@ class TestMmf:
             at_strategy = M_mf(t, ref_eq.strategy.row(i), ref_eq.stats, quad128)
             remaximized = M_mf(t, None, ref_eq.stats, quad128)
             assert at_strategy == pytest.approx(remaximized, abs=1e-9)
+
+    def test_remaximization_uses_the_best_response(self, ref_pop, quad128, ref_eq):
+        t = ref_pop.types[0]
+        row = respond_type(t, context_from_stats(t, ref_eq.stats, quad128))
+        assert M_mf(t, None, ref_eq.stats, quad128) == M_mf(t, row, ref_eq.stats, quad128)
 
     def test_row_mapping_accepted(self, ref_pop, quad128, ref_eq):
         row_map = ref_eq.strategy.row_mapping(0)
@@ -121,6 +128,15 @@ class TestCertaintyEquivalent:
 
     def test_exponential_of_difference(self):
         assert certainty_equivalent(0.02, 0.01) == pytest.approx(1.0100501670841681, abs=1e-14)
+
+    def test_horizon_matches_value_root(self, ref_pop):
+        # the capital ratio c with value(c * x0, M_ref) = value(x0, M_alt) at T = 2
+        t = ref_pop.types[0]
+        m_ref, m_alt, T = 0.01, 0.0315, 2.0
+        target = value_mf(t, m_alt, t.x0, 1.0, T)
+        c = brentq(lambda c: value_mf(t, m_ref, c * t.x0, 1.0, T) - target, 0.5, 2.0, xtol=1e-15)
+        assert certainty_equivalent(m_alt, m_ref, T) == pytest.approx(c, rel=1e-12)
+        assert certainty_equivalent(m_alt, m_ref) == pytest.approx(math.exp(m_alt - m_ref), rel=1e-15)
 
     @given(st.floats(-2, 2), st.floats(-2, 2))
     def test_antisymmetry(self, a, b):

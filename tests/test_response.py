@@ -1,28 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signalmfg import casestudy
 from signalmfg.meanfield import aggregate
 from signalmfg.model import (
+    NONE_INDEX,
     NONZERO_SIGNALS,
+    SIGNAL_INDEX,
     SIGNALS,
     AdmissibleInterval,
+    InvestorType,
+    MarketParams,
     Population,
     Signal,
     Strategy,
     admissible_interval,
+    validate_investor,
 )
-from signalmfg.quad import Quadrature, expect_outer
+from signalmfg.quad import Quadrature, expect_outer, normal_prob
 from signalmfg.response import (
     best_response,
     best_response_nagent,
     context_from_stats,
     maximize_concave_1d,
+    nagent_target_context,
     relative_utility,
+    respond_type,
     target_no_signal,
     target_signal,
 )
-from signalmfg.signals import conditional_prob
+from signalmfg.signals import JumpLaw, conditional_prob, eta, signal_interval
 
 MERTON = 4.0 / 9.0  # 0.08 / (2 * 0.09) for the case-study market
 
@@ -235,3 +243,167 @@ class TestNAgentResponse:
     def test_needs_two_players(self, quad128):
         with pytest.raises(ValueError):
             best_response_nagent([casestudy.investor()], Strategy.zeros(1), quad128)
+
+
+def first_derivative(phi, z, t, stats, q):
+    """Closed-form g'(phi) of target z, built here from the public model pieces."""
+    m = t.market
+    jump = eta(JumpLaw.from_market(m), q.nodes)
+    env = stats.mean_jump_nodes ** (-t.theta * (1.0 - t.alpha))
+    integrand = jump * (1.0 + phi * jump) ** (-t.alpha) * env
+    if z is Signal.NONE:
+        drift = (m.kappa - m.r) - t.theta * (1.0 - t.alpha) * m.sigma0 * stats.sigma0pi_bar
+        drift -= t.alpha * (m.sigma**2 + m.sigma0**2) * phi
+        return drift + m.lam * (1.0 - t.p_s) * np.dot(q.weights, integrand)
+    weights = q.weights * conditional_prob(z, q.nodes, t.rho) / normal_prob(signal_interval(z))
+    return np.dot(weights, integrand)
+
+
+def signal_target(z, ctx):
+    if z is Signal.NONE:
+        return lambda p: target_no_signal(p, ctx)
+    return lambda p: target_signal(p, z, ctx)
+
+
+class TestNewtonBestResponse:
+    def test_first_order_conditions_on_reference(self, ref_pop, quad128, ref_eq):
+        kinds = set()
+        for t in ref_pop.types:
+            row = respond_type(t, context_from_stats(t, ref_eq.stats, quad128))
+            iv = admissible_interval(t)
+            for z, phi in zip(SIGNALS, row):
+                slope = first_derivative(phi, z, t, ref_eq.stats, quad128)
+                if phi == iv.lo:
+                    kinds.add("lo")
+                    assert slope <= 0.0
+                elif phi == iv.hi:
+                    kinds.add("hi")
+                    assert slope >= 0.0
+                else:
+                    kinds.add("interior")
+                    assert abs(slope) <= 1e-9
+        assert kinds == {"lo", "hi", "interior"}
+
+    def test_values_at_least_golden_section(self, ref_pop, quad128, ref_eq):
+        rng = np.random.default_rng(11)
+        hi = 1.0 - ref_pop.types[0].eps_b
+        envs = [ref_eq.stats] + [aggregate(ref_pop, Strategy(rng.uniform(0.0, hi, (2, 7))), quad128) for _ in range(3)]
+        for stats in envs:
+            t = ref_pop.types[0]
+            ctx = context_from_stats(t, stats, quad128)
+            row = respond_type(t, ctx)
+            for z, phi in zip(SIGNALS, row):
+                f = signal_target(z, ctx)
+                _, golden = maximize_concave_1d(f, admissible_interval(t, z))
+                assert f(phi) >= golden - 1e-15
+
+    def test_merton_exact_without_jumps(self, quad128):
+        t = casestudy.investor(casestudy.default_market(lam=0.0), theta=0.0, weight=1.0)
+        ctx = context_from_stats(t, aggregate(Population([t]), Strategy.constant(1, 0.3), quad128), quad128)
+        assert respond_type(t, ctx) == pytest.approx(np.full(7, MERTON), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "market, kwargs",
+        [
+            ({"sigma_hat": 0.0}, {}),
+            ({}, {"p_s": 0.999}),
+            ({}, {"rho": 0.999}),
+            ({}, {"rho": -0.999}),
+            ({}, {"theta": 0.0}),
+            ({}, {"theta": 1.0}),
+            ({}, {"alpha": 0.999}),
+            ({}, {"alpha": 1.001}),
+        ],
+    )
+    def test_edge_inputs_give_admissible_rows(self, quad128, market, kwargs):
+        t = casestudy.investor(casestudy.default_market(**market), weight=1.0, **kwargs)
+        for env in (0.0, 0.5, 1.0 - t.eps_b):
+            stats = aggregate(Population([t]), Strategy.constant(1, env), quad128)
+            row = respond_type(t, context_from_stats(t, stats, quad128))
+            assert np.all(np.isfinite(row))
+            assert np.all(row >= 0.0) and np.all(row <= 1.0 - t.eps_b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.0, 20.0),
+        kappa=st.floats(-0.1, 0.3),
+        sigma=st.floats(0.0, 0.5),
+        sigma0=st.floats(0.0, 0.5),
+        kappa_hat=st.floats(-0.3, 0.3),
+        sigma_hat=st.floats(0.0, 0.5),
+        p_s=st.floats(0.0, 0.999),
+        rho=st.floats(-0.999, 0.999),
+        alpha=st.floats(0.2, 8.0),
+        theta=st.floats(0.0, 1.0),
+        eps_b=st.floats(1e-6, 0.5),
+        env=st.floats(0.0, 1.0),
+    )
+    def test_property_rows_finite_and_admissible(
+        self, quad128, lam, kappa, sigma, sigma0, kappa_hat, sigma_hat, p_s, rho, alpha, theta, eps_b, env
+    ):
+        market = MarketParams(0.0, kappa, sigma, sigma0, kappa_hat, sigma_hat, lam)
+        t = InvestorType(1.0, market, p_s, rho, alpha, theta, 1.0, eps_b)
+        if validate_investor(t):
+            return
+        stats = aggregate(Population([t]), Strategy.constant(1, env * (1.0 - eps_b)), quad128)
+        row = respond_type(t, context_from_stats(t, stats, quad128))
+        assert np.all(np.isfinite(row))
+        assert np.all(row >= 0.0) and np.all(row <= 1.0 - eps_b)
+
+    def test_opt_tol_validated(self, ref_pop, quad128):
+        ctx = mf_context(ref_pop, Strategy.zeros(2), quad128)
+        with pytest.raises(ValueError):
+            respond_type(ref_pop.types[0], ctx, 0.0)
+
+
+def direct_nagent_context(i, types, table, q):
+    """Peer aggregates and peer jump product by a direct loop over the peers."""
+    me = types[i]
+    n = len(types) - 1
+    exponent = -me.theta * (1.0 - me.alpha) / n
+    taupi = sigma0pi = sig2pi2 = 0.0
+    peer_pow = np.ones_like(q.nodes)
+    for j, t in enumerate(types):
+        if j == i:
+            continue
+        m, row = t.market, table[j]
+        pj0 = row[NONE_INDEX]
+        taupi += (m.r + pj0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * pj0**2) / n
+        sigma0pi += m.sigma0 * pj0 / n
+        sig2pi2 += (m.sigma * pj0) ** 2 / n**2
+        jump = eta(JumpLaw.from_market(m), q.nodes)
+        mix = (1.0 - t.p_s) * (1.0 + pj0 * jump) ** exponent
+        for z in NONZERO_SIGNALS:
+            w = conditional_prob(z, q.nodes, t.rho)
+            mix = mix + t.p_s * w * (1.0 + row[SIGNAL_INDEX[z]] * jump) ** exponent
+        peer_pow = peer_pow * mix
+    return taupi, sigma0pi, sig2pi2, peer_pow
+
+
+class TestNAgentContext:
+    def test_batched_contexts_match_direct_product(self, quad128):
+        rng = np.random.default_rng(5)
+        markets = [casestudy.default_market(sigma=s) for s in (0.0, 0.1)]
+        types = [
+            casestudy.investor(
+                markets[k % 2],
+                p_s=rng.uniform(0.0, 0.95),
+                rho=rng.uniform(-0.9, 0.9),
+                theta=rng.uniform(0.0, 1.0),
+                alpha=rng.uniform(0.5, 5.0),
+            )
+            for k in range(5)
+        ]
+        table = rng.uniform(0.0, 0.99, size=(5, 7))
+        for i in range(5):
+            ctx = nagent_target_context(i, types, Strategy(table), quad128)
+            taupi, sigma0pi, sig2pi2, peer_pow = direct_nagent_context(i, types, table, quad128)
+            assert ctx.taupi_env == pytest.approx(taupi, abs=1e-13)
+            assert ctx.sigma0pi_env == pytest.approx(sigma0pi, abs=1e-13)
+            assert ctx.sig2pi2_env == pytest.approx(sig2pi2, abs=1e-13)
+            assert np.max(np.abs(ctx.env_jump_pow / peer_pow - 1.0)) <= 1e-13
+
+    def test_player_index_checked(self, quad128):
+        types = [casestudy.investor(), casestudy.investor()]
+        with pytest.raises(IndexError):
+            nagent_target_context(2, types, Strategy.zeros(2), quad128)
