@@ -10,7 +10,7 @@ from .equilibrium import (
     solve_nagent,
 )
 from .meanfield import MeanFieldStats, aggregate, mean_log_terminal
-from .metrics import M_mf, M_nagent, ValueReport, certainty_equivalent, value_mf, value_report
+from .metrics import M_mf, M_nagent, certainty_equivalent, value_mf
 from .model import (
     AdmissibleInterval,
     InvestorType,
@@ -35,14 +35,14 @@ from .response import (
     target_signal,
 )
 from .signals import (
+    SIGNAL_EDGES,
     JumpLaw,
-    SignalInterval,
-    classify,
-    conditional_interval,
+    classify_index,
+    conditional_prob,
     eta,
     perturb,
     signal_frequency,
-    signal_interval,
+    signal_kernel,
 )
 from .sim import (
     AgentPath,
@@ -54,5 +54,3 @@ from .sim import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -57,7 +57,11 @@ class ExperimentConfig:
     sweep_grid: tuple[float, ...]
     mc_paths: int
     mc_seed: int
-    horizon: float
+
+    @property
+    def horizon(self) -> float:
+        """Investment horizon; the solver block carries it."""
+        return self.solver.horizon
 
     def quadrature(self) -> Quadrature:
         return Quadrature.standard_normal(self.n_nodes, self.half_width)
@@ -121,7 +125,6 @@ def load_config(raw: dict) -> ExperimentConfig:
         sweep_grid=grid,
         mc_paths=int(mc_block.get("n_paths", 100_000)),
         mc_seed=int(mc_block.get("seed", 0)),
-        horizon=float(raw.get("horizon", casestudy.DEFAULT_HORIZON)),
     )
 
 
@@ -213,7 +216,7 @@ def _cmd_solve(cfg: ExperimentConfig) -> int:
         cells = " ".join(f"{result.strategy.position(i, s):10.6f}" for s in SIGNALS)
         print(f"{i:4d} {cells}")
     for i, (M, v) in enumerate(zip(result.per_type_M, result.per_type_value)):
-        print(f"type {i}: M={M:.10f} value(T={cfg.solver.horizon})={v:.10f}")
+        print(f"type {i}: M={M:.10f} value(T={cfg.horizon})={v:.10f}")
     for note in result.notes:
         print(f"note: {note}")
     return 0 if result.converged else 2

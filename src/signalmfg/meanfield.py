@@ -4,6 +4,8 @@ A population together with a signal-driven strategy induces the sufficient
 statistic of everyone's environment: the drift aggregate, the common
 volatility exposure, the initial geometric mean wealth, and the mean-jump
 function e_c -> m(e_c) multiplying the geometric mean wealth at each jump.
+m(e_c) mixes each type's log jump return under its signal law
+(``signals.signal_mixture``), streaming the kernel rows one at a time.
 """
 
 from __future__ import annotations
@@ -13,18 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (
-    NONE_INDEX,
-    NONZERO_SIGNALS,
-    SIGNAL_INDEX,
-    MarketParams,
-    Population,
-    Signal,
-    Strategy,
-    check_admissible,
-)
+from .model import MarketParams, Population, Signal, Strategy, check_admissible
 from .quad import Quadrature
-from .signals import JumpLaw, conditional_prob, eta
+from .signals import JumpLaw, eta, signal_kernel, signal_mixture
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,23 +46,20 @@ def wealth_drift(m: MarketParams, pi0: float) -> float:
 def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
     """Closed-form m(e_c): geometric mean over types and signal outcomes.
 
-    With probability 1 - p_s a type holds its default position; otherwise the
-    received signal is distributed over the six categories with the
-    conditional probabilities N01(I(z, e_c)).
+    log m(e_c) = sum_i w_i * E[log(1 + pi_i(Z) eta(e_c)) | e_c], with Z drawn
+    from type i's signal law.  The kernel is streamed row by row, so one call
+    on n marks holds O(n) memory whatever the number of signals.
     """
     rows = strat.table.copy()
 
     def mean_jump(e_c):
         e = np.atleast_1d(np.asarray(e_c, dtype=float))
         log_m = np.zeros_like(e)
-        for i, t in enumerate(pop.types):
+        for t, row in zip(pop.types, rows):
             jump = eta(JumpLaw.from_market(t.market), e)
-            contrib = (1.0 - t.p_s) * np.log1p(rows[i, NONE_INDEX] * jump)
-            if t.p_s > 0.0:
-                for z in NONZERO_SIGNALS:
-                    w = conditional_prob(z, e, t.rho)
-                    contrib = contrib + t.p_s * w * np.log1p(rows[i, SIGNAL_INDEX[z]] * jump)
-            log_m += t.weight * contrib
+            log_m += t.weight * signal_mixture(
+                t.p_s, signal_kernel(t.rho, e), lambda column: np.log1p(row[column] * jump)
+            )
         out = np.exp(log_m)
         return float(out[0]) if np.isscalar(e_c) else out
 

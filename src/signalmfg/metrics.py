@@ -9,13 +9,12 @@ point the two coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .meanfield import MeanFieldStats
-from .model import SIGNALS, InvestorType, Strategy
+from .model import InvestorType, Strategy, row_positions
 from .quad import Quadrature
 from .response import (
     DEFAULT_OPT_TOL,
@@ -26,24 +25,6 @@ from .response import (
     respond_type,
     target_values,
 )
-
-
-@dataclass(frozen=True)
-class ValueReport:
-    """Value constant and value of one type at horizon T."""
-
-    M: float
-    value: float
-    T: float
-
-
-def _row_positions(row) -> np.ndarray:
-    if isinstance(row, Mapping):
-        return np.array([row[s] for s in SIGNALS], dtype=float)
-    arr = np.asarray(row, dtype=float)
-    if arr.shape != (len(SIGNALS),):
-        raise ValueError(f"strategy row must have {len(SIGNALS)} entries, got shape {arr.shape}")
-    return arr
 
 
 def _value_constant(ctx: TargetContext, row, opt_tol: float) -> float:
@@ -57,7 +38,7 @@ def _value_constant(ctx: TargetContext, row, opt_tol: float) -> float:
     law and stays exact for discrete mark laws.
     """
     t = ctx.investor
-    positions = respond_type(t, ctx, opt_tol) if row is None else _row_positions(row)
+    positions = respond_type(t, ctx, opt_tol) if row is None else row_positions(row)
     out = t.theta * (t.market.r - ctx.taupi_env)
     out += 0.5 * t.theta**2 * (1.0 - t.alpha) * (ctx.sigma0pi_env**2 + ctx.sig2pi2_env)
     return float(out + np.dot(target_values(positions, ctx), ctx.row_mass))
@@ -104,14 +85,3 @@ def certainty_equivalent(M_alt: float, M_ref: float, T: float = 1.0) -> float:
     """Initial capital ratio exp(T (M_alt - M_ref)) equalizing expected utilities at horizon T."""
     return float(np.exp(T * (M_alt - M_ref)))
 
-
-def value_report(
-    inv_type: InvestorType,
-    row,
-    stats: MeanFieldStats,
-    q: Quadrature,
-    T: float,
-    opt_tol: float = DEFAULT_OPT_TOL,
-) -> ValueReport:
-    M = M_mf(inv_type, row, stats, q, opt_tol)
-    return ValueReport(M=M, value=value_mf(inv_type, M, inv_type.x0, stats.xbar0, T), T=T)

@@ -140,10 +140,6 @@ class AdmissibleInterval:
     def clip(self, x: float) -> float:
         return min(max(x, self.lo), self.hi)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def admissible_interval(inv_type: InvestorType, signal: Signal = Signal.NONE) -> AdmissibleInterval:
     """Admissible positions for ``inv_type`` given ``signal``.
@@ -204,6 +200,16 @@ class Strategy:
 
     def __repr__(self) -> str:
         return f"Strategy({self.table.tolist()!r})"
+
+
+def row_positions(row) -> np.ndarray:
+    """One type's positions in ``SIGNALS`` order, from a sequence or a Signal-keyed mapping."""
+    if isinstance(row, Mapping):
+        return np.array([row[s] for s in SIGNALS], dtype=float)
+    arr = np.asarray(row, dtype=float)
+    if arr.shape != (len(SIGNALS),):
+        raise ValueError(f"strategy row must have {len(SIGNALS)} entries, got shape {arr.shape}")
+    return arr
 
 
 def strategy_distance(a: Strategy, b: Strategy) -> float:

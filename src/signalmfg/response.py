@@ -32,15 +32,16 @@ from .model import (
     Strategy,
     admissible_interval,
 )
-from .quad import Quadrature, normal_prob
-from .signals import JumpLaw, conditional_prob, eta, signal_interval
+from .quad import Quadrature
+from .signals import JumpLaw, eta, signal_kernel, signal_mixture
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
 # Cap on Newton/bisection steps per best response; case-study types need 4.
 _MAX_NEWTON = 200
 _NONZERO_ROWS = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
-_SIGNAL_MASS = np.array([normal_prob(signal_interval(z)) for z in NONZERO_SIGNALS])
+# N01(I(z)) in ``NONZERO_SIGNALS`` order: the signal kernel at rho = 0.
+_SIGNAL_MASS = np.array(list(signal_kernel(0.0, 0.0)))
 
 
 def relative_utility(x, xbar, alpha: float, theta: float):
@@ -63,8 +64,6 @@ class TargetContext:
     """
 
     investor: InvestorType
-    quad: Quadrature
-    mode: str  # "mf" or "nagent"
     sigma0pi_env: float
     taupi_env: float
     sig2pi2_env: float
@@ -74,18 +73,9 @@ class TargetContext:
     row_mass: np.ndarray = field(repr=False)
     jumps_degenerate: bool = False
 
-    def __post_init__(self):
-        if self.mode not in ("mf", "nagent"):
-            raise ValueError(f"unknown target mode {self.mode!r}")
 
-
-def _signal_kernel(rho: float, nodes: np.ndarray) -> np.ndarray:
-    """N01(I(z, e_c)) on the nodes, one row per signal in ``NONZERO_SIGNALS`` order."""
-    return np.stack([conditional_prob(z, nodes, rho) for z in NONZERO_SIGNALS])
-
-
-def _context(t: InvestorType, q: Quadrature, mode: str, env: tuple, env_pow, kernel, eta_nodes) -> TargetContext:
-    """Context from env = (sigma0pi, taupi, sig2pi2) and the type's signal kernel."""
+def _context(t: InvestorType, q: Quadrature, env: tuple, env_pow, kernel, eta_nodes) -> TargetContext:
+    """Context from env = (sigma0pi, taupi, sig2pi2) and the type's (6 x nodes) signal kernel."""
     m = t.market
     weights = np.empty((len(SIGNALS), q.n_nodes))
     weights[NONE_INDEX] = m.lam * (1.0 - t.p_s) * q.weights
@@ -93,7 +83,7 @@ def _context(t: InvestorType, q: Quadrature, mode: str, env: tuple, env_pow, ker
     mass = np.ones(len(SIGNALS))
     mass[_NONZERO_ROWS] = m.lam * t.p_s * _SIGNAL_MASS
     return TargetContext(
-        t, q, mode, *(float(v) for v in env), eta_nodes=eta_nodes, env_jump_pow=env_pow,
+        t, *(float(v) for v in env), eta_nodes=eta_nodes, env_jump_pow=env_pow,
         row_weights=weights, row_mass=mass,
         jumps_degenerate=m.lam == 0.0 or JumpLaw.from_market(m).degenerate,
     )
@@ -110,8 +100,8 @@ def mf_target_context(
     exponent = -inv_type.theta * (1.0 - inv_type.alpha)
     env_pow = np.asarray(mean_jump_nodes, dtype=float) ** exponent
     eta_nodes = eta(JumpLaw.from_market(inv_type.market), q.nodes)
-    kernel = _signal_kernel(inv_type.rho, q.nodes)
-    return _context(inv_type, q, "mf", (sigma0pi_bar, taupi_bar, 0.0), env_pow, kernel, eta_nodes)
+    kernel = np.array(list(signal_kernel(inv_type.rho, q.nodes)))
+    return _context(inv_type, q, (sigma0pi_bar, taupi_bar, 0.0), env_pow, kernel, eta_nodes)
 
 
 def context_from_stats(inv_type: InvestorType, stats: MeanFieldStats, q: Quadrature) -> TargetContext:
@@ -144,17 +134,18 @@ def _nagent_contexts(
     drift = np.array([wealth_drift(m, p) for m, p in zip(markets, pi0)])
     sigma0pi = np.array([m.sigma0 for m in markets]) * pi0
     sig2pi2 = (np.array([m.sigma for m in markets]) * pi0) ** 2
-    kernels = {rho: _signal_kernel(rho, q.nodes) for rho in {t.rho for t in types}}
+    kernels = {rho: np.array(list(signal_kernel(rho, q.nodes))) for rho in {t.rho for t in types}}
     jumps = np.stack([eta(JumpLaw.from_market(m), q.nodes) for m in markets])
     exponents = [-t.theta * (1.0 - t.alpha) / n for t in types]
 
-    # Signal law P(z | e_c) of every player, NONE row included: (players, 7, nodes).
-    law = np.empty((n_players, len(SIGNALS), q.n_nodes))
-    for j, t in enumerate(types):
-        law[j, NONE_INDEX] = 1.0 - t.p_s
-        law[j, _NONZERO_ROWS] = t.p_s * kernels[t.rho]
+    # Every player's kernel rows, (6, players, nodes), mixed over the players' signals.
+    peer_kernel = np.stack([kernels[t.rho] for t in types], axis=1)
+    p_s = np.array([t.p_s for t in types])[:, np.newaxis]
     returns = 1.0 + strat.table[:, :, np.newaxis] * jumps[:, np.newaxis, :]
-    log_mix = {e: np.log(np.sum(law * returns**e, axis=1)) for e in {exponents[i] for i in players} - {0.0}}
+    log_mix = {
+        e: np.log(signal_mixture(p_s, peer_kernel, lambda column: returns[:, column] ** e))
+        for e in {exponents[i] for i in players} - {0.0}
+    }
     total = {e: mix.sum(axis=0) for e, mix in log_mix.items()}
 
     out = []
@@ -162,7 +153,7 @@ def _nagent_contexts(
         e = exponents[i]
         peer_pow = np.ones(q.n_nodes) if e == 0.0 else np.exp(total[e] - log_mix[e][i])
         env = ((sigma0pi.sum() - sigma0pi[i]) / n, (drift.sum() - drift[i]) / n, (sig2pi2.sum() - sig2pi2[i]) / n**2)
-        out.append(_context(types[i], q, "nagent", env, peer_pow, kernels[types[i].rho], jumps[i]))
+        out.append(_context(types[i], q, env, peer_pow, kernels[types[i].rho], jumps[i]))
     return out
 
 

@@ -1,23 +1,35 @@
-"""Case-study signal model.
+"""Case-study signal model: the one place that knows the signal buckets.
 
 A jump carries a common mark e_c ~ N(0,1) that moves the stock through the
 log-normal map ``eta``.  Each investor observes, with probability ``p_s``, a
 categorical signal built from the perturbed mark
 ``z = rho * e_c + sqrt(1 - rho^2) * e_i1``: its sign plus one of the size
-buckets 0.5 / 1 / inf.  This module holds the jump map, the perturbation and
-classification rules, the integration intervals I(z) and I(z, e_c), and the
-per-signal frequencies.
+buckets 0.5 / 1 / inf.  One edges table, ``SIGNAL_EDGES``, defines both the
+classification of a perturbed mark and the intervals I(z), and so the signal
+law P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)).  ``signal_kernel``
+streams the six N01(I(z, e_c)) rows and ``signal_mixture`` mixes any
+per-signal quantity with that law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .model import NONE_INDEX, SIGNALS, InvestorType, MarketParams, Signal
-from .quad import normal_prob, std_normal_cdf
+from .model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, InvestorType, MarketParams, Signal
+from .quad import std_normal_cdf
+
+# Bucket edges on the perturbed mark.  The six intervals between -inf, the
+# edges and +inf are I(z) for ``NONZERO_SIGNALS`` in order; a mark on an edge
+# goes to the inner bucket, and z = 0 carries no direction (no signal).
+SIGNAL_EDGES = (-1.0, -0.5, 0.0, 0.5, 1.0)
+# The edges are symmetric about 0, so |z| against the non-negative ones
+# counts the bucket outward from 0 (side "left": ties to the inner bucket).
+_OUTWARD_EDGES = np.array([e for e in SIGNAL_EDGES if e >= 0.0])
+_NONZERO_COLUMNS = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
 
 
 @dataclass(frozen=True)
@@ -51,108 +63,65 @@ def perturb(rho: float, e_c, e_i1):
     return rho * np.asarray(e_c, dtype=float) + math.sqrt(1.0 - rho * rho) * np.asarray(e_i1, dtype=float)
 
 
-def classify(z_perturbed: float, received: bool) -> Signal:
-    """Signal label for a perturbed mark; no signal when not received.
-
-    Ties at |z| = 0.5 and |z| = 1 go to the inner bucket; z = 0 carries no
-    directional information and maps to the no-signal label.
-    """
-    return SIGNALS[int(classify_index(z_perturbed, received))]
-
-
 def classify_index(z_perturbed, received):
-    """Vectorized ``classify`` returning indices into ``SIGNALS``."""
-    z = np.asarray(z_perturbed, dtype=float)
-    got = np.asarray(received, dtype=bool)
-    mag = np.abs(z)
-    bucket = np.where(mag <= 0.5, 1, np.where(mag <= 1.0, 2, 3))
-    idx = np.where(got & (z > 0), NONE_INDEX + bucket, NONE_INDEX)
-    idx = np.where(got & (z < 0), NONE_INDEX - bucket, idx)
-    return idx
+    """Index into ``SIGNALS`` of the signal a perturbed mark produces.
 
-
-@dataclass(frozen=True)
-class SignalInterval:
-    """Interval of the real line with optionally unbounded, open/closed ends.
-
-    ``None`` endpoints tag +-infinity, so no floating-point infinities enter
-    quadrature arithmetic.
+    Not received, or z = 0, gives the no-signal label; otherwise the bucket of
+    ``SIGNAL_EDGES`` holding z, ties going to the inner bucket.  Vectorized.
     """
-
-    lo: float | None
-    hi: float | None
-    lo_open: bool = True
-    hi_open: bool = False
-
-    def __post_init__(self):
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"interval has lo={self.lo} > hi={self.hi}")
-
-    def contains(self, x: float) -> bool:
-        if self.lo is not None and (x < self.lo or (self.lo_open and x == self.lo)):
-            return False
-        if self.hi is not None and (x > self.hi or (self.hi_open and x == self.hi)):
-            return False
-        return True
+    z = np.asarray(z_perturbed, dtype=float)
+    outward = np.searchsorted(_OUTWARD_EDGES, np.abs(z))
+    outward *= np.sign(z).astype(outward.dtype)
+    outward += NONE_INDEX
+    return np.where(received, outward, NONE_INDEX)
 
 
-# I(z): where the perturbed mark must fall to produce signal z.  The six
-# intervals partition R \ {0}; boundary points follow the half-open
-# convention of the classification rule.
-_PLAIN_INTERVALS = {
-    Signal.POS_INF: SignalInterval(1.0, None, lo_open=True),
-    Signal.POS_ONE: SignalInterval(0.5, 1.0, lo_open=True, hi_open=False),
-    Signal.POS_HALF: SignalInterval(0.0, 0.5, lo_open=True, hi_open=False),
-    Signal.NEG_HALF: SignalInterval(-0.5, 0.0, lo_open=False, hi_open=True),
-    Signal.NEG_ONE: SignalInterval(-1.0, -0.5, lo_open=False, hi_open=True),
-    Signal.NEG_INF: SignalInterval(None, -1.0, hi_open=True),
-}
+def signal_kernel(rho: float, e_c):
+    """Yield N01(I(z, e_c)) for z in ``NONZERO_SIGNALS`` order, one row at a time.
 
-
-def signal_interval(z: Signal) -> SignalInterval:
-    """The interval I(z) of perturbed marks producing the nonzero signal z."""
-    if z is Signal.NONE:
-        raise ValueError("no integration interval is defined for the null signal")
-    return _PLAIN_INTERVALS[z]
-
-
-def _conditional_bounds(z: Signal, e_c, rho: float):
-    """Endpoints of I(z, e_c) as arrays (None = unbounded side)."""
-    if z is Signal.NONE:
-        raise ValueError("no conditional interval is defined for the null signal")
+    I(z, e_c) holds the idiosyncratic noise values e_i1 that produce signal z
+    at mark e_c: the affine map z = rho*e_c + sqrt(1-rho^2)*e_i1 is
+    increasing in e_i1, so its edges are (edge - rho*e_c)/sqrt(1-rho^2).
+    Each row is the difference of two consecutive CDF values (five CDF
+    evaluations in all); at rho = 0 the rows are the plain masses N01(I(z)).
+    Vectorized over ``e_c``; rows are streamed so that callers on many marks
+    never hold all six at once.
+    """
     if not abs(rho) < 1.0:
         raise ValueError(f"signal quality must satisfy |rho| < 1, got {rho}")
-    iv = _PLAIN_INTERVALS[z]
     scale = math.sqrt(1.0 - rho * rho)
     shift = rho * np.asarray(e_c, dtype=float)
-    lo = None if iv.lo is None else (iv.lo - shift) / scale
-    hi = None if iv.hi is None else (iv.hi - shift) / scale
-    return lo, hi, iv
+    lower = 0.0
+    for edge in SIGNAL_EDGES:
+        upper = std_normal_cdf((edge - shift) / scale)
+        yield upper - lower
+        lower = upper
+    yield 1.0 - lower
 
 
-def conditional_interval(z: Signal, e_c: float, rho: float) -> SignalInterval:
-    """I(z, e_c): idiosyncratic noise values e_i1 compatible with signal z.
+def signal_mixture(p_s, kernel_rows, f):
+    """(1 - p_s)*f(NONE) + p_s*sum_z K_z*f(z): an expectation under the signal law.
 
-    The affine map z = rho*e_c + sqrt(1-rho^2)*e_i1 is increasing in e_i1, so
-    the endpoint conventions of I(z) carry over unchanged.
+    ``f`` maps a column of ``SIGNALS`` to a value; ``kernel_rows`` yields the
+    six rows K_z in ``NONZERO_SIGNALS`` order (``signal_kernel``, or stacked
+    copies of it).  ``p_s`` may be an array broadcasting against the rows.
+    The no-signal term is summed first, and the kernel is not consumed when
+    no signal is ever received.
     """
-    lo, hi, iv = _conditional_bounds(z, float(e_c), rho)
-    return SignalInterval(
-        lo if lo is None else float(lo),
-        hi if hi is None else float(hi),
-        lo_open=iv.lo_open,
-        hi_open=iv.hi_open,
-    )
+    out = (1.0 - p_s) * f(NONE_INDEX)
+    if np.any(p_s > 0.0):
+        for column, weight in zip(_NONZERO_COLUMNS, kernel_rows):
+            out = out + p_s * weight * f(column)
+    return out
 
 
 def conditional_prob(z: Signal, e_c, rho: float):
-    """N(0,1) probability of I(z, e_c); vectorized over ``e_c``."""
-    lo, hi, _ = _conditional_bounds(z, e_c, rho)
-    upper = 1.0 if hi is None else std_normal_cdf(hi)
-    lower = 0.0 if lo is None else std_normal_cdf(lo)
-    return upper - lower
+    """N(0,1) probability of I(z, e_c): the row of ``signal_kernel`` for z != 0."""
+    if z is Signal.NONE:
+        raise ValueError("no conditional interval is defined for the null signal")
+    return next(islice(signal_kernel(rho, e_c), NONZERO_SIGNALS.index(z), None))
 
 
 def signal_frequency(inv_type: InvestorType, z: Signal) -> float:
     """Rate lam * p_s * N01(I(z)) at which the type receives signal z != 0."""
-    return inv_type.market.lam * inv_type.p_s * normal_prob(signal_interval(z))
+    return inv_type.market.lam * inv_type.p_s * conditional_prob(z, 0.0, 0.0)

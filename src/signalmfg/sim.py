@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import aggregate
+from .meanfield import aggregate, wealth_drift
 from .model import (
     NONE_INDEX,
     SIGNALS,
@@ -29,6 +29,7 @@ from .model import (
     Strategy,
     admissible_interval,
     check_admissible,
+    row_positions,
 )
 from .quad import Quadrature
 from .response import relative_utility
@@ -99,8 +100,7 @@ def simulate_common(T: float, market: MarketParams, seed: int) -> CommonNoisePat
 
 def _segment_log_growth(inv_type: InvestorType, phi0: float, dt: np.ndarray, dW: np.ndarray, dW0: np.ndarray):
     m = inv_type.market
-    drift = m.r + phi0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * phi0**2
-    return drift * dt + m.sigma * phi0 * dW + m.sigma0 * phi0 * dW0
+    return wealth_drift(m, phi0) * dt + m.sigma * phi0 * dW + m.sigma0 * phi0 * dW0
 
 
 def simulate_agent(
@@ -113,11 +113,11 @@ def simulate_agent(
     its Brownian increments, the signal-noise marks e_i1 and the reception
     coins e_i2, drawn in that fixed order.
     """
-    row = _as_row(strat_row)
+    row = row_positions(strat_row)
     iv = admissible_interval(inv_type)
     if np.any(row < iv.lo) or np.any(row > iv.hi):
         raise ValueError(f"strategy row leaves the admissible interval [{iv.lo}, {iv.hi}]")
-    rng = _generator(_as_int(seed), _STREAM_AGENT, agent_id)
+    rng = _generator(int(seed), _STREAM_AGENT, agent_id)
     k = path.n_jumps
     dt = np.diff(np.concatenate(([0.0], path.jump_times, [path.horizon])))
     dW = rng.standard_normal(k + 1) * np.sqrt(dt)
@@ -135,20 +135,7 @@ def simulate_agent(
         jumps = eta(JumpLaw.from_market(inv_type.market), path.common_marks)
         log_wealth += float(np.sum(np.log1p(row[labels] * jumps)))
         signals = [SIGNALS[int(i)] for i in labels]
-    return AgentPath(terminal_wealth=math.exp(log_wealth), signals=tuple(signals), seed=_as_int(seed))
-
-
-def _as_row(strat_row) -> np.ndarray:
-    if isinstance(strat_row, dict):
-        return np.array([strat_row[s] for s in SIGNALS], dtype=float)
-    arr = np.asarray(strat_row, dtype=float)
-    if arr.shape != (len(SIGNALS),):
-        raise ValueError(f"strategy row must have {len(SIGNALS)} entries")
-    return arr
-
-
-def _as_int(seed) -> int:
-    return int(seed)
+    return AgentPath(terminal_wealth=math.exp(log_wealth), signals=tuple(signals), seed=int(seed))
 
 
 def estimate_utility(
@@ -196,7 +183,7 @@ def estimate_utility(
         row = strat.row(i)
         phi0 = strat.position(i, Signal.NONE)
         m = t.market
-        drift = (m.r + phi0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * phi0**2) * T
+        drift = wealth_drift(m, phi0) * T
         w_own = rng.standard_normal(n_paths) * math.sqrt(T)
         log_x = math.log(t.x0) + drift + m.sigma * phi0 * w_own + m.sigma0 * phi0 * w0
         if total:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -30,6 +31,14 @@ class TestConfig:
         assert cfg.reference.types[0].p_s == 0.5
         assert cfg.sweep_parameter == "p_s_B"
         assert cfg.horizon == 1.0
+
+    def test_horizon_has_one_source(self):
+        cfg = load_config({"horizon": 2.5})
+        assert cfg.horizon == cfg.solver.horizon == 2.5
+        moved = replace(cfg, solver=replace(cfg.solver, horizon=0.5))
+        assert moved.horizon == 0.5
+        with pytest.raises(TypeError):
+            replace(cfg, horizon=3.0)
 
     def test_unknown_sweep_parameter_rejected(self):
         with pytest.raises(ConfigError, match="sweep parameter"):

@@ -5,8 +5,8 @@ import pytest
 
 from signalmfg import casestudy
 from signalmfg.meanfield import aggregate, mean_log_terminal
-from signalmfg.model import Population, Strategy
-from signalmfg.signals import JumpLaw, classify_index, eta, perturb
+from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, Population, Strategy
+from signalmfg.signals import JumpLaw, classify_index, conditional_prob, eta, perturb
 from signalmfg.sim import CommonNoisePath
 
 
@@ -59,6 +59,29 @@ class TestAggregate:
         h = 1e-7
         bumped = stats.mean_jump(quad128.nodes + h)
         assert np.max(np.abs(bumped - stats.mean_jump_nodes)) < 1e-4
+
+    def test_mean_jump_matches_type_by_signal_loop(self, quad128):
+        # log m(e_c) as the explicit sum over types and signals of w_i P(z | e_c) log1p(pi_iz eta)
+        market = casestudy.default_market(sigma_hat=0.3)
+        pop = Population(
+            [
+                casestudy.investor(market, p_s=0.6, rho=0.8, weight=0.5),
+                casestudy.investor(market, p_s=0.0, rho=-0.4, weight=0.3),
+                casestudy.investor(market, p_s=0.9, rho=-0.95, weight=0.2),
+            ]
+        )
+        table = np.random.default_rng(3).uniform(0.0, 0.99, size=(3, 7))
+        stats = aggregate(pop, Strategy(table), quad128)
+        marks = np.random.default_rng(4).normal(0.0, 2.0, size=10_000)
+        for e_c in (quad128.nodes, marks):
+            jump = eta(JumpLaw.from_market(market), e_c)
+            log_m = np.zeros_like(e_c)
+            for t, row in zip(pop.types, table):
+                log_m += t.weight * (1.0 - t.p_s) * np.log1p(row[NONE_INDEX] * jump)
+                for z in NONZERO_SIGNALS:
+                    law = t.p_s * conditional_prob(z, e_c, t.rho)
+                    log_m += t.weight * law * np.log1p(row[SIGNAL_INDEX[z]] * jump)
+            assert np.max(np.abs(stats.mean_jump(e_c) / np.exp(log_m) - 1.0)) <= 1e-15
 
     def test_inadmissible_position_named(self, ref_pop, quad128):
         table = np.zeros((2, 7))

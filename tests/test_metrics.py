@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from signalmfg import casestudy
 from signalmfg.meanfield import aggregate
-from signalmfg.metrics import M_mf, M_nagent, certainty_equivalent, value_mf, value_report
+from signalmfg.metrics import M_mf, M_nagent, certainty_equivalent, value_mf
 from signalmfg.model import Population, Strategy
 from signalmfg.response import context_from_stats, respond_type
 
@@ -83,11 +83,11 @@ class TestValueMf:
         with pytest.raises(ValueError):
             value_mf(t, 0.0, -1.0, 1.0, 1.0)
 
-    def test_value_report_bundles(self, ref_pop, quad128, ref_eq):
-        rep = value_report(ref_pop.types[0], ref_eq.strategy.row(0), ref_eq.stats, quad128, T=1.0)
-        assert rep.M == pytest.approx(ref_eq.per_type_M[0])
-        assert rep.value == pytest.approx(ref_eq.per_type_value[0])
-        assert rep.T == 1.0
+    def test_value_at_supplied_row_matches_result(self, ref_pop, quad128, ref_eq):
+        t = ref_pop.types[0]
+        M = M_mf(t, ref_eq.strategy.row(0), ref_eq.stats, quad128)
+        assert M == pytest.approx(ref_eq.per_type_M[0])
+        assert value_mf(t, M, t.x0, ref_eq.stats.xbar0, T=1.0) == pytest.approx(ref_eq.per_type_value[0])
 
 
 class TestMNagent:

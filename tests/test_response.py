@@ -18,7 +18,7 @@ from signalmfg.model import (
     admissible_interval,
     validate_investor,
 )
-from signalmfg.quad import Quadrature, expect_outer, normal_prob
+from signalmfg.quad import Quadrature, expect_outer
 from signalmfg.response import (
     best_response,
     best_response_nagent,
@@ -30,7 +30,7 @@ from signalmfg.response import (
     target_no_signal,
     target_signal,
 )
-from signalmfg.signals import JumpLaw, conditional_prob, eta, signal_interval
+from signalmfg.signals import JumpLaw, conditional_prob, eta
 
 MERTON = 4.0 / 9.0  # 0.08 / (2 * 0.09) for the case-study market
 
@@ -103,12 +103,9 @@ class TestTargetSignal:
 
     def test_posterior_weights_integrate_to_one(self, ref_pop, quad128):
         t = ref_pop.types[0]
-        from signalmfg.quad import normal_prob
-        from signalmfg.signals import signal_interval
-
         for z in NONZERO_SIGNALS:
             mass = expect_outer(lambda x: conditional_prob(z, x, t.rho), quad128)
-            assert mass / normal_prob(signal_interval(z)) == pytest.approx(1.0, abs=1e-8)
+            assert mass / conditional_prob(z, 0.0, 0.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_null_signal_rejected(self, ref_pop, quad128):
         ctx = mf_context(ref_pop, Strategy.zeros(2), quad128)
@@ -255,7 +252,7 @@ def first_derivative(phi, z, t, stats, q):
         drift = (m.kappa - m.r) - t.theta * (1.0 - t.alpha) * m.sigma0 * stats.sigma0pi_bar
         drift -= t.alpha * (m.sigma**2 + m.sigma0**2) * phi
         return drift + m.lam * (1.0 - t.p_s) * np.dot(q.weights, integrand)
-    weights = q.weights * conditional_prob(z, q.nodes, t.rho) / normal_prob(signal_interval(z))
+    weights = q.weights * conditional_prob(z, q.nodes, t.rho) / conditional_prob(z, 0.0, 0.0)
     return np.dot(weights, integrand)
 
 

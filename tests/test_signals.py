@@ -1,22 +1,22 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from signalmfg import casestudy
-from signalmfg.model import NONZERO_SIGNALS, Signal
+from signalmfg.model import NONZERO_SIGNALS, SIGNALS, Signal
 from signalmfg.quad import normal_prob
 from signalmfg.signals import (
+    SIGNAL_EDGES,
     JumpLaw,
-    classify,
     classify_index,
-    conditional_interval,
     conditional_prob,
     eta,
     perturb,
     signal_frequency,
-    signal_interval,
+    signal_kernel,
 )
 
 LAW = JumpLaw(kappa_hat=0.0, sigma_hat=0.1)
@@ -68,6 +68,25 @@ class TestPerturb:
         assert perturb(rho, e_c, e_i1) == pytest.approx(expected, abs=1e-12)
 
 
+def classify(z, received):
+    return SIGNALS[int(classify_index(z, received))]
+
+
+def plain_interval(z):
+    """I(z) as (lo, hi) read off the edges table; None marks an unbounded side."""
+    k = NONZERO_SIGNALS.index(z)
+    edges = (None, *SIGNAL_EDGES, None)
+    return edges[k], edges[k + 1]
+
+
+def in_plain_interval(z, x):
+    """Membership in I(z): ties on an edge belong to the inner bucket."""
+    lo, hi = plain_interval(z)
+    if z.value.startswith("+"):
+        return (lo is None or x > lo) and (hi is None or x <= hi)
+    return (lo is None or x >= lo) and (hi is None or x < hi)
+
+
 class TestClassify:
     def test_worked_examples(self):
         assert classify(0.8, received=True) is Signal.POS_ONE
@@ -93,8 +112,6 @@ class TestClassify:
         assert classify(z, received=True) is expected
 
     def test_vectorized_matches_scalar(self):
-        from signalmfg.model import SIGNALS
-
         zs = np.array([-2.0, -1.0, -0.7, -0.2, 0.0, 0.3, 0.9, 1.0, 4.0])
         got = np.array([True, True, False, True, True, True, True, False, True])
         idx = classify_index(zs, got)
@@ -117,55 +134,77 @@ class TestSignalIntervals:
         ],
     )
     def test_endpoints(self, z, lo, hi):
-        iv = signal_interval(z)
-        assert iv.lo == lo and iv.hi == hi
+        assert plain_interval(z) == (lo, hi)
+        # the kernel at rho = 0 is the N(0,1) mass of exactly this interval
+        mass = conditional_prob(z, 0.0, 0.0)
+        assert mass == pytest.approx(normal_prob(SimpleNamespace(lo=lo, hi=hi)), abs=1e-15)
 
     def test_null_signal_has_no_interval(self):
         with pytest.raises(ValueError):
-            signal_interval(Signal.NONE)
+            conditional_prob(Signal.NONE, 0.0, 0.0)
 
     @given(st.floats(-10, 10).filter(lambda x: x != 0.0))
     def test_intervals_partition_the_punctured_line(self, x):
-        hits = [z for z in NONZERO_SIGNALS if signal_interval(z).contains(x)]
+        hits = [z for z in NONZERO_SIGNALS if in_plain_interval(z, x)]
         assert len(hits) == 1
 
     @given(st.floats(-10, 10).filter(lambda x: x != 0.0))
     def test_classification_matches_interval_membership(self, x):
         z = classify(x, received=True)
-        assert signal_interval(z).contains(x)
+        assert in_plain_interval(z, x)
 
     def test_interval_probabilities_sum_to_one(self):
-        total = sum(normal_prob(signal_interval(z)) for z in NONZERO_SIGNALS)
+        total = sum(signal_kernel(0.0, 0.0))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConditionalIntervals:
     def test_pos_inf_example(self):
-        iv = conditional_interval(Signal.POS_INF, e_c=0.1, rho=0.5)
-        # frozen oracle: (1 - 0.05)/sqrt(0.75)
-        assert iv.lo == pytest.approx(1.0969655114602890, abs=1e-14)
-        assert iv.hi is None
+        # frozen oracle: I(+inf, 0.1) at rho = 0.5 starts at (1 - 0.05)/sqrt(0.75)
+        prob = conditional_prob(Signal.POS_INF, e_c=0.1, rho=0.5)
+        assert prob == pytest.approx(normal_prob(SimpleNamespace(lo=1.0969655114602890, hi=None)), abs=1e-14)
 
     def test_rho_zero_reduces_to_unconditional(self):
-        iv = conditional_interval(Signal.POS_ONE, e_c=0.0, rho=0.0)
-        plain = signal_interval(Signal.POS_ONE)
-        assert iv.lo == pytest.approx(plain.lo) and iv.hi == pytest.approx(plain.hi)
-        assert (iv.lo_open, iv.hi_open) == (plain.lo_open, plain.hi_open)
+        for z in NONZERO_SIGNALS:
+            lo, hi = plain_interval(z)
+            expected = normal_prob(SimpleNamespace(lo=lo, hi=hi))
+            for e_c in (-2.0, 0.0, 0.7):
+                assert conditional_prob(z, e_c, 0.0) == pytest.approx(expected, abs=1e-15)
 
     def test_null_signal_rejected(self):
         with pytest.raises(ValueError):
-            conditional_interval(Signal.NONE, 0.0, 0.5)
+            conditional_prob(Signal.NONE, 0.0, 0.5)
 
     @pytest.mark.parametrize("e_c", [-2.0, -0.3, 0.0, 0.7, 3.1])
     @pytest.mark.parametrize("rho", [-0.8, 0.0, 0.5, 0.95])
     def test_conditional_probabilities_sum_to_one(self, e_c, rho):
         total = sum(conditional_prob(z, e_c, rho) for z in NONZERO_SIGNALS)
         assert total == pytest.approx(1.0, abs=1e-12)
+        assert sum(signal_kernel(rho, e_c)) == pytest.approx(1.0, abs=1e-12)
 
     def test_conditional_prob_vectorized(self):
         grid = np.linspace(-4, 4, 9)
         vals = conditional_prob(Signal.NEG_ONE, grid, 0.5)
         assert vals == pytest.approx([conditional_prob(Signal.NEG_ONE, x, 0.5) for x in grid])
+
+
+class TestSignalKernel:
+    @pytest.mark.parametrize("e_c", [-2.0, 0.3, 3.1])
+    @pytest.mark.parametrize("rho", [-0.8, 0.0, 0.5, 0.95])
+    def test_rows_match_classified_frequencies(self, rho, e_c):
+        # independent oracle: classify simulated perturbed marks at a fixed e_c
+        n = 200_000
+        e_i1 = np.random.default_rng(17).standard_normal(n)
+        counts = np.bincount(classify_index(perturb(rho, e_c, e_i1), True), minlength=len(SIGNALS))
+        for z, row in zip(NONZERO_SIGNALS, signal_kernel(rho, e_c)):
+            freq = counts[SIGNALS.index(z)] / n
+            se = math.sqrt(max(row * (1.0 - row), 1e-12) / n)
+            assert abs(freq - row) <= 5.0 * se
+        assert counts[SIGNALS.index(Signal.NONE)] == 0
+
+    def test_quality_bound(self):
+        with pytest.raises(ValueError, match="rho"):
+            next(signal_kernel(1.0, 0.0))
 
 
 class TestSignalFrequency:
