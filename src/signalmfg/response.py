@@ -39,6 +39,9 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
 # Cap on Newton/bisection steps per best response; case-study types need 4.
 _MAX_NEWTON = 200
+# Cap on log(E*(1 + phi*eta)^p): valid extreme types (alpha ~ 100, sigma_hat ~ 4)
+# overflow it at tail nodes, and inf*0 = NaN; exp(600) leaves room for factors.
+_LOG_CAP = 600.0
 _NONZERO_ROWS = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
 # N01(I(z)) in ``NONZERO_SIGNALS`` order: the signal kernel at rho = 0.
 _SIGNAL_MASS = np.array(list(signal_kernel(0.0, 0.0)))
@@ -53,10 +56,11 @@ def relative_utility(x, xbar, alpha: float, theta: float):
 class TargetContext:
     """Everything a type's targets need, precomputed on the quadrature grid.
 
-    ``env_jump_pow`` is the environment's jump factor already raised to
+    ``env_jump_log`` is the log of E, the environment's jump factor raised to
     -theta*(1-alpha) (mean-field mode: the mean-jump function; n-agent mode:
     the expected peer product, which keeps the per-peer signal mixture intact
-    rather than collapsing it to a geometric mean).  Row z of
+    rather than collapsing it to a geometric mean); zero, with the jump sizes,
+    when jumps are degenerate (lam = 0 or sizeless).  Row z of
     ``row_weights`` (``SIGNALS`` order) weighs the jump integrand in target
     z: lam*(1-p_s)*w for no signal, w*N01(I(z, e_c))/N01(I(z)) for z != 0.
     ``row_mass`` turns the seven target values into the value constant's
@@ -68,24 +72,26 @@ class TargetContext:
     taupi_env: float
     sig2pi2_env: float
     eta_nodes: np.ndarray = field(repr=False)
-    env_jump_pow: np.ndarray = field(repr=False)
+    env_jump_log: np.ndarray = field(repr=False)
     row_weights: np.ndarray = field(repr=False)
     row_mass: np.ndarray = field(repr=False)
     jumps_degenerate: bool = False
 
 
-def _context(t: InvestorType, q: Quadrature, env: tuple, env_pow, kernel, eta_nodes) -> TargetContext:
+def _context(t: InvestorType, q: Quadrature, env: tuple, env_log, kernel, eta_nodes) -> TargetContext:
     """Context from env = (sigma0pi, taupi, sig2pi2) and the type's (6 x nodes) signal kernel."""
     m = t.market
+    degenerate = m.lam == 0.0 or JumpLaw.from_market(m).degenerate
+    if degenerate:
+        eta_nodes, env_log = np.zeros(q.n_nodes), np.zeros(q.n_nodes)
     weights = np.empty((len(SIGNALS), q.n_nodes))
     weights[NONE_INDEX] = m.lam * (1.0 - t.p_s) * q.weights
     weights[_NONZERO_ROWS] = q.weights * kernel / _SIGNAL_MASS[:, np.newaxis]
     mass = np.ones(len(SIGNALS))
     mass[_NONZERO_ROWS] = m.lam * t.p_s * _SIGNAL_MASS
     return TargetContext(
-        t, *(float(v) for v in env), eta_nodes=eta_nodes, env_jump_pow=env_pow,
-        row_weights=weights, row_mass=mass,
-        jumps_degenerate=m.lam == 0.0 or JumpLaw.from_market(m).degenerate,
+        t, *(float(v) for v in env), eta_nodes=eta_nodes, env_jump_log=env_log,
+        row_weights=weights, row_mass=mass, jumps_degenerate=degenerate,
     )
 
 
@@ -98,10 +104,10 @@ def mf_target_context(
 ) -> TargetContext:
     """Context against a mean-field environment given by its statistic."""
     exponent = -inv_type.theta * (1.0 - inv_type.alpha)
-    env_pow = np.asarray(mean_jump_nodes, dtype=float) ** exponent
+    env_log = exponent * np.log(np.asarray(mean_jump_nodes, dtype=float))
     eta_nodes = eta(JumpLaw.from_market(inv_type.market), q.nodes)
     kernel = np.array(list(signal_kernel(inv_type.rho, q.nodes)))
-    return _context(inv_type, q, (sigma0pi_bar, taupi_bar, 0.0), env_pow, kernel, eta_nodes)
+    return _context(inv_type, q, (sigma0pi_bar, taupi_bar, 0.0), env_log, kernel, eta_nodes)
 
 
 def context_from_stats(inv_type: InvestorType, stats: MeanFieldStats, q: Quadrature) -> TargetContext:
@@ -117,9 +123,9 @@ def _nagent_contexts(
 
     Peer aggregates are totals over all players minus the player's own term.
     The expected peer jump factor of player i is the product over peers of
-    their signal mixture raised to e_i = -theta_i*(1-alpha_i)/n, formed as
-    exp(S(e_i) - log mix_i(e_i)) with S(e) the sum of every player's log
-    mixture; peers' signal draws are independent given the common mark.
+    their signal mixture raised to e_i = -theta_i*(1-alpha_i)/n; its log is
+    S(e_i) - log mix_i(e_i), with S(e) the sum of every player's log mixture,
+    since peers' signal draws are independent given the common mark.
     """
     n_players = len(types)
     if strat.n_types != n_players:
@@ -151,9 +157,9 @@ def _nagent_contexts(
     out = []
     for i in players:
         e = exponents[i]
-        peer_pow = np.ones(q.n_nodes) if e == 0.0 else np.exp(total[e] - log_mix[e][i])
+        peer_log = np.zeros(q.n_nodes) if e == 0.0 else total[e] - log_mix[e][i]
         env = ((sigma0pi.sum() - sigma0pi[i]) / n, (drift.sum() - drift[i]) / n, (sig2pi2.sum() - sig2pi2[i]) / n**2)
-        out.append(_context(types[i], q, env, peer_pow, kernels[types[i].rho], jumps[i]))
+        out.append(_context(types[i], q, env, peer_log, kernels[types[i].rho], jumps[i]))
     return out
 
 
@@ -165,14 +171,15 @@ def nagent_target_context(
 
 
 def _jump_integrand(phi, ctx: TargetContext):
-    """Per-node (u(1 + phi*eta, env) - u(1, 1)) with the env power folded in.
+    """Per-node (u(1 + phi*eta, env) - u(1, 1)) with the env power E folded in.
 
     Broadcasts over array-valued ``phi`` (shape (..., 1) against the nodes).
     """
     t = ctx.investor
     phi_arr = np.asarray(phi, dtype=float)[..., np.newaxis]
-    returns = 1.0 + phi_arr * ctx.eta_nodes
-    vals = (returns ** (1.0 - t.alpha) * ctx.env_jump_pow - 1.0) / (1.0 - t.alpha)
+    log_returns = np.log1p(phi_arr * ctx.eta_nodes)
+    scaled = np.exp(np.minimum(ctx.env_jump_log + (1.0 - t.alpha) * log_returns, _LOG_CAP))
+    vals = (scaled - 1.0) / (1.0 - t.alpha)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite jump integrand; position outside its admissible interval?")
     return vals
@@ -280,11 +287,12 @@ def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DE
 
     Solves the seven first-order conditions g'(phi) = 0 together, where
     g'(phi) = drift'(phi) + sum_k W_zk eta_k (1 + phi eta_k)^-alpha E_k and
-    g'' < 0 (W = ``row_weights``, E = ``env_jump_pow``; the drift enters the
-    no-signal row only).  If g' keeps one sign on the admissible interval the
-    maximizer is the matching endpoint; otherwise Newton steps run inside the
-    shrinking sign-change bracket, bisecting whenever a step would leave it,
-    until a step is at most ``opt_tol``.
+    g'' < 0 (W = ``row_weights``, log E = ``env_jump_log``; the drift enters
+    the no-signal row only; E_k (1 + phi eta_k)^-alpha is formed in logs and
+    capped).  If g' keeps one sign on the admissible interval the maximizer is
+    the matching endpoint; otherwise Newton steps run inside the shrinking
+    sign-change bracket, bisecting whenever a step would leave it, until a
+    step is at most ``opt_tol``.
 
     When jumps are absent (lam = 0) or sizeless (eta identically 0) the
     nonzero-signal targets are flat in phi, so every admissible position is a
@@ -296,14 +304,14 @@ def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DE
     iv = admissible_interval(inv_type)
     slope, curvature = np.zeros(len(SIGNALS)), np.zeros(len(SIGNALS))
     slope[NONE_INDEX], curvature[NONE_INDEX] = _drift_coefficients(ctx)
-    w_eta = ctx.row_weights * ctx.env_jump_pow * ctx.eta_nodes
+    w_eta = ctx.row_weights * ctx.eta_nodes
     w_eta2 = alpha * w_eta * ctx.eta_nodes
 
     def derivatives(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        returns = 1.0 + phi[..., np.newaxis] * ctx.eta_nodes
-        power = returns**-alpha
+        move = phi[..., np.newaxis] * ctx.eta_nodes
+        power = np.exp(np.minimum(ctx.env_jump_log - alpha * np.log1p(move), _LOG_CAP))
         g1 = slope - curvature * phi + np.sum(w_eta * power, axis=-1)
-        g2 = -curvature - np.sum(w_eta2 * (power / returns), axis=-1)
+        g2 = -curvature - np.sum(w_eta2 * (power / (1.0 + move)), axis=-1)
         if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
             raise ValueError("non-finite first-order condition; position outside its admissible interval?")
         return g1, g2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signalmfg import casestudy
 from signalmfg.equilibrium import (
@@ -11,7 +12,7 @@ from signalmfg.equilibrium import (
     solve_nagent,
 )
 from signalmfg.meanfield import aggregate
-from signalmfg.model import Population, Signal, Strategy, strategy_distance
+from signalmfg.model import Population, Signal, Strategy, strategy_distance, validate_investor
 from signalmfg.quad import Quadrature
 
 MERTON = 4.0 / 9.0
@@ -104,6 +105,48 @@ class TestSolveMfFinite:
             SolverConfig(damping=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+
+
+# Single types that validate_investor accepts and whose jump factor
+# E*(1 + phi*eta)^-alpha overflows at tail nodes; each made the solve raise
+# "non-finite first-order condition" before that product was formed in logs.
+EXTREME_TYPES = [
+    ({"sigma_hat": 4.0}, {"alpha": 100.0}),
+    ({"sigma_hat": 2.0}, {"alpha": 100.0}),
+    ({"lam": 0.0, "sigma_hat": 2.0}, {"alpha": 51.0}),
+    ({"lam": 1.0, "sigma_hat": 4.0}, {"alpha": 42.0, "theta": 1.0}),
+    ({"lam": 1.0, "sigma_hat": 2.0}, {"alpha": 51.0, "p_s": 0.0, "rho": 0.75}),
+]
+
+
+def assert_finite_solve(t, q):
+    assert not validate_investor(t)
+    result = solve_mf_finite(Population([t]), q)
+    assert np.all(np.isfinite(result.strategy.table))
+    assert np.all(np.isfinite(result.per_type_M))
+    return result
+
+
+class TestExtremeTypes:
+    @pytest.mark.parametrize("market, kwargs", EXTREME_TYPES)
+    def test_overflowing_types_report_instead_of_raising(self, quad128, market, kwargs):
+        t = casestudy.investor(casestudy.default_market(**market), weight=1.0, **kwargs)
+        result = assert_finite_solve(t, quad128)
+        assert result.converged or result.notes
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.0, 20.0),
+        sigma_hat=st.floats(0.0, 4.0),
+        alpha=st.floats(0.1, 100.0).filter(lambda a: abs(a - 1.0) >= 1e-3),
+        p_s=st.floats(0.0, 1.0, exclude_max=True),
+        rho=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        theta=st.floats(0.0, 1.0),
+    )
+    def test_property_single_type_solve_is_finite(self, quad128, lam, sigma_hat, alpha, p_s, rho, theta):
+        market = casestudy.default_market(lam=lam, sigma_hat=sigma_hat)
+        t = casestudy.investor(market, p_s=p_s, rho=rho, alpha=alpha, theta=theta, weight=1.0)
+        assert_finite_solve(t, quad128)
 
 
 class TestResidual:

@@ -398,7 +398,7 @@ class TestNAgentContext:
             assert ctx.taupi_env == pytest.approx(taupi, abs=1e-13)
             assert ctx.sigma0pi_env == pytest.approx(sigma0pi, abs=1e-13)
             assert ctx.sig2pi2_env == pytest.approx(sig2pi2, abs=1e-13)
-            assert np.max(np.abs(ctx.env_jump_pow / peer_pow - 1.0)) <= 1e-13
+            assert np.max(np.abs(np.exp(ctx.env_jump_log) / peer_pow - 1.0)) <= 1e-13
 
     def test_player_index_checked(self, quad128):
         types = [casestudy.investor(), casestudy.investor()]
