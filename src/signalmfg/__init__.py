@@ -35,14 +35,10 @@ from .response import (
     target_signal,
 )
 from .signals import (
-    SIGNAL_EDGES,
     JumpLaw,
-    classify_index,
-    conditional_prob,
     eta,
     perturb,
     signal_frequency,
-    signal_kernel,
 )
 from .sim import (
     AgentPath,

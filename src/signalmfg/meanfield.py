@@ -3,9 +3,8 @@
 A population together with a signal-driven strategy induces the sufficient
 statistic of everyone's environment: the drift aggregate, the common
 volatility exposure, the initial geometric mean wealth, and the mean-jump
-function e_c -> m(e_c) multiplying the geometric mean wealth at each jump.
-m(e_c) mixes each type's log jump return under its signal law
-(``signals.signal_mixture``), streaming the kernel rows one at a time.
+function e_c -> m(e_c) multiplying the geometric mean wealth at each jump,
+which mixes each type's log jump return under its signal law (``signals``).
 """
 
 from __future__ import annotations
@@ -46,9 +45,8 @@ def wealth_drift(m: MarketParams, pi0: float) -> float:
 def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
     """Closed-form m(e_c): geometric mean over types and signal outcomes.
 
-    log m(e_c) = sum_i w_i * E[log(1 + pi_i(Z) eta(e_c)) | e_c], with Z drawn
-    from type i's signal law.  The kernel is streamed row by row, so one call
-    on n marks holds O(n) memory whatever the number of signals.
+    log m(e_c) = sum_i w_i * E[log(1 + pi_i(Z) eta(e_c)) | e_c], Z drawn from
+    type i's signal law, with the kernel streamed: O(n) memory on n marks.
     """
     rows = strat.table.copy()
 

@@ -4,11 +4,10 @@ A jump carries a common mark e_c ~ N(0,1) that moves the stock through the
 log-normal map ``eta``.  Each investor observes, with probability ``p_s``, a
 categorical signal built from the perturbed mark
 ``z = rho * e_c + sqrt(1 - rho^2) * e_i1``: its sign plus one of the size
-buckets 0.5 / 1 / inf.  One edges table, ``SIGNAL_EDGES``, defines both the
-classification of a perturbed mark and the intervals I(z), and so the signal
-law P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)).  ``signal_kernel``
-streams the six N01(I(z, e_c)) rows and ``signal_mixture`` mixes any
-per-signal quantity with that law.
+buckets 0.5 / 1 / inf.  One edges table defines both the classification and
+the intervals I(z), hence the signal law
+P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)) that every consumer
+reaches through ``signal_kernel`` and ``signal_mixture``.
 """
 
 from __future__ import annotations
@@ -22,12 +21,11 @@ import numpy as np
 from .model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, InvestorType, MarketParams, Signal
 from .quad import std_normal_cdf
 
-# Bucket edges on the perturbed mark.  The six intervals between -inf, the
-# edges and +inf are I(z) for ``NONZERO_SIGNALS`` in order; a mark on an edge
-# goes to the inner bucket, and z = 0 carries no direction (no signal).
+# Bucket edges on the perturbed mark: the six intervals they cut R into are
+# I(z) for ``NONZERO_SIGNALS`` in order.  A mark on an edge goes to the inner
+# bucket; z = 0 carries no direction (no signal).
 SIGNAL_EDGES = (-1.0, -0.5, 0.0, 0.5, 1.0)
-# The edges are symmetric about 0, so |z| against the non-negative ones
-# counts the bucket outward from 0 (side "left": ties to the inner bucket).
+# By symmetry, |z| against the non-negative edges counts buckets outward from 0.
 _OUTWARD_EDGES = np.array([e for e in SIGNAL_EDGES if e >= 0.0])
 _NONZERO_COLUMNS = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
 
@@ -64,11 +62,7 @@ def perturb(rho: float, e_c, e_i1):
 
 
 def classify_index(z_perturbed, received):
-    """Index into ``SIGNALS`` of the signal a perturbed mark produces.
-
-    Not received, or z = 0, gives the no-signal label; otherwise the bucket of
-    ``SIGNAL_EDGES`` holding z, ties going to the inner bucket.  Vectorized.
-    """
+    """Index into ``SIGNALS`` of each perturbed mark's signal; no signal when not received."""
     z = np.asarray(z_perturbed, dtype=float)
     outward = np.searchsorted(_OUTWARD_EDGES, np.abs(z))
     outward *= np.sign(z).astype(outward.dtype)
@@ -77,15 +71,12 @@ def classify_index(z_perturbed, received):
 
 
 def signal_kernel(rho: float, e_c):
-    """Yield N01(I(z, e_c)) for z in ``NONZERO_SIGNALS`` order, one row at a time.
+    """Yield N01(I(z, e_c)) for z in ``NONZERO_SIGNALS`` order, vectorized over e_c.
 
-    I(z, e_c) holds the idiosyncratic noise values e_i1 that produce signal z
-    at mark e_c: the affine map z = rho*e_c + sqrt(1-rho^2)*e_i1 is
-    increasing in e_i1, so its edges are (edge - rho*e_c)/sqrt(1-rho^2).
-    Each row is the difference of two consecutive CDF values (five CDF
-    evaluations in all); at rho = 0 the rows are the plain masses N01(I(z)).
-    Vectorized over ``e_c``; rows are streamed so that callers on many marks
-    never hold all six at once.
+    I(z, e_c) holds the noise values e_i1 producing signal z at mark e_c; the
+    perturbation is increasing in e_i1, so its edges are
+    (edge - rho*e_c)/sqrt(1-rho^2).  At rho = 0 the rows are the masses
+    N01(I(z)).  Rows are streamed, so callers on many marks never hold six.
     """
     if not abs(rho) < 1.0:
         raise ValueError(f"signal quality must satisfy |rho| < 1, got {rho}")
@@ -102,11 +93,9 @@ def signal_kernel(rho: float, e_c):
 def signal_mixture(p_s, kernel_rows, f):
     """(1 - p_s)*f(NONE) + p_s*sum_z K_z*f(z): an expectation under the signal law.
 
-    ``f`` maps a column of ``SIGNALS`` to a value; ``kernel_rows`` yields the
-    six rows K_z in ``NONZERO_SIGNALS`` order (``signal_kernel``, or stacked
-    copies of it).  ``p_s`` may be an array broadcasting against the rows.
-    The no-signal term is summed first, and the kernel is not consumed when
-    no signal is ever received.
+    ``f`` maps a column of ``SIGNALS`` to a value and ``kernel_rows`` yields
+    the K_z in ``NONZERO_SIGNALS`` order; ``p_s`` may be an array.  The kernel
+    is not consumed when no signal is ever received.
     """
     out = (1.0 - p_s) * f(NONE_INDEX)
     if np.any(p_s > 0.0):

@@ -98,11 +98,6 @@ def simulate_common(T: float, market: MarketParams, seed: int) -> CommonNoisePat
     )
 
 
-def _segment_log_growth(inv_type: InvestorType, phi0: float, dt: np.ndarray, dW: np.ndarray, dW0: np.ndarray):
-    m = inv_type.market
-    return wealth_drift(m, phi0) * dt + m.sigma * phi0 * dW + m.sigma0 * phi0 * dW0
-
-
 def simulate_agent(
     inv_type: InvestorType, strat_row, path: CommonNoisePath, seed, agent_id: int = 0
 ) -> AgentPath:
@@ -125,14 +120,14 @@ def simulate_agent(
     e_i2 = rng.uniform(size=k)
 
     phi0 = row[NONE_INDEX]
-    log_wealth = math.log(inv_type.x0) + float(
-        np.sum(_segment_log_growth(inv_type, phi0, dt, dW, path.w0_increments))
-    )
+    m = inv_type.market
+    growth = wealth_drift(m, phi0) * dt + m.sigma * phi0 * dW + m.sigma0 * phi0 * path.w0_increments
+    log_wealth = math.log(inv_type.x0) + float(np.sum(growth))
     signals: list[Signal] = []
     if k:
         received = e_i2 <= inv_type.p_s
         labels = classify_index(perturb(inv_type.rho, path.common_marks, e_i1), received)
-        jumps = eta(JumpLaw.from_market(inv_type.market), path.common_marks)
+        jumps = eta(JumpLaw.from_market(m), path.common_marks)
         log_wealth += float(np.sum(np.log1p(row[labels] * jumps)))
         signals = [SIGNALS[int(i)] for i in labels]
     return AgentPath(terminal_wealth=math.exp(log_wealth), signals=tuple(signals), seed=int(seed))
