@@ -84,4 +84,3 @@ def M_nagent(
 def certainty_equivalent(M_alt: float, M_ref: float, T: float = 1.0) -> float:
     """Initial capital ratio exp(T (M_alt - M_ref)) equalizing expected utilities at horizon T."""
     return float(np.exp(T * (M_alt - M_ref)))
-

@@ -310,9 +310,9 @@ def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DE
     def derivatives(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         move = phi[..., np.newaxis] * ctx.eta_nodes
         power = np.exp(np.minimum(ctx.env_jump_log - alpha * np.log1p(move), _LOG_CAP))
-        g1 = slope - curvature * phi + np.sum(w_eta * power, axis=-1)
-        g2 = -curvature - np.sum(w_eta2 * (power / (1.0 + move)), axis=-1)
-        if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+        g1 = slope - curvature * phi + (w_eta * power).sum(axis=-1)
+        g2 = -curvature - (w_eta2 * (power / (1.0 + move))).sum(axis=-1)
+        if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
             raise ValueError("non-finite first-order condition; position outside its admissible interval?")
         return g1, g2
 
