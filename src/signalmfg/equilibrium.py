@@ -28,9 +28,12 @@ from .model import (
 from .quad import Quadrature
 from .response import (
     DEFAULT_OPT_TOL,
+    _nagent_contexts,
     best_response,
     best_response_nagent,
     best_response_to_stats,
+    context_from_stats,
+    jump_cap_binds,
     mf_target_context,
     respond_type,
 )
@@ -152,9 +155,16 @@ def _initial_table(cfg: SolverConfig, n_rows: int) -> np.ndarray:
     return cfg.init.table.copy()
 
 
+def _cap_notes(strategy: Strategy, contexts) -> tuple[str, ...]:
+    """A note for each type whose M clips its jump factor at the final strategy (``jump_cap_binds``)."""
+    bound = (i for i, ctx in enumerate(contexts) if jump_cap_binds(strategy.row(i), ctx))
+    return tuple(f"type {i}: M clips E*(1 + phi*eta)^(1-alpha) at a tail node; M is inexact" for i in bound)
+
+
 def _mf_result(pop, strategy, q, cfg, residual, iterations, notes) -> EquilibriumResult:
     """Mean-field result: aggregate the final strategy and evaluate each type's M and value."""
     stats = aggregate(pop, strategy, q)
+    notes += _cap_notes(strategy, (context_from_stats(t, stats, q) for t in pop.types))
     per_type_M = tuple(M_mf(t, strategy.row(i), stats, q, cfg.opt_tol) for i, t in enumerate(pop.types))
     per_type_value = tuple(
         value_mf(t, M, t.x0, stats.xbar0, cfg.horizon) for t, M in zip(pop.types, per_type_M)
@@ -203,6 +213,7 @@ def solve_nagent(
     for i, (t, M) in enumerate(zip(types, per_type_M)):
         peers_log_x0 = sum(np.log(s.x0) for j, s in enumerate(types) if j != i) / n
         per_type_value.append(value_mf(t, M, t.x0, float(np.exp(peers_log_x0)), cfg.horizon))
+    notes += _cap_notes(strategy, _nagent_contexts(types, strategy, q, range(len(types))))
     return EquilibriumResult(
         strategy=strategy,
         residual=residual,

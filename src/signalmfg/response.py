@@ -39,8 +39,8 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
 # Cap on Newton/bisection steps per best response; case-study types need 4.
 _MAX_NEWTON = 200
-# Cap on log(E*(1 + phi*eta)^p): valid extreme types (alpha ~ 100, sigma_hat ~ 4)
-# overflow it at tail nodes, and inf*0 = NaN; exp(600) leaves room for factors.
+# Largest log(E*(1 + phi*eta)^p) put through exp(): valid extreme types (alpha ~ 100,
+# sigma_hat ~ 4) pass it at tail nodes, where exp() overflows and inf*0 = NaN.
 _LOG_CAP = 600.0
 _NONZERO_ROWS = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
 # N01(I(z)) in ``NONZERO_SIGNALS`` order: the signal kernel at rho = 0.
@@ -59,8 +59,9 @@ class TargetContext:
     ``env_jump_log`` is the log of E, the environment's jump factor raised to
     -theta*(1-alpha) (mean-field mode: the mean-jump function; n-agent mode:
     the expected peer product, which keeps the per-peer signal mixture intact
-    rather than collapsing it to a geometric mean); zero, with the jump sizes,
-    when jumps are degenerate (lam = 0 or sizeless).  Row z of
+    rather than collapsing it to a geometric mean); zero when lam = 0.  The
+    jump sizes are zero when jumps are degenerate (lam = 0 or sizeless); a
+    sizeless type keeps E, which its targets and M still carry.  Row z of
     ``row_weights`` (``SIGNALS`` order) weighs the jump integrand in target
     z: lam*(1-p_s)*w for no signal, w*N01(I(z, e_c))/N01(I(z)) for z != 0.
     ``row_mass`` turns the seven target values into the value constant's
@@ -83,7 +84,9 @@ def _context(t: InvestorType, q: Quadrature, env: tuple, env_log, kernel, eta_no
     m = t.market
     degenerate = m.lam == 0.0 or JumpLaw.from_market(m).degenerate
     if degenerate:
-        eta_nodes, env_log = np.zeros(q.n_nodes), np.zeros(q.n_nodes)
+        eta_nodes = np.zeros(q.n_nodes)
+    if m.lam == 0.0:
+        env_log = np.zeros(q.n_nodes)
     weights = np.empty((len(SIGNALS), q.n_nodes))
     weights[NONE_INDEX] = m.lam * (1.0 - t.p_s) * q.weights
     weights[_NONZERO_ROWS] = q.weights * kernel / _SIGNAL_MASS[:, np.newaxis]
@@ -170,15 +173,24 @@ def nagent_target_context(
     return _nagent_contexts(types, strat, q, (i,))[0]
 
 
+def _log_scaled_returns(phi, ctx: TargetContext) -> np.ndarray:
+    """Per-node log(E*(1 + phi*eta)^(1-alpha)); array ``phi`` gets shape (..., nodes)."""
+    phi_arr = np.asarray(phi, dtype=float)[..., np.newaxis]
+    return ctx.env_jump_log + (1.0 - ctx.investor.alpha) * np.log1p(phi_arr * ctx.eta_nodes)
+
+
+def jump_cap_binds(row, ctx: TargetContext) -> bool:
+    """True iff ``target_values(row, ctx)``, hence M, clip a weighted node's log at ``_LOG_CAP``."""
+    return bool(np.any(_log_scaled_returns(row, ctx)[ctx.row_weights != 0.0] > _LOG_CAP))
+
+
 def _jump_integrand(phi, ctx: TargetContext):
     """Per-node (u(1 + phi*eta, env) - u(1, 1)) with the env power E folded in.
 
     Broadcasts over array-valued ``phi`` (shape (..., 1) against the nodes).
     """
     t = ctx.investor
-    phi_arr = np.asarray(phi, dtype=float)[..., np.newaxis]
-    log_returns = np.log1p(phi_arr * ctx.eta_nodes)
-    scaled = np.exp(np.minimum(ctx.env_jump_log + (1.0 - t.alpha) * log_returns, _LOG_CAP))
+    scaled = np.exp(np.minimum(_log_scaled_returns(phi, ctx), _LOG_CAP))
     vals = (scaled - 1.0) / (1.0 - t.alpha)
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite jump integrand; position outside its admissible interval?")
@@ -288,11 +300,12 @@ def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DE
     Solves the seven first-order conditions g'(phi) = 0 together, where
     g'(phi) = drift'(phi) + sum_k W_zk eta_k (1 + phi eta_k)^-alpha E_k and
     g'' < 0 (W = ``row_weights``, log E = ``env_jump_log``; the drift enters
-    the no-signal row only; E_k (1 + phi eta_k)^-alpha is formed in logs and
-    capped).  If g' keeps one sign on the admissible interval the maximizer is
-    the matching endpoint; otherwise Newton steps run inside the shrinking
-    sign-change bracket, bisecting whenever a step would leave it, until a
-    step is at most ``opt_tol``.
+    the no-signal row only).  A row whose log E_k (1 + phi eta_k)^-alpha passes
+    ``_LOG_CAP`` is scaled down, g' and g'' alike, which keeps the sign of g'
+    and the step g'/g'' exact.  If g' keeps one sign on the admissible
+    interval the maximizer is the matching endpoint; otherwise Newton steps
+    run inside the shrinking sign-change bracket, bisecting whenever a step
+    would leave it, until a step is at most ``opt_tol``.
 
     When jumps are absent (lam = 0) or sizeless (eta identically 0) the
     nonzero-signal targets are flat in phi, so every admissible position is a
@@ -306,17 +319,28 @@ def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DE
     slope[NONE_INDEX], curvature[NONE_INDEX] = _drift_coefficients(ctx)
     w_eta = ctx.row_weights * ctx.eta_nodes
     w_eta2 = alpha * w_eta * ctx.eta_nodes
+    # Each node's log power is monotone in phi, so the interval's ends bound it.
+    ends = np.array([[iv.lo], [iv.hi]]).repeat(len(SIGNALS), axis=1)
+    scale_rows = np.max(ctx.env_jump_log - alpha * np.log1p(ends[..., :1] * ctx.eta_nodes)) > _LOG_CAP
 
     def derivatives(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         move = phi[..., np.newaxis] * ctx.eta_nodes
-        power = np.exp(np.minimum(ctx.env_jump_log - alpha * np.log1p(move), _LOG_CAP))
-        g1 = slope - curvature * phi + (w_eta * power).sum(axis=-1)
-        g2 = -curvature - (w_eta2 * (power / (1.0 + move))).sum(axis=-1)
+        log_power = ctx.env_jump_log - alpha * np.log1p(move)
+        drift, drift_curvature = slope - curvature * phi, -curvature
+        if scale_rows:
+            # Unweighted nodes set no scale (their power must not overflow into 0*inf).
+            log_power = np.where(w_eta != 0.0, log_power, -np.inf)
+            shift = np.maximum(log_power.max(axis=-1) - _LOG_CAP, 0.0)
+            log_power = log_power - shift[..., np.newaxis]
+            drift, drift_curvature = drift * np.exp(-shift), drift_curvature * np.exp(-shift)
+        power = np.exp(log_power)
+        g1 = drift + (w_eta * power).sum(axis=-1)
+        g2 = drift_curvature - (w_eta2 * (power / (1.0 + move))).sum(axis=-1)
         if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
             raise ValueError("non-finite first-order condition; position outside its admissible interval?")
         return g1, g2
 
-    (g_lo, g_hi), _ = derivatives(np.array([[iv.lo], [iv.hi]]).repeat(len(SIGNALS), axis=1))
+    (g_lo, g_hi), _ = derivatives(ends)
     row = np.where(g_lo <= 0.0, iv.lo, iv.hi)
     active = (g_lo > 0.0) & (g_hi < 0.0)
     lo, hi = np.full(len(SIGNALS), iv.lo), np.full(len(SIGNALS), iv.hi)

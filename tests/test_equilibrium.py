@@ -12,8 +12,9 @@ from signalmfg.equilibrium import (
     solve_nagent,
 )
 from signalmfg.meanfield import aggregate
-from signalmfg.model import Population, Signal, Strategy, strategy_distance, validate_investor
+from signalmfg.model import NONE_INDEX, Population, Signal, Strategy, strategy_distance, validate_investor
 from signalmfg.quad import Quadrature
+from signalmfg.response import context_from_stats, jump_cap_binds
 
 MERTON = 4.0 / 9.0
 
@@ -134,6 +135,14 @@ class TestExtremeTypes:
         result = assert_finite_solve(t, quad128)
         assert result.converged or result.notes
 
+    @pytest.mark.parametrize("index", [1, 2, 4])
+    def test_converged_extreme_types_do_not_clip_M(self, quad128, index):
+        market, kwargs = EXTREME_TYPES[index]
+        t = casestudy.investor(casestudy.default_market(**market), weight=1.0, **kwargs)
+        result = assert_finite_solve(t, quad128)
+        assert result.converged and not result.notes
+        assert not jump_cap_binds(result.strategy.row(0), context_from_stats(t, result.stats, quad128))
+
     @settings(max_examples=40, deadline=None)
     @given(
         lam=st.floats(0.0, 20.0),
@@ -147,6 +156,51 @@ class TestExtremeTypes:
         market = casestudy.default_market(lam=lam, sigma_hat=sigma_hat)
         t = casestudy.investor(market, p_s=p_s, rho=rho, alpha=alpha, theta=theta, weight=1.0)
         assert_finite_solve(t, quad128)
+
+
+def sizeless_M(t, stats, row, q):
+    """M of a type with sizeless jumps: its own positions meet no jump, E still does.
+
+    Its signal targets reduce to lam*p_s*sum_z N01(I(z, e_c))*(E-1)/(1-alpha),
+    and the kernel rows sum to 1 at every mark, so the jump part of M is
+    lam*sum_k w_k*(E_k-1)/(1-alpha) with E = m(e_c)^(-theta*(1-alpha)).
+    """
+    m, phi0 = t.market, row[NONE_INDEX]
+    slope = (m.kappa - m.r) - t.theta * (1.0 - t.alpha) * m.sigma0 * stats.sigma0pi_bar
+    curvature = t.alpha * (m.sigma**2 + m.sigma0**2)
+    env = stats.mean_jump_nodes ** (-t.theta * (1.0 - t.alpha))
+    return (
+        t.theta * (m.r - stats.taupi_bar)
+        + 0.5 * t.theta**2 * (1.0 - t.alpha) * stats.sigma0pi_bar**2
+        + slope * phi0
+        - 0.5 * curvature * phi0**2
+        + m.lam * np.dot(q.weights, (env - 1.0) / (1.0 - t.alpha))
+    )
+
+
+class TestSizelessBesideSized:
+    def test_M_keeps_the_peer_jump_factor(self, quad128):
+        sizeless = casestudy.default_market(kappa_hat=0.0, sigma_hat=0.0)
+        sized = casestudy.default_market(sigma_hat=0.3)
+        pop = Population([casestudy.investor(sizeless, weight=0.5), casestudy.investor(sized, weight=0.5)])
+        result = solve_mf_finite(pop, quad128)
+        assert result.converged
+        expected = sizeless_M(pop.types[0], result.stats, result.strategy.row(0), quad128)
+        assert result.per_type_M[0] == pytest.approx(expected, rel=1e-13)
+
+    def test_clipped_M_is_noted(self, quad128):
+        # A very risk-averse sizeless type beside a bold one with wide jumps:
+        # E reaches exp(760) at tail nodes, above the exp(600) cap on target values.
+        sizeless = casestudy.default_market(kappa_hat=0.0, sigma_hat=0.0, lam=1.0)
+        sized = casestudy.default_market(sigma_hat=3.0, lam=1.0)
+        pop = Population([
+            casestudy.investor(sizeless, alpha=100.0, theta=1.0, weight=0.5),
+            casestudy.investor(sized, alpha=0.5, theta=0.0, weight=0.5),
+        ])
+        result = solve_mf_finite(pop, quad128)
+        assert result.converged
+        assert np.all(np.isfinite(result.per_type_M))
+        assert [n[:7] for n in result.notes if "clips" in n] == ["type 0:"]
 
 
 class TestResidual:

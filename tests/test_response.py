@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -347,6 +349,25 @@ class TestNewtonBestResponse:
         assert np.all(np.isfinite(row))
         assert np.all(row >= 0.0) and np.all(row <= 1.0 - eps_b)
 
+    def test_signal_rows_invariant_to_a_lifted_jump_factor(self, ref_pop, quad128, ref_eq):
+        # Signal targets carry no drift, so scaling E by exp(1000) leaves their
+        # maximizers; the first-order conditions must scale rows, not clip them.
+        t = ref_pop.types[0]
+        ctx = context_from_stats(t, ref_eq.stats, quad128)
+        lifted = dataclasses.replace(ctx, env_jump_log=ctx.env_jump_log + 1000.0)
+        signal_rows = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
+        base, row = respond_type(t, ctx), respond_type(t, lifted)
+        assert np.max(np.abs(row[signal_rows] - base[signal_rows])) <= 1e-12
+
+    def test_row_unchanged_when_E_and_weights_trade_a_factor(self, ref_pop, quad128, ref_eq):
+        # E*exp(700) with weights*exp(-700) is the same objective; its logs pass the cap.
+        t = ref_pop.types[0]
+        ctx = context_from_stats(t, ref_eq.stats, quad128)
+        traded = dataclasses.replace(
+            ctx, env_jump_log=ctx.env_jump_log + 700.0, row_weights=ctx.row_weights * np.exp(-700.0)
+        )
+        assert np.max(np.abs(respond_type(t, traded) - respond_type(t, ctx))) <= 1e-12
+
     def test_opt_tol_validated(self, ref_pop, quad128):
         ctx = mf_context(ref_pop, Strategy.zeros(2), quad128)
         with pytest.raises(ValueError):
@@ -399,6 +420,16 @@ class TestNAgentContext:
             assert ctx.sigma0pi_env == pytest.approx(sigma0pi, abs=1e-13)
             assert ctx.sig2pi2_env == pytest.approx(sig2pi2, abs=1e-13)
             assert np.max(np.abs(np.exp(ctx.env_jump_log) / peer_pow - 1.0)) <= 1e-13
+
+    def test_sizeless_player_keeps_peer_jump_product(self, quad128):
+        sizeless = casestudy.default_market(kappa_hat=0.0, sigma_hat=0.0)
+        sized = casestudy.default_market(sigma_hat=0.3)
+        types = [casestudy.investor(sizeless), casestudy.investor(sized, p_s=0.3), casestudy.investor(sized, rho=-0.4)]
+        table = np.random.default_rng(7).uniform(0.0, 0.99, size=(3, 7))
+        ctx = nagent_target_context(0, types, Strategy(table), quad128)
+        peer_pow = direct_nagent_context(0, types, table, quad128)[3]
+        assert np.max(np.abs(peer_pow - 1.0)) > 1e-3
+        assert np.max(np.abs(np.exp(ctx.env_jump_log) / peer_pow - 1.0)) <= 1e-13
 
     def test_player_index_checked(self, quad128):
         types = [casestudy.investor(), casestudy.investor()]
