@@ -72,15 +72,8 @@ def _type_block(block: dict, market: MarketParams, label: str) -> InvestorType:
     extra = set(block) - known
     if extra:
         raise ConfigError(f"unknown keys in type block {label!r}: {sorted(extra)}")
-    return casestudy.investor(
-        market,
-        x0=float(block.get("x0", 1.0)),
-        p_s=float(block.get("p_s", 0.5)),
-        rho=float(block.get("rho", 0.5)),
-        theta=float(block.get("theta", 0.5)),
-        alpha=float(block.get("alpha", 2.0)),
-        weight=float(block.get("weight", 0.5)),
-    )
+    # Omitted keys take the case-study defaults of ``casestudy.investor``.
+    return casestudy.investor(market, **{k: float(v) for k, v in block.items()})
 
 
 def load_config(raw: dict) -> ExperimentConfig:
@@ -240,7 +233,6 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     q = cfg.quadrature()
     result = solve_mf_finite(cfg.reference, q, cfg.solver)
     means, errors = estimate_utility(cfg.reference, result.strategy, cfg.mc_paths, cfg.horizon, cfg.mc_seed)
-    status = 0 if result.converged else 2
     print(f"equilibrium residual={result.residual:.3e} (converged={result.converged})")
     for i, t in enumerate(cfg.reference.types):
         closed = value_mf(t, result.per_type_M[i], t.x0, result.stats.xbar0, cfg.horizon)
@@ -248,7 +240,7 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
         print(
             f"type {i}: closed-form={closed:.8f} mc={means[i]:.8f} se={errors[i]:.2e} gap={gap:+.2f} SE"
         )
-    return status
+    return 0 if result.converged else 2
 
 
 def main(argv=None) -> int:

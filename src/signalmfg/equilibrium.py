@@ -31,7 +31,6 @@ from .response import (
     _nagent_contexts,
     best_response,
     best_response_nagent,
-    best_response_to_stats,
     context_from_stats,
     jump_cap_binds,
     mf_target_context,
@@ -147,12 +146,19 @@ def _require_valid_players(types: Sequence[InvestorType]) -> None:
         raise ValueError("invalid players: " + "; ".join(problems))
 
 
-def _initial_table(cfg: SolverConfig, n_rows: int) -> np.ndarray:
-    if cfg.init is None:
-        return Strategy.zeros(n_rows).table.copy()
-    if cfg.init.n_types != n_rows:
+def _solve_table(
+    best_reply: Callable[[Strategy], Strategy], n_rows: int, cfg: SolverConfig
+) -> tuple[Strategy, float, int, tuple[str, ...]]:
+    """Damped iteration of ``best_reply`` on strategy tables; returns (strategy, residual, iterations, notes)."""
+    if cfg.init is not None and cfg.init.n_types != n_rows:
         raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {n_rows}")
-    return cfg.init.table.copy()
+    init = Strategy.zeros(n_rows) if cfg.init is None else cfg.init
+    shape = (n_rows, len(SIGNALS))
+    point, residual, iterations, notes = damped_fixed_point(
+        lambda vec: best_reply(Strategy(vec.reshape(shape))).table.ravel(),
+        init.table.ravel(), cfg.tol, cfg.max_iter, cfg.damping,
+    )
+    return Strategy(point.reshape(shape)), residual, iterations, notes
 
 
 def _cap_notes(strategy: Strategy, contexts) -> tuple[str, ...]:
@@ -177,17 +183,8 @@ def _mf_result(pop, strategy, q, cfg, residual, iterations, notes) -> Equilibriu
 def solve_mf_finite(pop: Population, q: Quadrature, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
     """Signal-driven mean-field equilibrium for a finite-type population."""
     _require_valid(pop)
-    shape = (len(pop), len(SIGNALS))
-
-    def step(vec: np.ndarray) -> np.ndarray:
-        strat = Strategy(vec.reshape(shape))
-        stats = aggregate(pop, strat, q)
-        return best_response_to_stats(pop, stats, q, cfg.opt_tol).table.ravel()
-
-    point, residual, iterations, notes = damped_fixed_point(
-        step, _initial_table(cfg, len(pop)).ravel(), cfg.tol, cfg.max_iter, cfg.damping
-    )
-    return _mf_result(pop, Strategy(point.reshape(shape)), q, cfg, residual, iterations, notes)
+    strategy, *run = _solve_table(lambda strat: best_response(pop, strat, q, cfg.opt_tol), len(pop), cfg)
+    return _mf_result(pop, strategy, q, cfg, *run)
 
 
 def solve_nagent(
@@ -198,32 +195,16 @@ def solve_nagent(
     if len(types) < 2:
         raise ValueError("need at least 2 players")
     _require_valid_players(types)
-    shape = (len(types), len(SIGNALS))
-
-    def step(vec: np.ndarray) -> np.ndarray:
-        return best_response_nagent(types, Strategy(vec.reshape(shape)), q, cfg.opt_tol).table.ravel()
-
-    point, residual, iterations, notes = damped_fixed_point(
-        step, _initial_table(cfg, len(types)).ravel(), cfg.tol, cfg.max_iter, cfg.damping
+    strategy, residual, iterations, notes = _solve_table(
+        lambda strat: best_response_nagent(types, strat, q, cfg.opt_tol), len(types), cfg
     )
-    strategy = Strategy(point.reshape(shape))
     per_type_M = tuple(M_nagent(i, types, strategy, q, cfg.opt_tol) for i in range(len(types)))
-    per_type_value = []
-    n = len(types) - 1
-    for i, (t, M) in enumerate(zip(types, per_type_M)):
-        peers_log_x0 = sum(np.log(s.x0) for j, s in enumerate(types) if j != i) / n
-        per_type_value.append(value_mf(t, M, t.x0, float(np.exp(peers_log_x0)), cfg.horizon))
+    # Each player's peer average is the geometric mean of the others' x0: total minus own.
+    log_x0 = np.log([t.x0 for t in types])
+    peers_x0 = np.exp((log_x0.sum() - log_x0) / (len(types) - 1))
+    per_type_value = tuple(value_mf(t, M, t.x0, x, cfg.horizon) for t, M, x in zip(types, per_type_M, peers_x0))
     notes += _cap_notes(strategy, _nagent_contexts(types, strategy, q, range(len(types))))
-    return EquilibriumResult(
-        strategy=strategy,
-        residual=residual,
-        iterations=iterations,
-        per_type_M=per_type_M,
-        per_type_value=tuple(per_type_value),
-        converged=residual < cfg.tol,
-        stats=None,
-        notes=notes,
-    )
+    return EquilibriumResult(strategy, residual, iterations, per_type_M, per_type_value, residual < cfg.tol, None, notes)
 
 
 def respond_to_statistic(

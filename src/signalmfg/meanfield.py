@@ -104,8 +104,7 @@ def mean_log_terminal(stats: MeanFieldStats, common_path, T: float) -> float:
     """
     if abs(common_path.horizon - T) > 1e-12:
         raise ValueError(f"common path covers [0, {common_path.horizon}], requested T={T}")
-    w0_total = float(np.sum(common_path.w0_increments))
-    out = np.log(stats.xbar0) + stats.taupi_bar * T + stats.sigma0pi_bar * w0_total
+    out = np.log(stats.xbar0) + stats.taupi_bar * T + stats.sigma0pi_bar * common_path.w0_total
     marks = np.asarray(common_path.common_marks, dtype=float)
     if marks.size:
         out += float(np.sum(np.log(stats.mean_jump(marks))))

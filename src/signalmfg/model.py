@@ -54,15 +54,8 @@ NONZERO_SIGNALS: tuple[Signal, ...] = tuple(s for s in SIGNALS if s is not Signa
 SIGNAL_INDEX: dict[Signal, int] = {s: i for i, s in enumerate(SIGNALS)}
 NONE_INDEX = SIGNAL_INDEX[Signal.NONE]
 
-_MIRROR = {
-    Signal.NEG_INF: Signal.POS_INF,
-    Signal.NEG_ONE: Signal.POS_ONE,
-    Signal.NEG_HALF: Signal.POS_HALF,
-    Signal.NONE: Signal.NONE,
-    Signal.POS_HALF: Signal.NEG_HALF,
-    Signal.POS_ONE: Signal.NEG_ONE,
-    Signal.POS_INF: Signal.NEG_INF,
-}
+# ``SIGNALS`` runs from -inf to +inf, so reversing it mirrors each signal.
+_MIRROR = dict(zip(SIGNALS, reversed(SIGNALS)))
 
 
 @dataclass(frozen=True)
