@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import casestudy
 from .equilibrium import SolverConfig, solve_mf_finite
-from .metrics import certainty_equivalent, value_mf
+from .metrics import certainty_equivalent
 from .model import SIGNALS, InvestorType, MarketParams, Population, validate_population
 from .quad import Quadrature
 from .sim import estimate_utility
@@ -187,15 +187,18 @@ def _format(value) -> str:
     return f"{value:.12g}"
 
 
+def _csv_text(table: list[dict]) -> str:
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(",".join(_format(row[c]) for c in CSV_COLUMNS) for row in table)
+    return "\n".join(lines) + "\n"
+
+
 def emit_csv(table: list[dict], path: str | Path) -> None:
     """Write the result table: header plus one row per grid point, 12
     significant digits, LF line endings."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(_format(row[c]) for c in CSV_COLUMNS) for row in table)
-    text = "\n".join(lines) + "\n"
     try:
         with open(path, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.write(_csv_text(table))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
@@ -223,23 +226,17 @@ def _cmd_sweep(cfg: ExperimentConfig, out: str | None) -> int:
         emit_csv(rows, out)
         print(f"wrote {len(rows)} rows to {out}")
     else:
-        print(",".join(CSV_COLUMNS))
-        for row in rows:
-            print(",".join(_format(row[c]) for c in CSV_COLUMNS))
+        print(_csv_text(rows), end="")
     return 0 if all(row["converged"] for row in rows) else 2
 
 
 def _cmd_simulate(cfg: ExperimentConfig) -> int:
-    q = cfg.quadrature()
-    result = solve_mf_finite(cfg.reference, q, cfg.solver)
+    result = solve_mf_finite(cfg.reference, cfg.quadrature(), cfg.solver)
     means, errors = estimate_utility(cfg.reference, result.strategy, cfg.mc_paths, cfg.horizon, cfg.mc_seed)
     print(f"equilibrium residual={result.residual:.3e} (converged={result.converged})")
-    for i, t in enumerate(cfg.reference.types):
-        closed = value_mf(t, result.per_type_M[i], t.x0, result.stats.xbar0, cfg.horizon)
-        gap = (means[i] - closed) / errors[i]
-        print(
-            f"type {i}: closed-form={closed:.8f} mc={means[i]:.8f} se={errors[i]:.2e} gap={gap:+.2f} SE"
-        )
+    for i, (closed, mean, error) in enumerate(zip(result.per_type_value, means, errors)):
+        gap = (mean - closed) / error
+        print(f"type {i}: closed-form={closed:.8f} mc={mean:.8f} se={error:.2e} gap={gap:+.2f} SE")
     return 0 if result.converged else 2
 
 

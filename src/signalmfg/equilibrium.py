@@ -133,17 +133,9 @@ def damped_fixed_point(
     return x, residual, iterations, tuple(notes)
 
 
-def _require_valid(pop: Population) -> None:
-    problems = validate_population(pop, require_shared_market=False)
+def _require(what: str, problems: list[str]) -> None:
     if problems:
-        raise ValueError("invalid population: " + "; ".join(problems))
-
-
-def _require_valid_players(types: Sequence[InvestorType]) -> None:
-    # Players are not a weighted mixture; the weight field is ignored here.
-    problems = [v for i, t in enumerate(types) for v in validate_investor(t, i, check_weight=False)]
-    if problems:
-        raise ValueError("invalid players: " + "; ".join(problems))
+        raise ValueError(f"invalid {what}: " + "; ".join(problems))
 
 
 def _solve_table(
@@ -161,30 +153,31 @@ def _solve_table(
     return Strategy(point.reshape(shape)), residual, iterations, notes
 
 
-def _cap_notes(strategy: Strategy, contexts) -> tuple[str, ...]:
-    """A note for each type whose M clips its jump factor at the final strategy (``jump_cap_binds``)."""
-    bound = (i for i, ctx in enumerate(contexts) if jump_cap_binds(strategy.row(i), ctx))
-    return tuple(f"type {i}: M clips E*(1 + phi*eta)^(1-alpha) at a tail node; M is inexact" for i in bound)
+def _result(types, contexts, per_type_M, xbar0s, cfg, stats, strategy, residual, iterations, notes):
+    """Every solver's result: closed-form values, with a note for each type whose M
+    clips its jump factor (``jump_cap_binds``) or whose value overflows double."""
+    with np.errstate(over="ignore"):
+        values = tuple(value_mf(t, M, t.x0, x, cfg.horizon) for t, M, x in zip(types, per_type_M, xbar0s))
+    clipped = [i for i, ctx in enumerate(contexts) if jump_cap_binds(strategy.row(i), ctx)]
+    notes += tuple(f"type {i}: M clips E*(1 + phi*eta)^(1-alpha) at a tail node; M is inexact" for i in clipped)
+    overflowed = [i for i, value in enumerate(values) if not np.isfinite(value)]
+    notes += tuple(f"type {i}: value exp(T(1-alpha)M) overflows double; use per_type_M" for i in overflowed)
+    return EquilibriumResult(strategy, residual, iterations, per_type_M, values, residual < cfg.tol, stats, notes)
 
 
-def _mf_result(pop, strategy, q, cfg, residual, iterations, notes) -> EquilibriumResult:
+def _mf_result(pop, q, cfg, strategy, *run) -> EquilibriumResult:
     """Mean-field result: aggregate the final strategy and evaluate each type's M and value."""
     stats = aggregate(pop, strategy, q)
-    notes += _cap_notes(strategy, (context_from_stats(t, stats, q) for t in pop.types))
+    contexts = [context_from_stats(t, stats, q) for t in pop.types]
     per_type_M = tuple(M_mf(t, strategy.row(i), stats, q, cfg.opt_tol) for i, t in enumerate(pop.types))
-    per_type_value = tuple(
-        value_mf(t, M, t.x0, stats.xbar0, cfg.horizon) for t, M in zip(pop.types, per_type_M)
-    )
-    return EquilibriumResult(
-        strategy, residual, iterations, per_type_M, per_type_value, residual < cfg.tol, stats, notes
-    )
+    return _result(pop.types, contexts, per_type_M, [stats.xbar0] * len(pop), cfg, stats, strategy, *run)
 
 
 def solve_mf_finite(pop: Population, q: Quadrature, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
     """Signal-driven mean-field equilibrium for a finite-type population."""
-    _require_valid(pop)
-    strategy, *run = _solve_table(lambda strat: best_response(pop, strat, q, cfg.opt_tol), len(pop), cfg)
-    return _mf_result(pop, strategy, q, cfg, *run)
+    _require("population", validate_population(pop, require_shared_market=False))
+    run = _solve_table(lambda strat: best_response(pop, strat, q, cfg.opt_tol), len(pop), cfg)
+    return _mf_result(pop, q, cfg, *run)
 
 
 def solve_nagent(
@@ -194,17 +187,15 @@ def solve_nagent(
     types = tuple(types)
     if len(types) < 2:
         raise ValueError("need at least 2 players")
-    _require_valid_players(types)
-    strategy, residual, iterations, notes = _solve_table(
-        lambda strat: best_response_nagent(types, strat, q, cfg.opt_tol), len(types), cfg
-    )
+    # Players are not a weighted mixture; the weight field is ignored here.
+    _require("players", [v for i, t in enumerate(types) for v in validate_investor(t, i, check_weight=False)])
+    strategy, *run = _solve_table(lambda strat: best_response_nagent(types, strat, q, cfg.opt_tol), len(types), cfg)
     per_type_M = tuple(M_nagent(i, types, strategy, q, cfg.opt_tol) for i in range(len(types)))
     # Each player's peer average is the geometric mean of the others' x0: total minus own.
     log_x0 = np.log([t.x0 for t in types])
     peers_x0 = np.exp((log_x0.sum() - log_x0) / (len(types) - 1))
-    per_type_value = tuple(value_mf(t, M, t.x0, x, cfg.horizon) for t, M, x in zip(types, per_type_M, peers_x0))
-    notes += _cap_notes(strategy, _nagent_contexts(types, strategy, q, range(len(types))))
-    return EquilibriumResult(strategy, residual, iterations, per_type_M, per_type_value, residual < cfg.tol, None, notes)
+    contexts = _nagent_contexts(types, strategy, q, range(len(types)))
+    return _result(types, contexts, per_type_M, peers_x0, cfg, None, strategy, *run)
 
 
 def respond_to_statistic(
@@ -235,7 +226,7 @@ def solve_mf_statistic(
     summing to 1.  The iteration runs on the (|marks| + 1)-dimensional vector
     (sigma0-exposure, mean jump at each mark); the residual is measured there.
     """
-    _require_valid(pop)
+    _require("population", validate_population(pop, require_shared_market=False))
     marks = [float(m) for m, _ in common_marks]
     probs = [float(p) for _, p in common_marks]
     q = Quadrature.discrete(marks, probs)
@@ -247,7 +238,7 @@ def solve_mf_statistic(
     m0 = statistic_of(pop, init_strategy, q)
     point, residual, iterations, notes = damped_fixed_point(step, m0, cfg.tol, cfg.max_iter, cfg.damping)
     strategy = respond_to_statistic(pop, point, q, cfg.opt_tol)
-    return _mf_result(pop, strategy, q, cfg, residual, iterations, notes)
+    return _mf_result(pop, q, cfg, strategy, residual, iterations, notes)
 
 
 def residual(pop: Population, strat: Strategy, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import MarketParams, Population, Signal, Strategy, check_admissible
 from .quad import Quadrature
-from .signals import JumpLaw, eta, signal_kernel, signal_mixture
+from .signals import JumpLaw, eta, signal_kernel, signal_mixtures
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,19 +46,23 @@ def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
     """Closed-form m(e_c): geometric mean over types and signal outcomes.
 
     log m(e_c) = sum_i w_i * E[log(1 + pi_i(Z) eta(e_c)) | e_c], Z drawn from
-    type i's signal law, with the kernel streamed: O(n) memory on n marks.
+    type i's signal law.  Types share the jump map of their ``JumpLaw`` and
+    the streamed kernel of their rho; memory is O(types * n) on n marks.
     """
     rows = strat.table.copy()
+    laws = [JumpLaw.from_market(t.market) for t in pop.types]
+    by_rho = {rho: [i for i, t in enumerate(pop.types) if t.rho == rho] for rho in {t.rho for t in pop.types}}
 
     def mean_jump(e_c):
         e = np.atleast_1d(np.asarray(e_c, dtype=float))
-        log_m = np.zeros_like(e)
-        for t, row in zip(pop.types, rows):
-            jump = eta(JumpLaw.from_market(t.market), e)
-            log_m += t.weight * signal_mixture(
-                t.p_s, signal_kernel(t.rho, e), lambda column: np.log1p(row[column] * jump)
-            )
-        out = np.exp(log_m)
+        jumps = {law: eta(law, e) for law in set(laws)}
+        mixture = {}
+        for rho, members in by_rho.items():
+            terms = [
+                (pop.types[i].p_s, lambda z, row=rows[i], jump=jumps[laws[i]]: np.log1p(row[z] * jump)) for i in members
+            ]
+            mixture.update(zip(members, signal_mixtures(signal_kernel(rho, e), terms)))
+        out = np.exp(sum(t.weight * mixture[i] for i, t in enumerate(pop.types)))
         return float(out[0]) if np.isscalar(e_c) else out
 
     return mean_jump

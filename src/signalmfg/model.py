@@ -53,6 +53,7 @@ SIGNALS: tuple[Signal, ...] = (
 NONZERO_SIGNALS: tuple[Signal, ...] = tuple(s for s in SIGNALS if s is not Signal.NONE)
 SIGNAL_INDEX: dict[Signal, int] = {s: i for i, s in enumerate(SIGNALS)}
 NONE_INDEX = SIGNAL_INDEX[Signal.NONE]
+NONZERO_INDEX = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
 
 # ``SIGNALS`` runs from -inf to +inf, so reversing it mirrors each signal.
 _MIRROR = dict(zip(SIGNALS, reversed(SIGNALS)))

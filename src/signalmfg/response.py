@@ -22,6 +22,7 @@ import numpy as np
 from .meanfield import MeanFieldStats, aggregate, wealth_drift
 from .model import (
     NONE_INDEX,
+    NONZERO_INDEX,
     NONZERO_SIGNALS,
     SIGNAL_INDEX,
     SIGNALS,
@@ -33,7 +34,7 @@ from .model import (
     admissible_interval,
 )
 from .quad import Quadrature
-from .signals import JumpLaw, eta, signal_kernel, signal_mixture
+from .signals import JumpLaw, eta, signal_kernel, signal_mixtures
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
@@ -42,7 +43,6 @@ _MAX_NEWTON = 200
 # Largest log(E*(1 + phi*eta)^p) put through exp(): valid extreme types (alpha ~ 100,
 # sigma_hat ~ 4) pass it at tail nodes, where exp() overflows and inf*0 = NaN.
 _LOG_CAP = 600.0
-_NONZERO_ROWS = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
 # N01(I(z)) in ``NONZERO_SIGNALS`` order: the signal kernel at rho = 0.
 _SIGNAL_MASS = np.array(list(signal_kernel(0.0, 0.0)))
 
@@ -89,9 +89,9 @@ def _context(t: InvestorType, q: Quadrature, env: tuple, env_log, kernel, eta_no
         env_log = np.zeros(q.n_nodes)
     weights = np.empty((len(SIGNALS), q.n_nodes))
     weights[NONE_INDEX] = m.lam * (1.0 - t.p_s) * q.weights
-    weights[_NONZERO_ROWS] = q.weights * kernel / _SIGNAL_MASS[:, np.newaxis]
+    weights[NONZERO_INDEX] = q.weights * kernel / _SIGNAL_MASS[:, np.newaxis]
     mass = np.ones(len(SIGNALS))
-    mass[_NONZERO_ROWS] = m.lam * t.p_s * _SIGNAL_MASS
+    mass[NONZERO_INDEX] = m.lam * t.p_s * _SIGNAL_MASS
     return TargetContext(
         t, *(float(v) for v in env), eta_nodes=eta_nodes, env_jump_log=env_log,
         row_weights=weights, row_mass=mass, jumps_degenerate=degenerate,
@@ -152,7 +152,7 @@ def _nagent_contexts(
     p_s = np.array([t.p_s for t in types])[:, np.newaxis]
     returns = 1.0 + strat.table[:, :, np.newaxis] * jumps[:, np.newaxis, :]
     log_mix = {
-        e: np.log(signal_mixture(p_s, peer_kernel, lambda column: returns[:, column] ** e))
+        e: np.log(signal_mixtures(peer_kernel, [(p_s, lambda column: returns[:, column] ** e)])[0])
         for e in {exponents[i] for i in players} - {0.0}
     }
     total = {e: mix.sum(axis=0) for e, mix in log_mix.items()}
@@ -359,7 +359,7 @@ def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DE
         active &= ~done
     row = np.where(active, phi, row)
     if ctx.jumps_degenerate:
-        row[_NONZERO_ROWS] = row[NONE_INDEX]
+        row[NONZERO_INDEX] = row[NONE_INDEX]
     return row
 
 

@@ -7,7 +7,7 @@ categorical signal built from the perturbed mark
 buckets 0.5 / 1 / inf.  One edges table defines both the classification and
 the intervals I(z), hence the signal law
 P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)) that every consumer
-reaches through ``signal_kernel`` and ``signal_mixture``.
+reaches through ``signal_kernel`` and ``signal_mixtures``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, InvestorType, MarketParams, Signal
+from .model import NONE_INDEX, NONZERO_INDEX, NONZERO_SIGNALS, InvestorType, MarketParams, Signal
 from .quad import std_normal_cdf
 
 # Bucket edges on the perturbed mark: the six intervals they cut R into are
@@ -27,7 +27,6 @@ from .quad import std_normal_cdf
 SIGNAL_EDGES = (-1.0, -0.5, 0.0, 0.5, 1.0)
 # By symmetry, |z| against the non-negative edges counts buckets outward from 0.
 _OUTWARD_EDGES = np.array([e for e in SIGNAL_EDGES if e >= 0.0])
-_NONZERO_COLUMNS = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
 
 
 @dataclass(frozen=True)
@@ -90,17 +89,21 @@ def signal_kernel(rho: float, e_c):
     yield 1.0 - lower
 
 
-def signal_mixture(p_s, kernel_rows, f):
-    """(1 - p_s)*f(NONE) + p_s*sum_z K_z*f(z): an expectation under the signal law.
+def signal_mixtures(kernel_rows, terms):
+    """(1 - p_s)*f(NONE) + p_s*sum_z K_z*f(z) for each (p_s, f) in ``terms``.
 
-    ``f`` maps a column of ``SIGNALS`` to a value and ``kernel_rows`` yields
-    the K_z in ``NONZERO_SIGNALS`` order; ``p_s`` may be an array.  The kernel
-    is not consumed when no signal is ever received.
+    These are expectations under the signal law: ``f`` maps a column of
+    ``SIGNALS`` to a value, ``p_s`` may be an array, and ``kernel_rows``
+    yields the K_z in ``NONZERO_SIGNALS`` order.  Each row is read once and
+    added to every term in turn, so one row is alive at a time.  The kernel
+    is not consumed when no term ever receives a signal.
     """
-    out = (1.0 - p_s) * f(NONE_INDEX)
-    if np.any(p_s > 0.0):
-        for column, weight in zip(_NONZERO_COLUMNS, kernel_rows):
-            out = out + p_s * weight * f(column)
+    out = [(1.0 - p_s) * f(NONE_INDEX) for p_s, f in terms]
+    live = [(j, p_s, f) for j, (p_s, f) in enumerate(terms) if np.any(p_s > 0.0)]
+    if live:
+        for column, weight in zip(NONZERO_INDEX, kernel_rows):
+            for j, p_s, f in live:
+                out[j] = out[j] + p_s * weight * f(column)
     return out
 
 

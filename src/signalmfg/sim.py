@@ -6,9 +6,21 @@ closed-form log-normal factor, and at each jump it is multiplied by
 1 + phi(signal) * eta(e_c).
 
 Randomness comes from one counter-based seed tree: Philox generators keyed by
-(master seed, stream id, substream...), so the common realization (jump
-times, common marks, W0) can be shared exactly between experiments while
-per-agent idiosyncratic draws stay independent.
+(master seed, stream id, substream...), so the common realization can be
+shared exactly between experiments while idiosyncratic draws stay independent.
+Streams by id, each with its draws in order:
+
+  0  jump times     substream 0: jump count k; substream 1: k uniform times
+  1  common marks   k N(0,1) marks
+  2  W0             k + 1 common Brownian increments
+  3  agent          ``simulate_agent``, substream agent_id: noise blocks, n = 1
+  4  types          ``simulate_cohort``: the n agents' type indices
+  5  batch          ``estimate_utility``: 0 counts, 1 marks, 2 W0, 10 + i type i's noise
+  6  cohort         ``simulate_cohort``: noise blocks of its n agents
+
+Noise blocks (``_log_wealth``) hold agents in rows, jumps in columns:
+Brownian increments (n, k+1), signal-noise marks e_i1 (n, k), reception
+coins e_i2 (n, k); agent j of a cohort reads row j of each.
 """
 
 from __future__ import annotations
@@ -35,13 +47,9 @@ from .quad import Quadrature
 from .response import relative_utility
 from .signals import JumpLaw, classify_index, eta, perturb
 
-# Stream ids of the seed tree.
-_STREAM_JUMP_TIMES = 0
-_STREAM_COMMON_MARKS = 1
-_STREAM_W0 = 2
-_STREAM_AGENT = 3
-_STREAM_TYPES = 4
-_STREAM_BATCH = 5
+# Stream ids of the seed tree, in the order of the table above.
+_STREAM_JUMP_TIMES, _STREAM_COMMON_MARKS, _STREAM_W0, _STREAM_AGENT = range(4)
+_STREAM_TYPES, _STREAM_BATCH, _STREAM_COHORT = range(4, 7)
 
 
 def _generator(*entropy: int) -> np.random.Generator:
@@ -90,12 +98,33 @@ def simulate_common(T: float, market: MarketParams, seed: int) -> CommonNoisePat
     marks = _generator(seed, _STREAM_COMMON_MARKS).standard_normal(n_jumps)
     grid = np.concatenate(([0.0], times, [T]))
     increments = _generator(seed, _STREAM_W0).standard_normal(n_jumps + 1) * np.sqrt(np.diff(grid))
-    times.setflags(write=False)
-    marks.setflags(write=False)
-    increments.setflags(write=False)
-    return CommonNoisePath(
-        jump_times=times, common_marks=marks, w0_increments=increments, horizon=float(T), seed=seed
-    )
+    for drawn in (times, marks, increments):
+        drawn.setflags(write=False)
+    return CommonNoisePath(times, marks, increments, horizon=float(T), seed=seed)
+
+
+def _log_wealth(types, rows, type_idx: np.ndarray, path: CommonNoisePath, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Exact log terminal wealth (n,) and signal labels (n, k) of n agents on one common path.
+
+    Agent j is of type ``types[type_idx[j]]``, holds ``rows[type_idx[j]]`` and
+    reads row j of the noise blocks drawn from ``rng`` (module docstring).
+    """
+    n, k = type_idx.size, path.n_jumps
+    dt = np.diff(np.concatenate(([0.0], path.jump_times, [path.horizon])))
+    dW = rng.standard_normal((n, k + 1)) * np.sqrt(dt)
+    e_i1 = rng.standard_normal((n, k))
+    e_i2 = rng.uniform(size=(n, k))
+    log_wealth = np.empty(n)
+    labels = np.empty((n, k), dtype=int)
+    for i in np.unique(type_idx):
+        t, row, sel = types[i], rows[i], type_idx == i
+        m, phi0 = t.market, row[NONE_INDEX]
+        growth = wealth_drift(m, phi0) * dt + m.sigma * phi0 * dW[sel] + m.sigma0 * phi0 * path.w0_increments
+        own = classify_index(perturb(t.rho, path.common_marks, e_i1[sel]), e_i2[sel] <= t.p_s)
+        jumps = np.log1p(row[own] * eta(JumpLaw.from_market(m), path.common_marks))
+        log_wealth[sel] = math.log(t.x0) + growth.sum(axis=1) + jumps.sum(axis=1)
+        labels[sel] = own
+    return log_wealth, labels
 
 
 def simulate_agent(
@@ -104,33 +133,16 @@ def simulate_agent(
     """Exact terminal wealth of one agent of ``inv_type`` on a common path.
 
     ``strat_row`` maps signals to positions (Signal-keyed mapping or a
-    sequence in ``SIGNALS`` order).  The agent's idiosyncratic stream supplies
-    its Brownian increments, the signal-noise marks e_i1 and the reception
-    coins e_i2, drawn in that fixed order.
+    sequence in ``SIGNALS`` order).  The agent's own substream
+    (seed, 3, agent_id) supplies its noise blocks in ``_log_wealth`` order.
     """
     row = row_positions(strat_row)
     iv = admissible_interval(inv_type)
     if np.any(row < iv.lo) or np.any(row > iv.hi):
         raise ValueError(f"strategy row leaves the admissible interval [{iv.lo}, {iv.hi}]")
     rng = _generator(int(seed), _STREAM_AGENT, agent_id)
-    k = path.n_jumps
-    dt = np.diff(np.concatenate(([0.0], path.jump_times, [path.horizon])))
-    dW = rng.standard_normal(k + 1) * np.sqrt(dt)
-    e_i1 = rng.standard_normal(k)
-    e_i2 = rng.uniform(size=k)
-
-    phi0 = row[NONE_INDEX]
-    m = inv_type.market
-    growth = wealth_drift(m, phi0) * dt + m.sigma * phi0 * dW + m.sigma0 * phi0 * path.w0_increments
-    log_wealth = math.log(inv_type.x0) + float(np.sum(growth))
-    signals: list[Signal] = []
-    if k:
-        received = e_i2 <= inv_type.p_s
-        labels = classify_index(perturb(inv_type.rho, path.common_marks, e_i1), received)
-        jumps = eta(JumpLaw.from_market(m), path.common_marks)
-        log_wealth += float(np.sum(np.log1p(row[labels] * jumps)))
-        signals = [SIGNALS[int(i)] for i in labels]
-    return AgentPath(terminal_wealth=math.exp(log_wealth), signals=tuple(signals), seed=int(seed))
+    log_wealth, labels = _log_wealth((inv_type,), row[None, :], np.zeros(1, dtype=int), path, rng)
+    return AgentPath(math.exp(log_wealth[0]), tuple(SIGNALS[i] for i in labels[0]), seed=int(seed))
 
 
 def estimate_utility(
@@ -153,17 +165,13 @@ def estimate_utility(
         raise ValueError("jumps are common events; all types must share the intensity lam")
     stats = aggregate(pop, strat, Quadrature.standard_normal())
 
-    counts = (
-        _generator(seed, _STREAM_BATCH, 0).poisson(market.lam * T, size=n_paths)
-        if market.lam > 0
-        else np.zeros(n_paths, dtype=np.int64)
-    )
+    counts = _generator(seed, _STREAM_BATCH, 0).poisson(market.lam * T, size=n_paths)
     total = int(np.sum(counts))
     path_of_jump = np.repeat(np.arange(n_paths), counts)
     marks = _generator(seed, _STREAM_BATCH, 1).standard_normal(total)
     w0 = _generator(seed, _STREAM_BATCH, 2).standard_normal(n_paths) * math.sqrt(T)
 
-    log_mean_jump = np.log(stats.mean_jump(marks)) if total else np.zeros(0)
+    log_mean_jump = np.log(stats.mean_jump(marks))
     log_xbar = (
         math.log(stats.xbar0)
         + stats.taupi_bar * T
@@ -181,12 +189,11 @@ def estimate_utility(
         drift = wealth_drift(m, phi0) * T
         w_own = rng.standard_normal(n_paths) * math.sqrt(T)
         log_x = math.log(t.x0) + drift + m.sigma * phi0 * w_own + m.sigma0 * phi0 * w0
-        if total:
-            e_i1 = rng.standard_normal(total)
-            e_i2 = rng.uniform(size=total)
-            labels = classify_index(perturb(t.rho, marks, e_i1), e_i2 <= t.p_s)
-            jump_factor = np.log1p(row[labels] * eta(JumpLaw.from_market(m), marks))
-            log_x = log_x + np.bincount(path_of_jump, weights=jump_factor, minlength=n_paths)
+        e_i1 = rng.standard_normal(total)
+        e_i2 = rng.uniform(size=total)
+        labels = classify_index(perturb(t.rho, marks, e_i1), e_i2 <= t.p_s)
+        jump_factor = np.log1p(row[labels] * eta(JumpLaw.from_market(m), marks))
+        log_x = log_x + np.bincount(path_of_jump, weights=jump_factor, minlength=n_paths)
         u = relative_utility(np.exp(log_x), np.exp(log_xbar), t.alpha, t.theta)
         means[i] = float(np.mean(u))
         errors[i] = float(np.std(u, ddof=1) / math.sqrt(n_paths))
@@ -198,8 +205,8 @@ def simulate_cohort(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n`` agents sampled i.i.d. from the population on one shared common path.
 
-    Returns (type indices, terminal wealths); agent ``j`` uses its own
-    idiosyncratic substream, so cohorts over the same path are coupled through
+    Returns (type indices, terminal wealths).  Agent j's noise is row j of the
+    cohort stream's blocks, so cohorts over the same path are coupled through
     the common noise only.
     """
     if n < 1:
@@ -207,11 +214,8 @@ def simulate_cohort(
     check_admissible(pop, strat)
     weights = pop.weights
     type_idx = _generator(seed, _STREAM_TYPES).choice(len(pop), size=n, p=weights / weights.sum())
-    wealth = np.empty(n)
-    for j in range(n):
-        i = int(type_idx[j])
-        wealth[j] = simulate_agent(pop.types[i], strat.row(i), path, seed, agent_id=j).terminal_wealth
-    return type_idx, wealth
+    log_wealth, _ = _log_wealth(pop.types, strat.table, type_idx, path, _generator(seed, _STREAM_COHORT))
+    return type_idx, np.exp(log_wealth)
 
 
 def nagent_geometric_average(

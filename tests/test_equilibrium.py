@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +158,34 @@ class TestExtremeTypes:
         market = casestudy.default_market(lam=lam, sigma_hat=sigma_hat)
         t = casestudy.investor(market, p_s=p_s, rho=rho, alpha=alpha, theta=theta, weight=1.0)
         assert_finite_solve(t, quad128)
+
+
+OVERFLOW_NOTE = "type 0: value exp(T(1-alpha)M) overflows double; use per_type_M"
+
+
+class TestOverflowingValues:
+    """Valid types whose finite M sends exp(T(1-alpha)M) past double: the value is -inf, and noted."""
+
+    def test_mean_field_value_overflow_is_noted(self, quad128):
+        market = casestudy.default_market(lam=4.0, sigma_hat=3.75)
+        t = casestudy.investor(market, alpha=23.0, theta=1.0, p_s=0.5, rho=0.0, weight=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_mf_finite(Population([t]), quad128)
+        assert result.converged and np.isfinite(result.per_type_M[0])
+        assert result.per_type_value[0] == -np.inf
+        assert result.notes == (OVERFLOW_NOTE,)
+
+    def test_nagent_value_overflow_is_noted(self, quad128):
+        market = casestudy.default_market(lam=20.0, sigma_hat=2.0)
+        bold = casestudy.investor(market, alpha=30.0, theta=1.0, p_s=0.0, rho=0.0, weight=1.0)
+        plain = casestudy.investor(market, alpha=2.0, theta=0.0, p_s=0.9, rho=0.9, weight=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_nagent([bold, plain], quad128)
+        assert result.converged and np.all(np.isfinite(result.per_type_M))
+        assert result.per_type_value[0] == -np.inf and np.isfinite(result.per_type_value[1])
+        assert result.notes == (OVERFLOW_NOTE,)
 
 
 def sizeless_M(t, stats, row, q):

@@ -24,12 +24,38 @@ def path_of(marks, w0_total, T=1.0):
     )
 
 
+def per_type_mean_jump(pop, strat, e):
+    """m(e_c) one type at a time: each type's own jump map and kernel, its signal terms summed in order."""
+    log_m = np.zeros_like(e)
+    for t, row in zip(pop.types, strat.table):
+        jump = eta(JumpLaw.from_market(t.market), e)
+        mixture = (1.0 - t.p_s) * np.log1p(row[NONE_INDEX] * jump)
+        if t.p_s > 0.0:
+            for z in NONZERO_SIGNALS:
+                mixture = mixture + t.p_s * conditional_prob(z, e, t.rho) * np.log1p(row[SIGNAL_INDEX[z]] * jump)
+        log_m += t.weight * mixture
+    return np.exp(log_m)
+
+
 class TestAggregate:
     def test_constant_positions_collapse(self, ref_pop, quad128):
         stats = aggregate(ref_pop, Strategy.constant(2, 0.3), quad128)
         law = JumpLaw.from_market(ref_pop.types[0].market)
         for e_c in (-2.0, 0.0, 1.5):
             assert stats.mean_jump(e_c) == pytest.approx(1.0 + 0.3 * eta(law, e_c), rel=1e-14)
+
+    def test_shared_kernel_is_bitwise_per_type(self, quad128):
+        # Types 0 and 1 share rho = 0.5 (type 1 never receives a signal); type 2 has its own rho.
+        pop = Population([
+            casestudy.investor(weight=0.5),
+            casestudy.investor(weight=0.25, p_s=0.0),
+            casestudy.investor(weight=0.25, p_s=0.8, rho=-0.3),
+        ])
+        strat = Strategy([np.linspace(0.0, 0.9, 7), np.linspace(0.9, 0.1, 7), np.full(7, 0.4)])
+        stats = aggregate(pop, strat, quad128)
+        marks = np.random.default_rng(5).standard_normal(10_000)
+        assert np.array_equal(stats.mean_jump(marks), per_type_mean_jump(pop, strat, marks))
+        assert np.array_equal(stats.mean_jump_nodes, per_type_mean_jump(pop, strat, quad128.nodes))
 
     def test_zero_positions(self, ref_pop, quad128):
         stats = aggregate(ref_pop, Strategy.zeros(2), quad128)

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signalmfg import casestudy
 from signalmfg.meanfield import mean_log_terminal
-from signalmfg.model import Population, Signal, Strategy
+from signalmfg.model import SIGNALS, Population, Signal, Strategy, validate_population
 from signalmfg.sim import (
+    _STREAM_AGENT,
+    _STREAM_COHORT,
+    _STREAM_TYPES,
     CommonNoisePath,
+    _generator,
     estimate_utility,
     nagent_geometric_average,
     simulate_agent,
@@ -16,6 +21,57 @@ from signalmfg.sim import (
 )
 
 MARKET = casestudy.default_market()
+MIXED_ROW = np.array([0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9])
+
+
+def crash_path():
+    """One jump at t = 0.5 with common mark -12: the jump return sits at its floor."""
+    return CommonNoisePath(
+        jump_times=np.array([0.5]), common_marks=np.array([-12.0]), w0_increments=np.zeros(2), horizon=1.0, seed=0
+    )
+
+
+def local_label(z, received):
+    """Index into SIGNALS: no signal unless received and z != 0, else sign and bucket of |z| (edges inward)."""
+    if not received or z == 0.0:
+        return 3
+    size = 1 if abs(z) <= 0.5 else 2 if abs(z) <= 1.0 else 3
+    return 3 + size if z > 0 else 3 - size
+
+
+def local_log_wealth(t, row, path, dW, e_i1, e_i2):
+    """Exact log terminal wealth of one agent from its own draws, one scalar term at a time."""
+    m = t.market
+    phi0 = float(row[3])
+    grid = [0.0, *path.jump_times, path.horizon]
+    drift = m.r + phi0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * phi0**2
+    out = math.log(t.x0)
+    for s in range(len(grid) - 1):
+        out += drift * (grid[s + 1] - grid[s]) + m.sigma * phi0 * dW[s] + m.sigma0 * phi0 * path.w0_increments[s]
+    labels = []
+    for e_c, u1, u2 in zip(path.common_marks, e_i1, e_i2):
+        z = t.rho * e_c + math.sqrt(1.0 - t.rho**2) * u1
+        labels.append(local_label(z, u2 <= t.p_s))
+        jump = math.expm1(m.sigma_hat * e_c + m.kappa_hat - 0.5 * m.sigma_hat**2)
+        out += math.log1p(float(row[labels[-1]]) * jump)
+    return out, labels
+
+
+def replay_cohort(n, pop, strat, path, seed):
+    """Per-agent oracle of ``simulate_cohort``: agent j reads row j of the cohort stream's blocks."""
+    weights = pop.weights
+    type_idx = _generator(seed, _STREAM_TYPES).choice(len(pop), size=n, p=weights / weights.sum())
+    rng = _generator(seed, _STREAM_COHORT)
+    k = path.n_jumps
+    dt = np.diff(np.concatenate(([0.0], path.jump_times, [path.horizon])))
+    dW = rng.standard_normal((n, k + 1)) * np.sqrt(dt)
+    e_i1 = rng.standard_normal((n, k))
+    e_i2 = rng.uniform(size=(n, k))
+    logs = [
+        local_log_wealth(pop.types[i], strat.row(i), path, dW[j], e_i1[j], e_i2[j])[0]
+        for j, i in enumerate(type_idx)
+    ]
+    return type_idx, np.exp(logs)
 
 
 class TestSimulateCommon:
@@ -79,6 +135,31 @@ class TestSimulateAgent:
         )
         assert out.terminal_wealth == pytest.approx(expected, rel=1e-14)
 
+    def test_replay_with_jumps_matches_local_formula(self):
+        t = casestudy.investor(market=casestudy.default_market(sigma=0.2, sigma_hat=0.4, kappa_hat=0.05))
+        path = simulate_common(1.0, t.market, seed=21)
+        assert path.n_jumps > 3
+        out = simulate_agent(t, MIXED_ROW, path, seed=21, agent_id=4)
+        rng = _generator(21, _STREAM_AGENT, 4)
+        k = path.n_jumps
+        dW = rng.standard_normal(k + 1) * np.sqrt(np.diff(np.concatenate(([0.0], path.jump_times, [1.0]))))
+        e_i1 = rng.standard_normal(k)
+        e_i2 = rng.uniform(size=k)
+        expected, labels = local_log_wealth(t, MIXED_ROW, path, dW, e_i1, e_i2)
+        assert out.terminal_wealth == pytest.approx(math.exp(expected), rel=1e-14)
+        assert out.signals == tuple(SIGNALS[i] for i in labels)
+        assert len(set(labels)) > 1
+
+    @pytest.mark.parametrize(
+        "seed, wealth_hex",
+        [(3, "0x1.546ad2a279cf3p+0"), (21, "0x1.06a7d8f1944d6p+0"), (1234, "0x1.1d0569d1f0bf3p+0")],
+    )
+    def test_terminal_wealth_pinned(self, seed, wealth_hex):
+        # Values of the per-agent implementation that predates the batched kernel.
+        path = simulate_common(1.0, MARKET, seed)
+        out = simulate_agent(casestudy.investor(), MIXED_ROW, path, seed, agent_id=5)
+        assert out.terminal_wealth.hex() == wealth_hex
+
     def test_bitwise_reproducible(self):
         t = casestudy.investor()
         path = simulate_common(1.0, MARKET, seed=11)
@@ -91,14 +172,7 @@ class TestSimulateAgent:
     def test_crash_floor_keeps_wealth_positive(self):
         t = casestudy.investor()
         hi = 1.0 - t.eps_b
-        crash = CommonNoisePath(
-            jump_times=np.array([0.5]),
-            common_marks=np.array([-12.0]),
-            w0_increments=np.zeros(2),
-            horizon=1.0,
-            seed=0,
-        )
-        out = simulate_agent(t, np.full(7, hi), crash, seed=0)
+        out = simulate_agent(t, np.full(7, hi), crash_path(), seed=0)
         assert out.terminal_wealth > 0.0
 
     def test_signals_match_reception_probability(self):
@@ -123,9 +197,8 @@ class TestSimulateAgent:
         t = casestudy.investor()
         path = simulate_common(1.0, MARKET, seed=21)
         assert path.n_jumps > 0
-        row = np.array([0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9])
-        a = simulate_agent(t, row, path, seed=21, agent_id=0)
-        b = simulate_agent(t, row, path, seed=21, agent_id=1)
+        a = simulate_agent(t, MIXED_ROW, path, seed=21, agent_id=0)
+        b = simulate_agent(t, MIXED_ROW, path, seed=21, agent_id=1)
         # same jump times and common marks by construction; idiosyncratic draws differ
         assert a.signals != b.signals
         assert a.terminal_wealth != b.terminal_wealth
@@ -192,3 +265,70 @@ class TestCohorts:
         share = float(np.mean(idx == 1))
         se = math.sqrt(0.25 * 0.75 / 8_000)
         assert abs(share - 0.75) < 4 * se
+
+
+TWO_TYPES = Population([casestudy.investor(weight=0.25, rho=0.3, p_s=0.7, x0=2.0), casestudy.investor(weight=0.75)])
+TWO_ROWS = Strategy([MIXED_ROW, MIXED_ROW[::-1]])
+
+
+class TestCohortKernel:
+    def assert_matches_oracle(self, n, pop, strat, path, seed):
+        idx, wealth = simulate_cohort(n, pop, strat, path, seed)
+        oracle_idx, oracle_wealth = replay_cohort(n, pop, strat, path, seed)
+        assert np.array_equal(idx, oracle_idx)
+        assert np.max(np.abs(wealth / oracle_wealth - 1.0)) <= 1e-13
+        return idx, wealth
+
+    def test_two_types_match_per_agent_oracle(self):
+        path = simulate_common(1.0, MARKET, seed=7)
+        assert path.n_jumps > 3
+        idx, _ = self.assert_matches_oracle(400, TWO_TYPES, TWO_ROWS, path, seed=7)
+        assert set(idx) == {0, 1}
+
+    def test_type_indices_pinned(self):
+        # The type draw has its own stream; these indices predate the batched kernel.
+        idx, _ = simulate_cohort(40, TWO_TYPES, TWO_ROWS, simulate_common(1.0, MARKET, seed=7), seed=7)
+        assert "".join(map(str, idx)) == "1110000011111111011111111111110101101010"
+
+    def test_jump_free_path_matches_oracle(self):
+        m = casestudy.default_market(lam=0.0, sigma=0.2)
+        pop = Population([casestudy.investor(m, weight=0.4, x0=0.5), casestudy.investor(m, weight=0.6, x0=3.0)])
+        path = simulate_common(1.0, m, seed=5)
+        assert path.n_jumps == 0
+        self.assert_matches_oracle(300, pop, TWO_ROWS, path, seed=5)
+
+    @pytest.mark.parametrize("n", [1, 3_000])
+    def test_crash_path_matches_oracle(self, ref_pop, n):
+        hi = 1.0 - ref_pop.types[0].eps_b
+        _, wealth = self.assert_matches_oracle(n, ref_pop, Strategy.constant(2, hi), crash_path(), seed=0)
+        assert np.all(wealth > 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.0, 20.0),
+        sigma_hat=st.floats(0.0, 4.0),
+        blocks=st.lists(
+            st.tuples(
+                st.floats(0.1, 100.0).filter(lambda a: abs(a - 1.0) >= 1e-3),
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1.0, exclude_max=True),
+                st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                st.lists(st.booleans(), min_size=7, max_size=7),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_valid_cohort_wealth_is_finite_and_positive(self, lam, sigma_hat, blocks, seed):
+        market = casestudy.default_market(lam=lam, sigma_hat=sigma_hat)
+        types = [
+            casestudy.investor(market, p_s=p_s, rho=rho, alpha=alpha, theta=theta, weight=1.0 / len(blocks))
+            for alpha, theta, p_s, rho, _ in blocks
+        ]
+        pop = Population(types)
+        assert not validate_population(pop)
+        # Every position at an admissible bound: 0 or 1 - eps_b.
+        strat = Strategy([[1.0 - t.eps_b if high else 0.0 for high in block[4]] for t, block in zip(types, blocks)])
+        _, wealth = simulate_cohort(200, pop, strat, simulate_common(1.0, market, seed), seed)
+        assert np.all(np.isfinite(wealth)) and np.all(wealth > 0.0)
