@@ -108,7 +108,7 @@ def load_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("sweep grid must not be empty")
 
     mc_block = raw.get("mc", {})
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         market=market,
         reference=reference,
         solver=solver,
@@ -119,6 +119,11 @@ def load_config(raw: dict) -> ExperimentConfig:
         mc_paths=int(mc_block.get("n_paths", 100_000)),
         mc_seed=int(mc_block.get("seed", 0)),
     )
+    for value in grid:
+        problems = validate_population(_alternative(cfg, value)[0])
+        if problems:
+            raise ConfigError(f"invalid sweep point {parameter}={value}: " + "; ".join(problems))
+    return cfg
 
 
 def read_config(path: str | None) -> ExperimentConfig:

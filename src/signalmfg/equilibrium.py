@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .meanfield import MeanFieldStats, aggregate
-from .metrics import M_mf, M_nagent, value_mf
+from .metrics import _value_constant, value_mf
 from .model import (
     SIGNALS,
     InvestorType,
@@ -29,12 +29,12 @@ from .quad import Quadrature
 from .response import (
     DEFAULT_OPT_TOL,
     _nagent_contexts,
+    _respond,
     best_response,
     best_response_nagent,
     context_from_stats,
     jump_cap_binds,
     mf_target_context,
-    respond_type,
 )
 
 # Retry with half damping if the residual has not improved for this many
@@ -101,13 +101,12 @@ def damped_fixed_point(
     best = np.inf
     since_best = 0
     iterations = 0
-    residual = np.inf
     retried = False
-    while iterations < max_iter:
+    while True:
         image = step(x)
         residual = float(np.max(np.abs(image - x)))
-        if residual < tol:
-            return x, residual, iterations, tuple(notes)
+        if residual < tol or iterations >= max_iter:
+            break
         if residual < best:
             best, since_best = residual, 0
         else:
@@ -120,16 +119,11 @@ def damped_fixed_point(
             x = start.copy()
             w, retried = 0.5, True
             best, since_best = np.inf, 0
-            iterations += 1
-            continue
-        x = (1.0 - w) * x + w * image
+        else:
+            x = (1.0 - w) * x + w * image
         iterations += 1
-    # Report the residual at the final iterate.
-    image = step(x)
-    residual = float(np.max(np.abs(image - x)))
-    if residual < tol:
-        return x, residual, iterations, tuple(notes)
-    notes.append(f"did not converge within {max_iter} iterations (residual {residual:.3e})")
+    if not residual < tol:
+        notes.append(f"did not converge within {max_iter} iterations (residual {residual:.3e})")
     return x, residual, iterations, tuple(notes)
 
 
@@ -153,9 +147,12 @@ def _solve_table(
     return Strategy(point.reshape(shape)), residual, iterations, notes
 
 
-def _result(types, contexts, per_type_M, xbar0s, cfg, stats, strategy, residual, iterations, notes):
-    """Every solver's result: closed-form values, with a note for each type whose M
-    clips its jump factor (``jump_cap_binds``) or whose value overflows double."""
+def _result(contexts, xbar0s, cfg, stats, strategy, residual, iterations, notes):
+    """Every solver's result from its final contexts, one per type: M and closed-form
+    values, with a note for each type whose M clips its jump factor
+    (``jump_cap_binds``) or whose value overflows double."""
+    types = [ctx.investor for ctx in contexts]
+    per_type_M = tuple(_value_constant(ctx, row) for ctx, row in zip(contexts, strategy.table))
     with np.errstate(over="ignore"):
         values = tuple(value_mf(t, M, t.x0, x, cfg.horizon) for t, M, x in zip(types, per_type_M, xbar0s))
     clipped = [i for i, ctx in enumerate(contexts) if jump_cap_binds(strategy.row(i), ctx)]
@@ -166,11 +163,10 @@ def _result(types, contexts, per_type_M, xbar0s, cfg, stats, strategy, residual,
 
 
 def _mf_result(pop, q, cfg, strategy, *run) -> EquilibriumResult:
-    """Mean-field result: aggregate the final strategy and evaluate each type's M and value."""
+    """Mean-field result: aggregate the final strategy, then one context per type."""
     stats = aggregate(pop, strategy, q)
     contexts = [context_from_stats(t, stats, q) for t in pop.types]
-    per_type_M = tuple(M_mf(t, strategy.row(i), stats, q, cfg.opt_tol) for i, t in enumerate(pop.types))
-    return _result(pop.types, contexts, per_type_M, [stats.xbar0] * len(pop), cfg, stats, strategy, *run)
+    return _result(contexts, [stats.xbar0] * len(pop), cfg, stats, strategy, *run)
 
 
 def solve_mf_finite(pop: Population, q: Quadrature, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
@@ -190,23 +186,18 @@ def solve_nagent(
     # Players are not a weighted mixture; the weight field is ignored here.
     _require("players", [v for i, t in enumerate(types) for v in validate_investor(t, i, check_weight=False)])
     strategy, *run = _solve_table(lambda strat: best_response_nagent(types, strat, q, cfg.opt_tol), len(types), cfg)
-    per_type_M = tuple(M_nagent(i, types, strategy, q, cfg.opt_tol) for i in range(len(types)))
     # Each player's peer average is the geometric mean of the others' x0: total minus own.
     log_x0 = np.log([t.x0 for t in types])
     peers_x0 = np.exp((log_x0.sum() - log_x0) / (len(types) - 1))
-    contexts = _nagent_contexts(types, strategy, q, range(len(types)))
-    return _result(types, contexts, per_type_M, peers_x0, cfg, None, strategy, *run)
+    return _result(_nagent_contexts(types, strategy, q), peers_x0, cfg, None, strategy, *run)
 
 
 def respond_to_statistic(
     pop: Population, m: np.ndarray, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
 ) -> Strategy:
     """Best response of every type to the raw statistic (sigma0pi, m(marks))."""
-    rows = [
-        respond_type(t, mf_target_context(t, q, float(m[0]), np.asarray(m[1:], dtype=float)), opt_tol)
-        for t in pop.types
-    ]
-    return Strategy(np.vstack(rows))
+    mean_jump_nodes = np.asarray(m[1:], dtype=float)
+    return _respond([mf_target_context(t, q, float(m[0]), mean_jump_nodes) for t in pop.types], opt_tol)
 
 
 def statistic_of(pop: Population, strat: Strategy, q: Quadrature) -> np.ndarray:

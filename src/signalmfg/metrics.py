@@ -27,21 +27,20 @@ from .response import (
 )
 
 
-def _value_constant(ctx: TargetContext, row, opt_tol: float) -> float:
+def _value_constant(ctx: TargetContext, row) -> float:
     """Shared M assembly for both game modes.
 
     M = theta*(r - taupi_env) + 0.5*theta^2*(1-alpha)*(sigma0pi_env^2 +
     sig2pi2_env) + no-signal target + lam*p_s * sum_z N01(I(z)) * signal-z
-    target, each target at the row's position (the best response when ``row``
-    is None).  The signal sums carry their N01(I(z, e_c)) weights directly,
-    which equals the mu(z)-weighted conditional suprema for the Gaussian mark
-    law and stays exact for discrete mark laws.
+    target, each target at the row's position.  The signal sums carry their
+    N01(I(z, e_c)) weights directly, which equals the mu(z)-weighted
+    conditional suprema for the Gaussian mark law and stays exact for
+    discrete mark laws.
     """
     t = ctx.investor
-    positions = respond_type(t, ctx, opt_tol) if row is None else row_positions(row)
     out = t.theta * (t.market.r - ctx.taupi_env)
     out += 0.5 * t.theta**2 * (1.0 - t.alpha) * (ctx.sigma0pi_env**2 + ctx.sig2pi2_env)
-    return float(out + np.dot(target_values(positions, ctx), ctx.row_mass))
+    return float(out + np.dot(target_values(row_positions(row), ctx), ctx.row_mass))
 
 
 def M_mf(
@@ -57,7 +56,7 @@ def M_mf(
     Signal-keyed mapping); pass ``None`` to re-maximize each signal target.
     """
     ctx = context_from_stats(inv_type, stats, q)
-    return _value_constant(ctx, row, opt_tol)
+    return _value_constant(ctx, respond_type(inv_type, ctx, opt_tol) if row is None else row)
 
 
 def value_mf(inv_type: InvestorType, M: float, x0: float, xbar0: float, T: float) -> float:
@@ -69,16 +68,9 @@ def value_mf(inv_type: InvestorType, M: float, x0: float, xbar0: float, T: float
     return float(base * np.exp(T * (1.0 - t.alpha) * ((1.0 - t.theta) * t.market.r + M)))
 
 
-def M_nagent(
-    i: int,
-    types: Sequence[InvestorType],
-    strategies: Strategy,
-    q: Quadrature,
-    opt_tol: float = DEFAULT_OPT_TOL,
-) -> float:
+def M_nagent(i: int, types: Sequence[InvestorType], strategies: Strategy, q: Quadrature) -> float:
     """n-agent value constant for player ``i`` at the supplied strategies."""
-    ctx = nagent_target_context(i, types, strategies, q)
-    return _value_constant(ctx, strategies.row(i), opt_tol)
+    return _value_constant(nagent_target_context(i, types, strategies, q), strategies.row(i))
 
 
 def certainty_equivalent(M_alt: float, M_ref: float, T: float = 1.0) -> float:

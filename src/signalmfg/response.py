@@ -34,7 +34,7 @@ from .model import (
     admissible_interval,
 )
 from .quad import Quadrature
-from .signals import JumpLaw, eta, signal_kernel, signal_mixtures
+from .signals import JumpLaw, eta, signal_kernel
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
@@ -119,22 +119,21 @@ def context_from_stats(inv_type: InvestorType, stats: MeanFieldStats, q: Quadrat
     )
 
 
-def _nagent_contexts(
-    types: Sequence[InvestorType], strat: Strategy, q: Quadrature, players: Sequence[int]
-) -> list[TargetContext]:
-    """n-agent contexts of ``players``, built from one pass over all players.
+def _nagent_contexts(types: Sequence[InvestorType], strat: Strategy, q: Quadrature) -> list[TargetContext]:
+    """Every player's n-agent context, built in one pass over all players.
 
     Peer aggregates are totals over all players minus the player's own term.
     The expected peer jump factor of player i is the product over peers of
-    their signal mixture raised to e_i = -theta_i*(1-alpha_i)/n; its log is
-    S(e_i) - log mix_i(e_i), with S(e) the sum of every player's log mixture,
-    since peers' signal draws are independent given the common mark.
+    their signal mixture of (1 + pi*eta)^e_i, e_i = -theta_i*(1-alpha_i)/n;
+    its log is S(e_i) - log mix_i(e_i), with S(e) the sum of every player's
+    log mixture, since peers' signal draws are independent given the common
+    mark.  Each log mixture is a log-sum-exp over signals of log weight +
+    e*log1p(pi*eta), shifted per (player, node) by its largest weighted term,
+    so large |e| (alpha ~ 100) cannot overflow it.
     """
     n_players = len(types)
     if strat.n_types != n_players:
         raise ValueError(f"strategy has {strat.n_types} rows for {n_players} players")
-    if any(not 0 <= i < n_players for i in players):
-        raise IndexError(f"player index out of range for {n_players} players")
     if n_players < 2:
         raise ValueError("n-agent mode needs at least 2 players")
     n = n_players - 1
@@ -147,22 +146,24 @@ def _nagent_contexts(
     jumps = np.stack([eta(JumpLaw.from_market(m), q.nodes) for m in markets])
     exponents = [-t.theta * (1.0 - t.alpha) / n for t in types]
 
-    # Every player's kernel rows, (6, players, nodes), mixed over the players' signals.
-    peer_kernel = np.stack([kernels[t.rho] for t in types], axis=1)
+    # Every player's signal law, (players, 7, nodes), and log return in each signal.
     p_s = np.array([t.p_s for t in types])[:, np.newaxis]
-    returns = 1.0 + strat.table[:, :, np.newaxis] * jumps[:, np.newaxis, :]
-    log_mix = {
-        e: np.log(signal_mixtures(peer_kernel, [(p_s, lambda column: returns[:, column] ** e)])[0])
-        for e in {exponents[i] for i in players} - {0.0}
-    }
+    law = np.empty((n_players, len(SIGNALS), q.n_nodes))
+    law[:, NONE_INDEX] = 1.0 - p_s
+    law[:, NONZERO_INDEX] = p_s[:, np.newaxis] * np.stack([kernels[t.rho] for t in types])
+    log_returns = np.log1p(strat.table[:, :, np.newaxis] * jumps[:, np.newaxis, :])
+    log_mix = {}
+    for e in set(exponents) - {0.0}:
+        terms = np.where(law > 0.0, e * log_returns, -np.inf)
+        shift = terms.max(axis=1)
+        log_mix[e] = shift + np.log(np.sum(law * np.exp(terms - shift[:, np.newaxis]), axis=1))
     total = {e: mix.sum(axis=0) for e, mix in log_mix.items()}
 
     out = []
-    for i in players:
-        e = exponents[i]
+    for i, (t, e) in enumerate(zip(types, exponents)):
         peer_log = np.zeros(q.n_nodes) if e == 0.0 else total[e] - log_mix[e][i]
         env = ((sigma0pi.sum() - sigma0pi[i]) / n, (drift.sum() - drift[i]) / n, (sig2pi2.sum() - sig2pi2[i]) / n**2)
-        out.append(_context(types[i], q, env, peer_log, kernels[types[i].rho], jumps[i]))
+        out.append(_context(t, q, env, peer_log, kernels[t.rho], jumps[i]))
     return out
 
 
@@ -170,7 +171,9 @@ def nagent_target_context(
     i: int, types: Sequence[InvestorType], strat: Strategy, q: Quadrature
 ) -> TargetContext:
     """Context for player ``i`` against the other players' strategies (see ``_nagent_contexts``)."""
-    return _nagent_contexts(types, strat, q, (i,))[0]
+    if not 0 <= i < len(types):
+        raise IndexError(f"player index {i} out of range for {len(types)} players")
+    return _nagent_contexts(types, strat, q)[i]
 
 
 def _log_scaled_returns(phi, ctx: TargetContext) -> np.ndarray:
@@ -363,10 +366,15 @@ def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DE
     return row
 
 
+def _respond(contexts: Sequence[TargetContext], opt_tol: float) -> Strategy:
+    """Best-response strategy: one ``respond_type`` row per context."""
+    return Strategy(np.vstack([respond_type(ctx.investor, ctx, opt_tol) for ctx in contexts]))
+
+
 def best_response_to_stats(
     pop: Population, stats: MeanFieldStats, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
 ) -> Strategy:
-    return Strategy(np.vstack([respond_type(t, context_from_stats(t, stats, q), opt_tol) for t in pop.types]))
+    return _respond([context_from_stats(t, stats, q) for t in pop.types], opt_tol)
 
 
 def best_response(
@@ -380,5 +388,4 @@ def best_response_nagent(
     types: Sequence[InvestorType], strat: Strategy, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
 ) -> Strategy:
     """Every player's best response to the others' strategies in ``strat``."""
-    contexts = _nagent_contexts(types, strat, q, range(len(types)))
-    return Strategy(np.vstack([respond_type(t, ctx, opt_tol) for t, ctx in zip(types, contexts)]))
+    return _respond(_nagent_contexts(types, strat, q), opt_tol)

@@ -161,6 +161,18 @@ class TestMain:
         assert main(["--config", "/nope.json", "solve"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parameter, value", [("rho_B", 1.0), ("theta_B", 1.5), ("p_s_B", -0.1)])
+    def test_invalid_sweep_point_exit_one(self, capsys, tmp_path, parameter, value):
+        # An invalid grid point stops the run before any solve, with one error line.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"sweep": {"parameter": parameter, "grid": [0.5, value]}}))
+        assert main(["--config", str(p), "--out", str(tmp_path / "x.csv"), "sweep"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: invalid sweep point {parameter}={value}:")
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "x.csv").exists()
+
     def test_simulate_runs_small(self, capsys, tmp_path):
         cfg = {
             "quadrature": {"nodes": 64},

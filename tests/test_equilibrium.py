@@ -14,6 +14,7 @@ from signalmfg.equilibrium import (
     solve_nagent,
 )
 from signalmfg.meanfield import aggregate
+from signalmfg.metrics import M_mf, M_nagent
 from signalmfg.model import NONE_INDEX, Population, Signal, Strategy, strategy_distance, validate_investor
 from signalmfg.quad import Quadrature
 from signalmfg.response import context_from_stats, jump_cap_binds
@@ -122,6 +123,15 @@ EXTREME_TYPES = [
 ]
 
 
+# One type's characteristics over the ranges validate_investor accepts.
+TYPE_PARAMETERS = st.fixed_dictionaries({
+    "alpha": st.floats(0.1, 100.0).filter(lambda a: abs(a - 1.0) >= 1e-3),
+    "p_s": st.floats(0.0, 1.0, exclude_max=True),
+    "rho": st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    "theta": st.floats(0.0, 1.0),
+})
+
+
 def assert_finite_solve(t, q):
     assert not validate_investor(t)
     result = solve_mf_finite(Population([t]), q)
@@ -159,6 +169,23 @@ class TestExtremeTypes:
         t = casestudy.investor(market, p_s=p_s, rho=rho, alpha=alpha, theta=theta, weight=1.0)
         assert_finite_solve(t, quad128)
 
+    @settings(max_examples=40, deadline=None)
+    @given(lam=st.floats(0.0, 20.0), sigma_hat=st.floats(0.0, 4.0), nagent=st.booleans(), data=st.data())
+    def test_property_games_and_populations_are_finite_or_reported(self, quad128, lam, sigma_hat, nagent, data):
+        # A game has 2-3 players; a mean-field population has 1-3 types with drawn shares.
+        shares = st.floats(0.1, 1.0)
+        kinds = data.draw(st.lists(st.tuples(TYPE_PARAMETERS, shares), min_size=2 if nagent else 1, max_size=3))
+        market = casestudy.default_market(lam=lam, sigma_hat=sigma_hat)
+        total = sum(share for _, share in kinds)
+        types = [casestudy.investor(market, weight=share / total, **kind) for kind, share in kinds]
+        cfg = SolverConfig(max_iter=60)
+        result = solve_nagent(types, quad128, cfg) if nagent else solve_mf_finite(Population(types), quad128, cfg)
+        if result.converged:
+            assert np.all(np.isfinite(result.strategy.table))
+            assert np.all(np.isfinite(result.per_type_M))
+        else:
+            assert any("did not converge" in n for n in result.notes)
+
 
 OVERFLOW_NOTE = "type 0: value exp(T(1-alpha)M) overflows double; use per_type_M"
 
@@ -186,6 +213,18 @@ class TestOverflowingValues:
         assert result.converged and np.all(np.isfinite(result.per_type_M))
         assert result.per_type_value[0] == -np.inf and np.isfinite(result.per_type_value[1])
         assert result.notes == (OVERFLOW_NOTE,)
+
+    @pytest.mark.parametrize("lam, sigma_hat", [(4.0, 3.0), (4.0, 3.75), (4.0, 4.0), (20.0, 3.0)])
+    def test_nagent_peer_mixture_does_not_overflow(self, quad128, lam, sigma_hat):
+        # The bold player's peer factor (1 + pi*eta)^59 passes the double range at tail nodes; its log does not.
+        market = casestudy.default_market(lam=lam, sigma_hat=sigma_hat)
+        bold = casestudy.investor(market, alpha=60.0, theta=1.0, p_s=0.0, rho=0.0)
+        plain = casestudy.investor(market, alpha=2.0, theta=0.0, p_s=0.9, rho=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_nagent([bold, plain], quad128)
+        assert result.converged
+        assert np.all(np.isfinite(result.strategy.table)) and np.all(np.isfinite(result.per_type_M))
 
 
 def sizeless_M(t, stats, row, q):
@@ -231,6 +270,28 @@ class TestSizelessBesideSized:
         assert result.converged
         assert np.all(np.isfinite(result.per_type_M))
         assert [n[:7] for n in result.notes if "clips" in n] == ["type 0:"]
+
+
+class TestResultMatchesPerTypeAPI:
+    """Solvers read M off their final contexts; it equals the per-type functions bitwise."""
+
+    def test_nagent_result_M(self, quad128):
+        types = [
+            casestudy.investor(x0=0.5, alpha=2.0, rho=0.5),
+            casestudy.investor(x0=1.0, alpha=3.5, rho=-0.3),
+            casestudy.investor(x0=2.0, alpha=0.7, rho=0.5, p_s=0.2),
+        ]
+        result = solve_nagent(types, quad128)
+        assert result.converged
+        for i in range(len(types)):
+            assert result.per_type_M[i] == M_nagent(i, types, result.strategy, quad128)
+
+    def test_mean_field_result_M(self, quad128):
+        pop = Population([casestudy.investor(alpha=3.0, p_s=0.3), casestudy.investor(rho=-0.4, theta=0.8)])
+        result = solve_mf_finite(pop, quad128)
+        assert result.converged
+        for i, t in enumerate(pop.types):
+            assert result.per_type_M[i] == M_mf(t, result.strategy.row(i), result.stats, quad128)
 
 
 class TestResidual:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
 from signalmfg import casestudy
+from signalmfg.equilibrium import solve_mf_finite
 from signalmfg.meanfield import aggregate
 from signalmfg.metrics import M_mf, M_nagent, certainty_equivalent, value_mf
-from signalmfg.model import Population, Strategy
+from signalmfg.model import SIGNALS, Population, Strategy, admissible_interval
 from signalmfg.response import context_from_stats, respond_type
 
 MERTON_M = 0.0064 / 0.36  # (kappa - r)^2 / (2 alpha sigma0^2)
@@ -52,6 +54,45 @@ class TestMmf:
     def test_invariant_under_type_relabeling(self, ref_pop, quad128, ref_eq):
         # identical characteristics => identical constants
         assert ref_eq.per_type_M[0] == pytest.approx(ref_eq.per_type_M[1], abs=1e-14)
+
+
+class TestDeviations:
+    """Type A's equilibrium row beats every deviation in closed form (M_mf at the supplied row).
+
+    delta = 1e-2 costs at least 7e-7 in M on these equilibria, far above the
+    rounding of M (~1e-17); the rows sit on the admissible bounds in five
+    signals, where only the inward shift is tried.
+    """
+
+    DELTA = 1e-2
+
+    @pytest.fixture(scope="class", params=[None, 0.999], ids=["reference", "p_s_B=0.999"])
+    def equilibrium(self, request, ref_pop, quad128):
+        p_s_B = request.param
+        pop = ref_pop if p_s_B is None else Population([ref_pop.types[0], replace(ref_pop.types[1], p_s=p_s_B)])
+        result = solve_mf_finite(pop, quad128)
+        assert result.converged
+        return pop.types[0], result.strategy.row(0), result.stats
+
+    def deviations(self, t, row):
+        iv = admissible_interval(t)
+        for z in range(len(SIGNALS)):
+            for shift in (-self.DELTA, self.DELTA):
+                if iv.lo <= row[z] + shift <= iv.hi:
+                    moved = row.copy()
+                    moved[z] += shift
+                    yield moved
+        m = t.market
+        yield np.zeros(len(SIGNALS))
+        yield np.full(len(SIGNALS), (m.kappa - m.r) / (t.alpha * (m.sigma**2 + m.sigma0**2)))
+
+    def test_equilibrium_row_beats_deviations(self, equilibrium, quad128):
+        t, row, stats = equilibrium
+        best = M_mf(t, row, stats, quad128)
+        rivals = list(self.deviations(t, row))
+        assert len(rivals) == 2 * len(SIGNALS) - 5 + 2
+        for rival in rivals:
+            assert M_mf(t, rival, stats, quad128) < best - 1e-10
 
 
 class TestValueMf:

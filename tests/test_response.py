@@ -433,5 +433,6 @@ class TestNAgentContext:
 
     def test_player_index_checked(self, quad128):
         types = [casestudy.investor(), casestudy.investor()]
-        with pytest.raises(IndexError):
-            nagent_target_context(2, types, Strategy.zeros(2), quad128)
+        for i in (2, -1):
+            with pytest.raises(IndexError):
+                nagent_target_context(i, types, Strategy.zeros(2), quad128)
