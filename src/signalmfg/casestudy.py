@@ -7,18 +7,14 @@ environment deviates only in type B's signal or concern block.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .model import InvestorType, MarketParams, Population
 
 DEFAULT_HORIZON = 1.0
 
 
 def default_market(**overrides) -> MarketParams:
-    return replace(
-        MarketParams(r=0.0, kappa=0.08, sigma=0.0, sigma0=0.3, kappa_hat=0.0, sigma_hat=0.1, lam=10.0),
-        **overrides,
-    )
+    """The case-study market: ``MarketParams`` defaults with ``overrides`` applied."""
+    return MarketParams(**overrides)
 
 
 def investor(

@@ -15,15 +15,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import casestudy
 from .equilibrium import SolverConfig, solve_mf_finite
 from .metrics import certainty_equivalent
 from .model import SIGNALS, InvestorType, MarketParams, Population, validate_population
-from .quad import Quadrature
-from .sim import estimate_utility
+from .quad import DEFAULT_HALF_WIDTH, DEFAULT_NODES, Quadrature
+from .sim import MIN_PATHS, estimate_utility
 
 SWEEP_PARAMETERS = ("p_s_B", "rho_B", "theta_B")
 MAX_P_S = 1.0 - 1e-6
@@ -46,7 +46,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description; out-of-range values raise ``ConfigError``."""
 
     market: MarketParams
     reference: Population
@@ -58,6 +58,19 @@ class ExperimentConfig:
     mc_paths: int
     mc_seed: int
 
+    def __post_init__(self):
+        # Also runs on ``dataclasses.replace``, so the --nodes/--seed overrides are checked too.
+        if not self.horizon > 0.0:
+            raise ConfigError(f"horizon must be > 0, got {self.horizon}")
+        if self.n_nodes < 1:
+            raise ConfigError(f"quadrature.nodes must be >= 1, got {self.n_nodes}")
+        if not self.half_width > 0.0:
+            raise ConfigError(f"quadrature.L must be > 0, got {self.half_width}")
+        if self.mc_paths < MIN_PATHS:
+            raise ConfigError(f"mc.n_paths must be >= {MIN_PATHS}, got {self.mc_paths}")
+        if self.mc_seed < 0:
+            raise ConfigError(f"mc.seed must be >= 0, got {self.mc_seed}")
+
     @property
     def horizon(self) -> float:
         """Investment horizon; the solver block carries it."""
@@ -67,22 +80,50 @@ class ExperimentConfig:
         return Quadrature.standard_normal(self.n_nodes, self.half_width)
 
 
-def _type_block(block: dict, market: MarketParams, label: str) -> InvestorType:
-    known = {"x0", "p_s", "rho", "theta", "alpha", "weight"}
-    extra = set(block) - known
+def _block(value, label: str, known) -> dict:
+    """A JSON object whose keys are all in ``known``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {value!r}")
+    extra = set(value) - set(known)
     if extra:
-        raise ConfigError(f"unknown keys in type block {label!r}: {sorted(extra)}")
+        raise ConfigError(f"unknown keys in {label}: {sorted(extra)}")
+    return value
+
+
+def _real(value, label: str) -> float:
+    # abs(value) <= max rejects NaN, infinities and ints too large for a float.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{label} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, label: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
+def _type_block(block, market: MarketParams, label: str) -> InvestorType:
+    block = _block(block, f"reference.{label}", ("x0", "p_s", "rho", "theta", "alpha", "weight"))
     # Omitted keys take the case-study defaults of ``casestudy.investor``.
-    return casestudy.investor(market, **{k: float(v) for k, v in block.items()})
+    return casestudy.investor(market, **{k: _real(v, f"reference.{label}.{k}") for k, v in block.items()})
 
 
 def load_config(raw: dict) -> ExperimentConfig:
-    """Build an ``ExperimentConfig`` from a parsed JSON document."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    market = casestudy.default_market(**{k: float(v) for k, v in raw.get("market", {}).items()})
+    """Build an ``ExperimentConfig`` from a parsed JSON document.
 
-    ref_block = raw.get("reference", {})
+    Every block is optional; an omitted key takes the library default
+    (``MarketParams``, ``casestudy.investor``, ``SolverConfig``, ``quad``).
+    Unknown keys, values of the wrong JSON type and out-of-range values raise
+    ``ConfigError``.
+    """
+    raw = _block(raw, "config root", ("market", "horizon", "reference", "solver", "quadrature", "sweep", "mc"))
+    market_block = _block(raw.get("market", {}), "market", [f.name for f in fields(MarketParams)])
+    market = casestudy.default_market(**{k: _real(v, f"market.{k}") for k, v in market_block.items()})
+
+    ref_block = _block(raw.get("reference", {}), "reference", ("A", "B"))
     type_a = _type_block(ref_block.get("A", {}), market, "A")
     type_b = _type_block(ref_block.get("B", {}), market, "B")
     reference = Population([type_a, type_b])
@@ -90,34 +131,36 @@ def load_config(raw: dict) -> ExperimentConfig:
     if problems:
         raise ConfigError("invalid reference population: " + "; ".join(problems))
 
-    solver_block = raw.get("solver", {})
-    solver = SolverConfig(
-        tol=float(solver_block.get("tol", 1e-8)),
-        max_iter=int(solver_block.get("max_iter", 500)),
-        damping=float(solver_block.get("damping", 1.0)),
-        horizon=float(raw.get("horizon", casestudy.DEFAULT_HORIZON)),
-    )
+    solver_block = _block(raw.get("solver", {}), "solver", ("tol", "max_iter", "damping"))
+    convert = {"tol": _real, "max_iter": _integer, "damping": _real}
+    solver_values = {k: convert[k](v, f"solver.{k}") for k, v in solver_block.items()}
+    horizon = _real(raw.get("horizon", casestudy.DEFAULT_HORIZON), "horizon")
+    try:
+        solver = SolverConfig(**solver_values, horizon=horizon)
+    except ValueError as exc:
+        raise ConfigError(f"invalid solver block: {exc}") from None
 
-    quad_block = raw.get("quadrature", {})
-    sweep_block = raw.get("sweep", {})
+    quad_block = _block(raw.get("quadrature", {}), "quadrature", ("nodes", "L"))
+    sweep_block = _block(raw.get("sweep", {}), "sweep", ("parameter", "grid"))
     parameter = sweep_block.get("parameter", "p_s_B")
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
-    grid = tuple(float(v) for v in sweep_block.get("grid", (0.0, 0.25, 0.5, 0.75, MAX_P_S)))
-    if not grid:
-        raise ConfigError("sweep grid must not be empty")
+    grid = sweep_block.get("grid", (0.0, 0.25, 0.5, 0.75, MAX_P_S))
+    if not isinstance(grid, (list, tuple)) or not grid:
+        raise ConfigError(f"sweep grid must be a non-empty list, got {grid!r}")
+    grid = tuple(_real(v, "sweep grid value") for v in grid)
 
-    mc_block = raw.get("mc", {})
+    mc_block = _block(raw.get("mc", {}), "mc", ("n_paths", "seed"))
     cfg = ExperimentConfig(
         market=market,
         reference=reference,
         solver=solver,
-        n_nodes=int(quad_block.get("nodes", 128)),
-        half_width=float(quad_block.get("L", 8.0)),
+        n_nodes=_integer(quad_block.get("nodes", DEFAULT_NODES), "quadrature.nodes"),
+        half_width=_real(quad_block.get("L", DEFAULT_HALF_WIDTH), "quadrature.L"),
         sweep_parameter=parameter,
         sweep_grid=grid,
-        mc_paths=int(mc_block.get("n_paths", 100_000)),
-        mc_seed=int(mc_block.get("seed", 0)),
+        mc_paths=_integer(mc_block.get("n_paths", 100_000), "mc.n_paths"),
+        mc_seed=_integer(mc_block.get("seed", 0), "mc.seed"),
     )
     for value in grid:
         problems = validate_population(_alternative(cfg, value)[0])

@@ -41,15 +41,7 @@ class Signal(Enum):
         return self.value
 
 
-SIGNALS: tuple[Signal, ...] = (
-    Signal.NEG_INF,
-    Signal.NEG_ONE,
-    Signal.NEG_HALF,
-    Signal.NONE,
-    Signal.POS_HALF,
-    Signal.POS_ONE,
-    Signal.POS_INF,
-)
+SIGNALS: tuple[Signal, ...] = tuple(Signal)
 NONZERO_SIGNALS: tuple[Signal, ...] = tuple(s for s in SIGNALS if s is not Signal.NONE)
 SIGNAL_INDEX: dict[Signal, int] = {s: i for i, s in enumerate(SIGNALS)}
 NONE_INDEX = SIGNAL_INDEX[Signal.NONE]

@@ -63,8 +63,6 @@ class Quadrature:
 
     nodes: np.ndarray
     weights: np.ndarray
-    lo: float
-    hi: float
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -97,7 +95,7 @@ class Quadrature:
         x, w = leggauss(n_nodes)
         nodes = x * half_width
         weights = w * half_width * std_normal_pdf(nodes)
-        return cls(nodes=nodes, weights=weights, lo=-half_width, hi=half_width)
+        return cls(nodes=nodes, weights=weights)
 
     @classmethod
     def discrete(cls, marks: Sequence[float], probs: Sequence[float]) -> "Quadrature":
@@ -111,7 +109,7 @@ class Quadrature:
         total = float(np.sum(probs))
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mark probabilities sum to {total}, expected 1")
-        return cls(nodes=marks, weights=probs, lo=float(marks.min()), hi=float(marks.max()))
+        return cls(nodes=marks, weights=probs)
 
 
 def expect_outer(f: Callable, q: Quadrature) -> float:

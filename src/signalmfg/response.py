@@ -6,7 +6,7 @@ the other players' explicit strategies.  A type's seven targets (one per
 signal) are rows of one (7 x nodes) weight table applied to one jump
 integrand.  Each is strictly concave on its admissible interval whenever
 jumps are live, with closed-form first and second derivatives, so
-``respond_type`` solves all seven first-order conditions at once by a
+``_respond`` solves every context's seven first-order conditions in one
 bracketed Newton iteration.  ``maximize_concave_1d`` (golden section) stays
 as a derivative-free maximizer for arbitrary concave functions.
 """
@@ -14,7 +14,7 @@ as a derivative-free maximizer for arbitrary concave functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -298,55 +298,59 @@ def maximize_concave_1d(
 
 
 def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DEFAULT_OPT_TOL) -> np.ndarray:
-    """Best-response row (one position per signal) for a single type.
+    """Best-response row (one position per signal) of ``inv_type``: the one-context case of ``_respond``."""
+    if inv_type != ctx.investor:
+        raise ValueError("context belongs to another investor type")
+    return _respond([ctx], opt_tol).table[0].copy()
 
-    Solves the seven first-order conditions g'(phi) = 0 together, where
-    g'(phi) = drift'(phi) + sum_k W_zk eta_k (1 + phi eta_k)^-alpha E_k and
-    g'' < 0 (W = ``row_weights``, log E = ``env_jump_log``; the drift enters
-    the no-signal row only).  A row whose log E_k (1 + phi eta_k)^-alpha passes
-    ``_LOG_CAP`` is scaled down, g' and g'' alike, which keeps the sign of g'
-    and the step g'/g'' exact.  If g' keeps one sign on the admissible
+
+def _respond(contexts: Sequence[TargetContext], opt_tol: float) -> Strategy:
+    """Best-response strategy, one row per context, from one Newton over every (context, signal) row.
+
+    Solves g'(phi) = drift'(phi) + sum_k W_zk eta_k (1 + phi eta_k)^-alpha E_k = 0
+    for all rows at once, with g'' < 0 (W = ``row_weights``, log E =
+    ``env_jump_log``; the drift enters the no-signal row only).  Each row's
+    g' and g'' are scaled by exp(-shift), shift = max(0, largest weighted
+    log E_k (1 + phi eta_k)^-alpha - ``_LOG_CAP``), which keeps the sign of
+    g' and the step g'/g'' exact.  If g' keeps one sign on the admissible
     interval the maximizer is the matching endpoint; otherwise Newton steps
     run inside the shrinking sign-change bracket, bisecting whenever a step
-    would leave it, until a step is at most ``opt_tol``.
+    would leave it, until a step is at most ``opt_tol``.  Rows never mix, so
+    a row is the same in any batch.
 
-    When jumps are absent (lam = 0) or sizeless (eta identically 0) the
-    nonzero-signal targets are flat in phi, so every admissible position is a
-    maximizer; the default position is the canonical selection then.
+    When jumps are absent (lam = 0) or sizeless (eta identically 0) every
+    admissible position maximizes a nonzero-signal target; those rows take
+    the default position.
     """
     if not opt_tol > 0.0:
         raise ValueError("opt_tol must be > 0")
-    alpha = inv_type.alpha
-    iv = admissible_interval(inv_type)
-    slope, curvature = np.zeros(len(SIGNALS)), np.zeros(len(SIGNALS))
-    slope[NONE_INDEX], curvature[NONE_INDEX] = _drift_coefficients(ctx)
-    w_eta = ctx.row_weights * ctx.eta_nodes
-    w_eta2 = alpha * w_eta * ctx.eta_nodes
-    # Each node's log power is monotone in phi, so the interval's ends bound it.
-    ends = np.array([[iv.lo], [iv.hi]]).repeat(len(SIGNALS), axis=1)
-    scale_rows = np.max(ctx.env_jump_log - alpha * np.log1p(ends[..., :1] * ctx.eta_nodes)) > _LOG_CAP
+    alpha = np.array([ctx.investor.alpha for ctx in contexts])[:, np.newaxis, np.newaxis]
+    eta_nodes = np.stack([ctx.eta_nodes for ctx in contexts])[:, np.newaxis, :]
+    env_log = np.stack([ctx.env_jump_log for ctx in contexts])[:, np.newaxis, :]
+    w_eta = np.stack([ctx.row_weights for ctx in contexts]) * eta_nodes
+    w_eta2 = alpha * w_eta * eta_nodes
+    unweighted = w_eta == 0.0  # set no scale; their power must not overflow into 0*inf
+    slope, curvature = np.zeros((2, len(contexts), len(SIGNALS)))
+    slope[:, NONE_INDEX], curvature[:, NONE_INDEX] = np.array([_drift_coefficients(ctx) for ctx in contexts]).T
+    bounds = [astuple(admissible_interval(ctx.investor)) for ctx in contexts]
+    lo, hi = np.array(bounds).T[..., np.newaxis].repeat(len(SIGNALS), axis=-1)  # each (contexts, 7)
 
     def derivatives(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        move = phi[..., np.newaxis] * ctx.eta_nodes
-        log_power = ctx.env_jump_log - alpha * np.log1p(move)
-        drift, drift_curvature = slope - curvature * phi, -curvature
-        if scale_rows:
-            # Unweighted nodes set no scale (their power must not overflow into 0*inf).
-            log_power = np.where(w_eta != 0.0, log_power, -np.inf)
-            shift = np.maximum(log_power.max(axis=-1) - _LOG_CAP, 0.0)
-            log_power = log_power - shift[..., np.newaxis]
-            drift, drift_curvature = drift * np.exp(-shift), drift_curvature * np.exp(-shift)
-        power = np.exp(log_power)
-        g1 = drift + (w_eta * power).sum(axis=-1)
-        g2 = drift_curvature - (w_eta2 * (power / (1.0 + move))).sum(axis=-1)
+        move = phi[..., np.newaxis] * eta_nodes
+        log_power = np.where(unweighted, -np.inf, env_log - alpha * np.log1p(move))
+        shift = np.maximum(log_power.max(axis=-1) - _LOG_CAP, 0.0)
+        scale = np.exp(-shift)
+        power = np.exp(log_power - shift[..., np.newaxis])
+        g1 = (slope - curvature * phi) * scale + (w_eta * power).sum(axis=-1)
+        g2 = -curvature * scale - (w_eta2 * (power / (1.0 + move))).sum(axis=-1)
         if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
             raise ValueError("non-finite first-order condition; position outside its admissible interval?")
         return g1, g2
 
-    (g_lo, g_hi), _ = derivatives(ends)
-    row = np.where(g_lo <= 0.0, iv.lo, iv.hi)
+    # Two calls, not one stacked call: half the peak size of the (rows, nodes) temporaries.
+    (g_lo, _), (g_hi, _) = derivatives(lo), derivatives(hi)
+    row = np.where(g_lo <= 0.0, lo, hi)
     active = (g_lo > 0.0) & (g_hi < 0.0)
-    lo, hi = np.full(len(SIGNALS), iv.lo), np.full(len(SIGNALS), iv.hi)
     phi = 0.5 * (lo + hi)
     for _ in range(_MAX_NEWTON):
         if not active.any():
@@ -361,14 +365,9 @@ def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DE
         row = np.where(done, phi, row)
         active &= ~done
     row = np.where(active, phi, row)
-    if ctx.jumps_degenerate:
-        row[NONZERO_INDEX] = row[NONE_INDEX]
-    return row
-
-
-def _respond(contexts: Sequence[TargetContext], opt_tol: float) -> Strategy:
-    """Best-response strategy: one ``respond_type`` row per context."""
-    return Strategy(np.vstack([respond_type(ctx.investor, ctx, opt_tol) for ctx in contexts]))
+    degenerate = [[ctx.jumps_degenerate] for ctx in contexts]
+    row[:, NONZERO_INDEX] = np.where(degenerate, row[:, [NONE_INDEX]], row[:, NONZERO_INDEX])
+    return Strategy(row)
 
 
 def best_response_to_stats(

@@ -50,6 +50,8 @@ from .signals import JumpLaw, classify_index, eta, perturb
 # Stream ids of the seed tree, in the order of the table above.
 _STREAM_JUMP_TIMES, _STREAM_COMMON_MARKS, _STREAM_W0, _STREAM_AGENT = range(4)
 _STREAM_TYPES, _STREAM_BATCH, _STREAM_COHORT = range(4, 7)
+# Fewest paths ``estimate_utility`` accepts: fewer give no meaningful standard error.
+MIN_PATHS = 100
 
 
 def _generator(*entropy: int) -> np.random.Generator:
@@ -157,8 +159,8 @@ def estimate_utility(
     enter terminal wealth (positions are signal-driven), so only jump counts
     are drawn.  Returns (means, standard errors), one entry per type.
     """
-    if n_paths < 100:
-        raise ValueError("need n_paths >= 100 for a meaningful standard error")
+    if n_paths < MIN_PATHS:
+        raise ValueError(f"need n_paths >= {MIN_PATHS} for a meaningful standard error")
     check_admissible(pop, strat)
     market = pop.types[0].market
     if any(t.market.lam != market.lam for t in pop.types):

@@ -173,6 +173,39 @@ class TestMain:
         assert "Traceback" not in captured.err + captured.out
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "raw, args, message",
+        [
+            ({"solver": {"tolerance": 1e-3}}, ["solve"], "unknown keys in solver"),
+            ({"market": {"lamda": 1}}, ["solve"], "unknown keys in market"),
+            ({"bogus": {}}, ["solve"], "unknown keys in config root"),
+            ({}, ["--nodes", "0", "solve"], "quadrature.nodes must be >= 1"),
+            ({}, ["--seed", "-1", "simulate"], "mc.seed must be >= 0"),
+            ({"quadrature": {"L": -1}}, ["solve"], "quadrature.L must be > 0"),
+            ({"quadrature": {"nodes": 2.5}}, ["solve"], "quadrature.nodes must be an integer"),
+            ({"solver": {"tol": 0}}, ["solve"], "invalid solver block"),
+            ({"solver": {"max_iter": "abc"}}, ["solve"], "solver.max_iter must be an integer"),
+            ({"mc": {"n_paths": 10}}, ["simulate"], "mc.n_paths must be >= 100"),
+            ({"sweep": {"grid": 3}}, ["sweep"], "sweep grid must be a non-empty list"),
+            ({"sweep": {"grid": [0.5, "x"]}}, ["sweep"], "sweep grid value must be a finite number"),
+            ({"reference": []}, ["solve"], "reference must be a JSON object"),
+            ({"reference": {"A": {"p_s": True}}}, ["solve"], "reference.A.p_s must be a finite number"),
+            ({"market": {"lam": float("nan")}}, ["solve"], "market.lam must be a finite number"),
+            ({"horizon": 0}, ["solve"], "horizon must be > 0"),
+            ([], ["solve"], "config root must be a JSON object"),
+        ],
+    )
+    def test_bad_config_value_exit_one(self, capsys, tmp_path, raw, args, message):
+        # Every configuration error exits 1 with one error line, before anything is solved.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw))
+        assert main(["--config", str(p), *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert captured.out == ""
+
     def test_simulate_runs_small(self, capsys, tmp_path):
         cfg = {
             "quadrature": {"nodes": 64},

@@ -22,6 +22,10 @@ from signalmfg.model import (
 )
 from signalmfg.quad import Quadrature, expect_outer
 from signalmfg.response import (
+    _LOG_CAP,
+    DEFAULT_OPT_TOL,
+    _nagent_contexts,
+    _respond,
     best_response,
     best_response_nagent,
     context_from_stats,
@@ -372,6 +376,52 @@ class TestNewtonBestResponse:
         ctx = mf_context(ref_pop, Strategy.zeros(2), quad128)
         with pytest.raises(ValueError):
             respond_type(ref_pop.types[0], ctx, 0.0)
+
+
+def batch_types():
+    """Reference, scaled-row (sigma_hat = 4, alpha = 100), jump-free, sizeless-jump,
+    never-signalled and upper-endpoint (Merton fraction 6.7) types."""
+    m = casestudy.default_market
+    return [
+        casestudy.investor(weight=1.0),
+        casestudy.investor(m(sigma_hat=4.0), alpha=100.0, weight=1.0),
+        casestudy.investor(m(lam=0.0), weight=1.0),
+        casestudy.investor(m(sigma_hat=0.0), weight=1.0),
+        casestudy.investor(p_s=0.0, weight=1.0),
+        casestudy.investor(m(kappa=0.3), alpha=0.5, weight=1.0),
+    ]
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("mode", ["mean-field", "n-agent"])
+    def test_batch_rows_equal_single_context_rows(self, quad128, ref_eq, mode):
+        types = batch_types()
+        if mode == "mean-field":
+            contexts = [context_from_stats(t, ref_eq.stats, quad128) for t in types]
+        else:
+            env = Strategy(np.random.default_rng(5).uniform(0.0, 0.9, (len(types), len(SIGNALS))))
+            contexts = _nagent_contexts(types, env, quad128)
+        batch = _respond(contexts, DEFAULT_OPT_TOL).table
+        reversed_batch = _respond(contexts[::-1], DEFAULT_OPT_TOL).table[::-1]
+        for ctx, row, row_reversed in zip(contexts, batch, reversed_batch):
+            single = respond_type(ctx.investor, ctx)
+            assert row.tobytes() == single.tobytes() == row_reversed.tobytes()
+
+        # The batch holds a row scaled below the cap, flat rows and an endpoint optimum.
+        scaled = contexts[1]
+        hi = admissible_interval(scaled.investor).hi
+        log_power = scaled.env_jump_log - scaled.investor.alpha * np.log1p(hi * scaled.eta_nodes)
+        assert log_power.max() > _LOG_CAP
+        assert [ctx.jumps_degenerate for ctx in contexts] == [False, False, True, True, False, False]
+        assert batch[-1, NONE_INDEX] == admissible_interval(types[-1]).hi
+
+    def test_single_context_row_is_writable_and_type_checked(self, ref_pop, ref_eq, quad128):
+        t = ref_pop.types[0]
+        ctx = context_from_stats(t, ref_eq.stats, quad128)
+        row = respond_type(t, ctx)
+        row[0] = -1.0
+        with pytest.raises(ValueError, match="another investor type"):
+            respond_type(casestudy.investor(alpha=3.0), ctx)
 
 
 def direct_nagent_context(i, types, table, q):
