@@ -26,15 +26,8 @@ def investor(
     alpha: float = 2.0,
     weight: float = 0.5,
 ) -> InvestorType:
-    return InvestorType(
-        x0=x0,
-        market=market if market is not None else default_market(),
-        p_s=p_s,
-        rho=rho,
-        alpha=alpha,
-        theta=theta,
-        weight=weight,
-    )
+    market = market if market is not None else default_market()
+    return InvestorType(x0=x0, market=market, p_s=p_s, rho=rho, alpha=alpha, theta=theta, weight=weight)
 
 
 def reference_population(market: MarketParams | None = None) -> Population:

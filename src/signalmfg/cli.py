@@ -60,8 +60,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Also runs on ``dataclasses.replace``, so the --nodes/--seed overrides are checked too.
-        if not self.horizon > 0.0:
-            raise ConfigError(f"horizon must be > 0, got {self.horizon}")
         if self.n_nodes < 1:
             raise ConfigError(f"quadrature.nodes must be >= 1, got {self.n_nodes}")
         if not self.half_width > 0.0:

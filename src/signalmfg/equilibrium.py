@@ -9,6 +9,7 @@ state, not an exception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,7 +33,6 @@ from .response import (
     _respond,
     best_response,
     best_response_nagent,
-    context_from_stats,
     jump_cap_binds,
     mf_target_context,
 )
@@ -65,6 +65,8 @@ class SolverConfig:
             raise ValueError("damping must lie in (0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be > 0 and finite, got {self.horizon}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,15 +149,13 @@ def _solve_table(
     return Strategy(point.reshape(shape)), residual, iterations, notes
 
 
-def _result(contexts, xbar0s, cfg, stats, strategy, residual, iterations, notes):
-    """Every solver's result from its final contexts, one per type: M and closed-form
-    values, with a note for each type whose M clips its jump factor
-    (``jump_cap_binds``) or whose value overflows double."""
-    types = [ctx.investor for ctx in contexts]
-    per_type_M = tuple(_value_constant(ctx, row) for ctx, row in zip(contexts, strategy.table))
+def _result(ctx, xbar0s, cfg, stats, strategy, residual, iterations, notes):
+    """Every solver's result from its final context: M, closed-form values and a note per type
+    whose M clips its jump factor (``jump_cap_binds``) or whose value overflows double."""
+    per_type_M = tuple(_value_constant(ctx, strategy.table).tolist())
     with np.errstate(over="ignore"):
-        values = tuple(value_mf(t, M, t.x0, x, cfg.horizon) for t, M, x in zip(types, per_type_M, xbar0s))
-    clipped = [i for i, ctx in enumerate(contexts) if jump_cap_binds(strategy.row(i), ctx)]
+        values = tuple(value_mf(t, M, t.x0, x, cfg.horizon) for t, M, x in zip(ctx.investors, per_type_M, xbar0s))
+    clipped = np.flatnonzero(jump_cap_binds(strategy.table, ctx))
     notes += tuple(f"type {i}: M clips E*(1 + phi*eta)^(1-alpha) at a tail node; M is inexact" for i in clipped)
     overflowed = [i for i, value in enumerate(values) if not np.isfinite(value)]
     notes += tuple(f"type {i}: value exp(T(1-alpha)M) overflows double; use per_type_M" for i in overflowed)
@@ -163,10 +163,10 @@ def _result(contexts, xbar0s, cfg, stats, strategy, residual, iterations, notes)
 
 
 def _mf_result(pop, q, cfg, strategy, *run) -> EquilibriumResult:
-    """Mean-field result: aggregate the final strategy, then one context per type."""
+    """Mean-field result: aggregate the final strategy, then one context for the population."""
     stats = aggregate(pop, strategy, q)
-    contexts = [context_from_stats(t, stats, q) for t in pop.types]
-    return _result(contexts, [stats.xbar0] * len(pop), cfg, stats, strategy, *run)
+    ctx = mf_target_context(pop.types, q, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+    return _result(ctx, [stats.xbar0] * len(pop), cfg, stats, strategy, *run)
 
 
 def solve_mf_finite(pop: Population, q: Quadrature, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
@@ -196,8 +196,7 @@ def respond_to_statistic(
     pop: Population, m: np.ndarray, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
 ) -> Strategy:
     """Best response of every type to the raw statistic (sigma0pi, m(marks))."""
-    mean_jump_nodes = np.asarray(m[1:], dtype=float)
-    return _respond([mf_target_context(t, q, float(m[0]), mean_jump_nodes) for t in pop.types], opt_tol)
+    return _respond(mf_target_context(pop.types, q, float(m[0]), np.asarray(m[1:], dtype=float)), opt_tol)
 
 
 def statistic_of(pop: Population, strat: Strategy, q: Quadrature) -> np.ndarray:

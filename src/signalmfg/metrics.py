@@ -27,8 +27,8 @@ from .response import (
 )
 
 
-def _value_constant(ctx: TargetContext, row) -> float:
-    """Shared M assembly for both game modes.
+def _value_constant(ctx: TargetContext, table) -> np.ndarray:
+    """Every investor's M at its row of ``table``, in both game modes.
 
     M = theta*(r - taupi_env) + 0.5*theta^2*(1-alpha)*(sigma0pi_env^2 +
     sig2pi2_env) + no-signal target + lam*p_s * sum_z N01(I(z)) * signal-z
@@ -37,10 +37,11 @@ def _value_constant(ctx: TargetContext, row) -> float:
     conditional suprema for the Gaussian mark law and stays exact for
     discrete mark laws.
     """
-    t = ctx.investor
-    out = t.theta * (t.market.r - ctx.taupi_env)
-    out += 0.5 * t.theta**2 * (1.0 - t.alpha) * (ctx.sigma0pi_env**2 + ctx.sig2pi2_env)
-    return float(out + np.dot(target_values(row_positions(row), ctx), ctx.row_mass))
+    theta, r = np.array([(t.theta, t.market.r) for t in ctx.investors]).T
+    out = theta * (r - ctx.taupi_env)
+    out += 0.5 * theta**2 * (1.0 - ctx.alpha) * (ctx.sigma0pi_env**2 + ctx.sig2pi2_env)
+    jumps = target_values(table, ctx)[:, np.newaxis, :] @ ctx.row_mass[:, :, np.newaxis]  # a dot per investor
+    return out + jumps[:, 0, 0]
 
 
 def M_mf(
@@ -56,7 +57,8 @@ def M_mf(
     Signal-keyed mapping); pass ``None`` to re-maximize each signal target.
     """
     ctx = context_from_stats(inv_type, stats, q)
-    return _value_constant(ctx, respond_type(inv_type, ctx, opt_tol) if row is None else row)
+    row = respond_type(inv_type, ctx, opt_tol) if row is None else row_positions(row)
+    return float(_value_constant(ctx, [row])[0])
 
 
 def value_mf(inv_type: InvestorType, M: float, x0: float, xbar0: float, T: float) -> float:
@@ -70,7 +72,7 @@ def value_mf(inv_type: InvestorType, M: float, x0: float, xbar0: float, T: float
 
 def M_nagent(i: int, types: Sequence[InvestorType], strategies: Strategy, q: Quadrature) -> float:
     """n-agent value constant for player ``i`` at the supplied strategies."""
-    return _value_constant(nagent_target_context(i, types, strategies, q), strategies.row(i))
+    return float(_value_constant(nagent_target_context(i, types, strategies, q), [strategies.row(i)])[0])
 
 
 def certainty_equivalent(M_alt: float, M_ref: float, T: float = 1.0) -> float:

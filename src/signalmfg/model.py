@@ -168,8 +168,7 @@ class Strategy:
 
     @classmethod
     def from_mappings(cls, rows: Sequence[Mapping[Signal, float]]) -> "Strategy":
-        table = [[row[s] for s in SIGNALS] for row in rows]
-        return cls(table)
+        return cls([row_positions(row) for row in rows])
 
     @property
     def n_types(self) -> int:
@@ -206,18 +205,17 @@ def strategy_distance(a: Strategy, b: Strategy) -> float:
 
 
 def check_admissible(pop: Population, strat: Strategy) -> None:
-    """Raise if any position of ``strat`` leaves its admissible interval."""
+    """Raise, naming the first offending (type, signal), if a position (or NaN) leaves its interval."""
     if strat.n_types != len(pop):
         raise ValueError(f"strategy has {strat.n_types} rows for {len(pop)} types")
-    for i, inv_type in enumerate(pop.types):
-        for sig in SIGNALS:
-            iv = admissible_interval(inv_type, sig)
-            pos = strat.position(i, sig)
-            if not iv.contains(pos):
-                raise ValueError(
-                    f"inadmissible position {pos} for type {i}, signal {sig.value}: "
-                    f"allowed [{iv.lo}, {iv.hi}]"
-                )
+    lo, hi = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, pop.types)]).T[..., np.newaxis]
+    outside = ~((strat.table >= lo) & (strat.table <= hi))
+    if outside.any():
+        i, k = np.argwhere(outside)[0]
+        raise ValueError(
+            f"inadmissible position {float(strat.table[i, k])} for type {i}, signal {SIGNALS[k].value}: "
+            f"allowed [{float(lo[i, 0])}, {float(hi[i, 0])}]"
+        )
 
 
 def _exact_weight_sum(types: Sequence[InvestorType]) -> Fraction:

@@ -69,6 +69,8 @@ class Quadrature:
         weights = np.asarray(self.weights, dtype=float)
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise ValueError("quadrature nodes and weights must be finite")
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)

@@ -1,20 +1,21 @@
 """Best-response target functions, their Newton maximizer, and a generic 1-D maximizer.
 
-Targets come in two flavors sharing one code path: mean-field mode, where the
-environment is a ``MeanFieldStats``, and n-agent mode, where it is built from
-the other players' explicit strategies.  A type's seven targets (one per
-signal) are rows of one (7 x nodes) weight table applied to one jump
-integrand.  Each is strictly concave on its admissible interval whenever
-jumps are live, with closed-form first and second derivatives, so
-``_respond`` solves every context's seven first-order conditions in one
-bracketed Newton iteration.  ``maximize_concave_1d`` (golden section) stays
-as a derivative-free maximizer for arbitrary concave functions.
+One ``TargetContext`` holds an environment's investors, built by one builder
+(``_contexts``) in both game modes: mean-field, where the environment is a
+``MeanFieldStats``, and n-agent, where it is built from the other players'
+explicit strategies.  An investor's seven targets (one per signal) are rows
+of one (7 x nodes) weight table applied to one jump integrand.  Each is
+strictly concave on its admissible interval whenever jumps are live, with
+closed-form first and second derivatives, so ``_respond`` solves every
+investor's seven first-order conditions in one bracketed Newton iteration.
+``maximize_concave_1d`` (golden section) stays as a derivative-free
+maximizer for arbitrary concave functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +24,6 @@ from .meanfield import MeanFieldStats, aggregate, wealth_drift
 from .model import (
     NONE_INDEX,
     NONZERO_INDEX,
-    NONZERO_SIGNALS,
     SIGNAL_INDEX,
     SIGNALS,
     AdmissibleInterval,
@@ -54,73 +54,98 @@ def relative_utility(x, xbar, alpha: float, theta: float):
 
 @dataclass(frozen=True)
 class TargetContext:
-    """Everything a type's targets need, precomputed on the quadrature grid.
+    """Everything the targets of one environment's investors need, on the quadrature grid.
 
-    ``env_jump_log`` is the log of E, the environment's jump factor raised to
-    -theta*(1-alpha) (mean-field mode: the mean-jump function; n-agent mode:
-    the expected peer product, which keeps the per-peer signal mixture intact
-    rather than collapsing it to a geometric mean); zero when lam = 0.  The
-    jump sizes are zero when jumps are degenerate (lam = 0 or sizeless); a
-    sizeless type keeps E, which its targets and M still carry.  Row z of
-    ``row_weights`` (``SIGNALS`` order) weighs the jump integrand in target
-    z: lam*(1-p_s)*w for no signal, w*N01(I(z, e_c))/N01(I(z)) for z != 0.
-    ``row_mass`` turns the seven target values into the value constant's
-    jump part: 1 for no signal, lam*p_s*N01(I(z)) for z != 0.
+    One context holds every type of a mean-field population or every player
+    of an n-agent game: array fields lead with an investor axis in
+    ``investors`` order; ``take`` slices investors out as their own context.
+    ``env_jump_log`` is log E, the environment's jump factor raised to
+    -theta*(1-alpha) (mean-field: the mean-jump function; n-agent: the
+    expected peer product, each peer's signal mixture intact); zero when
+    lam = 0.  Jump sizes are zero when degenerate (lam = 0 or sizeless); a
+    sizeless type keeps E.  Row z of ``row_weights`` (``SIGNALS`` order)
+    weighs the jump integrand in target z: lam*(1-p_s)*w for no signal,
+    w*N01(I(z, e_c))/N01(I(z)) else; ``row_mass`` turns the seven targets
+    into M's jump part: 1 for no signal, lam*p_s*N01(I(z)) else.  The drift
+    is ``drift_slope``*phi - ``drift_curvature``*phi^2/2; ``bounds`` = (lo, hi).
     """
 
-    investor: InvestorType
-    sigma0pi_env: float
-    taupi_env: float
-    sig2pi2_env: float
+    investors: tuple[InvestorType, ...]
+    sigma0pi_env: np.ndarray
+    taupi_env: np.ndarray
+    sig2pi2_env: np.ndarray
+    alpha: np.ndarray = field(repr=False)
+    drift_slope: np.ndarray = field(repr=False)
+    drift_curvature: np.ndarray = field(repr=False)
+    bounds: np.ndarray = field(repr=False)
     eta_nodes: np.ndarray = field(repr=False)
     env_jump_log: np.ndarray = field(repr=False)
     row_weights: np.ndarray = field(repr=False)
     row_mass: np.ndarray = field(repr=False)
-    jumps_degenerate: bool = False
+    jumps_degenerate: np.ndarray = field(repr=False)
+
+    def take(self, index) -> "TargetContext":
+        """The investors at ``index`` (one index or a sequence of them) as their own context."""
+        rows = np.atleast_1d(index)
+        arrays = (getattr(self, f.name)[rows] for f in fields(self)[1:])
+        return TargetContext(tuple(self.investors[i] for i in rows), *arrays)
 
 
-def _context(t: InvestorType, q: Quadrature, env: tuple, env_log, kernel, eta_nodes) -> TargetContext:
-    """Context from env = (sigma0pi, taupi, sig2pi2) and the type's (6 x nodes) signal kernel."""
-    m = t.market
-    degenerate = m.lam == 0.0 or JumpLaw.from_market(m).degenerate
-    if degenerate:
-        eta_nodes = np.zeros(q.n_nodes)
-    if m.lam == 0.0:
-        env_log = np.zeros(q.n_nodes)
-    weights = np.empty((len(SIGNALS), q.n_nodes))
-    weights[NONE_INDEX] = m.lam * (1.0 - t.p_s) * q.weights
-    weights[NONZERO_INDEX] = q.weights * kernel / _SIGNAL_MASS[:, np.newaxis]
-    mass = np.ones(len(SIGNALS))
-    mass[NONZERO_INDEX] = m.lam * t.p_s * _SIGNAL_MASS
-    return TargetContext(
-        t, *(float(v) for v in env), eta_nodes=eta_nodes, env_jump_log=env_log,
-        row_weights=weights, row_mass=mass, jumps_degenerate=degenerate,
-    )
+def _per_distinct(keys: Sequence, build: Callable[..., np.ndarray]) -> np.ndarray:
+    """``build(key)`` once per distinct key, gathered into one row per entry of ``keys``."""
+    distinct = list(dict.fromkeys(keys))
+    return np.stack([build(key) for key in distinct])[[distinct.index(key) for key in keys]]
+
+
+def _signal_kernels(types: Sequence[InvestorType], q: Quadrature) -> np.ndarray:
+    """(investors, 6, nodes) signal kernels, one ``signal_kernel`` per distinct rho."""
+    return _per_distinct([t.rho for t in types], lambda rho: np.array(list(signal_kernel(rho, q.nodes))))
+
+
+def _contexts(types: Sequence[InvestorType], q: Quadrature, env: tuple, env_log, kernels=None) -> TargetContext:
+    """The context of ``types`` in both game modes; one ``eta`` per distinct jump law.
+
+    ``env`` = (sigma0pi, taupi, sig2pi2), each shared or one per investor;
+    ``env_log`` is each investor's log E on the nodes, ``kernels`` their
+    ``_signal_kernels`` (built here when omitted).
+    """
+    types = tuple(types)
+    kernels = _signal_kernels(types, q) if kernels is None else kernels
+    markets = [t.market for t in types]
+    alpha, theta, p_s = np.array([(t.alpha, t.theta, t.p_s) for t in types]).T
+    r, kappa, sigma, sigma0, lam = np.array([(m.r, m.kappa, m.sigma, m.sigma0, m.lam) for m in markets]).T
+    sigma0pi, taupi, sig2pi2 = (np.full(len(types), v, dtype=float) for v in env)
+    laws = [JumpLaw.from_market(m) for m in markets]
+    jump_free = lam == 0.0
+    degenerate = jump_free | np.array([law.degenerate for law in laws])
+    eta_nodes = np.where(degenerate[:, np.newaxis], 0.0, _per_distinct(laws, lambda law: eta(law, q.nodes)))
+    weights = np.empty((len(types), len(SIGNALS), q.n_nodes))
+    weights[:, NONE_INDEX] = (lam * (1.0 - p_s))[:, np.newaxis] * q.weights
+    weights[:, NONZERO_INDEX] = q.weights * kernels / _SIGNAL_MASS[:, np.newaxis]
+    mass = np.ones((len(types), len(SIGNALS)))
+    mass[:, NONZERO_INDEX] = (lam * p_s)[:, np.newaxis] * _SIGNAL_MASS
+    slope = (kappa - r) - theta * (1.0 - alpha) * sigma0 * sigma0pi
+    bounds = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, types)])
+    env_log = np.where(jump_free[:, np.newaxis], 0.0, env_log)
+    return TargetContext(types, sigma0pi, taupi, sig2pi2, alpha, slope, alpha * (sigma**2 + sigma0**2), bounds,
+                         eta_nodes, env_log, weights, mass, degenerate)
 
 
 def mf_target_context(
-    inv_type: InvestorType,
-    q: Quadrature,
-    sigma0pi_bar: float,
-    mean_jump_nodes: np.ndarray,
-    taupi_bar: float = 0.0,
+    types: Sequence[InvestorType], q: Quadrature, sigma0pi_bar: float, mean_jump_nodes, taupi_bar: float = 0.0
 ) -> TargetContext:
-    """Context against a mean-field environment given by its statistic."""
-    exponent = -inv_type.theta * (1.0 - inv_type.alpha)
-    env_log = exponent * np.log(np.asarray(mean_jump_nodes, dtype=float))
-    eta_nodes = eta(JumpLaw.from_market(inv_type.market), q.nodes)
-    kernel = np.array(list(signal_kernel(inv_type.rho, q.nodes)))
-    return _context(inv_type, q, (sigma0pi_bar, taupi_bar, 0.0), env_log, kernel, eta_nodes)
+    """Context of ``types`` against a mean-field environment given by its statistic."""
+    exponents = np.array([-t.theta * (1.0 - t.alpha) for t in types])[:, np.newaxis]
+    return _contexts(types, q, (sigma0pi_bar, taupi_bar, 0.0), exponents * np.log(np.asarray(mean_jump_nodes)))
 
 
 def context_from_stats(inv_type: InvestorType, stats: MeanFieldStats, q: Quadrature) -> TargetContext:
-    return mf_target_context(
-        inv_type, q, stats.sigma0pi_bar, stats.mean_jump_nodes, taupi_bar=stats.taupi_bar
-    )
+    """One-investor context of ``inv_type`` against ``stats``."""
+    return mf_target_context([inv_type], q, stats.sigma0pi_bar, stats.mean_jump_nodes, taupi_bar=stats.taupi_bar)
 
 
-def _nagent_contexts(types: Sequence[InvestorType], strat: Strategy, q: Quadrature) -> list[TargetContext]:
-    """Every player's n-agent context, built in one pass over all players.
+def _nagent_contexts(types: Sequence[InvestorType], strat: Strategy, q: Quadrature) -> TargetContext:
+    """The context of every player against the others, built in one pass over all players.
 
     Peer aggregates are totals over all players minus the player's own term.
     The expected peer jump factor of player i is the product over peers of
@@ -138,99 +163,85 @@ def _nagent_contexts(types: Sequence[InvestorType], strat: Strategy, q: Quadratu
         raise ValueError("n-agent mode needs at least 2 players")
     n = n_players - 1
     pi0 = strat.table[:, NONE_INDEX]
-    markets = [t.market for t in types]
-    drift = np.array([wealth_drift(m, p) for m, p in zip(markets, pi0)])
-    sigma0pi = np.array([m.sigma0 for m in markets]) * pi0
-    sig2pi2 = (np.array([m.sigma for m in markets]) * pi0) ** 2
-    kernels = {rho: np.array(list(signal_kernel(rho, q.nodes))) for rho in {t.rho for t in types}}
-    jumps = np.stack([eta(JumpLaw.from_market(m), q.nodes) for m in markets])
-    exponents = [-t.theta * (1.0 - t.alpha) / n for t in types]
+    drift = np.array([wealth_drift(t.market, p) for t, p in zip(types, pi0)])
+    sigma0pi = np.array([t.market.sigma0 for t in types]) * pi0
+    sig2pi2 = (np.array([t.market.sigma for t in types]) * pi0) ** 2
+    kernels = _signal_kernels(types, q)
+    jumps = _per_distinct([JumpLaw.from_market(t.market) for t in types], lambda law: eta(law, q.nodes))
+    exponents = np.array([-t.theta * (1.0 - t.alpha) / n for t in types])
 
     # Every player's signal law, (players, 7, nodes), and log return in each signal.
-    p_s = np.array([t.p_s for t in types])[:, np.newaxis]
+    p_s = np.array([t.p_s for t in types])[:, np.newaxis, np.newaxis]
     law = np.empty((n_players, len(SIGNALS), q.n_nodes))
-    law[:, NONE_INDEX] = 1.0 - p_s
-    law[:, NONZERO_INDEX] = p_s[:, np.newaxis] * np.stack([kernels[t.rho] for t in types])
+    law[:, NONE_INDEX] = 1.0 - p_s[:, 0]
+    law[:, NONZERO_INDEX] = p_s * kernels
     log_returns = np.log1p(strat.table[:, :, np.newaxis] * jumps[:, np.newaxis, :])
-    log_mix = {}
+    peer_log = np.zeros((n_players, q.n_nodes))
     for e in set(exponents) - {0.0}:
         terms = np.where(law > 0.0, e * log_returns, -np.inf)
         shift = terms.max(axis=1)
-        log_mix[e] = shift + np.log(np.sum(law * np.exp(terms - shift[:, np.newaxis]), axis=1))
-    total = {e: mix.sum(axis=0) for e, mix in log_mix.items()}
-
-    out = []
-    for i, (t, e) in enumerate(zip(types, exponents)):
-        peer_log = np.zeros(q.n_nodes) if e == 0.0 else total[e] - log_mix[e][i]
-        env = ((sigma0pi.sum() - sigma0pi[i]) / n, (drift.sum() - drift[i]) / n, (sig2pi2.sum() - sig2pi2[i]) / n**2)
-        out.append(_context(t, q, env, peer_log, kernels[t.rho], jumps[i]))
-    return out
+        log_mix = shift + np.log(np.sum(law * np.exp(terms - shift[:, np.newaxis]), axis=1))
+        mine = exponents == e
+        peer_log[mine] = log_mix.sum(axis=0) - log_mix[mine]
+    env = ((sigma0pi.sum() - sigma0pi) / n, (drift.sum() - drift) / n, (sig2pi2.sum() - sig2pi2) / n**2)
+    return _contexts(types, q, env, peer_log, kernels)
 
 
-def nagent_target_context(
-    i: int, types: Sequence[InvestorType], strat: Strategy, q: Quadrature
-) -> TargetContext:
-    """Context for player ``i`` against the other players' strategies (see ``_nagent_contexts``)."""
+def nagent_target_context(i: int, types: Sequence[InvestorType], strat: Strategy, q: Quadrature) -> TargetContext:
+    """One-investor context of player ``i`` against the other players' strategies (see ``_nagent_contexts``)."""
     if not 0 <= i < len(types):
         raise IndexError(f"player index {i} out of range for {len(types)} players")
-    return _nagent_contexts(types, strat, q)[i]
+    return _nagent_contexts(types, strat, q).take(i)
 
 
 def _log_scaled_returns(phi, ctx: TargetContext) -> np.ndarray:
-    """Per-node log(E*(1 + phi*eta)^(1-alpha)); array ``phi`` gets shape (..., nodes)."""
-    phi_arr = np.asarray(phi, dtype=float)[..., np.newaxis]
-    return ctx.env_jump_log + (1.0 - ctx.investor.alpha) * np.log1p(phi_arr * ctx.eta_nodes)
+    """Per-node log(E*(1 + phi*eta)^(1-alpha)): positions (investors, k) give (investors, k, nodes)."""
+    move = np.asarray(phi, dtype=float)[..., np.newaxis] * ctx.eta_nodes[:, np.newaxis]
+    return ctx.env_jump_log[:, np.newaxis] + (1.0 - ctx.alpha)[:, np.newaxis, np.newaxis] * np.log1p(move)
 
 
-def jump_cap_binds(row, ctx: TargetContext) -> bool:
-    """True iff ``target_values(row, ctx)``, hence M, clip a weighted node's log at ``_LOG_CAP``."""
-    return bool(np.any(_log_scaled_returns(row, ctx)[ctx.row_weights != 0.0] > _LOG_CAP))
+def jump_cap_binds(table, ctx: TargetContext) -> np.ndarray:
+    """Per investor: do ``target_values(table, ctx)``, hence M, clip a weighted node's log at ``_LOG_CAP``?"""
+    return ((_log_scaled_returns(table, ctx) > _LOG_CAP) & (ctx.row_weights != 0.0)).any(axis=(-2, -1))
 
 
-def _jump_integrand(phi, ctx: TargetContext):
-    """Per-node (u(1 + phi*eta, env) - u(1, 1)) with the env power E folded in.
-
-    Broadcasts over array-valued ``phi`` (shape (..., 1) against the nodes).
-    """
-    t = ctx.investor
+def _jump_integrand(phi, ctx: TargetContext) -> np.ndarray:
+    """Per-node (u(1 + phi*eta, env) - u(1, 1)) with the env power E folded in; shaped as ``_log_scaled_returns``."""
     scaled = np.exp(np.minimum(_log_scaled_returns(phi, ctx), _LOG_CAP))
-    vals = (scaled - 1.0) / (1.0 - t.alpha)
+    vals = (scaled - 1.0) / (1.0 - ctx.alpha)[:, np.newaxis, np.newaxis]
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite jump integrand; position outside its admissible interval?")
     return vals
 
 
-def _drift_coefficients(ctx: TargetContext) -> tuple[float, float]:
-    """(slope, curvature) of the no-signal drift: slope*phi - curvature*phi^2/2."""
-    t, m = ctx.investor, ctx.investor.market
-    slope = (m.kappa - m.r) - t.theta * (1.0 - t.alpha) * m.sigma0 * ctx.sigma0pi_env
-    return slope, t.alpha * (m.sigma**2 + m.sigma0**2)
+def _target(phi, ctx: TargetContext, column: int):
+    """Target ``column`` (``SIGNALS`` order) of a one-investor context at scalar or array phi."""
+    phi_arr = np.asarray(phi, dtype=float)
+    integrand = _jump_integrand(phi_arr.reshape(1, -1), ctx).reshape(phi_arr.shape + (-1,))
+    out = np.dot(integrand, ctx.row_weights[0, column])
+    if column == NONE_INDEX:
+        out = ctx.drift_slope[0] * phi_arr - 0.5 * ctx.drift_curvature[0] * phi_arr**2 + out
+    return float(out) if np.isscalar(phi) else out
 
 
 def target_no_signal(phi, ctx: TargetContext):
     """Objective for the default (no-signal) position; scalar or array phi."""
-    slope, curvature = _drift_coefficients(ctx)
-    phi_arr = np.asarray(phi, dtype=float)
-    out = slope * phi_arr - 0.5 * curvature * phi_arr**2
-    if ctx.investor.market.lam > 0.0:
-        out = out + np.dot(_jump_integrand(phi_arr, ctx), ctx.row_weights[NONE_INDEX])
-    return float(out) if np.isscalar(phi) else out
+    return _target(phi, ctx, NONE_INDEX)
 
 
 def target_signal(phi, z: Signal, ctx: TargetContext):
     """Objective for the position taken upon receiving signal z != 0."""
     if z is Signal.NONE:
         raise ValueError("signal target is defined for nonzero signals only")
-    out = np.dot(_jump_integrand(phi, ctx), ctx.row_weights[SIGNAL_INDEX[z]])
-    return float(out) if np.isscalar(phi) else out
+    return _target(phi, ctx, SIGNAL_INDEX[z])
 
 
-def target_values(row: np.ndarray, ctx: TargetContext) -> np.ndarray:
-    """All seven targets, target z evaluated at ``row[z]`` (``SIGNALS`` order)."""
-    slope, curvature = _drift_coefficients(ctx)
-    out = np.sum(_jump_integrand(row, ctx) * ctx.row_weights, axis=-1)
-    phi0 = row[NONE_INDEX]
-    out[NONE_INDEX] += slope * phi0 - 0.5 * curvature * phi0**2
+def target_values(table, ctx: TargetContext) -> np.ndarray:
+    """(investors, 7) targets: target z of investor i evaluated at ``table[i, z]`` (``SIGNALS`` order)."""
+    table = np.asarray(table, dtype=float)
+    out = np.sum(_jump_integrand(table, ctx) * ctx.row_weights, axis=-1)
+    phi0 = table[:, NONE_INDEX]
+    out[:, NONE_INDEX] += ctx.drift_slope * phi0 - 0.5 * ctx.drift_curvature * phi0**2
     return out
 
 
@@ -248,7 +259,7 @@ def maximize_concave_1d(
     |f(x) - f(x*)| falls below one ulp of f(x*) the probes tie, so the
     effective argmax accuracy is ~sqrt(ulp(f*)/|f''|) even for tiny ``tol``
     (3.5e-8 measured on the case-study targets).  The solvers do not use this
-    function; ``respond_type`` solves the first-order conditions instead.
+    function; ``_respond`` solves the first-order conditions instead.
     """
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
@@ -298,14 +309,14 @@ def maximize_concave_1d(
 
 
 def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DEFAULT_OPT_TOL) -> np.ndarray:
-    """Best-response row (one position per signal) of ``inv_type``: the one-context case of ``_respond``."""
-    if inv_type != ctx.investor:
+    """Best-response row (one position per signal) of ``inv_type`` in its one-investor context."""
+    if ctx.investors != (inv_type,):
         raise ValueError("context belongs to another investor type")
-    return _respond([ctx], opt_tol).table[0].copy()
+    return _respond(ctx, opt_tol).table[0].copy()
 
 
-def _respond(contexts: Sequence[TargetContext], opt_tol: float) -> Strategy:
-    """Best-response strategy, one row per context, from one Newton over every (context, signal) row.
+def _respond(ctx: TargetContext, opt_tol: float) -> Strategy:
+    """Best-response strategy, one row per investor, from one Newton over every (investor, signal) row.
 
     Solves g'(phi) = drift'(phi) + sum_k W_zk eta_k (1 + phi eta_k)^-alpha E_k = 0
     for all rows at once, with g'' < 0 (W = ``row_weights``, log E =
@@ -324,16 +335,15 @@ def _respond(contexts: Sequence[TargetContext], opt_tol: float) -> Strategy:
     """
     if not opt_tol > 0.0:
         raise ValueError("opt_tol must be > 0")
-    alpha = np.array([ctx.investor.alpha for ctx in contexts])[:, np.newaxis, np.newaxis]
-    eta_nodes = np.stack([ctx.eta_nodes for ctx in contexts])[:, np.newaxis, :]
-    env_log = np.stack([ctx.env_jump_log for ctx in contexts])[:, np.newaxis, :]
-    w_eta = np.stack([ctx.row_weights for ctx in contexts]) * eta_nodes
+    alpha = ctx.alpha[:, np.newaxis, np.newaxis]
+    eta_nodes = ctx.eta_nodes[:, np.newaxis, :]
+    env_log = ctx.env_jump_log[:, np.newaxis, :]
+    w_eta = ctx.row_weights * eta_nodes
     w_eta2 = alpha * w_eta * eta_nodes
     unweighted = w_eta == 0.0  # set no scale; their power must not overflow into 0*inf
-    slope, curvature = np.zeros((2, len(contexts), len(SIGNALS)))
-    slope[:, NONE_INDEX], curvature[:, NONE_INDEX] = np.array([_drift_coefficients(ctx) for ctx in contexts]).T
-    bounds = [astuple(admissible_interval(ctx.investor)) for ctx in contexts]
-    lo, hi = np.array(bounds).T[..., np.newaxis].repeat(len(SIGNALS), axis=-1)  # each (contexts, 7)
+    slope, curvature = np.zeros((2, len(ctx.investors), len(SIGNALS)))
+    slope[:, NONE_INDEX], curvature[:, NONE_INDEX] = ctx.drift_slope, ctx.drift_curvature
+    lo, hi = ctx.bounds.T[..., np.newaxis].repeat(len(SIGNALS), axis=-1)  # each (investors, 7)
 
     def derivatives(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         move = phi[..., np.newaxis] * eta_nodes
@@ -365,7 +375,7 @@ def _respond(contexts: Sequence[TargetContext], opt_tol: float) -> Strategy:
         row = np.where(done, phi, row)
         active &= ~done
     row = np.where(active, phi, row)
-    degenerate = [[ctx.jumps_degenerate] for ctx in contexts]
+    degenerate = ctx.jumps_degenerate[:, np.newaxis]
     row[:, NONZERO_INDEX] = np.where(degenerate, row[:, [NONE_INDEX]], row[:, NONZERO_INDEX])
     return Strategy(row)
 
@@ -373,7 +383,8 @@ def _respond(contexts: Sequence[TargetContext], opt_tol: float) -> Strategy:
 def best_response_to_stats(
     pop: Population, stats: MeanFieldStats, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
 ) -> Strategy:
-    return _respond([context_from_stats(t, stats, q) for t in pop.types], opt_tol)
+    ctx = mf_target_context(pop.types, q, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+    return _respond(ctx, opt_tol)
 
 
 def best_response(

@@ -39,7 +39,6 @@ from .model import (
     Population,
     Signal,
     Strategy,
-    admissible_interval,
     check_admissible,
     row_positions,
 )
@@ -139,9 +138,7 @@ def simulate_agent(
     (seed, 3, agent_id) supplies its noise blocks in ``_log_wealth`` order.
     """
     row = row_positions(strat_row)
-    iv = admissible_interval(inv_type)
-    if np.any(row < iv.lo) or np.any(row > iv.hi):
-        raise ValueError(f"strategy row leaves the admissible interval [{iv.lo}, {iv.hi}]")
+    check_admissible(Population([inv_type]), Strategy(row[np.newaxis]))
     rng = _generator(int(seed), _STREAM_AGENT, agent_id)
     log_wealth, labels = _log_wealth((inv_type,), row[None, :], np.zeros(1, dtype=int), path, rng)
     return AgentPath(math.exp(log_wealth[0]), tuple(SIGNALS[i] for i in labels[0]), seed=int(seed))

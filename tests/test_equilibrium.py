@@ -110,6 +110,11 @@ class TestSolveMfFinite:
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
 
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, float("nan")])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be > 0"):
+            SolverConfig(horizon=horizon)
+
 
 # Single types that validate_investor accepts and whose jump factor
 # E*(1 + phi*eta)^-alpha overflows at tail nodes; each made the solve raise
@@ -367,6 +372,14 @@ class TestSolveMfStatistic:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             solve_mf_statistic(casestudy.reference_population(), [(0.0, 0.5), (1.0, 0.6)])
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_mf_statistic(casestudy.reference_population(), [(0.0, float("nan")), (1.0, 1.0)])
+
+    def test_nan_mark_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_mf_statistic(casestudy.reference_population(), [(float("nan"), 0.5), (1.0, 0.5)])
 
     def test_single_sizeless_mark(self):
         # eta(e_c) = 0 at e_c = sigma_hat/2 - kappa_hat/sigma_hat: jumps carry no risk,

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from signalmfg import casestudy
 from signalmfg.model import (
+    NONE_INDEX,
     NONZERO_SIGNALS,
     SIGNALS,
     AdmissibleInterval,
@@ -154,6 +155,12 @@ class TestAdmissibleInterval:
         table = np.zeros((2, 7))
         table[1, 0] = 1.5
         with pytest.raises(ValueError, match=r"type 1.*-inf"):
+            check_admissible(ref_pop, Strategy(table))
+
+    def test_check_admissible_rejects_nan(self, ref_pop):
+        table = np.zeros((2, 7))
+        table[1, NONE_INDEX] = np.nan
+        with pytest.raises(ValueError, match="inadmissible position nan for type 1, signal 0"):
             check_admissible(ref_pop, Strategy(table))
 
 

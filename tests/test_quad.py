@@ -110,3 +110,7 @@ class TestQuadrature:
             Quadrature.standard_normal(0)
         with pytest.raises(ValueError):
             Quadrature.standard_normal(64, -1.0)
+
+    def test_nan_half_width_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            Quadrature.standard_normal(8, float("nan"))

@@ -30,6 +30,7 @@ from signalmfg.response import (
     best_response_nagent,
     context_from_stats,
     maximize_concave_1d,
+    mf_target_context,
     nagent_target_context,
     relative_utility,
     respond_type,
@@ -392,28 +393,56 @@ def batch_types():
     ]
 
 
+def batch_context(mode, types, stats, q, order=None):
+    """One context for ``types`` (in ``order``, all of them by default) in either game mode."""
+    order = list(range(len(types))) if order is None else order
+    if mode == "mean-field":
+        chosen = [types[i] for i in order]
+        return mf_target_context(chosen, q, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+    env = Strategy(np.random.default_rng(5).uniform(0.0, 0.9, (len(types), len(SIGNALS))))
+    return _nagent_contexts(types, env, q).take(order)
+
+
 class TestBatchedRows:
     @pytest.mark.parametrize("mode", ["mean-field", "n-agent"])
     def test_batch_rows_equal_single_context_rows(self, quad128, ref_eq, mode):
         types = batch_types()
-        if mode == "mean-field":
-            contexts = [context_from_stats(t, ref_eq.stats, quad128) for t in types]
-        else:
-            env = Strategy(np.random.default_rng(5).uniform(0.0, 0.9, (len(types), len(SIGNALS))))
-            contexts = _nagent_contexts(types, env, quad128)
-        batch = _respond(contexts, DEFAULT_OPT_TOL).table
-        reversed_batch = _respond(contexts[::-1], DEFAULT_OPT_TOL).table[::-1]
-        for ctx, row, row_reversed in zip(contexts, batch, reversed_batch):
-            single = respond_type(ctx.investor, ctx)
-            assert row.tobytes() == single.tobytes() == row_reversed.tobytes()
+        ctx = batch_context(mode, types, ref_eq.stats, quad128)
+        batch = _respond(ctx, DEFAULT_OPT_TOL).table
+        backwards = list(range(len(types)))[::-1]
+        reversed_batch = _respond(batch_context(mode, types, ref_eq.stats, quad128, backwards), DEFAULT_OPT_TOL)
+        for i, (t, row, row_reversed) in enumerate(zip(types, batch, reversed_batch.table[::-1])):
+            single = batch_context(mode, types, ref_eq.stats, quad128, [i])
+            assert single.investors == (t,)
+            assert row.tobytes() == respond_type(t, single).tobytes() == row_reversed.tobytes()
 
         # The batch holds a row scaled below the cap, flat rows and an endpoint optimum.
-        scaled = contexts[1]
-        hi = admissible_interval(scaled.investor).hi
-        log_power = scaled.env_jump_log - scaled.investor.alpha * np.log1p(hi * scaled.eta_nodes)
+        hi = admissible_interval(types[1]).hi
+        log_power = ctx.env_jump_log[1] - types[1].alpha * np.log1p(hi * ctx.eta_nodes[1])
         assert log_power.max() > _LOG_CAP
-        assert [ctx.jumps_degenerate for ctx in contexts] == [False, False, True, True, False, False]
+        assert ctx.jumps_degenerate.tolist() == [False, False, True, True, False, False]
         assert batch[-1, NONE_INDEX] == admissible_interval(types[-1]).hi
+
+    def test_mean_field_batch_fields_equal_one_type_contexts(self, quad128, ref_eq):
+        # Shared and distinct rho and jump laws: kernels and eta are built once per
+        # distinct value and gathered, which must not change a bit of any field.
+        m = casestudy.default_market
+        types = batch_types() + [
+            casestudy.investor(m(sigma_hat=4.0), rho=-0.3, weight=1.0),
+            casestudy.investor(rho=-0.3, p_s=0.7, weight=1.0),
+            casestudy.investor(m(sigma_hat=0.0), rho=0.9, weight=1.0),
+        ]
+        assert len({t.rho for t in types}) == 3
+        assert len({JumpLaw.from_market(t.market) for t in types}) == 3
+        stats = ref_eq.stats
+        ctx = mf_target_context(types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+        assert ctx.investors == tuple(types)
+        for i, t in enumerate(types):
+            single = context_from_stats(t, stats, quad128)
+            for f in dataclasses.fields(ctx)[1:]:
+                batch_field, single_field = getattr(ctx, f.name), getattr(single, f.name)
+                assert single_field.shape[0] == 1 and batch_field.shape[0] == len(types)
+                assert batch_field[i].tobytes() == single_field[0].tobytes(), f.name
 
     def test_single_context_row_is_writable_and_type_checked(self, ref_pop, ref_eq, quad128):
         t = ref_pop.types[0]

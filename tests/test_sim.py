@@ -193,6 +193,11 @@ class TestSimulateAgent:
         with pytest.raises(ValueError, match="admissible"):
             simulate_agent(t, np.full(7, 1.5), path, seed=0)
 
+    def test_nan_row_rejected(self):
+        path = simulate_common(1.0, MARKET, seed=0)
+        with pytest.raises(ValueError, match="inadmissible position nan"):
+            simulate_agent(casestudy.investor(), np.full(7, np.nan), path, seed=0)
+
     def test_stream_separation_between_agents(self):
         t = casestudy.investor()
         path = simulate_common(1.0, MARKET, seed=21)
