@@ -59,14 +59,13 @@ class SolverConfig:
     opt_tol: float = DEFAULT_OPT_TOL
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        for name, value in (("tol", self.tol), ("opt_tol", self.opt_tol), ("horizon", self.horizon)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
         if not (0.0 < self.damping <= 1.0):
             raise ValueError("damping must lie in (0, 1]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be > 0 and finite, got {self.horizon}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True, eq=False)

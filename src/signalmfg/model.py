@@ -8,7 +8,8 @@ positive through any jump.  Everything here is an immutable value object;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -227,14 +228,14 @@ def validate_investor(t: InvestorType, index: int = 0, check_weight: bool = True
     """Violated per-type invariants of one investor, tagged with its index."""
     i = index
     violations: list[str] = []
-    if not t.x0 > 0:
-        violations.append(f"type {i}: initial wealth x0 must be > 0, got {t.x0}")
+    if not (t.x0 > 0 and math.isfinite(t.x0)):
+        violations.append(f"type {i}: initial wealth x0 must be > 0 and finite, got {t.x0}")
     if not (0.0 <= t.p_s < 1.0):
         violations.append(f"type {i}: signal probability p_s must lie in [0, 1), got {t.p_s}")
     if not abs(t.rho) < 1.0:
         violations.append(f"type {i}: signal quality rho must satisfy |rho| < 1, got {t.rho}")
-    if not t.alpha > 0:
-        violations.append(f"type {i}: risk aversion alpha must be > 0, got {t.alpha}")
+    if not (t.alpha > 0 and math.isfinite(t.alpha)):
+        violations.append(f"type {i}: risk aversion alpha must be > 0 and finite, got {t.alpha}")
     if t.alpha == 1.0:
         violations.append(f"type {i}: alpha != 1 required (log utility is excluded)")
     if not (0.0 <= t.theta <= 1.0):
@@ -244,6 +245,9 @@ def validate_investor(t: InvestorType, index: int = 0, check_weight: bool = True
     if not (0.0 < t.eps_b < 1.0):
         violations.append(f"type {i}: eps_b must lie in (0, 1), got {t.eps_b}")
     m = t.market
+    for name, value in ((f.name, getattr(m, f.name)) for f in fields(m)):
+        if not math.isfinite(value):
+            violations.append(f"type {i}: market {name} must be finite, got {value}")
     if m.sigma < 0 or m.sigma0 < 0:
         violations.append(f"type {i}: volatilities must be >= 0, got sigma={m.sigma}, sigma0={m.sigma0}")
     if not m.sigma + m.sigma0 > 0:

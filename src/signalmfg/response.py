@@ -3,13 +3,14 @@
 One ``TargetContext`` holds an environment's investors, built by one builder
 (``_contexts``) in both game modes: mean-field, where the environment is a
 ``MeanFieldStats``, and n-agent, where it is built from the other players'
-explicit strategies.  An investor's seven targets (one per signal) are rows
-of one (7 x nodes) weight table applied to one jump integrand.  Each is
-strictly concave on its admissible interval whenever jumps are live, with
-closed-form first and second derivatives, so ``_respond`` solves every
-investor's seven first-order conditions in one bracketed Newton iteration.
-``maximize_concave_1d`` (golden section) stays as a derivative-free
-maximizer for arbitrary concave functions.
+explicit strategies under their signal laws.  ``signals.signal_laws`` gives
+those laws and every context's signal kernels.  An investor's seven targets
+(one per signal) are rows of one (7 x nodes) weight table applied to one
+jump integrand.  Each is strictly concave on its admissible interval
+whenever jumps are live, with closed-form first and second derivatives, so
+``_respond`` solves every investor's seven first-order conditions in one
+bracketed Newton iteration.  ``maximize_concave_1d`` (golden section) stays
+as a derivative-free maximizer for arbitrary concave functions.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .model import (
     admissible_interval,
 )
 from .quad import Quadrature
-from .signals import JumpLaw, eta, signal_kernel
+from .signals import JumpLaw, eta, per_distinct, signal_kernel, signal_laws
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
@@ -44,7 +45,7 @@ _MAX_NEWTON = 200
 # sigma_hat ~ 4) pass it at tail nodes, where exp() overflows and inf*0 = NaN.
 _LOG_CAP = 600.0
 # N01(I(z)) in ``NONZERO_SIGNALS`` order: the signal kernel at rho = 0.
-_SIGNAL_MASS = np.array(list(signal_kernel(0.0, 0.0)))
+_SIGNAL_MASS = signal_kernel(0.0, 0.0)
 
 
 def relative_utility(x, xbar, alpha: float, theta: float):
@@ -91,26 +92,14 @@ class TargetContext:
         return TargetContext(tuple(self.investors[i] for i in rows), *arrays)
 
 
-def _per_distinct(keys: Sequence, build: Callable[..., np.ndarray]) -> np.ndarray:
-    """``build(key)`` once per distinct key, gathered into one row per entry of ``keys``."""
-    distinct = list(dict.fromkeys(keys))
-    return np.stack([build(key) for key in distinct])[[distinct.index(key) for key in keys]]
-
-
-def _signal_kernels(types: Sequence[InvestorType], q: Quadrature) -> np.ndarray:
-    """(investors, 6, nodes) signal kernels, one ``signal_kernel`` per distinct rho."""
-    return _per_distinct([t.rho for t in types], lambda rho: np.array(list(signal_kernel(rho, q.nodes))))
-
-
-def _contexts(types: Sequence[InvestorType], q: Quadrature, env: tuple, env_log, kernels=None) -> TargetContext:
+def _contexts(types: Sequence[InvestorType], q: Quadrature, env: tuple, env_log, kernels) -> TargetContext:
     """The context of ``types`` in both game modes; one ``eta`` per distinct jump law.
 
     ``env`` = (sigma0pi, taupi, sig2pi2), each shared or one per investor;
     ``env_log`` is each investor's log E on the nodes, ``kernels`` their
-    ``_signal_kernels`` (built here when omitted).
+    signal kernels on the nodes (``signal_laws``).
     """
     types = tuple(types)
-    kernels = _signal_kernels(types, q) if kernels is None else kernels
     markets = [t.market for t in types]
     alpha, theta, p_s = np.array([(t.alpha, t.theta, t.p_s) for t in types]).T
     r, kappa, sigma, sigma0, lam = np.array([(m.r, m.kappa, m.sigma, m.sigma0, m.lam) for m in markets]).T
@@ -118,7 +107,7 @@ def _contexts(types: Sequence[InvestorType], q: Quadrature, env: tuple, env_log,
     laws = [JumpLaw.from_market(m) for m in markets]
     jump_free = lam == 0.0
     degenerate = jump_free | np.array([law.degenerate for law in laws])
-    eta_nodes = np.where(degenerate[:, np.newaxis], 0.0, _per_distinct(laws, lambda law: eta(law, q.nodes)))
+    eta_nodes = np.where(degenerate[:, np.newaxis], 0.0, per_distinct(laws, lambda law: eta(law, q.nodes)))
     weights = np.empty((len(types), len(SIGNALS), q.n_nodes))
     weights[:, NONE_INDEX] = (lam * (1.0 - p_s))[:, np.newaxis] * q.weights
     weights[:, NONZERO_INDEX] = q.weights * kernels / _SIGNAL_MASS[:, np.newaxis]
@@ -136,7 +125,8 @@ def mf_target_context(
 ) -> TargetContext:
     """Context of ``types`` against a mean-field environment given by its statistic."""
     exponents = np.array([-t.theta * (1.0 - t.alpha) for t in types])[:, np.newaxis]
-    return _contexts(types, q, (sigma0pi_bar, taupi_bar, 0.0), exponents * np.log(np.asarray(mean_jump_nodes)))
+    env_log = exponents * np.log(np.asarray(mean_jump_nodes))
+    return _contexts(types, q, (sigma0pi_bar, taupi_bar, 0.0), env_log, signal_laws(types, q.nodes)[0])
 
 
 def context_from_stats(inv_type: InvestorType, stats: MeanFieldStats, q: Quadrature) -> TargetContext:
@@ -166,15 +156,9 @@ def _nagent_contexts(types: Sequence[InvestorType], strat: Strategy, q: Quadratu
     drift = np.array([wealth_drift(t.market, p) for t, p in zip(types, pi0)])
     sigma0pi = np.array([t.market.sigma0 for t in types]) * pi0
     sig2pi2 = (np.array([t.market.sigma for t in types]) * pi0) ** 2
-    kernels = _signal_kernels(types, q)
-    jumps = _per_distinct([JumpLaw.from_market(t.market) for t in types], lambda law: eta(law, q.nodes))
+    kernels, law = signal_laws(types, q.nodes)
+    jumps = per_distinct([JumpLaw.from_market(t.market) for t in types], lambda jump_law: eta(jump_law, q.nodes))
     exponents = np.array([-t.theta * (1.0 - t.alpha) / n for t in types])
-
-    # Every player's signal law, (players, 7, nodes), and log return in each signal.
-    p_s = np.array([t.p_s for t in types])[:, np.newaxis, np.newaxis]
-    law = np.empty((n_players, len(SIGNALS), q.n_nodes))
-    law[:, NONE_INDEX] = 1.0 - p_s[:, 0]
-    law[:, NONZERO_INDEX] = p_s * kernels
     log_returns = np.log1p(strat.table[:, :, np.newaxis] * jumps[:, np.newaxis, :])
     peer_log = np.zeros((n_players, q.n_nodes))
     for e in set(exponents) - {0.0}:

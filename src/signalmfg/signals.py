@@ -6,19 +6,20 @@ categorical signal built from the perturbed mark
 ``z = rho * e_c + sqrt(1 - rho^2) * e_i1``: its sign plus one of the size
 buckets 0.5 / 1 / inf.  One edges table defines both the classification and
 the intervals I(z), hence the signal law
-P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)) that every consumer
-reaches through ``signal_kernel`` and ``signal_mixtures``.
+P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)).  ``signal_laws`` is
+the one builder of its tables: the mean-jump function, the n-agent peer
+mixtures and the target contexts all read them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import NONE_INDEX, NONZERO_INDEX, NONZERO_SIGNALS, InvestorType, MarketParams, Signal
+from .model import NONE_INDEX, NONZERO_INDEX, NONZERO_SIGNALS, SIGNALS, InvestorType, MarketParams, Signal
 from .quad import std_normal_cdf
 
 # Bucket edges on the perturbed mark: the six intervals they cut R into are
@@ -69,49 +70,48 @@ def classify_index(z_perturbed, received):
     return np.where(received, outward, NONE_INDEX)
 
 
-def signal_kernel(rho: float, e_c):
-    """Yield N01(I(z, e_c)) for z in ``NONZERO_SIGNALS`` order, vectorized over e_c.
+def per_distinct(keys: Sequence, build: Callable[..., np.ndarray]) -> np.ndarray:
+    """``build(key)`` once per distinct key, gathered into one row per entry of ``keys``."""
+    distinct = list(dict.fromkeys(keys))
+    return np.stack([build(key) for key in distinct])[[distinct.index(key) for key in keys]]
+
+
+def signal_kernel(rho: float, e_c) -> np.ndarray:
+    """N01(I(z, e_c)) for z in ``NONZERO_SIGNALS`` order: a (6, *shape(e_c)) table.
 
     I(z, e_c) holds the noise values e_i1 producing signal z at mark e_c; the
     perturbation is increasing in e_i1, so its edges are
     (edge - rho*e_c)/sqrt(1-rho^2).  At rho = 0 the rows are the masses
-    N01(I(z)).  Rows are streamed, so callers on many marks never hold six.
+    N01(I(z)).
     """
     if not abs(rho) < 1.0:
         raise ValueError(f"signal quality must satisfy |rho| < 1, got {rho}")
-    scale = math.sqrt(1.0 - rho * rho)
-    shift = rho * np.asarray(e_c, dtype=float)
-    lower = 0.0
-    for edge in SIGNAL_EDGES:
-        upper = std_normal_cdf((edge - shift) / scale)
-        yield upper - lower
-        lower = upper
-    yield 1.0 - lower
+    edges = np.subtract.outer(SIGNAL_EDGES, rho * np.asarray(e_c, dtype=float))
+    cdf = std_normal_cdf(edges / math.sqrt(1.0 - rho * rho))
+    return np.concatenate((cdf[:1], cdf[1:] - cdf[:-1], 1.0 - cdf[-1:]))
 
 
-def signal_mixtures(kernel_rows, terms):
-    """(1 - p_s)*f(NONE) + p_s*sum_z K_z*f(z) for each (p_s, f) in ``terms``.
+def signal_laws(types: Sequence[InvestorType], e_c) -> tuple[np.ndarray, np.ndarray]:
+    """(kernels, law) of ``types`` at marks ``e_c``: the one builder of P(z | e_c) tables.
 
-    These are expectations under the signal law: ``f`` maps a column of
-    ``SIGNALS`` to a value, ``p_s`` may be an array, and ``kernel_rows``
-    yields the K_z in ``NONZERO_SIGNALS`` order.  Each row is read once and
-    added to every term in turn, so one row is alive at a time.  The kernel
-    is not consumed when no term ever receives a signal.
+    ``kernels`` (investors, 6, *shape(e_c)) is each investor's
+    ``signal_kernel``, built once per distinct rho; ``law``
+    (investors, 7, *shape(e_c)) is P(z | e_c) = (1 - p_s)*[z = 0] + p_s*kernel
+    in ``SIGNALS`` order.
     """
-    out = [(1.0 - p_s) * f(NONE_INDEX) for p_s, f in terms]
-    live = [(j, p_s, f) for j, (p_s, f) in enumerate(terms) if np.any(p_s > 0.0)]
-    if live:
-        for column, weight in zip(NONZERO_INDEX, kernel_rows):
-            for j, p_s, f in live:
-                out[j] = out[j] + p_s * weight * f(column)
-    return out
+    e = np.asarray(e_c, dtype=float)
+    kernels = per_distinct([t.rho for t in types], lambda rho: signal_kernel(rho, e))
+    p_s = np.array([t.p_s for t in types]).reshape((-1, 1) + (1,) * e.ndim)
+    law = np.full((len(types), len(SIGNALS)) + e.shape, 1.0 - p_s)
+    law[:, NONZERO_INDEX] = p_s * kernels
+    return kernels, law
 
 
 def conditional_prob(z: Signal, e_c, rho: float):
     """N(0,1) probability of I(z, e_c): the row of ``signal_kernel`` for z != 0."""
     if z is Signal.NONE:
         raise ValueError("no conditional interval is defined for the null signal")
-    return next(islice(signal_kernel(rho, e_c), NONZERO_SIGNALS.index(z), None))
+    return signal_kernel(rho, e_c)[NONZERO_SIGNALS.index(z)]
 
 
 def signal_frequency(inv_type: InvestorType, z: Signal) -> float:

@@ -115,6 +115,32 @@ class TestSolveMfFinite:
         with pytest.raises(ValueError, match="horizon must be > 0"):
             SolverConfig(horizon=horizon)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("tol", np.inf), ("opt_tol", np.inf), ("opt_tol", np.nan), ("opt_tol", 0.0), ("max_iter", 2.5),
+         ("max_iter", True)],
+    )
+    def test_config_rejects_non_finite_tolerance_and_non_integer_max_iter(self, name, value):
+        # A non-finite tolerance lets the zero start pass as converged; max_iter counts iterations.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x0", np.inf), ("alpha", np.inf), ("lam", np.nan), ("lam", np.inf), ("sigma_hat", np.nan),
+         ("kappa_hat", np.inf), ("kappa", np.nan), ("r", np.inf), ("sigma", np.inf)],
+    )
+    def test_non_finite_investor_rejected(self, quad128, field, value):
+        if field in ("x0", "alpha"):
+            t = casestudy.investor(weight=1.0, **{field: value})
+        else:
+            t = casestudy.investor(casestudy.default_market(**{field: value}), weight=1.0)
+        assert any(f"{field} must be" in v for v in validate_investor(t))
+        with pytest.raises(ValueError, match="invalid population"):
+            solve_mf_finite(Population([t]), quad128)
+        with pytest.raises(ValueError, match="invalid players"):
+            solve_nagent([t, t], quad128)
+
 
 # Single types that validate_investor accepts and whose jump factor
 # E*(1 + phi*eta)^-alpha overflows at tail nodes; each made the solve raise

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from signalmfg import casestudy
-from signalmfg.meanfield import aggregate, mean_log_terminal
+from signalmfg.meanfield import _MARK_BLOCK, aggregate, mean_log_terminal
 from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, Population, Strategy
 from signalmfg.signals import JumpLaw, classify_index, conditional_prob, eta, perturb
 from signalmfg.sim import CommonNoisePath
@@ -53,9 +53,14 @@ class TestAggregate:
         ])
         strat = Strategy([np.linspace(0.0, 0.9, 7), np.linspace(0.9, 0.1, 7), np.full(7, 0.4)])
         stats = aggregate(pop, strat, quad128)
-        marks = np.random.default_rng(5).standard_normal(10_000)
-        assert np.array_equal(stats.mean_jump(marks), per_type_mean_jump(pop, strat, marks))
+        # One block, then several blocks with a ragged tail.
+        for n_marks in (10_000, 3 * _MARK_BLOCK + 7):
+            marks = np.random.default_rng(5).standard_normal(n_marks)
+            assert np.array_equal(stats.mean_jump(marks), per_type_mean_jump(pop, strat, marks))
         assert np.array_equal(stats.mean_jump_nodes, per_type_mean_jump(pop, strat, quad128.nodes))
+        scalar = stats.mean_jump(0.3)
+        assert isinstance(scalar, float) and scalar == per_type_mean_jump(pop, strat, 0.3)
+        assert stats.mean_jump(np.empty(0)).shape == (0,)
 
     def test_zero_positions(self, ref_pop, quad128):
         stats = aggregate(ref_pop, Strategy.zeros(2), quad128)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from signalmfg import casestudy
-from signalmfg.model import NONZERO_SIGNALS, SIGNALS, Signal
+from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNALS, Signal
 from signalmfg.quad import normal_prob
 from signalmfg.signals import (
     SIGNAL_EDGES,
@@ -17,6 +17,7 @@ from signalmfg.signals import (
     perturb,
     signal_frequency,
     signal_kernel,
+    signal_laws,
 )
 
 LAW = JumpLaw(kappa_hat=0.0, sigma_hat=0.1)
@@ -205,6 +206,24 @@ class TestSignalKernel:
     def test_quality_bound(self):
         with pytest.raises(ValueError, match="rho"):
             next(signal_kernel(1.0, 0.0))
+
+
+class TestSignalLaws:
+    @pytest.mark.parametrize("e_c", [np.linspace(-6.0, 6.0, 101), 0.3])
+    def test_laws_and_shared_kernels(self, e_c):
+        # Types 0, 1 and 3 share rho = 0.5; type 1 never receives a signal.
+        types = [
+            casestudy.investor(p_s=0.5, rho=0.5),
+            casestudy.investor(p_s=0.0, rho=0.5),
+            casestudy.investor(p_s=0.9, rho=-0.3),
+            casestudy.investor(p_s=0.2, rho=0.5),
+        ]
+        kernels, law = signal_laws(types, e_c)
+        assert kernels.shape == (4, 6) + np.shape(e_c) and law.shape == (4, 7) + np.shape(e_c)
+        assert np.max(np.abs(law.sum(axis=1) - 1.0)) <= 1e-12
+        for i, t in enumerate(types):
+            assert np.all(law[i, NONE_INDEX] == 1.0 - t.p_s)
+            assert np.array_equal(kernels[i], signal_kernel(t.rho, e_c))
 
 
 class TestSignalFrequency:
