@@ -9,6 +9,7 @@ positive through any jump.  Everything here is an immutable value object;
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -224,9 +225,30 @@ def _exact_weight_sum(types: Sequence[InvestorType]) -> Fraction:
     return sum((Fraction(str(t.weight)) for t in types), Fraction(0))
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _non_numbers(t: InvestorType, check_weight: bool) -> list[str]:
+    """The fields of ``t`` (and of its market) that are not real numbers, as ``name=value``."""
+    if not isinstance(t.market, MarketParams):
+        return [f"market={t.market!r}"]
+    skipped = {"market"} if check_weight else {"market", "weight"}
+    named = [(f.name, getattr(t, f.name)) for f in fields(t) if f.name not in skipped]
+    named += [(f"market {f.name}", getattr(t.market, f.name)) for f in fields(t.market)]
+    return [f"{name}={value!r}" for name, value in named if not _is_real(value)]
+
+
 def validate_investor(t: InvestorType, index: int = 0, check_weight: bool = True) -> list[str]:
-    """Violated per-type invariants of one investor, tagged with its index."""
+    """Violated per-type invariants of one investor, tagged with its index.
+
+    A field (or market field) that is not a real number is reported by name
+    instead of range-checked; ``bool`` does not count as a number.
+    """
     i = index
+    wrong_type = _non_numbers(t, check_weight)
+    if wrong_type:
+        return [f"type {i}: {field} must be a real number" for field in wrong_type]
     violations: list[str] = []
     if not (t.x0 > 0 and math.isfinite(t.x0)):
         violations.append(f"type {i}: initial wealth x0 must be > 0 and finite, got {t.x0}")
@@ -271,9 +293,11 @@ def validate_population(pop: Population, require_shared_market: bool = True) -> 
     for i, t in enumerate(pop.types):
         violations.extend(validate_investor(t, i))
 
-    total = _exact_weight_sum(pop.types)
-    if abs(float(total) - 1.0) > WEIGHT_TOL:
-        violations.append(f"population: weights sum to {float(total)}, expected 1 within {WEIGHT_TOL}")
+    # Non-number and non-finite weights are flagged above; the exact sum cannot take them.
+    if all(_is_real(t.weight) and math.isfinite(t.weight) for t in pop.types):
+        total = float(_exact_weight_sum(pop.types))
+        if abs(total - 1.0) > WEIGHT_TOL:
+            violations.append(f"population: weights sum to {total}, expected 1 within {WEIGHT_TOL}")
 
     if require_shared_market:
         first = pop.types[0].market

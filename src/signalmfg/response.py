@@ -16,6 +16,7 @@ as a derivative-free maximizer for arbitrary concave functions.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -39,13 +40,20 @@ from .signals import JumpLaw, eta, per_distinct, signal_kernel, signal_laws
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
-# Cap on Newton/bisection steps per best response; case-study types need 4.
+# Cap on Newton/bisection steps per best response, a backstop: case-study types need
+# 4, and with the rtsafe rule no row of 80 random single-type solves over the
+# property-test ranges needed more than 36 (without it, rows with g' ~ phi^-alpha
+# crept by phi/alpha per step into the cap).
 _MAX_NEWTON = 200
 # Largest log(E*(1 + phi*eta)^p) put through exp(): valid extreme types (alpha ~ 100,
 # sigma_hat ~ 4) pass it at tail nodes, where exp() overflows and inf*0 = NaN.
 _LOG_CAP = 600.0
 # N01(I(z)) in ``NONZERO_SIGNALS`` order: the signal kernel at rho = 0.
 _SIGNAL_MASS = signal_kernel(0.0, 0.0)
+
+
+class NewtonCapWarning(RuntimeWarning):
+    """A best-response row was still unconverged after ``_MAX_NEWTON`` Newton/bisection steps."""
 
 
 def relative_utility(x, xbar, alpha: float, theta: float):
@@ -309,9 +317,13 @@ def _respond(ctx: TargetContext, opt_tol: float) -> Strategy:
     log E_k (1 + phi eta_k)^-alpha - ``_LOG_CAP``), which keeps the sign of
     g' and the step g'/g'' exact.  If g' keeps one sign on the admissible
     interval the maximizer is the matching endpoint; otherwise Newton steps
-    run inside the shrinking sign-change bracket, bisecting whenever a step
-    would leave it, until a step is at most ``opt_tol``.  Rows never mix, so
-    a row is the same in any batch.
+    run inside the shrinking sign-change bracket until a step is at most
+    ``opt_tol``.  A row bisects instead whenever its Newton step would leave
+    the bracket or be longer than half its step before the last (rtsafe,
+    Press et al., Numerical Recipes 9.4), so a slowly creeping Newton cannot
+    use up the ``_MAX_NEWTON`` cap.  A row still unconverged at the cap is
+    returned as it stands, with a ``NewtonCapWarning`` naming its (investor,
+    signal).  Rows never mix, so a row is the same in any batch.
 
     When jumps are absent (lam = 0) or sizeless (eta identically 0) every
     admissible position maximizes a nonzero-signal target; those rows take
@@ -346,6 +358,7 @@ def _respond(ctx: TargetContext, opt_tol: float) -> Strategy:
     row = np.where(g_lo <= 0.0, lo, hi)
     active = (g_lo > 0.0) & (g_hi < 0.0)
     phi = 0.5 * (lo + hi)
+    last_step = step_before = hi - lo
     for _ in range(_MAX_NEWTON):
         if not active.any():
             break
@@ -353,11 +366,17 @@ def _respond(ctx: TargetContext, opt_tol: float) -> Strategy:
         lo, hi = np.where(g1 > 0.0, phi, lo), np.where(g1 > 0.0, hi, phi)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = phi - g1 / g2
-        newton = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
-        done = active & (np.abs(newton - phi) <= opt_tol)
+        # rtsafe: bisect when Newton leaves the bracket or its step is over half the step before the last.
+        keep = (newton >= lo) & (newton <= hi) & (2.0 * np.abs(newton - phi) <= step_before)
+        newton = np.where(keep, newton, 0.5 * (lo + hi))
+        step_before, last_step = last_step, np.abs(newton - phi)
+        done = active & (last_step <= opt_tol)
         phi = np.where(active, newton, phi)
         row = np.where(done, phi, row)
         active &= ~done
+    for i, k in np.argwhere(active):
+        warnings.warn(f"type {i}, signal {SIGNALS[k].value}: best response stopped unconverged at the "
+                      f"{_MAX_NEWTON}-step Newton cap", NewtonCapWarning, stacklevel=2)
     row = np.where(active, phi, row)
     degenerate = ctx.jumps_degenerate[:, np.newaxis]
     row[:, NONZERO_INDEX] = np.where(degenerate, row[:, [NONE_INDEX]], row[:, NONZERO_INDEX])

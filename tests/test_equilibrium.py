@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signalmfg import casestudy
+from signalmfg import casestudy, cli, response
 from signalmfg.equilibrium import (
     SolverConfig,
+    _statistic_box,
     damped_fixed_point,
     residual,
     solve_mf_finite,
     solve_mf_statistic,
     solve_nagent,
+    statistic_of,
 )
 from signalmfg.meanfield import aggregate
 from signalmfg.metrics import M_mf, M_nagent
@@ -28,9 +30,11 @@ def merton_pop():
 
 
 class TestDampedFixedPoint:
-    def test_oscillating_map_triggers_half_damping_retry(self):
-        # x -> 1 - x cycles at full damping and contracts to 0.5 at half
-        step = lambda x: 1.0 - x
+    def test_stalled_map_triggers_half_damping_retry(self):
+        # The residual is exactly 1 within 1/4 of every integer and 0 at the half-integers.
+        # Full steps from 0 hop from integer to integer: the residual differences Anderson
+        # extrapolates from vanish, so the residual never improves; half steps land on 0.5.
+        step = lambda x: x + np.minimum(1.0, 4.0 * np.abs(x - np.floor(x) - 0.5))
         point, res, iters, notes = damped_fixed_point(
             step, np.array([0.0]), tol=1e-10, max_iter=500, damping=1.0
         )
@@ -54,6 +58,33 @@ class TestDampedFixedPoint:
         )
         assert point[0] == pytest.approx(2.0, abs=1e-10)
         assert notes == ()
+
+    def test_iterates_stay_in_the_box(self):
+        # The fixed point (1, 0.375) sits on the box edge, and the extrapolation overshoots it.
+        def run(box):
+            seen = []
+
+            def step(x):
+                seen.append(x.copy())
+                return np.array([1.0 - 0.5 * (1.0 - x[0]) ** 2, 0.3 + 0.2 * x[1]])
+
+            point, res, _, _ = damped_fixed_point(step, np.zeros(2), tol=1e-12, max_iter=100, damping=1.0, box=box)
+            return np.array(seen), point, res
+
+        unclipped, _, _ = run((-np.inf, np.inf))
+        assert unclipped.max() > 1.1
+        seen, point, res = run((np.zeros(2), np.ones(2)))
+        assert np.all((seen >= 0.0) & (seen <= 1.0))
+        assert point == pytest.approx([1.0, 0.375], abs=1e-12) and res < 1e-12
+
+    def test_linear_map_converges_in_three_iterations(self):
+        # Two residual differences span the plane, so the third iterate is the fixed point.
+        a, b = np.array([[0.5, 0.2], [0.1, 0.3]]), np.array([1.0, -1.0])
+        point, res, iters, notes = damped_fixed_point(
+            lambda x: a @ x + b, np.zeros(2), tol=1e-12, max_iter=100, damping=1.0
+        )
+        assert iters <= 3 and res < 1e-12 and notes == ()
+        assert point == pytest.approx(np.linalg.solve(np.eye(2) - a, b), abs=1e-12)
 
 
 class TestSolveMfFinite:
@@ -145,6 +176,8 @@ class TestSolveMfFinite:
 # Single types that validate_investor accepts and whose jump factor
 # E*(1 + phi*eta)^-alpha overflows at tail nodes; each made the solve raise
 # "non-finite first-order condition" before that product was formed in logs.
+# All five converge under the default SolverConfig; the first and fourth stalled
+# near 1e-6 while a best-response Newton row crept into the step cap unconverged.
 EXTREME_TYPES = [
     ({"sigma_hat": 4.0}, {"alpha": 100.0}),
     ({"sigma_hat": 2.0}, {"alpha": 100.0}),
@@ -178,7 +211,7 @@ class TestExtremeTypes:
         result = assert_finite_solve(t, quad128)
         assert result.converged or result.notes
 
-    @pytest.mark.parametrize("index", [1, 2, 4])
+    @pytest.mark.parametrize("index", [0, 1, 2, 3, 4])
     def test_converged_extreme_types_do_not_clip_M(self, quad128, index):
         market, kwargs = EXTREME_TYPES[index]
         t = casestudy.investor(casestudy.default_market(**market), weight=1.0, **kwargs)
@@ -219,6 +252,46 @@ class TestExtremeTypes:
 
 
 OVERFLOW_NOTE = "type 0: value exp(T(1-alpha)M) overflows double; use per_type_M"
+
+
+class TestNewtonCapNotes:
+    def test_capped_rows_are_named_in_the_result(self, ref_pop, quad128, monkeypatch):
+        monkeypatch.setattr(response, "_MAX_NEWTON", 2)
+        result = solve_mf_finite(ref_pop, quad128, SolverConfig(max_iter=3))
+        capped = [n for n in result.notes if "Newton cap" in n]
+        assert capped and len(capped) == len(set(capped))
+        assert "type 0, signal 0: best response stopped unconverged at the 2-step Newton cap" in capped
+
+
+# The benchmark's sweep grids (perfbench/workloads.py).
+BENCHMARK_GRIDS = {
+    "p_s_B": (0.0, 0.25, 0.5, 0.75, 1.0),
+    "rho_B": (-0.9, -0.45, 0.0, 0.45, 0.9),
+    "theta_B": (0.0, 0.25, 0.5, 0.75, 1.0),
+}
+
+
+class TestIterationCounts:
+    """Anderson acceleration: at most 6 best responses per solve (plain iteration took 9-16)."""
+
+    def test_reference_solve(self, ref_eq):
+        assert ref_eq.converged and ref_eq.iterations <= 6 and not ref_eq.notes
+
+    @pytest.mark.parametrize("parameter", list(BENCHMARK_GRIDS))
+    def test_benchmark_sweep_grids(self, parameter):
+        config = cli.load_config({"sweep": {"parameter": parameter, "grid": BENCHMARK_GRIDS[parameter]}})
+        rows, _ = cli.run_experiment(config)
+        assert all(row["converged"] for row in rows)
+        assert max(row["iterations"] for row in rows) <= 6
+
+    @pytest.mark.parametrize("players", [
+        [casestudy.investor()] * 5,
+        [casestudy.investor()] * 20,
+        [casestudy.investor()] * 2 + [casestudy.investor(p_s=0.25)] * 2,
+    ], ids=["n5", "n20", "two-group"])
+    def test_benchmark_games(self, quad128, players):
+        result = solve_nagent(players, quad128)
+        assert result.converged and result.iterations <= 6
 
 
 class TestOverflowingValues:
@@ -428,6 +501,24 @@ class TestSolveMfStatistic:
         assert res.converged
         assert res.strategy.table == pytest.approx(np.zeros((1, 7)), abs=1e-9)
         assert res.stats.mean_jump_nodes == pytest.approx([1.0], abs=1e-12)
+
+    def test_statistic_box_is_the_range_of_admissible_statistics(self):
+        # Two jump laws whose jumps have opposite signs at some marks.
+        m = casestudy.default_market
+        pop = Population([casestudy.investor(m(kappa_hat=0.3)), casestudy.investor(m(kappa_hat=-0.3, sigma_hat=0.5))])
+        q = Quadrature.discrete([-1.0, 0.0, 1.5], [0.25, 0.5, 0.25])
+        lo, hi = _statistic_box(pop, q)
+        hi_position = 1.0 - pop.types[0].eps_b
+        corners = np.array([statistic_of(pop, Strategy([[a] * 7, [b] * 7]), q)
+                            for a in (0.0, hi_position) for b in (0.0, hi_position)])
+        assert corners.min(axis=0) == pytest.approx(lo, rel=1e-12, abs=1e-15)
+        assert corners.max(axis=0) == pytest.approx(hi, rel=1e-12, abs=1e-15)
+        # Wider than the range between the all-lower and all-upper statistics.
+        assert np.any(lo < np.minimum(corners[0], corners[3])) and np.any(hi > np.maximum(corners[0], corners[3]))
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            stat = statistic_of(pop, Strategy(rng.uniform(0.0, hi_position, (2, 7))), q)
+            assert np.all(lo <= stat) and np.all(stat <= hi)
 
     def test_matches_strategy_space_solver_on_discrete_law(self):
         marks = [(-1.0, 0.25), (0.0, 0.5), (1.5, 0.25)]

@@ -80,6 +80,19 @@ class TestValidatePopulation:
         assert any("market" in v for v in validate_population(pop))
         assert validate_population(pop, require_shared_market=False) == []
 
+    @pytest.mark.parametrize(
+        "investor, fragment",
+        [
+            (lambda: casestudy.investor(weight=1.0, x0="1"), "type 0: x0='1' must be a real number"),
+            (lambda: casestudy.investor(casestudy.default_market(lam=None), weight=1.0),
+             "type 0: market lam=None must be a real number"),
+            (lambda: casestudy.investor(weight=float("nan")), "type 0: weight must lie in [0, 1], got nan"),
+        ],
+        ids=["x0-string", "lam-none", "weight-nan"],
+    )
+    def test_non_number_fields_reported_not_raised(self, investor, fragment):
+        assert fragment in validate_population(Population([investor()]))
+
     def test_empty_population(self):
         assert validate_population(Population([])) != []
 

@@ -1,10 +1,11 @@
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signalmfg import casestudy
+from signalmfg import casestudy, response
 from signalmfg.meanfield import aggregate
 from signalmfg.model import (
     NONE_INDEX,
@@ -24,6 +25,7 @@ from signalmfg.quad import Quadrature, expect_outer
 from signalmfg.response import (
     _LOG_CAP,
     DEFAULT_OPT_TOL,
+    NewtonCapWarning,
     _nagent_contexts,
     _respond,
     best_response,
@@ -372,6 +374,41 @@ class TestNewtonBestResponse:
             ctx, env_jump_log=ctx.env_jump_log + 700.0, row_weights=ctx.row_weights * np.exp(-700.0)
         )
         assert np.max(np.abs(respond_type(t, traded) - respond_type(t, ctx))) <= 1e-12
+
+    def test_creeping_row_reaches_the_mpmath_root(self, quad128):
+        # Iterate 73 of plain iteration for the sigma_hat = 4, alpha = 100 type.  Left of its
+        # root (1.2e-5) the no-signal row's g' grows like phi^-100, so each Newton step is only
+        # ~phi/100: unguarded, the row stopped at the step cap near 2.4e-7.
+        t = casestudy.investor(casestudy.default_market(sigma_hat=4.0), alpha=100.0, weight=1.0)
+        iterate = [7.374732961414661e-06, 8.109301003498402e-06, 8.789586080532213e-06, 1.2084072394462127e-05,
+                   9.659288957397916e-06, 1.1076616338923155e-05, 5.141855186295251e-05]
+        ctx = mf_context(Population([t]), Strategy([iterate]), quad128)
+        row = respond_type(t, ctx)
+
+        mp.mp.dps = 60
+        weights, etas, env_logs = ([mp.mpf(float(v)) for v in a] for a in
+                                   (ctx.row_weights[0, NONE_INDEX], ctx.eta_nodes[0], ctx.env_jump_log[0]))
+        alpha, slope, curvature = (mp.mpf(float(v[0])) for v in (ctx.alpha, ctx.drift_slope, ctx.drift_curvature))
+
+        def g1(phi):
+            jumps = mp.fsum(w * e * mp.exp(el - alpha * mp.log1p(phi * e)) for w, e, el in zip(weights, etas, env_logs))
+            return slope - curvature * phi + jumps
+
+        lo, hi = (mp.mpf(float(v)) for v in ctx.bounds[0])
+        assert g1(lo) > 0 > g1(hi)
+        while hi - lo > 1e-14:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g1(mid) > 0 else (lo, mid)
+        assert abs(row[NONE_INDEX] - float(lo)) <= DEFAULT_OPT_TOL
+        assert float(lo) == pytest.approx(1.20907e-5, rel=1e-5)
+
+    def test_row_at_the_step_cap_is_flagged(self, ref_pop, quad128, ref_eq, monkeypatch):
+        monkeypatch.setattr(response, "_MAX_NEWTON", 2)
+        with pytest.warns(NewtonCapWarning) as caught:
+            _respond(mf_target_context(ref_pop.types, quad128, ref_eq.stats.sigma0pi_bar,
+                                       ref_eq.stats.mean_jump_nodes, ref_eq.stats.taupi_bar), DEFAULT_OPT_TOL)
+        messages = [str(w.message) for w in caught]
+        assert "type 1, signal 0: best response stopped unconverged at the 2-step Newton cap" in messages
 
     def test_opt_tol_validated(self, ref_pop, quad128):
         ctx = mf_context(ref_pop, Strategy.zeros(2), quad128)
