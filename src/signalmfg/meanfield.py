@@ -1,21 +1,24 @@
-"""Mean-field aggregation.
+"""Wealth dynamics between jumps, and mean-field aggregation.
 
-A population together with a signal-driven strategy induces the sufficient
-statistic of everyone's environment: the drift aggregate, the common
-volatility exposure, the initial geometric mean wealth, and the mean-jump
-function e_c -> m(e_c) multiplying the geometric mean wealth at each jump,
-which mixes each type's log jump return under its signal law, read from the
-tables of ``signals.signal_laws`` one block of marks at a time.
+``wealth_diffusion`` is the one statement of each investor's log-drift
+between jumps and exposures to own and common noise: the aggregate, the
+n-agent environment and the Monte Carlo kernel read it.  A population with a
+signal-driven strategy induces the sufficient statistic of everyone's
+environment: drift aggregate, common volatility exposure, initial geometric
+mean wealth, and the mean-jump function e_c -> m(e_c) multiplying the
+geometric mean wealth at each jump; m mixes each type's log jump return under
+its signal law, read from ``signals.signal_laws`` one block of marks at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import NONE_INDEX, NONZERO_INDEX, MarketParams, Population, Signal, Strategy, check_admissible
+from .model import NONE_INDEX, NONZERO_INDEX, InvestorType, Population, Strategy, check_admissible, check_horizon
 from .quad import Quadrature
 from .signals import JumpLaw, eta, per_distinct, signal_laws
 
@@ -41,10 +44,16 @@ class MeanFieldStats:
     mean_jump: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     mean_jump_nodes: np.ndarray = field(repr=False)
 
+    def log_mean_wealth(self, T: float, w0, log_jumps):
+        """log geometric mean wealth at T given W0_T and sum log m(e_c) over the marks (scalars or one per path)."""
+        return math.log(self.xbar0) + self.taupi_bar * T + self.sigma0pi_bar * w0 + log_jumps
 
-def wealth_drift(m: MarketParams, pi0: float) -> float:
-    """Log-drift of wealth between jumps at stock fraction pi0."""
-    return m.r + pi0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * pi0**2
+
+def wealth_diffusion(types: Sequence[InvestorType], pi0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log-drift between jumps, sigma*pi0, sigma0*pi0) of each investor at its no-signal position pi0."""
+    r, kappa, sigma, sigma0 = np.array([(t.market.r, t.market.kappa, t.market.sigma, t.market.sigma0) for t in types]).T
+    drift = r + pi0 * (kappa - r) - 0.5 * (sigma**2 + sigma0**2) * pi0**2
+    return drift, sigma * pi0, sigma0 * pi0
 
 
 def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
@@ -79,15 +88,11 @@ def aggregate(pop: Population, strat: Strategy, q: Quadrature) -> MeanFieldStats
     Raises on inadmissible positions, naming the offending (type, signal).
     """
     check_admissible(pop, strat)
-    sigma0pi = 0.0
-    taupi = 0.0
-    log_xbar0 = 0.0
-    for i, t in enumerate(pop.types):
-        pi0 = strat.position(i, Signal.NONE)
-        m = t.market
-        sigma0pi += t.weight * m.sigma0 * pi0
-        taupi += t.weight * wealth_drift(m, pi0)
-        log_xbar0 += t.weight * np.log(t.x0)
+    drift, _, sigma0pi = wealth_diffusion(pop.types, strat.table[:, NONE_INDEX])
+    log_x0 = np.log([t.x0 for t in pop.types])
+    # An axis-0 sum adds the types' rows one at a time, in population order.
+    terms = pop.weights[:, np.newaxis] * np.stack((sigma0pi, drift, log_x0), axis=1)
+    sigma0pi_bar, taupi_bar, log_xbar0 = terms.sum(axis=0)
 
     mean_jump = _mean_jump_evaluator(pop, strat)
     nodes_table = np.asarray(mean_jump(q.nodes), dtype=float)
@@ -97,8 +102,8 @@ def aggregate(pop: Population, strat: Strategy, q: Quadrature) -> MeanFieldStats
     nodes_table.setflags(write=False)
 
     return MeanFieldStats(
-        sigma0pi_bar=float(sigma0pi),
-        taupi_bar=float(taupi),
+        sigma0pi_bar=float(sigma0pi_bar),
+        taupi_bar=float(taupi_bar),
         xbar0=float(np.exp(log_xbar0)),
         mean_jump=mean_jump,
         mean_jump_nodes=nodes_table,
@@ -109,12 +114,10 @@ def mean_log_terminal(stats: MeanFieldStats, common_path, T: float) -> float:
     """log of the geometric mean wealth at T on one common-noise realization.
 
     ``common_path`` must cover exactly [0, T]; the value is
-    log(xbar0) + taupi_bar*T + sigma0pi_bar*W0_T + sum_k log m(e_c_k).
+    ``stats.log_mean_wealth`` with the sum of log m(e_c_k) over its marks.
     """
+    check_horizon(T)
     if abs(common_path.horizon - T) > 1e-12:
         raise ValueError(f"common path covers [0, {common_path.horizon}], requested T={T}")
-    out = np.log(stats.xbar0) + stats.taupi_bar * T + stats.sigma0pi_bar * common_path.w0_total
-    marks = np.asarray(common_path.common_marks, dtype=float)
-    if marks.size:
-        out += float(np.sum(np.log(stats.mean_jump(marks))))
-    return float(out)
+    log_jumps = np.sum(np.log(stats.mean_jump(common_path.common_marks)))
+    return float(stats.log_mean_wealth(T, common_path.w0_total, log_jumps))

@@ -122,12 +122,6 @@ class AdmissibleInterval:
         if not self.lo <= self.hi:
             raise ValueError(f"empty admissible interval [{self.lo}, {self.hi}]")
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
-    def clip(self, x: float) -> float:
-        return min(max(x, self.lo), self.hi)
-
 
 def admissible_interval(inv_type: InvestorType, signal: Signal = Signal.NONE) -> AdmissibleInterval:
     """Admissible positions for ``inv_type`` given ``signal``.
@@ -167,10 +161,6 @@ class Strategy:
     @classmethod
     def constant(cls, n_types: int, value: float) -> "Strategy":
         return cls(np.full((n_types, len(SIGNALS)), float(value)))
-
-    @classmethod
-    def from_mappings(cls, rows: Sequence[Mapping[Signal, float]]) -> "Strategy":
-        return cls([row_positions(row) for row in rows])
 
     @property
     def n_types(self) -> int:
@@ -218,6 +208,12 @@ def check_admissible(pop: Population, strat: Strategy) -> None:
             f"inadmissible position {float(strat.table[i, k])} for type {i}, signal {SIGNALS[k].value}: "
             f"allowed [{float(lo[i, 0])}, {float(hi[i, 0])}]"
         )
+
+
+def check_horizon(T: float) -> None:
+    """Raise unless the horizon ``T`` is finite and positive."""
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"horizon T must be finite and > 0, got {T}")
 
 
 def _exact_weight_sum(types: Sequence[InvestorType]) -> Fraction:

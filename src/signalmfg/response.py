@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .meanfield import MeanFieldStats, aggregate, wealth_drift
+from .meanfield import MeanFieldStats, aggregate, wealth_diffusion
 from .model import (
     NONE_INDEX,
     NONZERO_INDEX,
@@ -160,10 +160,8 @@ def _nagent_contexts(types: Sequence[InvestorType], strat: Strategy, q: Quadratu
     if n_players < 2:
         raise ValueError("n-agent mode needs at least 2 players")
     n = n_players - 1
-    pi0 = strat.table[:, NONE_INDEX]
-    drift = np.array([wealth_drift(t.market, p) for t, p in zip(types, pi0)])
-    sigma0pi = np.array([t.market.sigma0 for t in types]) * pi0
-    sig2pi2 = (np.array([t.market.sigma for t in types]) * pi0) ** 2
+    drift, sigma_pi, sigma0pi = wealth_diffusion(types, strat.table[:, NONE_INDEX])
+    sig2pi2 = sigma_pi**2
     kernels, law = signal_laws(types, q.nodes)
     jumps = per_distinct([JumpLaw.from_market(t.market) for t in types], lambda jump_law: eta(jump_law, q.nodes))
     exponents = np.array([-t.theta * (1.0 - t.alpha) / n for t in types])

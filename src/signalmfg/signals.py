@@ -112,8 +112,3 @@ def conditional_prob(z: Signal, e_c, rho: float):
     if z is Signal.NONE:
         raise ValueError("no conditional interval is defined for the null signal")
     return signal_kernel(rho, e_c)[NONZERO_SIGNALS.index(z)]
-
-
-def signal_frequency(inv_type: InvestorType, z: Signal) -> float:
-    """Rate lam * p_s * N01(I(z)) at which the type receives signal z != 0."""
-    return inv_type.market.lam * inv_type.p_s * conditional_prob(z, 0.0, 0.0)

@@ -3,7 +3,9 @@
 The model is piecewise log-normal with multiplicative jumps, so paths are
 simulated exactly (no Euler discretization): between jumps wealth grows by the
 closed-form log-normal factor, and at each jump it is multiplied by
-1 + phi(signal) * eta(e_c).
+1 + phi(signal) * eta(e_c).  One elementwise kernel, ``_exact_path``, turns
+draws into these log returns and signal labels; ``_log_wealth`` sums them per
+agent (``simulate_agent``, ``simulate_cohort``), ``estimate_utility`` per path.
 
 Randomness comes from one counter-based seed tree: Philox generators keyed by
 (master seed, stream id, substream...), so the common realization can be
@@ -20,17 +22,20 @@ Streams by id, each with its draws in order:
 
 Noise blocks (``_log_wealth``) hold agents in rows, jumps in columns:
 Brownian increments (n, k+1), signal-noise marks e_i1 (n, k), reception
-coins e_i2 (n, k); agent j of a cohort reads row j of each.
+coins e_i2 (n, k); agent j of a cohort reads row j of each.  In
+``estimate_utility`` type i draws one increment over [0, T] per path, then
+e_i1 and e_i2 for every jump of the batch.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import aggregate, wealth_drift
+from .meanfield import aggregate, wealth_diffusion
 from .model import (
     NONE_INDEX,
     SIGNALS,
@@ -40,6 +45,7 @@ from .model import (
     Signal,
     Strategy,
     check_admissible,
+    check_horizon,
     row_positions,
 )
 from .quad import Quadrature
@@ -53,8 +59,10 @@ _STREAM_TYPES, _STREAM_BATCH, _STREAM_COHORT = range(4, 7)
 MIN_PATHS = 100
 
 
-def _generator(*entropy: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+def _generator(seed: int, *substream: int) -> np.random.Generator:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *substream))))
 
 
 @dataclass(frozen=True)
@@ -92,8 +100,7 @@ class AgentPath:
 
 def simulate_common(T: float, market: MarketParams, seed: int) -> CommonNoisePath:
     """Draw jump times (rate lam), standard-normal common marks and W0 increments."""
-    if not T > 0:
-        raise ValueError("horizon T must be > 0")
+    check_horizon(T)
     n_jumps = int(_generator(seed, _STREAM_JUMP_TIMES, 0).poisson(market.lam * T)) if market.lam > 0 else 0
     times = np.sort(_generator(seed, _STREAM_JUMP_TIMES, 1).uniform(0.0, T, size=n_jumps))
     marks = _generator(seed, _STREAM_COMMON_MARKS).standard_normal(n_jumps)
@@ -102,6 +109,18 @@ def simulate_common(T: float, market: MarketParams, seed: int) -> CommonNoisePat
     for drawn in (times, marks, increments):
         drawn.setflags(write=False)
     return CommonNoisePath(times, marks, increments, horizon=float(T), seed=seed)
+
+
+def _exact_path(t: InvestorType, row: np.ndarray, dt, dW, dW0, marks, e_i1, e_i2):
+    """(diffusion, jumps, labels) of type ``t`` holding ``row``, elementwise over its draws.
+
+    diffusion = drift*dt + sigma*pi0*dW + sigma0*pi0*dW0 per segment; jumps =
+    log(1 + pi_z*eta(e_c)) and labels = z per common mark, z read off e_i1, e_i2.
+    """
+    drift, sigma_pi, sigma0_pi = wealth_diffusion((t,), row[NONE_INDEX])
+    labels = classify_index(perturb(t.rho, marks, e_i1), e_i2 <= t.p_s)
+    jumps = np.log1p(row[labels] * eta(JumpLaw.from_market(t.market), marks))
+    return drift * dt + sigma_pi * dW + sigma0_pi * dW0, jumps, labels
 
 
 def _log_wealth(types, rows, type_idx: np.ndarray, path: CommonNoisePath, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -118,12 +137,11 @@ def _log_wealth(types, rows, type_idx: np.ndarray, path: CommonNoisePath, rng) -
     log_wealth = np.empty(n)
     labels = np.empty((n, k), dtype=int)
     for i in np.unique(type_idx):
-        t, row, sel = types[i], rows[i], type_idx == i
-        m, phi0 = t.market, row[NONE_INDEX]
-        growth = wealth_drift(m, phi0) * dt + m.sigma * phi0 * dW[sel] + m.sigma0 * phi0 * path.w0_increments
-        own = classify_index(perturb(t.rho, path.common_marks, e_i1[sel]), e_i2[sel] <= t.p_s)
-        jumps = np.log1p(row[own] * eta(JumpLaw.from_market(m), path.common_marks))
-        log_wealth[sel] = math.log(t.x0) + growth.sum(axis=1) + jumps.sum(axis=1)
+        sel = type_idx == i
+        diffusion, jumps, own = _exact_path(
+            types[i], rows[i], dt, dW[sel], path.w0_increments, path.common_marks, e_i1[sel], e_i2[sel]
+        )
+        log_wealth[sel] = math.log(types[i].x0) + diffusion.sum(axis=1) + jumps.sum(axis=1)
         labels[sel] = own
     return log_wealth, labels
 
@@ -139,7 +157,7 @@ def simulate_agent(
     """
     row = row_positions(strat_row)
     check_admissible(Population([inv_type]), Strategy(row[np.newaxis]))
-    rng = _generator(int(seed), _STREAM_AGENT, agent_id)
+    rng = _generator(seed, _STREAM_AGENT, agent_id)
     log_wealth, labels = _log_wealth((inv_type,), row[None, :], np.zeros(1, dtype=int), path, rng)
     return AgentPath(math.exp(log_wealth[0]), tuple(SIGNALS[i] for i in labels[0]), seed=int(seed))
 
@@ -158,6 +176,7 @@ def estimate_utility(
     """
     if n_paths < MIN_PATHS:
         raise ValueError(f"need n_paths >= {MIN_PATHS} for a meaningful standard error")
+    check_horizon(T)
     check_admissible(pop, strat)
     market = pop.types[0].market
     if any(t.market.lam != market.lam for t in pop.types):
@@ -165,35 +184,22 @@ def estimate_utility(
     stats = aggregate(pop, strat, Quadrature.standard_normal())
 
     counts = _generator(seed, _STREAM_BATCH, 0).poisson(market.lam * T, size=n_paths)
-    total = int(np.sum(counts))
     path_of_jump = np.repeat(np.arange(n_paths), counts)
-    marks = _generator(seed, _STREAM_BATCH, 1).standard_normal(total)
+    marks = _generator(seed, _STREAM_BATCH, 1).standard_normal(path_of_jump.size)
     w0 = _generator(seed, _STREAM_BATCH, 2).standard_normal(n_paths) * math.sqrt(T)
 
-    log_mean_jump = np.log(stats.mean_jump(marks))
-    log_xbar = (
-        math.log(stats.xbar0)
-        + stats.taupi_bar * T
-        + stats.sigma0pi_bar * w0
-        + np.bincount(path_of_jump, weights=log_mean_jump, minlength=n_paths)
-    )
+    def by_path(per_jump: np.ndarray) -> np.ndarray:
+        return np.bincount(path_of_jump, weights=per_jump, minlength=n_paths)
 
-    means = np.empty(len(pop))
-    errors = np.empty(len(pop))
+    xbar = np.exp(stats.log_mean_wealth(T, w0, by_path(np.log(stats.mean_jump(marks)))))
+    means, errors = np.empty((2, len(pop)))
     for i, t in enumerate(pop.types):
         rng = _generator(seed, _STREAM_BATCH, 10 + i)
-        row = strat.row(i)
-        phi0 = strat.position(i, Signal.NONE)
-        m = t.market
-        drift = wealth_drift(m, phi0) * T
         w_own = rng.standard_normal(n_paths) * math.sqrt(T)
-        log_x = math.log(t.x0) + drift + m.sigma * phi0 * w_own + m.sigma0 * phi0 * w0
-        e_i1 = rng.standard_normal(total)
-        e_i2 = rng.uniform(size=total)
-        labels = classify_index(perturb(t.rho, marks, e_i1), e_i2 <= t.p_s)
-        jump_factor = np.log1p(row[labels] * eta(JumpLaw.from_market(m), marks))
-        log_x = log_x + np.bincount(path_of_jump, weights=jump_factor, minlength=n_paths)
-        u = relative_utility(np.exp(log_x), np.exp(log_xbar), t.alpha, t.theta)
+        e_i1 = rng.standard_normal(marks.size)
+        e_i2 = rng.uniform(size=marks.size)
+        diffusion, jumps, _ = _exact_path(t, strat.row(i), T, w_own, w0, marks, e_i1, e_i2)
+        u = relative_utility(np.exp(math.log(t.x0) + diffusion + by_path(jumps)), xbar, t.alpha, t.theta)
         means[i] = float(np.mean(u))
         errors[i] = float(np.std(u, ddof=1) / math.sqrt(n_paths))
     return means, errors

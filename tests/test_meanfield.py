@@ -79,6 +79,32 @@ class TestAggregate:
         assert stats.taupi_bar == pytest.approx(m.r + 0.5 * (m.kappa - m.r) - 0.5 * m.sigma0**2 * 0.25)
         assert stats.xbar0 == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("n_types", [1, 2, 12])
+    def test_matches_scalar_per_type_sum(self, quad128, n_types):
+        # Past 8 terms numpy's pairwise sum would add in another order than this loop.
+        rng = np.random.default_rng(n_types)
+        types = [
+            casestudy.investor(
+                casestudy.default_market(
+                    r=rng.uniform(0.01, 0.03), sigma=rng.uniform(0.0, 0.3), sigma0=rng.uniform(0.1, 0.3)
+                ),
+                x0=rng.uniform(1.5, 3.0),
+                weight=w,
+            )
+            for w in rng.dirichlet(np.ones(n_types))
+        ]
+        table = rng.uniform(0.0, 0.9, size=(n_types, 7))
+        stats = aggregate(Population(types), Strategy(table), quad128)
+        sigma0pi, taupi, log_xbar0 = 0.0, 0.0, 0.0
+        for t, pi0 in zip(types, table[:, NONE_INDEX].tolist()):
+            m = t.market
+            sigma0pi += t.weight * m.sigma0 * pi0
+            taupi += t.weight * (m.r + pi0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * pi0**2)
+            log_xbar0 += t.weight * math.log(t.x0)
+        assert stats.sigma0pi_bar == pytest.approx(sigma0pi, rel=1e-15, abs=0.0)
+        assert stats.taupi_bar == pytest.approx(taupi, rel=1e-15, abs=0.0)
+        assert math.log(stats.xbar0) == pytest.approx(log_xbar0, rel=1e-15, abs=0.0)
+
     def test_exposure_monotonicity(self, ref_pop, quad128):
         lo = aggregate(ref_pop, Strategy.constant(2, 0.2), quad128)
         hi = aggregate(ref_pop, Strategy.constant(2, 0.6), quad128)
@@ -173,6 +199,12 @@ class TestMeanLogTerminal:
             + sum(math.log(stats.mean_jump(m)) for m in marks)
         )
         assert out == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("T", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_invalid_horizon_rejected(self, ref_pop, quad128, T):
+        stats = aggregate(ref_pop, Strategy.zeros(2), quad128)
+        with pytest.raises(ValueError, match="horizon T must be finite and > 0"):
+            mean_log_terminal(stats, path_of([], 0.0), T)
 
     def test_horizon_mismatch_rejected(self, ref_pop, quad128):
         stats = aggregate(ref_pop, Strategy.zeros(2), quad128)

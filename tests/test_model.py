@@ -131,11 +131,6 @@ class TestStrategy:
         with pytest.raises(AttributeError):
             s.table = None
 
-    def test_from_mappings_round_trip(self):
-        row = {s: 0.1 * i for i, s in enumerate(SIGNALS)}
-        strat = Strategy.from_mappings([row])
-        assert strat.row_mapping(0) == pytest.approx(row)
-
     @given(
         st.lists(st.floats(-5, 5), min_size=7, max_size=7),
         st.lists(st.floats(-5, 5), min_size=7, max_size=7),
@@ -154,11 +149,6 @@ class TestAdmissibleInterval:
         assert iv.lo == 0.0
         assert iv.hi == pytest.approx(1.0 - t.eps_b)
         assert all(admissible_interval(t, z) == iv for z in NONZERO_SIGNALS)
-
-    def test_contains_and_clip(self):
-        iv = AdmissibleInterval(0.0, 1.0)
-        assert iv.contains(0.0) and iv.contains(1.0) and not iv.contains(1.1)
-        assert iv.clip(1.2) == 1.0 and iv.clip(-0.2) == 0.0
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from signalmfg.signals import (
     conditional_prob,
     eta,
     perturb,
-    signal_frequency,
     signal_kernel,
     signal_laws,
 )
@@ -225,24 +224,3 @@ class TestSignalLaws:
             assert np.all(law[i, NONE_INDEX] == 1.0 - t.p_s)
             assert np.array_equal(kernels[i], signal_kernel(t.rho, e_c))
 
-
-class TestSignalFrequency:
-    # frozen oracle: 10*0.5*(Phi(1)-Phi(0.5)) and 10*0.5*(1-Phi(1))
-    def test_values(self):
-        t = casestudy.investor()  # lam=10, p_s=0.5
-        assert signal_frequency(t, Signal.POS_ONE) == pytest.approx(0.7494114239726492, abs=1e-12)
-        assert signal_frequency(t, Signal.POS_INF) == pytest.approx(0.7932762696572853, abs=1e-12)
-
-    def test_never_signaled(self):
-        t = casestudy.investor(p_s=0.0)
-        assert all(signal_frequency(t, z) == 0.0 for z in NONZERO_SIGNALS)
-
-    def test_symmetry(self):
-        t = casestudy.investor()
-        for z in NONZERO_SIGNALS:
-            assert signal_frequency(t, z) == pytest.approx(signal_frequency(t, z.mirrored()), abs=1e-15)
-
-    def test_total_rate(self):
-        t = casestudy.investor(p_s=0.37)
-        total = sum(signal_frequency(t, z) for z in NONZERO_SIGNALS)
-        assert total == pytest.approx(t.market.lam * t.p_s, abs=1e-12)

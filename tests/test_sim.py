@@ -1,14 +1,17 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from signalmfg import casestudy
-from signalmfg.meanfield import mean_log_terminal
+from signalmfg.meanfield import aggregate, mean_log_terminal
 from signalmfg.model import SIGNALS, Population, Signal, Strategy, validate_population
+from signalmfg.quad import Quadrature
 from signalmfg.sim import (
     _STREAM_AGENT,
+    _STREAM_BATCH,
     _STREAM_COHORT,
     _STREAM_TYPES,
     CommonNoisePath,
@@ -74,6 +77,46 @@ def replay_cohort(n, pop, strat, path, seed):
     return type_idx, np.exp(logs)
 
 
+def replay_estimate_utility(pop, strat, n_paths, T, seed):
+    """Scalar oracle of ``estimate_utility``: its streams replayed one path and one jump at a time.
+
+    Stream 5 substream 0 gives the jump counts, 1 the marks of every path in
+    order, 2 the W0 increments over [0, T]; type i's substream 10 + i gives its
+    own increments, then e_i1 and e_i2 for every jump.
+    """
+    stats = aggregate(pop, strat, Quadrature.standard_normal())
+    counts = _generator(seed, _STREAM_BATCH, 0).poisson(pop.types[0].market.lam * T, size=n_paths)
+    total = int(counts.sum())
+    marks = _generator(seed, _STREAM_BATCH, 1).standard_normal(total).tolist()
+    w0 = (_generator(seed, _STREAM_BATCH, 2).standard_normal(n_paths) * math.sqrt(T)).tolist()
+    noise = []
+    for i in range(len(pop)):
+        rng = _generator(seed, _STREAM_BATCH, 10 + i)
+        w_own = rng.standard_normal(n_paths) * math.sqrt(T)
+        noise.append((w_own.tolist(), rng.standard_normal(total).tolist(), rng.uniform(size=total).tolist()))
+    utilities = [[] for _ in pop.types]
+    end = 0
+    for p, k in enumerate(counts.tolist()):
+        jumps = range(end, end + k)
+        end += k
+        log_xbar = math.log(stats.xbar0) + stats.taupi_bar * T + stats.sigma0pi_bar * w0[p]
+        log_xbar += sum(math.log(stats.mean_jump(marks[j])) for j in jumps)
+        for i, t in enumerate(pop.types):
+            m, row, (w_own, e_i1, e_i2) = t.market, strat.row(i).tolist(), noise[i]
+            phi0 = row[3]
+            drift = m.r + phi0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * phi0**2
+            log_x = math.log(t.x0) + drift * T + m.sigma * phi0 * w_own[p] + m.sigma0 * phi0 * w0[p]
+            for j in jumps:
+                z = t.rho * marks[j] + math.sqrt(1.0 - t.rho**2) * e_i1[j]
+                jump = math.expm1(m.sigma_hat * marks[j] + m.kappa_hat - 0.5 * m.sigma_hat**2)
+                log_x += math.log1p(row[local_label(z, e_i2[j] <= t.p_s)] * jump)
+            relative = math.exp(log_x) * math.exp(log_xbar) ** -t.theta
+            utilities[i].append(relative ** (1.0 - t.alpha) / (1.0 - t.alpha))
+    means = [statistics.fmean(u) for u in utilities]
+    errors = [statistics.stdev(u) / math.sqrt(n_paths) for u in utilities]
+    return np.array(means), np.array(errors)
+
+
 class TestSimulateCommon:
     def test_no_jumps_when_rate_zero(self):
         path = simulate_common(1.0, casestudy.default_market(lam=0.0), seed=1)
@@ -108,6 +151,11 @@ class TestSimulateCommon:
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ValueError):
             simulate_common(0.0, MARKET, seed=0)
+
+    @pytest.mark.parametrize("lam", [0.0, 10.0])
+    def test_infinite_horizon_rejected(self, lam):
+        with pytest.raises(ValueError, match="horizon T must be finite and > 0"):
+            simulate_common(float("inf"), casestudy.default_market(lam=lam), seed=0)
 
 
 class TestSimulateAgent:
@@ -241,6 +289,23 @@ class TestEstimateUtility:
         with pytest.raises(ValueError, match="n_paths"):
             estimate_utility(ref_pop, Strategy.zeros(2), 10, 1.0, seed=0)
 
+    @pytest.mark.parametrize("T", [-1.0, float("nan"), float("inf")])
+    def test_invalid_horizon_rejected(self, ref_pop, T):
+        with pytest.raises(ValueError, match="horizon T must be finite and > 0"):
+            estimate_utility(ref_pop, Strategy.zeros(2), 1_000, T, seed=0)
+
+    def test_matches_scalar_replay_of_its_streams(self):
+        # Non-dyadic weights, x0 != 1, sigma > 0 and T != 1: no term of the wealth model drops out.
+        market = casestudy.default_market(sigma=0.2, sigma_hat=0.3, kappa_hat=0.02)
+        pop = Population([
+            casestudy.investor(market, weight=0.3, x0=2.0, p_s=0.7, rho=0.3, alpha=3.0),
+            casestudy.investor(market, weight=0.7, x0=0.7, theta=0.8, rho=-0.6),
+        ])
+        means, errors = estimate_utility(pop, TWO_ROWS, 300, 1.5, seed=7)
+        oracle_means, oracle_errors = replay_estimate_utility(pop, TWO_ROWS, 300, 1.5, seed=7)
+        assert np.max(np.abs(means / oracle_means - 1.0)) <= 1e-12
+        assert np.max(np.abs(errors / oracle_errors - 1.0)) <= 1e-12
+
 
 class TestCohorts:
     def test_single_agent_average_is_that_agent(self, ref_pop):
@@ -270,6 +335,22 @@ class TestCohorts:
         share = float(np.mean(idx == 1))
         se = math.sqrt(0.25 * 0.75 / 8_000)
         assert abs(share - 0.75) < 4 * se
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda seed: simulate_common(1.0, MARKET, seed),
+        lambda seed: simulate_agent(casestudy.investor(), MIXED_ROW, crash_path(), seed),
+        lambda seed: simulate_cohort(10, casestudy.reference_population(), Strategy.zeros(2), crash_path(), seed),
+        lambda seed: estimate_utility(casestudy.reference_population(), Strategy.zeros(2), 1_000, 1.0, seed),
+    ],
+    ids=["simulate_common", "simulate_agent", "simulate_cohort", "estimate_utility"],
+)
+def test_non_integer_seed_rejected(entry):
+    # A float seed is rejected, not truncated: 3.7 must not run seed 3.
+    with pytest.raises(TypeError, match="seed must be an integer"):
+        entry(3.7)
 
 
 TWO_TYPES = Population([casestudy.investor(weight=0.25, rho=0.3, p_s=0.7, x0=2.0), casestudy.investor(weight=0.75)])
