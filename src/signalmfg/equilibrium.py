@@ -5,16 +5,18 @@ the best-response map serves three solvers: the n-agent Nash game, the
 finite-type mean-field game iterated in strategy space, and the mean-field
 game iterated in the (|marks| + 1)-dimensional statistic space for a finite
 common-mark law.  Each solver clips every iterate to the box of values its
-admissible positions can reach.  Non-convergence is a reported state, not
-an exception.
+admissible positions can reach.  A solver builds its investors' context
+once and gives one core (``_solve``) the environment its iterates induce;
+the core iterates, then reads M, values and notes off the final context
+for every solver alike.  Non-convergence is a reported state, not an
+exception.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,12 +37,13 @@ from .quad import Quadrature
 from .response import (
     DEFAULT_OPT_TOL,
     NewtonCapWarning,
-    _nagent_contexts,
+    TargetContext,
+    _contexts,
+    _mf_environment,
+    _nagent_environment,
     _respond,
     best_response,
-    best_response_nagent,
     jump_cap_binds,
-    mf_target_context,
 )
 
 # Anderson memory: how many past residual and image differences enter each extrapolation.
@@ -164,76 +167,69 @@ def _require(what: str, problems: list[str]) -> None:
         raise ValueError(f"invalid {what}: " + "; ".join(problems))
 
 
-def _noting_newton_caps(solver):
-    """``solver`` with a result note for each best-response row that stopped at the Newton cap.
+def _solve(ctx: TargetContext, environment: Callable, cfg: SolverConfig, iteration=None) -> EquilibriumResult:
+    """Every solver's core: the fixed point of the best-response map, and its result.
 
-    ``_respond`` flags such a row with a ``NewtonCapWarning``; every other
-    warning is passed on unchanged.
+    ``ctx`` is the investors' context from ``response._contexts``, built
+    once; ``environment(strategy)`` writes the environment a strategy
+    induces into it and returns (context, each investor's peer initial
+    wealth, ``MeanFieldStats`` or None).  The iteration runs on strategy
+    tables, each row clipped to its admissible interval, unless
+    ``iteration`` = (step, start, box, strategy_at) gives another map, its
+    start and box, and the strategy at its points.  M, closed-form values
+    and notes are read off the final context: a note per best-response row
+    stopped at the Newton cap (``NewtonCapWarning``), per type whose M clips
+    its jump factor (``jump_cap_binds``) and per value that overflows double.
     """
-
-    @functools.wraps(solver)
-    def solve(*args, **kwargs) -> EquilibriumResult:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", NewtonCapWarning)
-            result = solver(*args, **kwargs)
-        capped = []
-        for record in caught:
-            if issubclass(record.category, NewtonCapWarning):
-                capped.append(str(record.message))
-            else:
-                warnings.warn_explicit(record.message, record.category, record.filename, record.lineno)
-        return replace(result, notes=result.notes + tuple(dict.fromkeys(capped)))
-
-    return solve
-
-
-def _solve_table(
-    best_reply: Callable[[Strategy], Strategy], types: Sequence[InvestorType], cfg: SolverConfig
-) -> tuple[Strategy, float, int, tuple[str, ...]]:
-    """Iteration of ``best_reply`` on strategy tables, each row clipped to its admissible interval;
-    returns (strategy, residual, iterations, notes)."""
-    n_rows = len(types)
-    if cfg.init is not None and cfg.init.n_types != n_rows:
-        raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {n_rows}")
-    init = Strategy.zeros(n_rows) if cfg.init is None else cfg.init
-    shape = (n_rows, len(SIGNALS))
-    bounds = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, types)])
-    point, residual, iterations, notes = damped_fixed_point(
-        lambda vec: best_reply(Strategy(vec.reshape(shape))).table.ravel(),
-        init.table.ravel(), cfg.tol, cfg.max_iter, cfg.damping, tuple(np.repeat(bounds, len(SIGNALS), axis=0).T),
-    )
-    return Strategy(point.reshape(shape)), residual, iterations, notes
-
-
-def _result(ctx, xbar0s, cfg, stats, strategy, residual, iterations, notes):
-    """Every solver's result from its final context: M, closed-form values and a note per type
-    whose M clips its jump factor (``jump_cap_binds``) or whose value overflows double."""
-    per_type_M = tuple(_value_constant(ctx, strategy.table).tolist())
+    if iteration is None:
+        shape = (len(ctx.investors), len(SIGNALS))
+        if cfg.init is not None and cfg.init.n_types != shape[0]:
+            raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {shape[0]}")
+        start = (Strategy.zeros(shape[0]) if cfg.init is None else cfg.init).table.ravel()
+        box = tuple(np.repeat(ctx.bounds, len(SIGNALS), axis=0).T)
+        iteration = (lambda x: _respond(environment(Strategy(x.reshape(shape)))[0], cfg.opt_tol).table.ravel(),
+                     start, box, lambda x: Strategy(x.reshape(shape)))
+    step, start, box, strategy_at = iteration
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NewtonCapWarning)
+        point, residual, iterations, notes = damped_fixed_point(step, start, cfg.tol, cfg.max_iter, cfg.damping, box)
+        strategy = strategy_at(point)
+    capped = []
+    for record in caught:
+        if issubclass(record.category, NewtonCapWarning):
+            capped.append(str(record.message))
+        else:
+            warnings.warn_explicit(record.message, record.category, record.filename, record.lineno)
+    final, xbar0s, stats = environment(strategy)
+    per_type_M = tuple(_value_constant(final, strategy.table).tolist())
     with np.errstate(over="ignore"):
-        values = tuple(value_mf(t, M, t.x0, x, cfg.horizon) for t, M, x in zip(ctx.investors, per_type_M, xbar0s))
-    clipped = np.flatnonzero(jump_cap_binds(strategy.table, ctx))
+        values = tuple(value_mf(t, M, t.x0, x, cfg.horizon) for t, M, x in zip(final.investors, per_type_M, xbar0s))
+    clipped = np.flatnonzero(jump_cap_binds(strategy.table, final))
     notes += tuple(f"type {i}: M clips E*(1 + phi*eta)^(1-alpha) at a tail node; M is inexact" for i in clipped)
     overflowed = [i for i, value in enumerate(values) if not np.isfinite(value)]
     notes += tuple(f"type {i}: value exp(T(1-alpha)M) overflows double; use per_type_M" for i in overflowed)
+    notes += tuple(dict.fromkeys(capped))
     return EquilibriumResult(strategy, residual, iterations, per_type_M, values, residual < cfg.tol, stats, notes)
 
 
-def _mf_result(pop, q, cfg, strategy, *run) -> EquilibriumResult:
-    """Mean-field result: aggregate the final strategy, then one context for the population."""
-    stats = aggregate(pop, strategy, q)
-    ctx = mf_target_context(pop.types, q, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
-    return _result(ctx, [stats.xbar0] * len(pop), cfg, stats, strategy, *run)
+def _mean_field(pop: Population, q: Quadrature, ctx: TargetContext) -> Callable:
+    """The mean-field ``environment`` of ``_solve``: aggregate a strategy, write its statistic into ``ctx``."""
+
+    def environment(strat: Strategy):
+        stats = aggregate(pop, strat, q)
+        env_ctx = _mf_environment(ctx, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+        return env_ctx, [stats.xbar0] * len(pop), stats
+
+    return environment
 
 
-@_noting_newton_caps
 def solve_mf_finite(pop: Population, q: Quadrature, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
     """Signal-driven mean-field equilibrium for a finite-type population."""
     _require("population", validate_population(pop, require_shared_market=False))
-    run = _solve_table(lambda strat: best_response(pop, strat, q, cfg.opt_tol), pop.types, cfg)
-    return _mf_result(pop, q, cfg, *run)
+    ctx = _contexts(pop.types, q)
+    return _solve(ctx, _mean_field(pop, q, ctx), cfg)
 
 
-@_noting_newton_caps
 def solve_nagent(
     types: Sequence[InvestorType], q: Quadrature, cfg: SolverConfig = SolverConfig()
 ) -> EquilibriumResult:
@@ -243,18 +239,11 @@ def solve_nagent(
         raise ValueError("need at least 2 players")
     # Players are not a weighted mixture; the weight field is ignored here.
     _require("players", [v for i, t in enumerate(types) for v in validate_investor(t, i, check_weight=False)])
-    strategy, *run = _solve_table(lambda strat: best_response_nagent(types, strat, q, cfg.opt_tol), types, cfg)
+    ctx = _contexts(types, q)
     # Each player's peer average is the geometric mean of the others' x0: total minus own.
     log_x0 = np.log([t.x0 for t in types])
     peers_x0 = np.exp((log_x0.sum() - log_x0) / (len(types) - 1))
-    return _result(_nagent_contexts(types, strategy, q), peers_x0, cfg, None, strategy, *run)
-
-
-def respond_to_statistic(
-    pop: Population, m: np.ndarray, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
-) -> Strategy:
-    """Best response of every type to the raw statistic (sigma0pi, m(marks))."""
-    return _respond(mf_target_context(pop.types, q, float(m[0]), np.asarray(m[1:], dtype=float)), opt_tol)
+    return _solve(ctx, lambda strat: (_nagent_environment(ctx, strat), peers_x0, None), cfg)
 
 
 def statistic_of(pop: Population, strat: Strategy, q: Quadrature) -> np.ndarray:
@@ -284,7 +273,6 @@ def _statistic_box(pop: Population, q: Quadrature) -> tuple[np.ndarray, np.ndarr
     return tuple(np.concatenate((end[:1], np.exp(end[1:]))) for end in ends)
 
 
-@_noting_newton_caps
 def solve_mf_statistic(
     pop: Population,
     common_marks: Sequence[tuple[float, float]],
@@ -300,17 +288,14 @@ def solve_mf_statistic(
     marks = [float(m) for m, _ in common_marks]
     probs = [float(p) for _, p in common_marks]
     q = Quadrature.discrete(marks, probs)
+    ctx = _contexts(pop.types, q)
 
-    def step(m: np.ndarray) -> np.ndarray:
-        return statistic_of(pop, respond_to_statistic(pop, m, q, cfg.opt_tol), q)
+    def respond(m: np.ndarray) -> Strategy:
+        return _respond(_mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), cfg.opt_tol)
 
-    init_strategy = cfg.init if cfg.init is not None else Strategy.zeros(len(pop))
-    m0 = statistic_of(pop, init_strategy, q)
-    point, residual, iterations, notes = damped_fixed_point(
-        step, m0, cfg.tol, cfg.max_iter, cfg.damping, _statistic_box(pop, q)
-    )
-    strategy = respond_to_statistic(pop, point, q, cfg.opt_tol)
-    return _mf_result(pop, q, cfg, strategy, residual, iterations, notes)
+    start = statistic_of(pop, cfg.init if cfg.init is not None else Strategy.zeros(len(pop)), q)
+    iteration = (lambda m: statistic_of(pop, respond(m), q), start, _statistic_box(pop, q), respond)
+    return _solve(ctx, _mean_field(pop, q, ctx), cfg, iteration)
 
 
 def residual(pop: Population, strat: Strategy, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL) -> float:

@@ -216,6 +216,14 @@ def check_horizon(T: float) -> None:
         raise ValueError(f"horizon T must be finite and > 0, got {T}")
 
 
+def _check_integer(value, name: str, least: int = 0) -> None:
+    """Raise, naming ``name``, unless ``value`` is an integer >= ``least`` (numpy integers are; ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _exact_weight_sum(types: Sequence[InvestorType]) -> Fraction:
     # Exact rational sum of the user-given decimals; no silent renormalization.
     return sum((Fraction(str(t.weight)) for t in types), Fraction(0))

@@ -15,6 +15,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
+from .model import _check_integer
+
 DEFAULT_NODES = 128
 DEFAULT_HALF_WIDTH = 8.0  # N(0,1) mass outside [-8, 8] is ~1.2e-15
 
@@ -90,8 +92,7 @@ class Quadrature:
         the default (128 nodes, L = 8) passes a doubling refinement check at
         1e-8 in the test suite.
         """
-        if n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
+        _check_integer(n_nodes, "n_nodes", 1)
         if half_width <= 0:
             raise ValueError("half_width must be > 0")
         x, w = leggauss(n_nodes)

@@ -1,23 +1,25 @@
 """Best-response target functions, their Newton maximizer, and a generic 1-D maximizer.
 
-One ``TargetContext`` holds an environment's investors, built by one builder
-(``_contexts``) in both game modes: mean-field, where the environment is a
-``MeanFieldStats``, and n-agent, where it is built from the other players'
-explicit strategies under their signal laws.  ``signals.signal_laws`` gives
-those laws and every context's signal kernels.  An investor's seven targets
-(one per signal) are rows of one (7 x nodes) weight table applied to one
-jump integrand.  Each is strictly concave on its admissible interval
-whenever jumps are live, with closed-form first and second derivatives, so
-``_respond`` solves every investor's seven first-order conditions in one
-bracketed Newton iteration.  ``maximize_concave_1d`` (golden section) stays
-as a derivative-free maximizer for arbitrary concave functions.
+One ``TargetContext`` holds an environment's investors in both game modes.
+``_contexts`` builds every field that does not depend on the peers (signal
+laws from ``signals.signal_laws``, jump sizes, row weights, boxes), once per
+solve; ``_with_environment`` writes the environment into it: mean-field,
+from a ``MeanFieldStats`` (``_mf_environment``), or n-agent, from the other
+players' explicit strategies (``_nagent_environment``).  An investor's
+seven targets (one per signal) are rows of one (7 x nodes) weight table
+applied to one jump integrand.  Each is strictly concave on its admissible
+interval whenever jumps are live, with closed-form first and second
+derivatives, so ``_respond`` solves every investor's seven first-order
+conditions in one bracketed Newton iteration.  ``maximize_concave_1d``
+(golden section) stays as a derivative-free maximizer for arbitrary
+concave functions.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,30 +70,45 @@ class TargetContext:
     One context holds every type of a mean-field population or every player
     of an n-agent game: array fields lead with an investor axis in
     ``investors`` order; ``take`` slices investors out as their own context.
-    ``env_jump_log`` is log E, the environment's jump factor raised to
-    -theta*(1-alpha) (mean-field: the mean-jump function; n-agent: the
-    expected peer product, each peer's signal mixture intact); zero when
-    lam = 0.  Jump sizes are zero when degenerate (lam = 0 or sizeless); a
-    sizeless type keeps E.  Row z of ``row_weights`` (``SIGNALS`` order)
-    weighs the jump integrand in target z: lam*(1-p_s)*w for no signal,
-    w*N01(I(z, e_c))/N01(I(z)) else; ``row_mass`` turns the seven targets
-    into M's jump part: 1 for no signal, lam*p_s*N01(I(z)) else.  The drift
-    is ``drift_slope``*phi - ``drift_curvature``*phi^2/2; ``bounds`` = (lo, hi).
+    ``_contexts`` builds every field that does not depend on the peers; the
+    last four are the environment, None until ``_with_environment`` writes
+    them.  ``env_jump_log`` is log E, the environment's jump factor raised
+    to ``peer_exponent`` = -theta*(1-alpha) (mean-field: the mean-jump
+    function; n-agent: the expected peer product, each peer's signal mixture
+    intact); zero when lam = 0.  ``eta_nodes`` are the jump sizes, zero when
+    degenerate (lam = 0 or sizeless); a sizeless type keeps E.  ``law`` is
+    P(z | e_c) and ``eta_raw`` the jump sizes never zeroed: the n-agent
+    environment reads them for the peers.  Row z of ``row_weights``
+    (``SIGNALS`` order) weighs the jump integrand in target z:
+    lam*(1-p_s)*w for no signal, w*N01(I(z, e_c))/N01(I(z)) else;
+    ``row_mass`` turns the seven targets into M's jump part: 1 for no
+    signal, lam*p_s*N01(I(z)) else.  The drift is ``drift_slope``*phi -
+    ``drift_curvature``*phi^2/2; ``bounds`` = (lo, hi).
     """
 
     investors: tuple[InvestorType, ...]
-    sigma0pi_env: np.ndarray
-    taupi_env: np.ndarray
-    sig2pi2_env: np.ndarray
     alpha: np.ndarray = field(repr=False)
-    drift_slope: np.ndarray = field(repr=False)
+    peer_exponent: np.ndarray = field(repr=False)
+    excess_return: np.ndarray = field(repr=False)
+    sigma0: np.ndarray = field(repr=False)
     drift_curvature: np.ndarray = field(repr=False)
     bounds: np.ndarray = field(repr=False)
     eta_nodes: np.ndarray = field(repr=False)
-    env_jump_log: np.ndarray = field(repr=False)
+    eta_raw: np.ndarray = field(repr=False)
+    law: np.ndarray = field(repr=False)
     row_weights: np.ndarray = field(repr=False)
     row_mass: np.ndarray = field(repr=False)
     jumps_degenerate: np.ndarray = field(repr=False)
+    jump_free: np.ndarray = field(repr=False)
+    sigma0pi_env: np.ndarray | None = None
+    taupi_env: np.ndarray | None = None
+    sig2pi2_env: np.ndarray | None = None
+    env_jump_log: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def drift_slope(self) -> np.ndarray:
+        """(kappa - r) - theta*(1-alpha)*sigma0*sigma0pi_env: the drift's slope at phi = 0."""
+        return self.excess_return + self.peer_exponent * self.sigma0 * self.sigma0pi_env
 
     def take(self, index) -> "TargetContext":
         """The investors at ``index`` (one index or a sequence of them) as their own context."""
@@ -100,41 +117,51 @@ class TargetContext:
         return TargetContext(tuple(self.investors[i] for i in rows), *arrays)
 
 
-def _contexts(types: Sequence[InvestorType], q: Quadrature, env: tuple, env_log, kernels) -> TargetContext:
-    """The context of ``types`` in both game modes; one ``eta`` per distinct jump law.
+def _contexts(types: Sequence[InvestorType], q: Quadrature) -> TargetContext:
+    """The context of ``types`` with no environment yet: the one build of every field the peers leave alone.
 
-    ``env`` = (sigma0pi, taupi, sig2pi2), each shared or one per investor;
-    ``env_log`` is each investor's log E on the nodes, ``kernels`` their
-    signal kernels on the nodes (``signal_laws``).
+    One ``signal_laws`` call and one ``eta`` per distinct jump law; a solver
+    builds this once and writes each iteration's environment into it.
     """
     types = tuple(types)
     markets = [t.market for t in types]
     alpha, theta, p_s = np.array([(t.alpha, t.theta, t.p_s) for t in types]).T
     r, kappa, sigma, sigma0, lam = np.array([(m.r, m.kappa, m.sigma, m.sigma0, m.lam) for m in markets]).T
-    sigma0pi, taupi, sig2pi2 = (np.full(len(types), v, dtype=float) for v in env)
     laws = [JumpLaw.from_market(m) for m in markets]
     jump_free = lam == 0.0
     degenerate = jump_free | np.array([law.degenerate for law in laws])
-    eta_nodes = np.where(degenerate[:, np.newaxis], 0.0, per_distinct(laws, lambda law: eta(law, q.nodes)))
+    jumps = per_distinct(laws, lambda law: eta(law, q.nodes))
+    kernels, law = signal_laws(types, q.nodes)
     weights = np.empty((len(types), len(SIGNALS), q.n_nodes))
     weights[:, NONE_INDEX] = (lam * (1.0 - p_s))[:, np.newaxis] * q.weights
     weights[:, NONZERO_INDEX] = q.weights * kernels / _SIGNAL_MASS[:, np.newaxis]
     mass = np.ones((len(types), len(SIGNALS)))
     mass[:, NONZERO_INDEX] = (lam * p_s)[:, np.newaxis] * _SIGNAL_MASS
-    slope = (kappa - r) - theta * (1.0 - alpha) * sigma0 * sigma0pi
     bounds = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, types)])
-    env_log = np.where(jump_free[:, np.newaxis], 0.0, env_log)
-    return TargetContext(types, sigma0pi, taupi, sig2pi2, alpha, slope, alpha * (sigma**2 + sigma0**2), bounds,
-                         eta_nodes, env_log, weights, mass, degenerate)
+    eta_nodes = np.where(degenerate[:, np.newaxis], 0.0, jumps)
+    return TargetContext(types, alpha, -theta * (1.0 - alpha), kappa - r, sigma0, alpha * (sigma**2 + sigma0**2),
+                         bounds, eta_nodes, jumps, law, weights, mass, degenerate, jump_free)
+
+
+def _with_environment(ctx: TargetContext, env: tuple, env_log) -> TargetContext:
+    """``ctx`` against an environment: ``env`` = (sigma0pi, taupi, sig2pi2), each shared or one per
+    investor, and ``env_log`` each investor's log E on the nodes."""
+    sigma0pi, taupi, sig2pi2 = (np.full(len(ctx.investors), v, dtype=float) for v in env)
+    env_log = np.where(ctx.jump_free[:, np.newaxis], 0.0, env_log)
+    return replace(ctx, sigma0pi_env=sigma0pi, taupi_env=taupi, sig2pi2_env=sig2pi2, env_jump_log=env_log)
+
+
+def _mf_environment(ctx: TargetContext, sigma0pi_bar: float, mean_jump_nodes, taupi_bar: float = 0.0):
+    """``ctx`` against a mean-field environment given by its statistic."""
+    env_log = ctx.peer_exponent[:, np.newaxis] * np.log(np.asarray(mean_jump_nodes))
+    return _with_environment(ctx, (sigma0pi_bar, taupi_bar, 0.0), env_log)
 
 
 def mf_target_context(
     types: Sequence[InvestorType], q: Quadrature, sigma0pi_bar: float, mean_jump_nodes, taupi_bar: float = 0.0
 ) -> TargetContext:
     """Context of ``types`` against a mean-field environment given by its statistic."""
-    exponents = np.array([-t.theta * (1.0 - t.alpha) for t in types])[:, np.newaxis]
-    env_log = exponents * np.log(np.asarray(mean_jump_nodes))
-    return _contexts(types, q, (sigma0pi_bar, taupi_bar, 0.0), env_log, signal_laws(types, q.nodes)[0])
+    return _mf_environment(_contexts(types, q), sigma0pi_bar, mean_jump_nodes, taupi_bar)
 
 
 def context_from_stats(inv_type: InvestorType, stats: MeanFieldStats, q: Quadrature) -> TargetContext:
@@ -142,8 +169,8 @@ def context_from_stats(inv_type: InvestorType, stats: MeanFieldStats, q: Quadrat
     return mf_target_context([inv_type], q, stats.sigma0pi_bar, stats.mean_jump_nodes, taupi_bar=stats.taupi_bar)
 
 
-def _nagent_contexts(types: Sequence[InvestorType], strat: Strategy, q: Quadrature) -> TargetContext:
-    """The context of every player against the others, built in one pass over all players.
+def _nagent_environment(ctx: TargetContext, strat: Strategy) -> TargetContext:
+    """``ctx`` of every player against the others' strategies in ``strat``, in one pass over all players.
 
     Peer aggregates are totals over all players minus the player's own term.
     The expected peer jump factor of player i is the product over peers of
@@ -152,33 +179,37 @@ def _nagent_contexts(types: Sequence[InvestorType], strat: Strategy, q: Quadratu
     log mixture, since peers' signal draws are independent given the common
     mark.  Each log mixture is a log-sum-exp over signals of log weight +
     e*log1p(pi*eta), shifted per (player, node) by its largest weighted term,
-    so large |e| (alpha ~ 100) cannot overflow it.
+    so large |e| (alpha ~ 100) cannot overflow it.  Peers jump by
+    ``eta_raw``, also where their own ``eta_nodes`` are zeroed.
     """
-    n_players = len(types)
+    n_players = len(ctx.investors)
     if strat.n_types != n_players:
         raise ValueError(f"strategy has {strat.n_types} rows for {n_players} players")
     if n_players < 2:
         raise ValueError("n-agent mode needs at least 2 players")
     n = n_players - 1
-    drift, sigma_pi, sigma0pi = wealth_diffusion(types, strat.table[:, NONE_INDEX])
+    drift, sigma_pi, sigma0pi = wealth_diffusion(ctx.investors, strat.table[:, NONE_INDEX])
     sig2pi2 = sigma_pi**2
-    kernels, law = signal_laws(types, q.nodes)
-    jumps = per_distinct([JumpLaw.from_market(t.market) for t in types], lambda jump_law: eta(jump_law, q.nodes))
-    exponents = np.array([-t.theta * (1.0 - t.alpha) / n for t in types])
-    log_returns = np.log1p(strat.table[:, :, np.newaxis] * jumps[:, np.newaxis, :])
-    peer_log = np.zeros((n_players, q.n_nodes))
+    exponents = ctx.peer_exponent / n
+    log_returns = np.log1p(strat.table[:, :, np.newaxis] * ctx.eta_raw[:, np.newaxis, :])
+    peer_log = np.zeros(ctx.eta_raw.shape)
     for e in set(exponents) - {0.0}:
-        terms = np.where(law > 0.0, e * log_returns, -np.inf)
+        terms = np.where(ctx.law > 0.0, e * log_returns, -np.inf)
         shift = terms.max(axis=1)
-        log_mix = shift + np.log(np.sum(law * np.exp(terms - shift[:, np.newaxis]), axis=1))
+        log_mix = shift + np.log(np.sum(ctx.law * np.exp(terms - shift[:, np.newaxis]), axis=1))
         mine = exponents == e
         peer_log[mine] = log_mix.sum(axis=0) - log_mix[mine]
     env = ((sigma0pi.sum() - sigma0pi) / n, (drift.sum() - drift) / n, (sig2pi2.sum() - sig2pi2) / n**2)
-    return _contexts(types, q, env, peer_log, kernels)
+    return _with_environment(ctx, env, peer_log)
+
+
+def _nagent_contexts(types: Sequence[InvestorType], strat: Strategy, q: Quadrature) -> TargetContext:
+    """The context of every player against the others (see ``_nagent_environment``)."""
+    return _nagent_environment(_contexts(types, q), strat)
 
 
 def nagent_target_context(i: int, types: Sequence[InvestorType], strat: Strategy, q: Quadrature) -> TargetContext:
-    """One-investor context of player ``i`` against the other players' strategies (see ``_nagent_contexts``)."""
+    """One-investor context of player ``i`` against the other players' strategies (see ``_nagent_environment``)."""
     if not 0 <= i < len(types):
         raise IndexError(f"player index {i} out of range for {len(types)} players")
     return _nagent_contexts(types, strat, q).take(i)

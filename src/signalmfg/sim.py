@@ -30,7 +30,6 @@ e_i1 and e_i2 for every jump of the batch.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,7 @@ from .model import (
     Population,
     Signal,
     Strategy,
+    _check_integer,
     check_admissible,
     check_horizon,
     row_positions,
@@ -60,8 +60,7 @@ MIN_PATHS = 100
 
 
 def _generator(seed: int, *substream: int) -> np.random.Generator:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
+    _check_integer(seed, "seed")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *substream))))
 
 
@@ -174,8 +173,7 @@ def estimate_utility(
     enter terminal wealth (positions are signal-driven), so only jump counts
     are drawn.  Returns (means, standard errors), one entry per type.
     """
-    if n_paths < MIN_PATHS:
-        raise ValueError(f"need n_paths >= {MIN_PATHS} for a meaningful standard error")
+    _check_integer(n_paths, "n_paths", MIN_PATHS)
     check_horizon(T)
     check_admissible(pop, strat)
     market = pop.types[0].market
@@ -214,8 +212,7 @@ def simulate_cohort(
     cohort stream's blocks, so cohorts over the same path are coupled through
     the common noise only.
     """
-    if n < 1:
-        raise ValueError("need at least one agent")
+    _check_integer(n, "n", 1)
     check_admissible(pop, strat)
     weights = pop.weights
     type_idx = _generator(seed, _STREAM_TYPES).choice(len(pop), size=n, p=weights / weights.sum())

@@ -22,6 +22,8 @@ from signalmfg.quad import Quadrature
 from signalmfg.response import context_from_stats, jump_cap_binds
 
 MERTON = 4.0 / 9.0
+# The finite common-mark law of acceptance 11 (cross-solver oracle).
+MARKS_11 = [(-1.0, 0.25), (0.0, 0.5), (1.5, 0.25)]
 
 
 def merton_pop():
@@ -397,6 +399,36 @@ class TestResultMatchesPerTypeAPI:
         for i, t in enumerate(pop.types):
             assert result.per_type_M[i] == M_mf(t, result.strategy.row(i), result.stats, quad128)
 
+    def test_statistic_result_M(self):
+        pop = casestudy.reference_population()
+        result = solve_mf_statistic(pop, MARKS_11)
+        assert result.converged
+        q = Quadrature.discrete([m for m, _ in MARKS_11], [p for _, p in MARKS_11])
+        for i, t in enumerate(pop.types):
+            assert result.per_type_M[i] == M_mf(t, result.strategy.row(i), result.stats, q)
+
+
+class TestContextBuiltOnce:
+    """A solve builds its investors' signal laws once; each iteration writes only the environment."""
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda q: solve_mf_finite(casestudy.reference_population(), q),
+            lambda q: solve_nagent([casestudy.investor()] * 5, q),
+            lambda q: solve_mf_statistic(casestudy.reference_population(), MARKS_11),
+        ],
+        ids=["mf_finite", "nagent", "mf_statistic"],
+    )
+    def test_one_signal_law_build_per_solve(self, solve, quad128, monkeypatch):
+        # meanfield.aggregate imports its own signal_laws, so only context builds are counted.
+        calls = []
+        build = response.signal_laws
+        monkeypatch.setattr(response, "signal_laws", lambda *args: calls.append(args) or build(*args))
+        result = solve(quad128)
+        assert result.converged and result.iterations > 1
+        assert len(calls) == 1
+
 
 class TestResidual:
     def test_converged_strategy_has_small_gap(self, ref_pop, quad128, ref_eq):
@@ -521,10 +553,9 @@ class TestSolveMfStatistic:
             assert np.all(lo <= stat) and np.all(stat <= hi)
 
     def test_matches_strategy_space_solver_on_discrete_law(self):
-        marks = [(-1.0, 0.25), (0.0, 0.5), (1.5, 0.25)]
         pop = casestudy.reference_population()
-        stat = solve_mf_statistic(pop, marks)
-        q = Quadrature.discrete([m for m, _ in marks], [p for _, p in marks])
+        stat = solve_mf_statistic(pop, MARKS_11)
+        q = Quadrature.discrete([m for m, _ in MARKS_11], [p for _, p in MARKS_11])
         fin = solve_mf_finite(pop, q)
         assert stat.converged and fin.converged
         assert strategy_distance(stat.strategy, fin.strategy) < 1e-6

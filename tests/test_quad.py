@@ -111,6 +111,14 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             Quadrature.standard_normal(64, -1.0)
 
+    @pytest.mark.parametrize("n_nodes", [True, 64.0])
+    def test_non_integer_node_count_rejected(self, n_nodes):
+        with pytest.raises(TypeError, match="n_nodes must be an integer"):
+            Quadrature.standard_normal(n_nodes)
+
+    def test_numpy_integer_node_count_accepted(self):
+        assert Quadrature.standard_normal(np.int64(64)).n_nodes == 64
+
     def test_nan_half_width_rejected(self):
         with pytest.raises(ValueError, match="must be finite"):
             Quadrature.standard_normal(8, float("nan"))

@@ -337,7 +337,8 @@ class TestCohorts:
         assert abs(share - 0.75) < 4 * se
 
 
-@pytest.mark.parametrize(
+# Every public entry point that takes a Monte Carlo master seed.
+seeded_entries = pytest.mark.parametrize(
     "entry",
     [
         lambda seed: simulate_common(1.0, MARKET, seed),
@@ -347,10 +348,37 @@ class TestCohorts:
     ],
     ids=["simulate_common", "simulate_agent", "simulate_cohort", "estimate_utility"],
 )
+
+
+@seeded_entries
 def test_non_integer_seed_rejected(entry):
     # A float seed is rejected, not truncated: 3.7 must not run seed 3.
     with pytest.raises(TypeError, match="seed must be an integer"):
         entry(3.7)
+
+
+@seeded_entries
+def test_negative_seed_rejected(entry):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        entry(-1)
+
+
+@pytest.mark.parametrize("n_paths", [150.0, True])
+def test_non_integer_path_count_rejected(n_paths):
+    with pytest.raises(TypeError, match="n_paths must be an integer"):
+        estimate_utility(casestudy.reference_population(), Strategy.zeros(2), n_paths, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("n", [10.5, True])
+def test_non_integer_cohort_size_rejected(n):
+    with pytest.raises(TypeError, match="n must be an integer"):
+        simulate_cohort(n, casestudy.reference_population(), Strategy.zeros(2), crash_path(), seed=0)
+
+
+def test_numpy_integer_counts_accepted():
+    pop, strat = casestudy.reference_population(), Strategy.zeros(2)
+    assert estimate_utility(pop, strat, np.int64(200), 1.0, np.int64(1))[0].shape == (2,)
+    assert simulate_cohort(np.int64(3), pop, strat, crash_path(), seed=np.int64(1))[1].shape == (3,)
 
 
 TWO_TYPES = Population([casestudy.investor(weight=0.25, rho=0.3, p_s=0.7, x0=2.0), casestudy.investor(weight=0.75)])
