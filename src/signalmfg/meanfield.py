@@ -7,23 +7,29 @@ signal-driven strategy induces the sufficient statistic of everyone's
 environment: drift aggregate, common volatility exposure, initial geometric
 mean wealth, and the mean-jump function e_c -> m(e_c) multiplying the
 geometric mean wealth at each jump; m mixes each type's log jump return under
-its signal law, read from ``signals.signal_laws`` one block of marks at a time.
+its signal law (``signals.signal_expectation``), one block of marks at a time,
+once per distinct (rho, p_s, jump law, row) of the population.  It takes the
+jump sizes at the marks as given (``_mean_jump_given``), so Monte Carlo
+computes them once for m and for its paths.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import NONE_INDEX, NONZERO_INDEX, InvestorType, Population, Strategy, check_admissible, check_horizon
+from .model import NONE_INDEX, InvestorType, Population, Strategy, check_admissible, check_horizon
 from .quad import Quadrature
-from .signals import JumpLaw, eta, per_distinct, signal_laws
+from .signals import JumpLaw, distinct, jump_sizes, signal_expectation, signal_kernel
 
-# Marks per block of m(e_c): bounds the (types, 7, block) signal-law tables on
-# ~1e6 Monte Carlo marks (1 << 16 measured about twice as slow).
+# Marks per block of m(e_c): bounds its per-block tables, each (5 to 7,
+# distinct investors, block), on ~1e6 Monte Carlo marks.  Measured on 1e6
+# marks (2-core Xeon, one and two distinct investors): 2^12 to 2^15 within
+# noise, 2^16 and 2^17 1.4-1.8x slower.
 _MARK_BLOCK = 1 << 14
 
 
@@ -56,27 +62,57 @@ def wealth_diffusion(types: Sequence[InvestorType], pi0) -> tuple[np.ndarray, np
     return drift, sigma * pi0, sigma0 * pi0
 
 
-def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
-    """Closed-form m(e_c): geometric mean over types and signal outcomes.
+def _mean_jump_given(pop: Population, strat: Strategy, laws: Sequence[JumpLaw]) -> Callable:
+    """m at flat marks ``e``, given each type's jump sizes there: ``signals.jump_sizes(laws, e)``.
 
-    log m(e_c) = sum_i w_i * sum_z P_i(z | e_c) log(1 + pi_iz eta_i(e_c)),
-    P_i from ``signal_laws`` and one eta per distinct jump law.  Each type's
-    no-signal term is summed first, then its nonzero signals in order, then
-    the types in order.  Marks go through in blocks of ``_MARK_BLOCK``.
+    log m(e_c) = sum_i w_i * sum_z P_i(z | e_c) log(1 + pi_iz eta_i(e_c)).  The
+    expectation over z is taken once per distinct (rho, p_s, jump law, row),
+    from one kernel call over their distinct rho, so types differing only in
+    weight, x0, alpha or theta share it.  Each expectation adds its
+    no-signal term first, then its nonzero signals in order; the weighted
+    types are then added one at a time, in population order.  Marks go
+    through in blocks of ``_MARK_BLOCK``.
     """
-    rows = strat.table.copy()[:, :, np.newaxis]
-    laws = [JumpLaw.from_market(t.market) for t in pop.types]
+    _, law_of = distinct(laws)
+    keys = [(t.rho, t.p_s, law, row.tobytes()) for t, law, row in zip(pop.types, law_of, strat.table)]
+    firsts, investor_of = distinct(keys)
+    investors = [pop.types[i] for i in firsts]
+    rho_firsts, rho_of = distinct([t.rho for t in investors])
+    rhos = [investors[i].rho for i in rho_firsts]
+    p_s = np.array([[t.p_s] for t in investors])
+    rows = strat.table[firsts].T[:, :, np.newaxis]
+    weights = pop.weights[:, np.newaxis]
 
-    def log_mean_jump(e: np.ndarray) -> np.ndarray:
-        _, law = signal_laws(pop.types, e)
-        terms = law * np.log1p(rows * per_distinct(laws, lambda jump_law: eta(jump_law, e))[:, np.newaxis])
-        mixture = sum((terms[:, column] for column in NONZERO_INDEX), terms[:, NONE_INDEX])
-        return np.sum(pop.weights[:, np.newaxis] * mixture, axis=0)
+    def log_mean_jump(e: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        kernels = signal_kernel(rhos, e)
+        if 1 < len(rhos) < len(firsts):  # one rho broadcasts over the investors
+            kernels = kernels[:, rho_of]
+        mixture = signal_expectation(p_s, kernels, np.log1p(rows * sizes))
+        if len(firsts) < len(investor_of):
+            mixture = mixture[investor_of]
+        # Row by row: np.sum over the type axis would add in pairs on a one-mark block.
+        return functools.reduce(np.add, weights * mixture)
+
+    def mean_jump_given(e: np.ndarray, jumps: Sequence) -> np.ndarray:
+        own = [jumps[i] for i in firsts]
+        log_m = np.empty(e.size)
+        for start in range(0, e.size, _MARK_BLOCK):
+            block = slice(start, start + _MARK_BLOCK)
+            log_m[block] = log_mean_jump(e[block], np.stack([size[block] for size in own]))
+        return np.exp(log_m, out=log_m)
+
+    return mean_jump_given
+
+
+def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
+    """Closed-form m(e_c) at marks of any shape: ``_mean_jump_given`` with one eta per distinct jump law."""
+    laws = [JumpLaw.from_market(t.market) for t in pop.types]
+    given = _mean_jump_given(pop, strat, laws)
 
     def mean_jump(e_c):
         e = np.atleast_1d(np.asarray(e_c, dtype=float))
-        blocks = np.split(e.ravel(), range(_MARK_BLOCK, e.size, _MARK_BLOCK))
-        out = np.exp(np.concatenate([log_mean_jump(block) for block in blocks])).reshape(e.shape)
+        flat = e.ravel()
+        out = given(flat, jump_sizes(laws, flat)).reshape(e.shape)
         return float(out[0]) if np.isscalar(e_c) else out
 
     return mean_jump

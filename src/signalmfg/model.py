@@ -123,15 +123,13 @@ class AdmissibleInterval:
             raise ValueError(f"empty admissible interval [{self.lo}, {self.hi}]")
 
 
-def admissible_interval(inv_type: InvestorType, signal: Signal = Signal.NONE) -> AdmissibleInterval:
-    """Admissible positions for ``inv_type`` given ``signal``.
+def admissible_interval(inv_type: InvestorType) -> AdmissibleInterval:
+    """Admissible positions for ``inv_type``, under every signal.
 
     Under the log-normal jump law every signal admits positions in [0, 1];
     the compact sub-interval [0, 1 - eps_b] keeps the jump return 1 + phi*eta
-    bounded away from zero.  The interval does not depend on the signal here,
-    but the signature keeps the general per-signal contract.
+    bounded away from zero.
     """
-    del signal
     return AdmissibleInterval(0.0, 1.0 - inv_type.eps_b)
 
 

@@ -38,7 +38,7 @@ from .model import (
     admissible_interval,
 )
 from .quad import Quadrature
-from .signals import JumpLaw, eta, per_distinct, signal_kernel, signal_laws
+from .signals import JumpLaw, jump_sizes, signal_kernel, signal_laws
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
@@ -130,7 +130,7 @@ def _contexts(types: Sequence[InvestorType], q: Quadrature) -> TargetContext:
     laws = [JumpLaw.from_market(m) for m in markets]
     jump_free = lam == 0.0
     degenerate = jump_free | np.array([law.degenerate for law in laws])
-    jumps = per_distinct(laws, lambda law: eta(law, q.nodes))
+    jumps = np.stack(jump_sizes(laws, q.nodes))
     kernels, law = signal_laws(types, q.nodes)
     weights = np.empty((len(types), len(SIGNALS), q.n_nodes))
     weights[:, NONE_INDEX] = (lam * (1.0 - p_s))[:, np.newaxis] * q.weights

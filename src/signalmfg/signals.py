@@ -6,16 +6,18 @@ categorical signal built from the perturbed mark
 ``z = rho * e_c + sqrt(1 - rho^2) * e_i1``: its sign plus one of the size
 buckets 0.5 / 1 / inf.  One edges table defines both the classification and
 the intervals I(z), hence the signal law
-P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)).  ``signal_laws`` is
-the one builder of its tables: the mean-jump function, the n-agent peer
-mixtures and the target contexts all read them.
+P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)), written once in
+``_law``.  ``signal_kernel`` evaluates N01(I(z, e_c)) for any number of rho
+in one CDF call; ``signal_laws`` tabulates the law (the target contexts and
+the n-agent peer mixtures read it) and ``signal_expectation`` takes an
+expectation under it with no law table (the mean-jump function).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,8 +28,6 @@ from .quad import std_normal_cdf
 # I(z) for ``NONZERO_SIGNALS`` in order.  A mark on an edge goes to the inner
 # bucket; z = 0 carries no direction (no signal).
 SIGNAL_EDGES = (-1.0, -0.5, 0.0, 0.5, 1.0)
-# By symmetry, |z| against the non-negative edges counts buckets outward from 0.
-_OUTWARD_EDGES = np.array([e for e in SIGNAL_EDGES if e >= 0.0])
 
 
 @dataclass(frozen=True)
@@ -61,50 +61,99 @@ def perturb(rho: float, e_c, e_i1):
     return rho * np.asarray(e_c, dtype=float) + math.sqrt(1.0 - rho * rho) * np.asarray(e_i1, dtype=float)
 
 
+def distinct(keys: Sequence) -> tuple[list[int], list[int]]:
+    """Where each distinct key first occurs in ``keys``, and the position of each key among the distinct ones."""
+    rank: dict = {}
+    position = [rank.setdefault(key, len(rank)) for key in keys]
+    firsts: list[int] = []
+    for i, d in enumerate(position):
+        if d == len(firsts):
+            firsts.append(i)
+    return firsts, position
+
+
+def jump_sizes(laws: Sequence[JumpLaw], e_c) -> list:
+    """``eta`` of each entry of ``laws`` at ``e_c``, evaluated once per distinct law (equal laws share one array)."""
+    firsts, law_of = distinct(laws)
+    sizes = [eta(laws[i], e_c) for i in firsts]
+    return [sizes[d] for d in law_of]
+
+
 def classify_index(z_perturbed, received):
-    """Index into ``SIGNALS`` of each perturbed mark's signal; no signal when not received."""
+    """Index into ``SIGNALS`` of each perturbed mark's signal; no signal when not received.
+
+    Counts the edges each mark lies strictly beyond, outward from 0, so a mark
+    on an edge goes to the inner bucket; the result has dtype ``np.intp``.
+    """
     z = np.asarray(z_perturbed, dtype=float)
-    outward = np.searchsorted(_OUTWARD_EDGES, np.abs(z))
-    outward *= np.sign(z).astype(outward.dtype)
-    outward += NONE_INDEX
-    return np.where(received, outward, NONE_INDEX)
+    outward = np.zeros(z.shape, dtype=np.int8)
+    for edge in SIGNAL_EDGES:
+        if edge >= 0.0:
+            outward += z > edge
+        if edge <= 0.0:
+            outward -= z < edge
+    return np.add(outward * received, NONE_INDEX, dtype=np.intp)
 
 
-def per_distinct(keys: Sequence, build: Callable[..., np.ndarray]) -> np.ndarray:
-    """``build(key)`` once per distinct key, gathered into one row per entry of ``keys``."""
-    distinct = list(dict.fromkeys(keys))
-    return np.stack([build(key) for key in distinct])[[distinct.index(key) for key in keys]]
-
-
-def signal_kernel(rho: float, e_c) -> np.ndarray:
-    """N01(I(z, e_c)) for z in ``NONZERO_SIGNALS`` order: a (6, *shape(e_c)) table.
+def signal_kernel(rho, e_c) -> np.ndarray:
+    """N01(I(z, e_c)) for z in ``NONZERO_SIGNALS`` order: a (6, *shape(rho), *shape(e_c)) table.
 
     I(z, e_c) holds the noise values e_i1 producing signal z at mark e_c; the
     perturbation is increasing in e_i1, so its edges are
     (edge - rho*e_c)/sqrt(1-rho^2).  At rho = 0 the rows are the masses
-    N01(I(z)).
+    N01(I(z)).  One CDF call covers every rho and mark; each value is the
+    one a single (rho, e_c) gives.
     """
-    if not abs(rho) < 1.0:
+    rho = np.asarray(rho, dtype=float)
+    if not (np.abs(rho) < 1.0).all():
         raise ValueError(f"signal quality must satisfy |rho| < 1, got {rho}")
-    edges = np.subtract.outer(SIGNAL_EDGES, rho * np.asarray(e_c, dtype=float))
-    cdf = std_normal_cdf(edges / math.sqrt(1.0 - rho * rho))
+    e = np.asarray(e_c, dtype=float)
+    scale = np.sqrt(1.0 - rho * rho).reshape(rho.shape + (1,) * e.ndim)
+    cdf = std_normal_cdf(np.subtract.outer(SIGNAL_EDGES, np.multiply.outer(rho, e)) / scale)
     return np.concatenate((cdf[:1], cdf[1:] - cdf[:-1], 1.0 - cdf[-1:]))
 
 
+def _law(p_s, kernels) -> tuple[np.ndarray, np.ndarray]:
+    """P(z | e_c) = (1 - p_s)*[z = 0] + p_s*kernel, as (no-signal, nonzero-signal) probabilities.
+
+    ``kernels`` lead with the signal axis, as ``signal_kernel`` returns them,
+    and so do the nonzero-signal probabilities; ``p_s`` broadcasts against
+    each kernel row.
+    """
+    return 1.0 - p_s, p_s * kernels
+
+
 def signal_laws(types: Sequence[InvestorType], e_c) -> tuple[np.ndarray, np.ndarray]:
-    """(kernels, law) of ``types`` at marks ``e_c``: the one builder of P(z | e_c) tables.
+    """(kernels, law) of ``types`` at marks ``e_c``: the tables of P(z | e_c).
 
     ``kernels`` (investors, 6, *shape(e_c)) is each investor's
-    ``signal_kernel``, built once per distinct rho; ``law``
-    (investors, 7, *shape(e_c)) is P(z | e_c) = (1 - p_s)*[z = 0] + p_s*kernel
-    in ``SIGNALS`` order.
+    ``signal_kernel``, from one kernel call over the distinct rho; ``law``
+    (investors, 7, *shape(e_c)) is P(z | e_c) in ``SIGNALS`` order.
     """
     e = np.asarray(e_c, dtype=float)
-    kernels = per_distinct([t.rho for t in types], lambda rho: signal_kernel(rho, e))
-    p_s = np.array([t.p_s for t in types]).reshape((-1, 1) + (1,) * e.ndim)
-    law = np.full((len(types), len(SIGNALS)) + e.shape, 1.0 - p_s)
-    law[:, NONZERO_INDEX] = p_s * kernels
-    return kernels, law
+    firsts, rho_of = distinct([t.rho for t in types])
+    kernels = signal_kernel([types[i].rho for i in firsts], e)[:, rho_of]
+    p_s = np.array([t.p_s for t in types]).reshape((-1,) + (1,) * e.ndim)
+    no_signal, signal = _law(p_s, kernels)
+    law = np.empty((len(types), len(SIGNALS)) + e.shape)
+    law[:, NONE_INDEX] = no_signal
+    law[:, NONZERO_INDEX] = np.moveaxis(signal, 0, 1)
+    return np.moveaxis(kernels, 0, 1), law
+
+
+def signal_expectation(p_s, kernels, values: np.ndarray) -> np.ndarray:
+    """E[v(z) | e_c] under P(z | e_c), with no law table.
+
+    ``values`` (7, investors, *shape(e_c)) holds v at each signal in
+    ``SIGNALS`` order; ``kernels`` and ``p_s`` are as in ``_law``.  The terms
+    P(z | e_c)*v(z) are added one at a time: the no-signal term first, then
+    the nonzero signals in ``NONZERO_SIGNALS`` order.
+    """
+    no_signal, signal = _law(p_s, kernels)
+    total = no_signal * values[NONE_INDEX]
+    for term in signal * values[NONZERO_INDEX]:
+        total += term
+    return total
 
 
 def conditional_prob(z: Signal, e_c, rho: float):

@@ -4,8 +4,10 @@ The model is piecewise log-normal with multiplicative jumps, so paths are
 simulated exactly (no Euler discretization): between jumps wealth grows by the
 closed-form log-normal factor, and at each jump it is multiplied by
 1 + phi(signal) * eta(e_c).  One elementwise kernel, ``_exact_path``, turns
-draws into these log returns and signal labels; ``_log_wealth`` sums them per
-agent (``simulate_agent``, ``simulate_cohort``), ``estimate_utility`` per path.
+draws and the jump sizes eta(e_c) into these log returns and signal labels;
+``_log_wealth`` sums them per agent (``simulate_agent``, ``simulate_cohort``),
+``estimate_utility`` per path.  Each evaluates eta once per distinct jump law;
+``estimate_utility`` hands the same sizes to m(e_c) and to every type's paths.
 
 Randomness comes from one counter-based seed tree: Philox generators keyed by
 (master seed, stream id, substream...), so the common realization can be
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import aggregate, wealth_diffusion
+from .meanfield import _mean_jump_given, aggregate, wealth_diffusion
 from .model import (
     NONE_INDEX,
     SIGNALS,
@@ -50,7 +52,7 @@ from .model import (
 )
 from .quad import Quadrature
 from .response import relative_utility
-from .signals import JumpLaw, classify_index, eta, perturb
+from .signals import JumpLaw, classify_index, jump_sizes, perturb
 
 # Stream ids of the seed tree, in the order of the table above.
 _STREAM_JUMP_TIMES, _STREAM_COMMON_MARKS, _STREAM_W0, _STREAM_AGENT = range(4)
@@ -110,15 +112,16 @@ def simulate_common(T: float, market: MarketParams, seed: int) -> CommonNoisePat
     return CommonNoisePath(times, marks, increments, horizon=float(T), seed=seed)
 
 
-def _exact_path(t: InvestorType, row: np.ndarray, dt, dW, dW0, marks, e_i1, e_i2):
+def _exact_path(t: InvestorType, row: np.ndarray, dt, dW, dW0, marks, sizes, e_i1, e_i2):
     """(diffusion, jumps, labels) of type ``t`` holding ``row``, elementwise over its draws.
 
     diffusion = drift*dt + sigma*pi0*dW + sigma0*pi0*dW0 per segment; jumps =
-    log(1 + pi_z*eta(e_c)) and labels = z per common mark, z read off e_i1, e_i2.
+    log(1 + pi_z*eta(e_c)) and labels = z per common mark, z read off e_i1,
+    e_i2; ``sizes`` is eta at the marks under ``t``'s jump law.
     """
     drift, sigma_pi, sigma0_pi = wealth_diffusion((t,), row[NONE_INDEX])
     labels = classify_index(perturb(t.rho, marks, e_i1), e_i2 <= t.p_s)
-    jumps = np.log1p(row[labels] * eta(JumpLaw.from_market(t.market), marks))
+    jumps = np.log1p(row[labels] * sizes)
     return drift * dt + sigma_pi * dW + sigma0_pi * dW0, jumps, labels
 
 
@@ -133,12 +136,13 @@ def _log_wealth(types, rows, type_idx: np.ndarray, path: CommonNoisePath, rng) -
     dW = rng.standard_normal((n, k + 1)) * np.sqrt(dt)
     e_i1 = rng.standard_normal((n, k))
     e_i2 = rng.uniform(size=(n, k))
+    sizes = jump_sizes([JumpLaw.from_market(t.market) for t in types], path.common_marks)
     log_wealth = np.empty(n)
     labels = np.empty((n, k), dtype=int)
     for i in np.unique(type_idx):
         sel = type_idx == i
         diffusion, jumps, own = _exact_path(
-            types[i], rows[i], dt, dW[sel], path.w0_increments, path.common_marks, e_i1[sel], e_i2[sel]
+            types[i], rows[i], dt, dW[sel], path.w0_increments, path.common_marks, sizes[i], e_i1[sel], e_i2[sel]
         )
         log_wealth[sel] = math.log(types[i].x0) + diffusion.sum(axis=1) + jumps.sum(axis=1)
         labels[sel] = own
@@ -189,15 +193,24 @@ def estimate_utility(
     def by_path(per_jump: np.ndarray) -> np.ndarray:
         return np.bincount(path_of_jump, weights=per_jump, minlength=n_paths)
 
-    xbar = np.exp(stats.log_mean_wealth(T, w0, by_path(np.log(stats.mean_jump(marks)))))
-    means, errors = np.empty((2, len(pop)))
-    for i, t in enumerate(pop.types):
-        rng = _generator(seed, _STREAM_BATCH, 10 + i)
+    # One eta per distinct jump law at the marks, for m(e_c) and every type's paths.
+    laws = [JumpLaw.from_market(t.market) for t in pop.types]
+    sizes = jump_sizes(laws, marks)
+    mean_jump = _mean_jump_given(pop, strat, laws)
+    xbar = np.exp(stats.log_mean_wealth(T, w0, by_path(np.log(mean_jump(marks, sizes)))))
+
+    def utility(i: int) -> np.ndarray:
+        # A call per type frees its draws before the next type draws its own.
+        t, rng = pop.types[i], _generator(seed, _STREAM_BATCH, 10 + i)
         w_own = rng.standard_normal(n_paths) * math.sqrt(T)
         e_i1 = rng.standard_normal(marks.size)
         e_i2 = rng.uniform(size=marks.size)
-        diffusion, jumps, _ = _exact_path(t, strat.row(i), T, w_own, w0, marks, e_i1, e_i2)
-        u = relative_utility(np.exp(math.log(t.x0) + diffusion + by_path(jumps)), xbar, t.alpha, t.theta)
+        diffusion, jumps, _ = _exact_path(t, strat.row(i), T, w_own, w0, marks, sizes[i], e_i1, e_i2)
+        return relative_utility(np.exp(math.log(t.x0) + diffusion + by_path(jumps)), xbar, t.alpha, t.theta)
+
+    means, errors = np.empty((2, len(pop)))
+    for i in range(len(pop)):
+        u = utility(i)
         means[i] = float(np.mean(u))
         errors[i] = float(np.std(u, ddof=1) / math.sqrt(n_paths))
     return means, errors
@@ -218,11 +231,3 @@ def simulate_cohort(
     type_idx = _generator(seed, _STREAM_TYPES).choice(len(pop), size=n, p=weights / weights.sum())
     log_wealth, _ = _log_wealth(pop.types, strat.table, type_idx, path, _generator(seed, _STREAM_COHORT))
     return type_idx, np.exp(log_wealth)
-
-
-def nagent_geometric_average(
-    n: int, pop: Population, strat: Strategy, path: CommonNoisePath, seed: int
-) -> float:
-    """Geometric average terminal wealth of an n-agent cohort on one path."""
-    _, wealth = simulate_cohort(n, pop, strat, path, seed)
-    return float(np.exp(np.mean(np.log(wealth))))

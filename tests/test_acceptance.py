@@ -232,7 +232,7 @@ def test_10_concavity_suite(quad, reference):
                     if z is Signal.NONE
                     else (lambda p, z=z: target_signal(p, z, ctx))
                 )
-                iv = admissible_interval(t, z)
+                iv = admissible_interval(t)
                 grid21 = np.linspace(iv.lo, iv.hi, 21)
                 vals = f(grid21)
                 worst_second = max(worst_second, float(np.max(vals[2:] - 2 * vals[1:-1] + vals[:-2])))

@@ -421,7 +421,7 @@ class TestContextBuiltOnce:
         ids=["mf_finite", "nagent", "mf_statistic"],
     )
     def test_one_signal_law_build_per_solve(self, solve, quad128, monkeypatch):
-        # meanfield.aggregate imports its own signal_laws, so only context builds are counted.
+        # Counts the context builder's tables; meanfield.aggregate builds no law table.
         calls = []
         build = response.signal_laws
         monkeypatch.setattr(response, "signal_laws", lambda *args: calls.append(args) or build(*args))

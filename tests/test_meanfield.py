@@ -62,6 +62,40 @@ class TestAggregate:
         assert isinstance(scalar, float) and scalar == per_type_mean_jump(pop, strat, 0.3)
         assert stats.mean_jump(np.empty(0)).shape == (0,)
 
+    def test_shared_evaluations_are_bitwise_per_type(self, quad128):
+        # Types 0 and 1 differ only in weight, x0, alpha and theta.  Weights aside, type 5
+        # differs from type 0 only in its jump law, type 8 only in p_s, type 9 only in rho.
+        # Types 2 and 3 share rho = -0.3 with different rows; types 5-7 jump under another
+        # law.  With this many types np.sum over the type axis would add them in pairs on
+        # one mark.
+        wide = casestudy.default_market(sigma_hat=1.0, kappa_hat=-0.05)
+        pop = Population([
+            casestudy.investor(weight=0.2),
+            casestudy.investor(weight=0.05, x0=2.0, alpha=5.0, theta=0.1),
+            casestudy.investor(weight=0.1, p_s=0.8, rho=-0.3),
+            casestudy.investor(weight=0.1, p_s=0.8, rho=-0.3),
+            casestudy.investor(weight=0.1, p_s=0.0, rho=0.9),
+            casestudy.investor(wide, weight=0.15),
+            casestudy.investor(wide, weight=0.1, p_s=0.6, rho=-0.95),
+            casestudy.investor(wide, weight=0.05, p_s=0.999, rho=0.0),
+            casestudy.investor(weight=0.1, p_s=0.25),
+            casestudy.investor(weight=0.05, rho=0.2),
+        ])
+        table = np.random.default_rng(9).uniform(0.0, 0.9, size=(len(pop), 7))
+        table[[1, 5, 8, 9]] = table[0]
+        strat = Strategy(table)
+        stats = aggregate(pop, strat, quad128)
+        assert np.array_equal(stats.mean_jump_nodes, per_type_mean_jump(pop, strat, quad128.nodes))
+        # Several blocks with a ragged tail, then one-mark tail blocks.
+        for n_marks in (3 * _MARK_BLOCK + 7, _MARK_BLOCK + 1):
+            marks = 3.0 * np.random.default_rng(6).standard_normal(n_marks)
+            assert np.array_equal(stats.mean_jump(marks), per_type_mean_jump(pop, strat, marks))
+        tails = np.linspace(-6.0, 6.0, 25)
+        assert [stats.mean_jump(np.append(marks[:_MARK_BLOCK], x))[-1] for x in tails] == [
+            stats.mean_jump(float(x)) for x in tails
+        ]
+        assert [stats.mean_jump(float(x)) for x in tails] == [per_type_mean_jump(pop, strat, float(x)) for x in tails]
+
     def test_zero_positions(self, ref_pop, quad128):
         stats = aggregate(ref_pop, Strategy.zeros(2), quad128)
         assert np.all(stats.mean_jump_nodes == 1.0)

@@ -300,7 +300,7 @@ class TestNewtonBestResponse:
             row = respond_type(t, ctx)
             for z, phi in zip(SIGNALS, row):
                 f = signal_target(z, ctx)
-                _, golden = maximize_concave_1d(f, admissible_interval(t, z))
+                _, golden = maximize_concave_1d(f, admissible_interval(t))
                 assert f(phi) >= golden - 1e-15
 
     def test_merton_exact_without_jumps(self, quad128):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from scipy.special import ndtr
+
 from signalmfg import casestudy
 from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNALS, Signal
 from signalmfg.quad import normal_prob
@@ -15,6 +17,7 @@ from signalmfg.signals import (
     conditional_prob,
     eta,
     perturb,
+    signal_expectation,
     signal_kernel,
     signal_laws,
 )
@@ -117,6 +120,32 @@ class TestClassify:
         idx = classify_index(zs, got)
         assert [SIGNALS[int(i)] for i in idx] == [classify(float(z), bool(g)) for z, g in zip(zs, got)]
 
+    def test_infinities_signed_zero_and_shapes(self):
+        zs = np.array([[math.inf, -math.inf, -0.0], [0.0, 0.5, -1.0]])
+        idx = classify_index(zs, True)
+        assert idx.shape == zs.shape and idx.dtype == np.intp
+        expected = [[Signal.POS_INF, Signal.NEG_INF, Signal.NONE], [Signal.NONE, Signal.POS_HALF, Signal.NEG_ONE]]
+        assert [[SIGNALS[i] for i in row] for row in idx] == expected
+        assert np.all(classify_index(zs, np.zeros(zs.shape, dtype=bool)) == NONE_INDEX)
+        scalar = classify_index(-0.7, True)
+        assert np.shape(scalar) == () and scalar.dtype == np.intp
+        assert SIGNALS[scalar] is Signal.NEG_ONE
+
+    @given(
+        st.lists(st.one_of(st.sampled_from(SIGNAL_EDGES + (-0.0,)), st.floats(allow_nan=False)), min_size=1),
+        st.booleans(),
+    )
+    def test_array_matches_interval_membership(self, xs, received):
+        # Exact edges, signed zeros and infinities mixed into arbitrary floats.
+        idx = classify_index(np.array(xs), received)
+        assert idx.dtype == np.intp
+        for x, i in zip(xs, idx):
+            z = SIGNALS[i]
+            if not received or x == 0.0:
+                assert z is Signal.NONE
+            else:
+                assert in_plain_interval(z, x)
+
     @given(st.floats(-4, 4), st.floats(-0.99, 0.99))
     def test_rho_zero_ignores_common_mark(self, e_c, e_i1):
         base = classify(perturb(0.0, 0.0, e_i1), received=True)
@@ -205,6 +234,22 @@ class TestSignalKernel:
     def test_quality_bound(self):
         with pytest.raises(ValueError, match="rho"):
             next(signal_kernel(1.0, 0.0))
+        with pytest.raises(ValueError, match="rho"):
+            signal_kernel([0.5, -1.0], 0.0)
+
+    @pytest.mark.parametrize("e_c", [np.linspace(-8.0, 8.0, 129), np.linspace(-3.0, 3.0, 12).reshape(3, 4), 0.3])
+    def test_many_rho_are_bitwise_one_rho_at_a_time(self, e_c):
+        # Oracle: the five CDF edges of one rho, scaled by the float sqrt(1 - rho^2).
+        def one_rho(rho):
+            cdf = ndtr(np.subtract.outer(SIGNAL_EDGES, rho * np.asarray(e_c)) / math.sqrt(1.0 - rho * rho))
+            return np.concatenate((cdf[:1], cdf[1:] - cdf[:-1], 1.0 - cdf[-1:]))
+
+        rhos = [-0.95, -0.3, 0.0, 0.5, 0.8]
+        table = signal_kernel(rhos, e_c)
+        assert table.shape == (6, len(rhos)) + np.shape(e_c)
+        for j, rho in enumerate(rhos):
+            assert np.array_equal(table[:, j], one_rho(rho))
+            assert np.array_equal(signal_kernel(rho, e_c), one_rho(rho))
 
 
 class TestSignalLaws:
@@ -223,4 +268,18 @@ class TestSignalLaws:
         for i, t in enumerate(types):
             assert np.all(law[i, NONE_INDEX] == 1.0 - t.p_s)
             assert np.array_equal(kernels[i], signal_kernel(t.rho, e_c))
+
+    def test_expectation_is_the_law_table_summed_in_order(self):
+        types = [casestudy.investor(p_s=0.5, rho=0.5), casestudy.investor(p_s=0.0, rho=0.5),
+                 casestudy.investor(p_s=0.9, rho=-0.3)]
+        e_c = np.linspace(-6.0, 6.0, 101)
+        kernels, law = signal_laws(types, e_c)
+        values = np.random.default_rng(2).standard_normal((len(SIGNALS), len(types), e_c.size))
+        p_s = np.array([[t.p_s] for t in types])
+        expected = law[:, NONE_INDEX] * values[NONE_INDEX]
+        for z in NONZERO_SIGNALS:
+            column = SIGNALS.index(z)
+            expected = expected + law[:, column] * values[column]
+        got = signal_expectation(p_s, np.moveaxis(kernels, 1, 0), values)
+        assert np.array_equal(got, expected)
 

@@ -17,7 +17,6 @@ from signalmfg.sim import (
     CommonNoisePath,
     _generator,
     estimate_utility,
-    nagent_geometric_average,
     simulate_agent,
     simulate_cohort,
     simulate_common,
@@ -25,6 +24,14 @@ from signalmfg.sim import (
 
 MARKET = casestudy.default_market()
 MIXED_ROW = np.array([0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9])
+
+
+def nagent_geometric_average(
+    n: int, pop: Population, strat: Strategy, path: CommonNoisePath, seed: int
+) -> float:
+    """Geometric average terminal wealth of an n-agent cohort on one path."""
+    _, wealth = simulate_cohort(n, pop, strat, path, seed)
+    return float(np.exp(np.mean(np.log(wealth))))
 
 
 def crash_path():
