@@ -8,6 +8,7 @@ integrals are never quadratured; they reduce to CDF differences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -90,15 +91,13 @@ class Quadrature:
 
         The case-study integrands can be spiky, so ``n_nodes`` is a knob;
         the default (128 nodes, L = 8) passes a doubling refinement check at
-        1e-8 in the test suite.
+        1e-8 in the test suite.  The grid is built once per (n_nodes, L) and
+        shared: a ``Quadrature`` is frozen and its arrays are read-only.
         """
         _check_integer(n_nodes, "n_nodes", 1)
         if half_width <= 0:
             raise ValueError("half_width must be > 0")
-        x, w = leggauss(n_nodes)
-        nodes = x * half_width
-        weights = w * half_width * std_normal_pdf(nodes)
-        return cls(nodes=nodes, weights=weights)
+        return _standard_normal(n_nodes, half_width)
 
     @classmethod
     def discrete(cls, marks: Sequence[float], probs: Sequence[float]) -> "Quadrature":
@@ -113,6 +112,14 @@ class Quadrature:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mark probabilities sum to {total}, expected 1")
         return cls(nodes=marks, weights=probs)
+
+
+# A few grids per process: the CLI's, the Monte Carlo statistic's and the tests'.
+@functools.lru_cache(maxsize=16)
+def _standard_normal(n_nodes: int, half_width: float) -> Quadrature:
+    x, w = leggauss(n_nodes)
+    nodes = x * half_width
+    return Quadrature(nodes=nodes, weights=w * half_width * std_normal_pdf(nodes))
 
 
 def expect_outer(f: Callable, q: Quadrature) -> float:

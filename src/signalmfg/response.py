@@ -9,8 +9,9 @@ players' explicit strategies (``_nagent_environment``).  An investor's
 seven targets (one per signal) are rows of one (7 x nodes) weight table
 applied to one jump integrand.  Each is strictly concave on its admissible
 interval whenever jumps are live, with closed-form first and second
-derivatives, so ``_respond`` solves every investor's seven first-order
-conditions in one bracketed Newton iteration.  ``maximize_concave_1d``
+derivatives, so ``_respond`` solves the seven first-order conditions of
+every distinct investor in one bracketed Newton iteration; investors whose
+contexts are equal byte for byte share one solve.  ``maximize_concave_1d``
 (golden section) stays as a derivative-free maximizer for arbitrary
 concave functions.
 """
@@ -38,7 +39,7 @@ from .model import (
     admissible_interval,
 )
 from .quad import Quadrature
-from .signals import JumpLaw, jump_sizes, signal_kernel, signal_laws
+from .signals import JumpLaw, distinct, jump_sizes, signal_kernel, signal_laws
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
@@ -83,7 +84,9 @@ class TargetContext:
     lam*(1-p_s)*w for no signal, w*N01(I(z, e_c))/N01(I(z)) else;
     ``row_mass`` turns the seven targets into M's jump part: 1 for no
     signal, lam*p_s*N01(I(z)) else.  The drift is ``drift_slope``*phi -
-    ``drift_curvature``*phi^2/2; ``bounds`` = (lo, hi).
+    ``drift_curvature``*phi^2/2; ``bounds`` = (lo, hi).  Investors with
+    equal ``static_class`` labels have byte-equal fields from ``alpha`` to
+    ``jump_free``; labels compare only within one context.
     """
 
     investors: tuple[InvestorType, ...]
@@ -100,6 +103,7 @@ class TargetContext:
     row_mass: np.ndarray = field(repr=False)
     jumps_degenerate: np.ndarray = field(repr=False)
     jump_free: np.ndarray = field(repr=False)
+    static_class: np.ndarray = field(repr=False)
     sigma0pi_env: np.ndarray | None = None
     taupi_env: np.ndarray | None = None
     sig2pi2_env: np.ndarray | None = None
@@ -122,6 +126,8 @@ def _contexts(types: Sequence[InvestorType], q: Quadrature) -> TargetContext:
 
     One ``signal_laws`` call and one ``eta`` per distinct jump law; a solver
     builds this once and writes each iteration's environment into it.
+    ``static_class`` labels the investors by the bytes of these fields, so
+    that -0.0 and 0.0 (equal as ``InvestorType`` fields) label apart.
     """
     types = tuple(types)
     markets = [t.market for t in types]
@@ -139,8 +145,10 @@ def _contexts(types: Sequence[InvestorType], q: Quadrature) -> TargetContext:
     mass[:, NONZERO_INDEX] = (lam * p_s)[:, np.newaxis] * _SIGNAL_MASS
     bounds = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, types)])
     eta_nodes = np.where(degenerate[:, np.newaxis], 0.0, jumps)
-    return TargetContext(types, alpha, -theta * (1.0 - alpha), kappa - r, sigma0, alpha * (sigma**2 + sigma0**2),
-                         bounds, eta_nodes, jumps, law, weights, mass, degenerate, jump_free)
+    static = (alpha, -theta * (1.0 - alpha), kappa - r, sigma0, alpha * (sigma**2 + sigma0**2),
+              bounds, eta_nodes, jumps, law, weights, mass, degenerate, jump_free)
+    _, static_class = distinct([b"".join(a[i].tobytes() for a in static) for i in range(len(types))])
+    return TargetContext(types, *static, np.array(static_class))
 
 
 def _with_environment(ctx: TargetContext, env: tuple, env_log) -> TargetContext:
@@ -170,7 +178,7 @@ def context_from_stats(inv_type: InvestorType, stats: MeanFieldStats, q: Quadrat
 
 
 def _nagent_environment(ctx: TargetContext, strat: Strategy) -> TargetContext:
-    """``ctx`` of every player against the others' strategies in ``strat``, in one pass over all players.
+    """``ctx`` of every player against the others' strategies in ``strat``.
 
     Peer aggregates are totals over all players minus the player's own term.
     The expected peer jump factor of player i is the product over peers of
@@ -180,7 +188,10 @@ def _nagent_environment(ctx: TargetContext, strat: Strategy) -> TargetContext:
     mark.  Each log mixture is a log-sum-exp over signals of log weight +
     e*log1p(pi*eta), shifted per (player, node) by its largest weighted term,
     so large |e| (alpha ~ 100) cannot overflow it.  Peers jump by
-    ``eta_raw``, also where their own ``eta_nodes`` are zeroed.
+    ``eta_raw``, also where their own ``eta_nodes`` are zeroed.  Log mixtures
+    are evaluated once per distinct (``static_class``, strategy row) and
+    copied out to every player before the sum over players, which adds them
+    in player order.
     """
     n_players = len(ctx.investors)
     if strat.n_types != n_players:
@@ -191,12 +202,14 @@ def _nagent_environment(ctx: TargetContext, strat: Strategy) -> TargetContext:
     drift, sigma_pi, sigma0pi = wealth_diffusion(ctx.investors, strat.table[:, NONE_INDEX])
     sig2pi2 = sigma_pi**2
     exponents = ctx.peer_exponent / n
-    log_returns = np.log1p(strat.table[:, :, np.newaxis] * ctx.eta_raw[:, np.newaxis, :])
+    firsts, position = distinct(list(zip(ctx.static_class.tolist(), map(np.ndarray.tobytes, strat.table))))
+    law = ctx.law[firsts]
+    log_returns = np.log1p(strat.table[firsts, :, np.newaxis] * ctx.eta_raw[firsts, np.newaxis, :])
     peer_log = np.zeros(ctx.eta_raw.shape)
     for e in set(exponents) - {0.0}:
-        terms = np.where(ctx.law > 0.0, e * log_returns, -np.inf)
+        terms = np.where(law > 0.0, e * log_returns, -np.inf)
         shift = terms.max(axis=1)
-        log_mix = shift + np.log(np.sum(ctx.law * np.exp(terms - shift[:, np.newaxis]), axis=1))
+        log_mix = (shift + np.log(np.sum(law * np.exp(terms - shift[:, np.newaxis]), axis=1)))[position]
         mine = exponents == e
         peer_log[mine] = log_mix.sum(axis=0) - log_mix[mine]
     env = ((sigma0pi.sum() - sigma0pi) / n, (drift.sum() - drift) / n, (sig2pi2.sum() - sig2pi2) / n**2)
@@ -337,7 +350,27 @@ def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DE
 
 
 def _respond(ctx: TargetContext, opt_tol: float) -> Strategy:
-    """Best-response strategy, one row per investor, from one Newton over every (investor, signal) row.
+    """Best-response strategy, one row per investor, from one Newton over the distinct investors' rows.
+
+    Investors with the same ``static_class`` and byte-equal environment
+    fields have the same rows: ``_newton`` solves one of each such group,
+    whose rows are copied to every member.  A row still unconverged at the
+    ``_MAX_NEWTON`` cap is returned as it stands, with a ``NewtonCapWarning``
+    naming its (investor, signal) for every member of the group.
+    """
+    if not opt_tol > 0.0:
+        raise ValueError("opt_tol must be > 0")
+    env = np.column_stack((ctx.env_jump_log, ctx.sigma0pi_env, ctx.taupi_env, ctx.sig2pi2_env))
+    firsts, position = distinct(list(zip(ctx.static_class.tolist(), map(np.ndarray.tobytes, env))))
+    row, active = (a[position] for a in _newton(ctx.take(firsts), opt_tol))
+    for i, k in np.argwhere(active):
+        warnings.warn(f"type {i}, signal {SIGNALS[k].value}: best response stopped unconverged at the "
+                      f"{_MAX_NEWTON}-step Newton cap", NewtonCapWarning, stacklevel=2)
+    return Strategy(row)
+
+
+def _newton(ctx: TargetContext, opt_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every (investor, signal) row of ``ctx`` from one Newton, and which rows stopped at the step cap.
 
     Solves g'(phi) = drift'(phi) + sum_k W_zk eta_k (1 + phi eta_k)^-alpha E_k = 0
     for all rows at once, with g'' < 0 (W = ``row_weights``, log E =
@@ -351,15 +384,13 @@ def _respond(ctx: TargetContext, opt_tol: float) -> Strategy:
     the bracket or be longer than half its step before the last (rtsafe,
     Press et al., Numerical Recipes 9.4), so a slowly creeping Newton cannot
     use up the ``_MAX_NEWTON`` cap.  A row still unconverged at the cap is
-    returned as it stands, with a ``NewtonCapWarning`` naming its (investor,
-    signal).  Rows never mix, so a row is the same in any batch.
+    returned as it stands and flagged.  Rows never mix, so a row is the same
+    in any batch.
 
     When jumps are absent (lam = 0) or sizeless (eta identically 0) every
     admissible position maximizes a nonzero-signal target; those rows take
     the default position.
     """
-    if not opt_tol > 0.0:
-        raise ValueError("opt_tol must be > 0")
     alpha = ctx.alpha[:, np.newaxis, np.newaxis]
     eta_nodes = ctx.eta_nodes[:, np.newaxis, :]
     env_log = ctx.env_jump_log[:, np.newaxis, :]
@@ -403,13 +434,10 @@ def _respond(ctx: TargetContext, opt_tol: float) -> Strategy:
         phi = np.where(active, newton, phi)
         row = np.where(done, phi, row)
         active &= ~done
-    for i, k in np.argwhere(active):
-        warnings.warn(f"type {i}, signal {SIGNALS[k].value}: best response stopped unconverged at the "
-                      f"{_MAX_NEWTON}-step Newton cap", NewtonCapWarning, stacklevel=2)
     row = np.where(active, phi, row)
     degenerate = ctx.jumps_degenerate[:, np.newaxis]
     row[:, NONZERO_INDEX] = np.where(degenerate, row[:, [NONE_INDEX]], row[:, NONZERO_INDEX])
-    return Strategy(row)
+    return row, active
 
 
 def best_response_to_stats(

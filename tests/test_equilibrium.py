@@ -289,8 +289,9 @@ class TestIterationCounts:
     @pytest.mark.parametrize("players", [
         [casestudy.investor()] * 5,
         [casestudy.investor()] * 20,
+        [casestudy.investor()] * 80,
         [casestudy.investor()] * 2 + [casestudy.investor(p_s=0.25)] * 2,
-    ], ids=["n5", "n20", "two-group"])
+    ], ids=["n5", "n20", "n80", "two-group"])
     def test_benchmark_games(self, quad128, players):
         result = solve_nagent(players, quad128)
         assert result.converged and result.iterations <= 6
@@ -428,6 +429,19 @@ class TestContextBuiltOnce:
         result = solve(quad128)
         assert result.converged and result.iterations > 1
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("players, distinct", [
+        ([casestudy.investor()] * 20, 1),
+        ([casestudy.investor()] * 2 + [casestudy.investor(p_s=0.25)] * 2, 2),
+    ], ids=["n20", "two-group"])
+    def test_one_newton_row_per_distinct_player(self, players, distinct, quad128, monkeypatch):
+        # Identical players face identical peers: each best response solves one of each.
+        sizes = []
+        newton = response._newton
+        monkeypatch.setattr(response, "_newton", lambda ctx, tol: sizes.append(len(ctx.investors)) or newton(ctx, tol))
+        result = solve_nagent(players, quad128)
+        assert result.converged and result.iterations > 1
+        assert len(sizes) > result.iterations and set(sizes) == {distinct}
 
 
 class TestResidual:

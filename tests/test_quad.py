@@ -122,3 +122,18 @@ class TestQuadrature:
     def test_nan_half_width_rejected(self):
         with pytest.raises(ValueError, match="must be finite"):
             Quadrature.standard_normal(8, float("nan"))
+
+    def test_standard_normal_grid_is_built_once_and_read_only(self):
+        q = Quadrature.standard_normal(96, 7.0)
+        assert Quadrature.standard_normal(96, 7.0) is q
+        for array in (q.nodes, q.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        # Arguments are checked before the grid is looked up, so each error still names its argument.
+        for n_nodes in ([96], 96.0, True):
+            with pytest.raises(TypeError, match="n_nodes must be an integer"):
+                Quadrature.standard_normal(n_nodes, 7.0)
+        with pytest.raises(ValueError, match="n_nodes must be >= 1"):
+            Quadrature.standard_normal(0, 7.0)
+        with pytest.raises(ValueError, match="half_width must be > 0"):
+            Quadrature.standard_normal(96, 0.0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signalmfg import casestudy, response
-from signalmfg.meanfield import aggregate
+from signalmfg.meanfield import aggregate, wealth_diffusion
 from signalmfg.model import (
     NONE_INDEX,
     NONZERO_SIGNALS,
@@ -474,9 +474,14 @@ class TestBatchedRows:
         stats = ref_eq.stats
         ctx = mf_target_context(types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
         assert ctx.investors == tuple(types)
+        # Labels are numbered within a context: distinct types, distinct labels.
+        assert ctx.static_class.tolist() == list(range(len(types)))
         for i, t in enumerate(types):
             single = context_from_stats(t, stats, quad128)
+            assert single.static_class.tolist() == [0]
             for f in dataclasses.fields(ctx)[1:]:
+                if f.name == "static_class":
+                    continue
                 batch_field, single_field = getattr(ctx, f.name), getattr(single, f.name)
                 assert single_field.shape[0] == 1 and batch_field.shape[0] == len(types)
                 assert batch_field[i].tobytes() == single_field[0].tobytes(), f.name
@@ -552,3 +557,105 @@ class TestNAgentContext:
         for i in (2, -1):
             with pytest.raises(IndexError):
                 nagent_target_context(i, types, Strategy.zeros(2), quad128)
+
+
+def rows_one_by_one(ctx):
+    """The oracle of the grouped Newton: each investor's context solved on its own, rows stacked."""
+    return np.vstack([_respond(ctx.take(i), DEFAULT_OPT_TOL).table for i in range(len(ctx.investors))])
+
+
+def all_players_environment(ctx, strat):
+    """The n-agent environment with every player's log mixture evaluated, none shared: (sigma0pi, taupi,
+    sig2pi2, log E) as ``_nagent_environment`` computed them before players were grouped."""
+    n = len(ctx.investors) - 1
+    drift, sigma_pi, sigma0pi = wealth_diffusion(ctx.investors, strat.table[:, NONE_INDEX])
+    sig2pi2 = sigma_pi**2
+    exponents = ctx.peer_exponent / n
+    log_returns = np.log1p(strat.table[:, :, np.newaxis] * ctx.eta_raw[:, np.newaxis, :])
+    peer_log = np.zeros(ctx.eta_raw.shape)
+    for e in set(exponents) - {0.0}:
+        terms = np.where(ctx.law > 0.0, e * log_returns, -np.inf)
+        shift = terms.max(axis=1)
+        log_mix = shift + np.log(np.sum(ctx.law * np.exp(terms - shift[:, np.newaxis]), axis=1))
+        mine = exponents == e
+        peer_log[mine] = log_mix.sum(axis=0) - log_mix[mine]
+    env = ((sigma0pi.sum() - sigma0pi) / n, (drift.sum() - drift) / n, (sig2pi2.sum() - sig2pi2) / n**2)
+    return (*env, np.where(ctx.jump_free[:, np.newaxis], 0.0, peer_log))
+
+
+# Signal and preference blocks of a repeated type; theta may be -0.0, equal to 0.0 as an InvestorType field.
+GROUP_KINDS = st.fixed_dictionaries({
+    "p_s": st.floats(0.0, 0.999),
+    "rho": st.floats(-0.999, 0.999),
+    "alpha": st.floats(0.2, 8.0).filter(lambda a: abs(a - 1.0) >= 1e-3),
+    "theta": st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0),
+})
+
+
+def zero_theta_twins():
+    """The reference type with theta = 0.0 and -0.0: equal as types, apart in the sign of their peer exponent."""
+    twins = [casestudy.investor(theta=0.0, weight=0.5), casestudy.investor(theta=-0.0, weight=0.5)]
+    assert twins[0] == twins[1]
+    return twins
+
+
+class TestGroupedRows:
+    """Investors with byte-equal contexts share one Newton and one peer mixture, bit for bit."""
+
+    def test_zero_theta_twins_are_grouped_apart(self, quad128, ref_eq):
+        types = zero_theta_twins() * 2
+        stats = ref_eq.stats
+        ctx = mf_target_context(types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+        assert ctx.static_class.tolist() == [0, 1, 0, 1]
+        assert _respond(ctx, DEFAULT_OPT_TOL).table.tobytes() == rows_one_by_one(ctx).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kinds=st.lists(GROUP_KINDS, min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+        env=st.floats(0.0, 0.9),
+    )
+    def test_mean_field_population_with_repeated_types(self, quad128, kinds, picks, env):
+        market = casestudy.default_market(sigma_hat=0.3)
+        pool = [casestudy.investor(market, weight=1.0, **kind) for kind in kinds] + zero_theta_twins()
+        types = [pool[i % len(pool)] for i in picks]
+        stats = aggregate(Population(pool[:1]), Strategy.constant(1, env), quad128)
+        ctx = mf_target_context(types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+        assert _respond(ctx, DEFAULT_OPT_TOL).table.tobytes() == rows_one_by_one(ctx).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kinds=st.lists(GROUP_KINDS, min_size=1, max_size=3),
+        picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=2, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_games_with_repeated_players(self, quad128, kinds, picks, seed):
+        # A player is a (type, row) pick: repeated types may hold the same row or different ones.
+        market = casestudy.default_market(sigma_hat=0.3)
+        pool = [casestudy.investor(market, **kind) for kind in kinds] + zero_theta_twins()
+        rows = np.random.default_rng(seed).uniform(0.0, 0.9, (3, len(SIGNALS)))
+        types = [pool[k % len(pool)] for k, _ in picks]
+        strat = Strategy(rows[[r for _, r in picks]])
+        ctx = _nagent_contexts(types, strat, quad128)
+        assert _respond(ctx, DEFAULT_OPT_TOL).table.tobytes() == rows_one_by_one(ctx).tobytes()
+        expected = all_players_environment(ctx, strat)
+        actual = (ctx.sigma0pi_env, ctx.taupi_env, ctx.sig2pi2_env, ctx.env_jump_log)
+        assert [a.tobytes() for a in actual] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("lam, sigma_hat", [(4.0, 3.0), (20.0, 3.0)])
+    def test_peer_mixture_of_repeated_players_is_the_all_players_sum(self, quad128, lam, sigma_hat):
+        # alpha = 60 players' peer factor (1 + pi*eta)^59 passes the double range at tail nodes; its log does not.
+        market = casestudy.default_market(lam=lam, sigma_hat=sigma_hat)
+        bold = casestudy.investor(market, alpha=60.0, theta=1.0, p_s=0.0, rho=0.0)
+        plain = casestudy.investor(market, alpha=2.0, theta=0.0, p_s=0.9, rho=0.9)
+        signalled = casestudy.investor(market, alpha=59.5, theta=1.0, p_s=0.5, rho=0.3)
+        types = [bold, plain, bold, signalled, bold, plain, signalled]
+        table = np.random.default_rng(11).uniform(0.0, 0.9, (len(types), len(SIGNALS)))
+        table[2] = table[0]  # two of the three bold players share a row
+        table[6] = table[3]
+        strat = Strategy(table)
+        ctx = _nagent_contexts(types, strat, quad128)
+        expected = all_players_environment(ctx, strat)
+        assert np.isfinite(expected[-1]).all() and np.abs(expected[-1]).max() > 700.0
+        actual = (ctx.sigma0pi_env, ctx.taupi_env, ctx.sig2pi2_env, ctx.env_jump_log)
+        assert [a.tobytes() for a in actual] == [e.tobytes() for e in expected]
