@@ -39,12 +39,14 @@ from .response import (
     NewtonCapWarning,
     TargetContext,
     _contexts,
+    _distinct_investors,
     _mf_environment,
     _nagent_environment,
     _respond,
     best_response,
     jump_cap_binds,
 )
+from .signals import law_parts
 
 # Anderson memory: how many past residual and image differences enter each extrapolation.
 _ANDERSON_MEMORY = 3
@@ -174,12 +176,15 @@ def _solve(ctx: TargetContext, environment: Callable, cfg: SolverConfig, iterati
     once; ``environment(strategy)`` writes the environment a strategy
     induces into it and returns (context, each investor's peer initial
     wealth, ``MeanFieldStats`` or None).  The iteration runs on strategy
-    tables, each row clipped to its admissible interval, unless
+    tables, each row clipped to its admissible interval, and each best
+    response starts its Newton at the rows of the iterate it answers, unless
     ``iteration`` = (step, start, box, strategy_at) gives another map, its
     start and box, and the strategy at its points.  M, closed-form values
-    and notes are read off the final context: a note per best-response row
-    stopped at the Newton cap (``NewtonCapWarning``), per type whose M clips
-    its jump factor (``jump_cap_binds``) and per value that overflows double.
+    and notes are read off the final context, M and its clip flag once per
+    distinct (``static_class``, environment, row): a note per best-response
+    row stopped at the Newton cap (``NewtonCapWarning``), per type whose M
+    clips its jump factor (``jump_cap_binds``) and per value that overflows
+    double.
     """
     if iteration is None:
         shape = (len(ctx.investors), len(SIGNALS))
@@ -187,8 +192,13 @@ def _solve(ctx: TargetContext, environment: Callable, cfg: SolverConfig, iterati
             raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {shape[0]}")
         start = (Strategy.zeros(shape[0]) if cfg.init is None else cfg.init).table.ravel()
         box = tuple(np.repeat(ctx.bounds, len(SIGNALS), axis=0).T)
-        iteration = (lambda x: _respond(environment(Strategy(x.reshape(shape)))[0], cfg.opt_tol).table.ravel(),
-                     start, box, lambda x: Strategy(x.reshape(shape)))
+
+        def step(x: np.ndarray) -> np.ndarray:
+            # Warm start: each row's Newton starts at the iterate whose environment it answers.
+            table = x.reshape(shape)
+            return _respond(environment(Strategy(table))[0], cfg.opt_tol, table).table.ravel()
+
+        iteration = (step, start, box, lambda x: Strategy(x.reshape(shape)))
     step, start, box, strategy_at = iteration
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NewtonCapWarning)
@@ -201,10 +211,11 @@ def _solve(ctx: TargetContext, environment: Callable, cfg: SolverConfig, iterati
         else:
             warnings.warn_explicit(record.message, record.category, record.filename, record.lineno)
     final, xbar0s, stats = environment(strategy)
-    per_type_M = tuple(_value_constant(final, strategy.table).tolist())
+    M, clips = _distinct_investors(final, strategy.table, lambda c, t: (_value_constant(c, t), jump_cap_binds(t, c)))
+    per_type_M = tuple(M.tolist())
     with np.errstate(over="ignore"):
-        values = tuple(value_mf(t, M, t.x0, x, cfg.horizon) for t, M, x in zip(final.investors, per_type_M, xbar0s))
-    clipped = np.flatnonzero(jump_cap_binds(strategy.table, final))
+        values = tuple(value_mf(t, m, t.x0, x, cfg.horizon) for t, m, x in zip(final.investors, per_type_M, xbar0s))
+    clipped = np.flatnonzero(clips)
     notes += tuple(f"type {i}: M clips E*(1 + phi*eta)^(1-alpha) at a tail node; M is inexact" for i in clipped)
     overflowed = [i for i, value in enumerate(values) if not np.isfinite(value)]
     notes += tuple(f"type {i}: value exp(T(1-alpha)M) overflows double; use per_type_M" for i in overflowed)
@@ -213,10 +224,14 @@ def _solve(ctx: TargetContext, environment: Callable, cfg: SolverConfig, iterati
 
 
 def _mean_field(pop: Population, q: Quadrature, ctx: TargetContext) -> Callable:
-    """The mean-field ``environment`` of ``_solve``: aggregate a strategy, write its statistic into ``ctx``."""
+    """The mean-field ``environment`` of ``_solve``: aggregate a strategy, write its statistic into ``ctx``.
+
+    The aggregate reads m's signal laws and jump sizes on the nodes off ``ctx``, built once per solve.
+    """
+    node_law = (law_parts(ctx.law), ctx.eta_raw)
 
     def environment(strat: Strategy):
-        stats = aggregate(pop, strat, q)
+        stats = aggregate(pop, strat, q, node_law)
         env_ctx = _mf_environment(ctx, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
         return env_ctx, [stats.xbar0] * len(pop), stats
 

@@ -9,8 +9,10 @@ mean wealth, and the mean-jump function e_c -> m(e_c) multiplying the
 geometric mean wealth at each jump; m mixes each type's log jump return under
 its signal law (``signals.signal_expectation``), one block of marks at a time,
 once per distinct (rho, p_s, jump law, row) of the population.  It takes the
-jump sizes at the marks as given (``_mean_jump_given``), so Monte Carlo
-computes them once for m and for its paths.
+jump sizes at the marks as given (``_log_mean_jump_given``), so Monte Carlo
+computes them once for m and for its paths, and sums log m per path.  On the
+quadrature nodes, a solver's aggregate reads the signal laws and jump sizes
+its target context already holds, with the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .model import NONE_INDEX, InvestorType, Population, Strategy, check_admissible, check_horizon
 from .quad import Quadrature
-from .signals import JumpLaw, distinct, jump_sizes, signal_expectation, signal_kernel
+from .signals import JumpLaw, distinct, jump_sizes, signal_expectation, signal_kernel, signal_law
 
 # Marks per block of m(e_c): bounds its per-block tables, each (5 to 7,
 # distinct investors, block), on ~1e6 Monte Carlo marks.  Measured on 1e6
@@ -62,8 +64,16 @@ def wealth_diffusion(types: Sequence[InvestorType], pi0) -> tuple[np.ndarray, np
     return drift, sigma * pi0, sigma0 * pi0
 
 
-def _mean_jump_given(pop: Population, strat: Strategy, laws: Sequence[JumpLaw]) -> Callable:
-    """m at flat marks ``e``, given each type's jump sizes there: ``signals.jump_sizes(laws, e)``.
+def _weighted_sum(weights: np.ndarray, mixture: np.ndarray) -> np.ndarray:
+    """sum_i w_i * mixture_i, the types added one at a time in population order.
+
+    np.sum over the type axis would add in pairs on a one-mark block.
+    """
+    return functools.reduce(np.add, weights[:, np.newaxis] * mixture)
+
+
+def _log_mean_jump_given(pop: Population, strat: Strategy, laws: Sequence[JumpLaw]) -> Callable:
+    """log m at flat marks ``e``, given each type's jump sizes there: ``signals.jump_sizes(laws, e)``.
 
     log m(e_c) = sum_i w_i * sum_z P_i(z | e_c) log(1 + pi_iz eta_i(e_c)).  The
     expectation over z is taken once per distinct (rho, p_s, jump law, row),
@@ -81,47 +91,58 @@ def _mean_jump_given(pop: Population, strat: Strategy, laws: Sequence[JumpLaw]) 
     rhos = [investors[i].rho for i in rho_firsts]
     p_s = np.array([[t.p_s] for t in investors])
     rows = strat.table[firsts].T[:, :, np.newaxis]
-    weights = pop.weights[:, np.newaxis]
 
     def log_mean_jump(e: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         kernels = signal_kernel(rhos, e)
         if 1 < len(rhos) < len(firsts):  # one rho broadcasts over the investors
             kernels = kernels[:, rho_of]
-        mixture = signal_expectation(p_s, kernels, np.log1p(rows * sizes))
+        mixture = signal_expectation(signal_law(p_s, kernels), np.log1p(rows * sizes))
         if len(firsts) < len(investor_of):
             mixture = mixture[investor_of]
-        # Row by row: np.sum over the type axis would add in pairs on a one-mark block.
-        return functools.reduce(np.add, weights * mixture)
+        return _weighted_sum(pop.weights, mixture)
 
-    def mean_jump_given(e: np.ndarray, jumps: Sequence) -> np.ndarray:
+    def log_mean_jump_given(e: np.ndarray, jumps: Sequence) -> np.ndarray:
         own = [jumps[i] for i in firsts]
         log_m = np.empty(e.size)
         for start in range(0, e.size, _MARK_BLOCK):
             block = slice(start, start + _MARK_BLOCK)
             log_m[block] = log_mean_jump(e[block], np.stack([size[block] for size in own]))
-        return np.exp(log_m, out=log_m)
+        return log_m
 
-    return mean_jump_given
+    return log_mean_jump_given
 
 
 def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
-    """Closed-form m(e_c) at marks of any shape: ``_mean_jump_given`` with one eta per distinct jump law."""
-    laws = [JumpLaw.from_market(t.market) for t in pop.types]
-    given = _mean_jump_given(pop, strat, laws)
+    """Closed-form m(e_c) at marks of any shape: ``_log_mean_jump_given`` with one eta per distinct jump law.
+
+    Set up at its first call, so a statistic whose m is only read on the nodes sets up nothing.
+    """
+
+    @functools.cache
+    def setup():
+        laws = [JumpLaw.from_market(t.market) for t in pop.types]
+        return laws, _log_mean_jump_given(pop, strat, laws)
 
     def mean_jump(e_c):
+        laws, given = setup()
         e = np.atleast_1d(np.asarray(e_c, dtype=float))
         flat = e.ravel()
-        out = given(flat, jump_sizes(laws, flat)).reshape(e.shape)
+        out = np.exp(given(flat, jump_sizes(laws, flat))).reshape(e.shape)
         return float(out[0]) if np.isscalar(e_c) else out
 
     return mean_jump
 
 
-def aggregate(pop: Population, strat: Strategy, q: Quadrature) -> MeanFieldStats:
+def aggregate(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> MeanFieldStats:
     """Aggregate a population and strategy into ``MeanFieldStats``.
 
-    Raises on inadmissible positions, naming the offending (type, signal).
+    ``node_law`` = (law, sizes) gives each type's P(z | e_c) on ``q``'s
+    nodes, a ``signals.signal_laws`` table split by ``signals.law_parts``,
+    and its jump sizes there, (types, nodes), as ``signals.jump_sizes``
+    builds them (from a target context's ``law`` and ``eta_raw``).  Given,
+    m is summed on the nodes from these tables in the evaluator's order, so
+    the statistic has the same bits and no kernel is built.  Raises on
+    inadmissible positions, naming the offending (type, signal).
     """
     check_admissible(pop, strat)
     drift, _, sigma0pi = wealth_diffusion(pop.types, strat.table[:, NONE_INDEX])
@@ -131,7 +152,12 @@ def aggregate(pop: Population, strat: Strategy, q: Quadrature) -> MeanFieldStats
     sigma0pi_bar, taupi_bar, log_xbar0 = terms.sum(axis=0)
 
     mean_jump = _mean_jump_evaluator(pop, strat)
-    nodes_table = np.asarray(mean_jump(q.nodes), dtype=float)
+    if node_law is None:
+        nodes_table = np.asarray(mean_jump(q.nodes), dtype=float)
+    else:
+        law, sizes = node_law
+        mixture = signal_expectation(law, np.log1p(strat.table.T[:, :, np.newaxis] * sizes))
+        nodes_table = np.exp(_weighted_sum(pop.weights, mixture))
     if np.any(nodes_table <= 0.0) or not np.all(np.isfinite(nodes_table)):
         k = int(np.argmin(nodes_table))
         raise ValueError(f"mean jump factor not positive at node e_c={q.nodes[k]}: {nodes_table[k]}")

@@ -10,10 +10,11 @@ seven targets (one per signal) are rows of one (7 x nodes) weight table
 applied to one jump integrand.  Each is strictly concave on its admissible
 interval whenever jumps are live, with closed-form first and second
 derivatives, so ``_respond`` solves the seven first-order conditions of
-every distinct investor in one bracketed Newton iteration; investors whose
-contexts are equal byte for byte share one solve.  ``maximize_concave_1d``
-(golden section) stays as a derivative-free maximizer for arbitrary
-concave functions.
+every distinct investor in one bracketed Newton iteration, started where the
+caller says (a solver: at the iterate) and stopped only on a verified
+bracket; investors whose contexts and starts are equal byte for byte share
+one solve.  ``maximize_concave_1d`` (golden section) stays as a
+derivative-free maximizer for arbitrary concave functions.
 """
 
 from __future__ import annotations
@@ -349,94 +350,195 @@ def respond_type(inv_type: InvestorType, ctx: TargetContext, opt_tol: float = DE
     return _respond(ctx, opt_tol).table[0].copy()
 
 
-def _respond(ctx: TargetContext, opt_tol: float) -> Strategy:
+def _distinct_investors(ctx: TargetContext, table: np.ndarray, evaluate: Callable) -> tuple:
+    """``evaluate(ctx, table)``, arrays with a leading investor axis, run once per distinct investor.
+
+    Investors with the same ``static_class``, byte-equal environment fields
+    and byte-equal rows of ``table`` get the same outputs: ``evaluate`` runs
+    on one of each such group and its outputs are copied to every member.
+    When every ``static_class`` label differs, every investor is distinct
+    and ``evaluate`` runs on ``ctx`` itself.
+    """
+    if ctx.static_class.max() + 1 == len(ctx.investors):
+        return evaluate(ctx, table)
+    keys = np.column_stack((ctx.env_jump_log, ctx.sigma0pi_env, ctx.taupi_env, ctx.sig2pi2_env, table))
+    firsts, position = distinct(list(zip(ctx.static_class.tolist(), map(np.ndarray.tobytes, keys))))
+    return tuple(out[position] for out in evaluate(ctx.take(firsts), table[firsts]))
+
+
+def _respond(ctx: TargetContext, opt_tol: float, start: np.ndarray | None = None) -> Strategy:
     """Best-response strategy, one row per investor, from one Newton over the distinct investors' rows.
 
-    Investors with the same ``static_class`` and byte-equal environment
-    fields have the same rows: ``_newton`` solves one of each such group,
-    whose rows are copied to every member.  A row still unconverged at the
-    ``_MAX_NEWTON`` cap is returned as it stands, with a ``NewtonCapWarning``
-    naming its (investor, signal) for every member of the group.
+    Each row's Newton starts at its entry of ``start`` (investors x 7),
+    typically the iterate whose environment ``ctx`` holds; without a start,
+    at the middle of its admissible interval.  Where it starts moves a row
+    by at most ``opt_tol``.  Investors with the same ``static_class``,
+    byte-equal environment fields and byte-equal start rows have the same
+    rows: ``_newton`` solves one of each such group, whose rows are copied
+    to every member.  A row still unconverged at the ``_MAX_NEWTON`` cap is
+    returned as it stands, with a ``NewtonCapWarning`` naming its
+    (investor, signal) for every member of the group.
     """
     if not opt_tol > 0.0:
         raise ValueError("opt_tol must be > 0")
-    env = np.column_stack((ctx.env_jump_log, ctx.sigma0pi_env, ctx.taupi_env, ctx.sig2pi2_env))
-    firsts, position = distinct(list(zip(ctx.static_class.tolist(), map(np.ndarray.tobytes, env))))
-    row, active = (a[position] for a in _newton(ctx.take(firsts), opt_tol))
-    for i, k in np.argwhere(active):
-        warnings.warn(f"type {i}, signal {SIGNALS[k].value}: best response stopped unconverged at the "
-                      f"{_MAX_NEWTON}-step Newton cap", NewtonCapWarning, stacklevel=2)
+    start = np.repeat(ctx.bounds.mean(axis=1, keepdims=True), len(SIGNALS), axis=1) if start is None else start
+    row, active = _distinct_investors(ctx, np.asarray(start, dtype=float), lambda c, s: _newton(c, opt_tol, s))
+    if active.any():
+        for i, k in np.argwhere(active):
+            warnings.warn(f"type {i}, signal {SIGNALS[k].value}: best response stopped unconverged at the "
+                          f"{_MAX_NEWTON}-step Newton cap", NewtonCapWarning, stacklevel=2)
     return Strategy(row)
 
 
-def _newton(ctx: TargetContext, opt_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every (investor, signal) row of ``ctx`` from one Newton, and which rows stopped at the step cap.
+def _derivatives(phi: np.ndarray, nodes: np.ndarray, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g'(phi) and g''(phi) of rows, each scaled by exp(-shift) (see ``_newton``).
+
+    ``nodes`` stacks per row and node eta, log E (-inf where the row weighs
+    nothing), W*eta and alpha*W*eta^2; ``coefficients`` stacks per row
+    alpha and the drift's slope and curvature.  Every row is evaluated on
+    its own, so it has the same bits in any batch.
+    """
+    eta, env_log, w_eta, w_eta2 = nodes
+    alpha, slope, curvature = coefficients
+    move = phi[:, np.newaxis] * eta
+    log_power = env_log - alpha[:, np.newaxis] * np.log1p(move)
+    top = log_power.max(axis=-1)
+    scale = 1.0  # shift = 0 below the cap, where scaling leaves every bit as it is
+    if top.max() > _LOG_CAP:
+        shift = np.maximum(top - _LOG_CAP, 0.0)
+        scale, log_power = np.exp(-shift), log_power - shift[:, np.newaxis]
+    power = np.exp(log_power)
+    g1 = (slope - curvature * phi) * scale + (w_eta * power).sum(axis=-1)
+    g2 = -curvature * scale - (w_eta2 * (power / (1.0 + move))).sum(axis=-1)
+    if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
+        raise ValueError("non-finite first-order condition; position outside its admissible interval?")
+    return g1, g2
+
+
+def _newton(ctx: TargetContext, opt_tol: float, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (investor, signal) row of ``ctx`` from one Newton started at ``start``, and which rows stopped at the cap.
 
     Solves g'(phi) = drift'(phi) + sum_k W_zk eta_k (1 + phi eta_k)^-alpha E_k = 0
     for all rows at once, with g'' < 0 (W = ``row_weights``, log E =
     ``env_jump_log``; the drift enters the no-signal row only).  Each row's
     g' and g'' are scaled by exp(-shift), shift = max(0, largest weighted
     log E_k (1 + phi eta_k)^-alpha - ``_LOG_CAP``), which keeps the sign of
-    g' and the step g'/g'' exact.  If g' keeps one sign on the admissible
-    interval the maximizer is the matching endpoint; otherwise Newton steps
-    run inside the shrinking sign-change bracket until a step is at most
-    ``opt_tol``.  A row bisects instead whenever its Newton step would leave
-    the bracket or be longer than half its step before the last (rtsafe,
-    Press et al., Numerical Recipes 9.4), so a slowly creeping Newton cannot
-    use up the ``_MAX_NEWTON`` cap.  A row still unconverged at the cap is
-    returned as it stands and flagged.  Rows never mix, so a row is the same
-    in any batch.
+    g' and the step g'/g'' exact.
 
-    When jumps are absent (lam = 0) or sizeless (eta identically 0) every
+    A row starts at its entry of ``start``, clipped to its admissible
+    interval [lo, hi], and keeps a verified bracket [a, b] of its maximizer:
+    an evaluated point x becomes a where g'(x) >= 0 or x = lo, and b where
+    g'(x) <= 0 or x = hi (unverified ends are -inf and inf).  A row stops
+    only on that certificate, b - a <= ``opt_tol``/2, and returns the Newton
+    point of its last evaluation clipped to [a, b], which is within
+    ``opt_tol``/2 of the maximizer: rows from any two starts agree within
+    ``opt_tol``.  An endpoint whose g' points outward (g'(lo) <= 0 or
+    g'(hi) >= 0) certifies itself with b - a = 0, so a maximizer at a bound
+    is returned as that bound exactly.  A short Newton step is no
+    certificate: where g'' is huge (alpha ~ 100, sigma_hat ~ 4) Newton from
+    0 or 1e-12 moves by less than ``opt_tol`` while the maximizer is 5e-5 to
+    1e-3 away.
+
+    Each step goes to the Newton point pushed on by ``opt_tol``/5 (so that
+    near the root the next evaluation lands across it) and clipped to
+    [lo, hi], so an endpoint is evaluated only when a step would cross it.
+    Once the Newton step is at most sqrt(``opt_tol``), the point pushed back
+    by ``opt_tol``/5 is evaluated in the same pass, so that the two straddle
+    the root and certify it together.  A row bisects its bracket (within
+    [lo, hi]) instead whenever its step would leave the verified bracket or
+    be longer than half its step before the last (rtsafe, Press et al.,
+    Numerical Recipes 9.4), so a slowly creeping Newton cannot use up the
+    ``_MAX_NEWTON`` cap.  A row still unconverged at the cap is returned as
+    it stands and flagged.  Only the still active rows are evaluated, and
+    rows never mix, so a row is the same in any batch.
+
+    A flat row (g' = g'' = 0: no weight on a nonzero jump, no drift) is
+    maximized by every position and takes lo, wherever it starts.  When
+    jumps are absent (lam = 0) or sizeless (eta identically 0) every
     admissible position maximizes a nonzero-signal target; those rows take
     the default position.
     """
-    alpha = ctx.alpha[:, np.newaxis, np.newaxis]
-    eta_nodes = ctx.eta_nodes[:, np.newaxis, :]
-    env_log = ctx.env_jump_log[:, np.newaxis, :]
-    w_eta = ctx.row_weights * eta_nodes
-    w_eta2 = alpha * w_eta * eta_nodes
-    unweighted = w_eta == 0.0  # set no scale; their power must not overflow into 0*inf
-    slope, curvature = np.zeros((2, len(ctx.investors), len(SIGNALS)))
-    slope[:, NONE_INDEX], curvature[:, NONE_INDEX] = ctx.drift_slope, ctx.drift_curvature
-    lo, hi = ctx.bounds.T[..., np.newaxis].repeat(len(SIGNALS), axis=-1)  # each (investors, 7)
-
-    def derivatives(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        move = phi[..., np.newaxis] * eta_nodes
-        log_power = np.where(unweighted, -np.inf, env_log - alpha * np.log1p(move))
-        shift = np.maximum(log_power.max(axis=-1) - _LOG_CAP, 0.0)
-        scale = np.exp(-shift)
-        power = np.exp(log_power - shift[..., np.newaxis])
-        g1 = (slope - curvature * phi) * scale + (w_eta * power).sum(axis=-1)
-        g2 = -curvature * scale - (w_eta2 * (power / (1.0 + move))).sum(axis=-1)
-        if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
-            raise ValueError("non-finite first-order condition; position outside its admissible interval?")
-        return g1, g2
-
-    # Two calls, not one stacked call: half the peak size of the (rows, nodes) temporaries.
-    (g_lo, _), (g_hi, _) = derivatives(lo), derivatives(hi)
-    row = np.where(g_lo <= 0.0, lo, hi)
-    active = (g_lo > 0.0) & (g_hi < 0.0)
-    phi = 0.5 * (lo + hi)
-    last_step = step_before = hi - lo
-    for _ in range(_MAX_NEWTON):
-        if not active.any():
-            break
-        g1, g2 = derivatives(phi)
-        lo, hi = np.where(g1 > 0.0, phi, lo), np.where(g1 > 0.0, hi, phi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = phi - g1 / g2
-        # rtsafe: bisect when Newton leaves the bracket or its step is over half the step before the last.
-        keep = (newton >= lo) & (newton <= hi) & (2.0 * np.abs(newton - phi) <= step_before)
-        newton = np.where(keep, newton, 0.5 * (lo + hi))
-        step_before, last_step = last_step, np.abs(newton - phi)
-        done = active & (last_step <= opt_tol)
-        phi = np.where(active, newton, phi)
-        row = np.where(done, phi, row)
-        active &= ~done
-    row = np.where(active, phi, row)
-    degenerate = ctx.jumps_degenerate[:, np.newaxis]
-    row[:, NONZERO_INDEX] = np.where(degenerate, row[:, [NONE_INDEX]], row[:, NONZERO_INDEX])
+    n_investors, n_signals = len(ctx.investors), len(SIGNALS)
+    n_rows = n_investors * n_signals
+    nodes = np.empty((4, n_investors, n_signals, ctx.eta_nodes.shape[-1]))
+    eta, env_log, w_eta, w_eta2 = nodes
+    eta[:], env_log[:] = ctx.eta_nodes[:, np.newaxis], ctx.env_jump_log[:, np.newaxis]
+    np.multiply(ctx.row_weights, eta, out=w_eta)
+    # Unweighted nodes set no scale; their power must not overflow into 0*inf.
+    np.copyto(env_log, -np.inf, where=w_eta == 0.0)
+    np.multiply(ctx.alpha[:, np.newaxis, np.newaxis], w_eta, out=w_eta2)
+    w_eta2 *= eta
+    nodes = nodes.reshape(4, n_rows, -1)
+    coefficients = np.zeros((3, n_rows))  # alpha, and the drift's slope and curvature (no-signal rows only)
+    coefficients[0] = np.repeat(ctx.alpha, n_signals)
+    coefficients[1:, NONE_INDEX::n_signals] = ctx.drift_slope, ctx.drift_curvature
+    # Per still active row (rows drop out as they stop): its next point, its admissible [lo, hi], its
+    # verified bracket [a, b] (-inf and inf until verified), its last step and the step before, and its
+    # second point where it straddles its root.
+    state = np.empty((8, n_rows))
+    x, lo, hi, a, b, last, before, near = state  # views, updated in place
+    state[1:3] = np.repeat(ctx.bounds, n_signals, axis=0).T
+    np.minimum(np.maximum(np.ravel(start), lo), hi, out=x)
+    a.fill(-np.inf)
+    b.fill(np.inf)
+    np.subtract(hi, lo, out=last)
+    before[:] = last
+    rows, pairs = np.arange(n_rows), np.arange(0)
+    row = np.empty(n_rows)
+    width, nudge, close = opt_tol / 2.0, opt_tol / 5.0, math.sqrt(opt_tol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_NEWTON):
+            if pairs.size:
+                at = np.concatenate((np.arange(rows.size), pairs))
+                points = np.concatenate((x, near[pairs]))
+                g1, g2 = _derivatives(points, nodes.take(at, axis=1), coefficients.take(at, axis=1))
+                g_near, g1, g2 = g1[rows.size:], g1[: rows.size], g2[: rows.size]
+            else:
+                g1, g2 = _derivatives(x, nodes, coefficients)
+            # x bounds the maximizer from below where g' >= 0 or x = lo, from above where g' <= 0 or x = hi.
+            np.copyto(a, x, where=(g1 >= 0.0) | (x == lo))
+            np.copyto(b, x, where=(g1 <= 0.0) | (x == hi))
+            if pairs.size:
+                p, a_p, b_p = near[pairs], a[pairs], b[pairs]
+                a[pairs] = np.where(g_near >= 0.0, np.maximum(p, a_p), a_p)
+                b[pairs] = np.where(g_near <= 0.0, np.minimum(p, b_p), b_p)
+            newton = x - g1 / g2
+            done = b - a <= width
+            if np.count_nonzero(done):
+                # Newton is NaN only where g' = g'' = 0: a flat row, maximized anywhere, takes lo.
+                finish = newton[done]
+                row[rows[done]] = np.where(np.isnan(finish), lo[done], np.fmin(np.fmax(finish, a[done]), b[done]))
+                keep = ~done
+                rows, state, newton = rows[keep], state.compress(keep, axis=1), newton[keep]
+                if not rows.size:
+                    break
+                nodes, coefficients = nodes.compress(keep, axis=1), coefficients.compress(keep, axis=1)
+                x, lo, hi, a, b, last, before, near = state
+            # Next: the Newton point pushed past itself, clipped to [lo, hi], if inside the verified bracket
+            # and short (rtsafe), with its mirror image as a second point once close; else bisection.
+            delta = newton - x
+            toward = np.copysign(nudge, delta)
+            pushed = newton + toward
+            step = np.minimum(np.maximum(pushed, lo), hi)
+            moved = np.abs(step - x)
+            short = (step > a) & (step < b) & (moved + moved <= before)
+            size = np.abs(delta)
+            straddle = short & (step == pushed) & (size > nudge) & (size <= close)
+            pairs = np.flatnonzero(straddle)
+            np.subtract(newton, toward, out=near)  # read at ``pairs`` only
+            np.copyto(before, last)
+            if np.count_nonzero(short) < short.size:
+                np.copyto(step, 0.5 * (np.maximum(a, lo) + np.minimum(b, hi)), where=~short)
+                np.abs(step - x, out=moved)
+            np.copyto(last, moved)
+            np.copyto(x, step)
+    row[rows] = state[0]
+    active = np.zeros(n_rows, dtype=bool)
+    active[rows] = True
+    row, active = row.reshape(n_investors, n_signals), active.reshape(n_investors, n_signals)
+    if ctx.jumps_degenerate.any():
+        degenerate = ctx.jumps_degenerate[:, np.newaxis]
+        row[:, NONZERO_INDEX] = np.where(degenerate, row[:, [NONE_INDEX]], row[:, NONZERO_INDEX])
     return row, active
 
 

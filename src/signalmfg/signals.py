@@ -7,10 +7,12 @@ categorical signal built from the perturbed mark
 buckets 0.5 / 1 / inf.  One edges table defines both the classification and
 the intervals I(z), hence the signal law
 P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)), written once in
-``_law``.  ``signal_kernel`` evaluates N01(I(z, e_c)) for any number of rho
-in one CDF call; ``signal_laws`` tabulates the law (the target contexts and
-the n-agent peer mixtures read it) and ``signal_expectation`` takes an
-expectation under it with no law table (the mean-jump function).
+``signal_law``.  ``signal_kernel`` evaluates N01(I(z, e_c)) for any number of
+rho in one CDF call; ``signal_laws`` tabulates the law (the target contexts
+and the n-agent peer mixtures read it) and ``signal_expectation`` takes an
+expectation under it, from the kernels with no law table (the mean-jump
+function at any marks) or from the table (the mean-jump function on the
+quadrature nodes).
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def signal_kernel(rho, e_c) -> np.ndarray:
     return np.concatenate((cdf[:1], cdf[1:] - cdf[:-1], 1.0 - cdf[-1:]))
 
 
-def _law(p_s, kernels) -> tuple[np.ndarray, np.ndarray]:
+def signal_law(p_s, kernels) -> tuple[np.ndarray, np.ndarray]:
     """P(z | e_c) = (1 - p_s)*[z = 0] + p_s*kernel, as (no-signal, nonzero-signal) probabilities.
 
     ``kernels`` lead with the signal axis, as ``signal_kernel`` returns them,
@@ -134,22 +136,30 @@ def signal_laws(types: Sequence[InvestorType], e_c) -> tuple[np.ndarray, np.ndar
     firsts, rho_of = distinct([t.rho for t in types])
     kernels = signal_kernel([types[i].rho for i in firsts], e)[:, rho_of]
     p_s = np.array([t.p_s for t in types]).reshape((-1,) + (1,) * e.ndim)
-    no_signal, signal = _law(p_s, kernels)
+    no_signal, signal = signal_law(p_s, kernels)
     law = np.empty((len(types), len(SIGNALS)) + e.shape)
     law[:, NONE_INDEX] = no_signal
     law[:, NONZERO_INDEX] = np.moveaxis(signal, 0, 1)
     return np.moveaxis(kernels, 0, 1), law
 
 
-def signal_expectation(p_s, kernels, values: np.ndarray) -> np.ndarray:
-    """E[v(z) | e_c] under P(z | e_c), with no law table.
+def law_parts(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A ``signal_laws`` table as the (no-signal, nonzero-signal) pair that ``signal_expectation`` takes."""
+    return law[:, NONE_INDEX], np.moveaxis(law[:, NONZERO_INDEX], 1, 0)
+
+
+def signal_expectation(law: tuple, values: np.ndarray) -> np.ndarray:
+    """E[v(z) | e_c] under P(z | e_c).
 
     ``values`` (7, investors, *shape(e_c)) holds v at each signal in
-    ``SIGNALS`` order; ``kernels`` and ``p_s`` are as in ``_law``.  The terms
-    P(z | e_c)*v(z) are added one at a time: the no-signal term first, then
-    the nonzero signals in ``NONZERO_SIGNALS`` order.
+    ``SIGNALS`` order; ``law`` is P(z | e_c) as (no-signal, nonzero-signal)
+    probabilities, the nonzero-signal ones leading with the signal axis:
+    ``signal_law(p_s, kernels)``, or the same values read off a
+    ``signal_laws`` table by ``law_parts``.  The terms P(z | e_c)*v(z) are
+    added one at a time: the no-signal term first, then the nonzero signals
+    in ``NONZERO_SIGNALS`` order.
     """
-    no_signal, signal = _law(p_s, kernels)
+    no_signal, signal = law
     total = no_signal * values[NONE_INDEX]
     for term in signal * values[NONZERO_INDEX]:
         total += term

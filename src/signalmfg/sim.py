@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import _mean_jump_given, aggregate, wealth_diffusion
+from .meanfield import _log_mean_jump_given, aggregate, wealth_diffusion
 from .model import (
     NONE_INDEX,
     SIGNALS,
@@ -196,8 +196,8 @@ def estimate_utility(
     # One eta per distinct jump law at the marks, for m(e_c) and every type's paths.
     laws = [JumpLaw.from_market(t.market) for t in pop.types]
     sizes = jump_sizes(laws, marks)
-    mean_jump = _mean_jump_given(pop, strat, laws)
-    xbar = np.exp(stats.log_mean_wealth(T, w0, by_path(np.log(mean_jump(marks, sizes)))))
+    log_mean_jump = _log_mean_jump_given(pop, strat, laws)
+    xbar = np.exp(stats.log_mean_wealth(T, w0, by_path(log_mean_jump(marks, sizes))))
 
     def utility(i: int) -> np.ndarray:
         # A call per type frees its draws before the next type draws its own.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signalmfg import casestudy, cli, response
+from signalmfg import casestudy, cli, meanfield, response
 from signalmfg.equilibrium import (
     SolverConfig,
     _statistic_box,
@@ -16,10 +16,17 @@ from signalmfg.equilibrium import (
     statistic_of,
 )
 from signalmfg.meanfield import aggregate
-from signalmfg.metrics import M_mf, M_nagent
-from signalmfg.model import NONE_INDEX, Population, Signal, Strategy, strategy_distance, validate_investor
+from signalmfg.metrics import M_mf, M_nagent, _value_constant
+from signalmfg.model import NONE_INDEX, SIGNALS, Population, Signal, Strategy, strategy_distance, validate_investor
 from signalmfg.quad import Quadrature
-from signalmfg.response import context_from_stats, jump_cap_binds
+from signalmfg.response import (
+    DEFAULT_OPT_TOL,
+    _nagent_contexts,
+    _respond,
+    context_from_stats,
+    jump_cap_binds,
+    mf_target_context,
+)
 
 MERTON = 4.0 / 9.0
 # The finite common-mark law of acceptance 11 (cross-solver oracle).
@@ -409,6 +416,108 @@ class TestResultMatchesPerTypeAPI:
             assert result.per_type_M[i] == M_mf(t, result.strategy.row(i), result.stats, q)
 
 
+def extreme_equilibrium(index, q):
+    """``EXTREME_TYPES[index]``, its solved equilibrium and the one-investor context of its environment."""
+    market, kwargs = EXTREME_TYPES[index]
+    t = casestudy.investor(casestudy.default_market(**market), weight=1.0, **kwargs)
+    result = solve_mf_finite(Population([t]), q)
+    return t, result, context_from_stats(t, result.stats, q)
+
+
+def assert_warm_rows_are_cold_rows(ctx, iterate, rng):
+    """From starts at lo, lo + 1e-12, hi, the iterate and random points, every row is the cold (midpoint-started)
+    row within opt_tol, and a cold row at a bound is that bound exactly."""
+    lo, hi = (np.repeat(end[:, np.newaxis], len(SIGNALS), axis=1) for end in ctx.bounds.T)
+    cold = _respond(ctx, DEFAULT_OPT_TOL).table
+    at_bound = (cold == lo) | (cold == hi)
+    for start in (lo, lo + 1e-12, hi, iterate, rng.uniform(lo, hi), rng.uniform(lo, hi)):
+        warm = _respond(ctx, DEFAULT_OPT_TOL, start).table
+        assert np.max(np.abs(warm - cold)) <= DEFAULT_OPT_TOL
+        assert np.array_equal(warm[at_bound], cold[at_bound])
+
+
+class TestWarmStart:
+    """Best responses start at the iterate's rows; each row stops only on a certificate, so the start moves no
+    row by more than opt_tol."""
+
+    @pytest.mark.parametrize("index", range(len(EXTREME_TYPES)))
+    def test_extreme_equilibrium_environments(self, quad128, index):
+        _, result, ctx = extreme_equilibrium(index, quad128)
+        assert_warm_rows_are_cold_rows(ctx, result.strategy.table, np.random.default_rng(index))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.0, 20.0),
+        sigma_hat=st.floats(0.0, 4.0),
+        kind=TYPE_PARAMETERS,
+        env=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_types_and_environments(self, quad128, lam, sigma_hat, kind, env, seed):
+        t = casestudy.investor(casestudy.default_market(lam=lam, sigma_hat=sigma_hat), weight=1.0, **kind)
+        iterate = Strategy.constant(1, env * (1.0 - t.eps_b))
+        ctx = context_from_stats(t, aggregate(Population([t]), iterate, quad128), quad128)
+        assert_warm_rows_are_cold_rows(ctx, iterate.table, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("start", [0.0, 1e-12])
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_a_short_newton_step_is_no_certificate(self, quad128, index, start):
+        # Where g'' is huge, Newton from 0 or 1e-12 moves by less than opt_tol, 5e-5 to 1e-3 short of the
+        # maximizer; stopping there gave a false fixed point reported as converged with M = -1.4e136.
+        t, result, ctx = extreme_equilibrium(index, quad128)
+        cold = _respond(ctx, DEFAULT_OPT_TOL).table
+        warm = _respond(ctx, DEFAULT_OPT_TOL, np.full_like(cold, start)).table
+        assert np.max(np.abs(cold - start)) > 1e-5
+        assert np.max(np.abs(warm - cold)) <= DEFAULT_OPT_TOL
+        assert result.converged and -1.0 < result.per_type_M[0] < 0.0
+
+
+class TestWorkCounts:
+    """Warm starts and a node kernel built once per solve, counted."""
+
+    def test_derivative_evaluations_per_reference_solve(self, ref_pop, quad128, monkeypatch):
+        # Cold best responses took 2 endpoint evaluations and 4 Newton steps each: 30 in 4 iterations.
+        calls = []
+        derivatives = response._derivatives
+        monkeypatch.setattr(response, "_derivatives", lambda *args: calls.append(1) or derivatives(*args))
+        result = solve_mf_finite(ref_pop, quad128)
+        assert result.converged and result.iterations == 4
+        assert len(calls) <= 20
+
+    def test_no_node_kernel_built_by_the_mean_field_iteration(self, ref_pop, quad128, monkeypatch):
+        calls = []
+        kernel = meanfield.signal_kernel
+        monkeypatch.setattr(meanfield, "signal_kernel", lambda *args: calls.append(args) or kernel(*args))
+        result = solve_mf_finite(ref_pop, quad128)
+        assert result.converged and result.iterations > 1
+        assert not calls
+        result.stats.mean_jump(0.5)
+        assert len(calls) == 1
+
+
+class TestGroupedValues:
+    """M and its clip flag are evaluated once per distinct (static class, environment, row), bit for bit the
+    per-player values."""
+
+    @pytest.mark.parametrize("players", [
+        [casestudy.investor()] * 20,
+        [casestudy.investor()] * 2 + [casestudy.investor(p_s=0.25)] * 2,
+        [casestudy.investor(theta=0.0), casestudy.investor(theta=-0.0)] * 2,
+    ], ids=["n20", "two-group", "zero-theta-twins"])
+    def test_nagent(self, quad128, players):
+        result = solve_nagent(players, quad128)
+        ctx = _nagent_contexts(players, result.strategy, quad128)
+        per_player = _value_constant(ctx, result.strategy.table)
+        assert result.converged and np.array(result.per_type_M).tobytes() == per_player.tobytes()
+        assert not jump_cap_binds(result.strategy.table, ctx).any()
+
+    def test_mean_field(self, ref_pop, quad128, ref_eq):
+        stats = ref_eq.stats
+        ctx = mf_target_context(ref_pop.types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+        per_type = _value_constant(ctx, ref_eq.strategy.table)
+        assert np.array(ref_eq.per_type_M).tobytes() == per_type.tobytes()
+
+
 class TestContextBuiltOnce:
     """A solve builds its investors' signal laws once; each iteration writes only the environment."""
 
@@ -430,6 +539,16 @@ class TestContextBuiltOnce:
         assert result.converged and result.iterations > 1
         assert len(calls) == 1
 
+    def test_distinct_investors_are_not_regrouped(self, quad128, monkeypatch):
+        # Every sweep alternative population has distinct types: no context is sliced into representatives.
+        calls = []
+        take = response.TargetContext.take
+        monkeypatch.setattr(response.TargetContext, "take", lambda ctx, index: calls.append(index) or take(ctx, index))
+        pop = Population([casestudy.investor(weight=0.5), casestudy.investor(p_s=0.25, weight=0.5)])
+        result = solve_mf_finite(pop, quad128)
+        assert result.converged and result.iterations > 1
+        assert not calls
+
     @pytest.mark.parametrize("players, distinct", [
         ([casestudy.investor()] * 20, 1),
         ([casestudy.investor()] * 2 + [casestudy.investor(p_s=0.25)] * 2, 2),
@@ -438,7 +557,7 @@ class TestContextBuiltOnce:
         # Identical players face identical peers: each best response solves one of each.
         sizes = []
         newton = response._newton
-        monkeypatch.setattr(response, "_newton", lambda ctx, tol: sizes.append(len(ctx.investors)) or newton(ctx, tol))
+        monkeypatch.setattr(response, "_newton", lambda ctx, *a: sizes.append(len(ctx.investors)) or newton(ctx, *a))
         result = solve_nagent(players, quad128)
         assert result.converged and result.iterations > 1
         assert len(sizes) > result.iterations and set(sizes) == {distinct}

@@ -6,7 +6,9 @@ import pytest
 from signalmfg import casestudy
 from signalmfg.meanfield import _MARK_BLOCK, aggregate, mean_log_terminal
 from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, Population, Strategy
-from signalmfg.signals import JumpLaw, classify_index, conditional_prob, eta, perturb
+from signalmfg.quad import Quadrature
+from signalmfg.response import _contexts
+from signalmfg.signals import JumpLaw, classify_index, conditional_prob, eta, law_parts, perturb
 from signalmfg.sim import CommonNoisePath
 
 
@@ -138,6 +140,31 @@ class TestAggregate:
         assert stats.sigma0pi_bar == pytest.approx(sigma0pi, rel=1e-15, abs=0.0)
         assert stats.taupi_bar == pytest.approx(taupi, rel=1e-15, abs=0.0)
         assert math.log(stats.xbar0) == pytest.approx(log_xbar0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n_types", [1, 3, 12])
+    @pytest.mark.parametrize("q", [
+        Quadrature.standard_normal(),
+        Quadrature.discrete([-1.0, 0.0, 1.5], [0.25, 0.5, 0.25]),
+    ], ids=["gauss", "discrete"])
+    def test_node_law_gives_the_aggregate_bits(self, q, n_types):
+        # A solver's aggregate reads the signal laws and jump sizes its context built once per solve.
+        rng = np.random.default_rng(n_types)
+        types = [
+            casestudy.investor(
+                casestudy.default_market(sigma_hat=rng.choice([0.1, 0.3])),
+                p_s=rng.choice([0.0, 0.5, 0.9]),
+                rho=rng.choice([-0.4, 0.5]),
+                weight=w,
+            )
+            for w in rng.dirichlet(np.ones(n_types))
+        ]
+        pop, strat = Population(types), Strategy(rng.uniform(0.0, 0.9, size=(n_types, 7)))
+        ctx = _contexts(types, q)
+        fresh, read = aggregate(pop, strat, q), aggregate(pop, strat, q, (law_parts(ctx.law), ctx.eta_raw))
+        assert read.mean_jump_nodes.tobytes() == fresh.mean_jump_nodes.tobytes()
+        assert (read.sigma0pi_bar, read.taupi_bar, read.xbar0) == (fresh.sigma0pi_bar, fresh.taupi_bar, fresh.xbar0)
+        e = np.linspace(-3.0, 3.0, 7)
+        assert read.mean_jump(e).tobytes() == fresh.mean_jump(e).tobytes()
 
     def test_exposure_monotonicity(self, ref_pop, quad128):
         lo = aggregate(ref_pop, Strategy.constant(2, 0.2), quad128)

@@ -559,9 +559,16 @@ class TestNAgentContext:
                 nagent_target_context(i, types, Strategy.zeros(2), quad128)
 
 
-def rows_one_by_one(ctx):
+def rows_one_by_one(ctx, start=None):
     """The oracle of the grouped Newton: each investor's context solved on its own, rows stacked."""
-    return np.vstack([_respond(ctx.take(i), DEFAULT_OPT_TOL).table for i in range(len(ctx.investors))])
+    starts = [None] * len(ctx.investors) if start is None else [start[i:i + 1] for i in range(len(ctx.investors))]
+    return np.vstack([_respond(ctx.take(i), DEFAULT_OPT_TOL, s).table for i, s in enumerate(starts)])
+
+
+def repeated_starts(n_investors, seed):
+    """Warm starts drawn from two rows, so that equal investors sometimes share a start and sometimes do not."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 0.9, (2, len(SIGNALS)))[rng.integers(0, 2, n_investors)]
 
 
 def all_players_environment(ctx, strat):
@@ -608,20 +615,25 @@ class TestGroupedRows:
         ctx = mf_target_context(types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
         assert ctx.static_class.tolist() == [0, 1, 0, 1]
         assert _respond(ctx, DEFAULT_OPT_TOL).table.tobytes() == rows_one_by_one(ctx).tobytes()
+        start = np.repeat(ref_eq.strategy.table[:1], 4, axis=0)
+        assert _respond(ctx, DEFAULT_OPT_TOL, start).table.tobytes() == rows_one_by_one(ctx, start).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
         kinds=st.lists(GROUP_KINDS, min_size=1, max_size=3),
         picks=st.lists(st.integers(0, 4), min_size=1, max_size=8),
         env=st.floats(0.0, 0.9),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_mean_field_population_with_repeated_types(self, quad128, kinds, picks, env):
+    def test_mean_field_population_with_repeated_types(self, quad128, kinds, picks, env, seed):
         market = casestudy.default_market(sigma_hat=0.3)
         pool = [casestudy.investor(market, weight=1.0, **kind) for kind in kinds] + zero_theta_twins()
         types = [pool[i % len(pool)] for i in picks]
         stats = aggregate(Population(pool[:1]), Strategy.constant(1, env), quad128)
         ctx = mf_target_context(types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
         assert _respond(ctx, DEFAULT_OPT_TOL).table.tobytes() == rows_one_by_one(ctx).tobytes()
+        start = repeated_starts(len(types), seed)
+        assert _respond(ctx, DEFAULT_OPT_TOL, start).table.tobytes() == rows_one_by_one(ctx, start).tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -638,6 +650,9 @@ class TestGroupedRows:
         strat = Strategy(rows[[r for _, r in picks]])
         ctx = _nagent_contexts(types, strat, quad128)
         assert _respond(ctx, DEFAULT_OPT_TOL).table.tobytes() == rows_one_by_one(ctx).tobytes()
+        # Warm-started at the strategy whose environment the context holds, as the solvers do.
+        warm = _respond(ctx, DEFAULT_OPT_TOL, strat.table).table
+        assert warm.tobytes() == rows_one_by_one(ctx, strat.table).tobytes()
         expected = all_players_environment(ctx, strat)
         actual = (ctx.sigma0pi_env, ctx.taupi_env, ctx.sig2pi2_env, ctx.env_jump_log)
         assert [a.tobytes() for a in actual] == [e.tobytes() for e in expected]

@@ -16,9 +16,11 @@ from signalmfg.signals import (
     classify_index,
     conditional_prob,
     eta,
+    law_parts,
     perturb,
     signal_expectation,
     signal_kernel,
+    signal_law,
     signal_laws,
 )
 
@@ -280,6 +282,9 @@ class TestSignalLaws:
         for z in NONZERO_SIGNALS:
             column = SIGNALS.index(z)
             expected = expected + law[:, column] * values[column]
-        got = signal_expectation(p_s, np.moveaxis(kernels, 1, 0), values)
+        got = signal_expectation(signal_law(p_s, np.moveaxis(kernels, 1, 0)), values)
         assert np.array_equal(got, expected)
+        # Read off the law table, as the mean-jump function on the quadrature nodes does: the same bits.
+        from_table = signal_expectation(law_parts(law), values)
+        assert got.tobytes() == from_table.tobytes()
 
