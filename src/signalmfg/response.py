@@ -415,6 +415,23 @@ def _derivatives(phi: np.ndarray, nodes: np.ndarray, coefficients: np.ndarray) -
     return g1, g2
 
 
+def _first_order_terms(ctx: TargetContext) -> tuple[np.ndarray, np.ndarray]:
+    """The ``nodes`` and ``coefficients`` that ``_derivatives`` reads, for every (investor, signal) row in turn."""
+    n_investors, n_signals = len(ctx.investors), len(SIGNALS)
+    nodes = np.empty((4, n_investors, n_signals, ctx.eta_nodes.shape[-1]))
+    eta, env_log, w_eta, w_eta2 = nodes
+    eta[:], env_log[:] = ctx.eta_nodes[:, np.newaxis], ctx.env_jump_log[:, np.newaxis]
+    np.multiply(ctx.row_weights, eta, out=w_eta)
+    # Unweighted nodes set no scale; their power must not overflow into 0*inf.
+    np.copyto(env_log, -np.inf, where=w_eta == 0.0)
+    np.multiply(ctx.alpha[:, np.newaxis, np.newaxis], w_eta, out=w_eta2)
+    w_eta2 *= eta
+    coefficients = np.zeros((3, n_investors * n_signals))  # alpha, and the drift (no-signal rows only)
+    coefficients[0] = np.repeat(ctx.alpha, n_signals)
+    coefficients[1:, NONE_INDEX::n_signals] = ctx.drift_slope, ctx.drift_curvature
+    return nodes.reshape(4, n_investors * n_signals, -1), coefficients
+
+
 def _newton(ctx: TargetContext, opt_tol: float, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every (investor, signal) row of ``ctx`` from one Newton started at ``start``, and which rows stopped at the cap.
 
@@ -460,18 +477,7 @@ def _newton(ctx: TargetContext, opt_tol: float, start: np.ndarray) -> tuple[np.n
     """
     n_investors, n_signals = len(ctx.investors), len(SIGNALS)
     n_rows = n_investors * n_signals
-    nodes = np.empty((4, n_investors, n_signals, ctx.eta_nodes.shape[-1]))
-    eta, env_log, w_eta, w_eta2 = nodes
-    eta[:], env_log[:] = ctx.eta_nodes[:, np.newaxis], ctx.env_jump_log[:, np.newaxis]
-    np.multiply(ctx.row_weights, eta, out=w_eta)
-    # Unweighted nodes set no scale; their power must not overflow into 0*inf.
-    np.copyto(env_log, -np.inf, where=w_eta == 0.0)
-    np.multiply(ctx.alpha[:, np.newaxis, np.newaxis], w_eta, out=w_eta2)
-    w_eta2 *= eta
-    nodes = nodes.reshape(4, n_rows, -1)
-    coefficients = np.zeros((3, n_rows))  # alpha, and the drift's slope and curvature (no-signal rows only)
-    coefficients[0] = np.repeat(ctx.alpha, n_signals)
-    coefficients[1:, NONE_INDEX::n_signals] = ctx.drift_slope, ctx.drift_curvature
+    nodes, coefficients = _first_order_terms(ctx)
     # Per still active row (rows drop out as they stop): its next point, its admissible [lo, hi], its
     # verified bracket [a, b] (-inf and inf until verified), its last step and the step before, and its
     # second point where it straddles its root.

@@ -17,7 +17,16 @@ from signalmfg.equilibrium import (
 )
 from signalmfg.meanfield import aggregate
 from signalmfg.metrics import M_mf, M_nagent, _value_constant
-from signalmfg.model import NONE_INDEX, SIGNALS, Population, Signal, Strategy, strategy_distance, validate_investor
+from signalmfg.model import (
+    NONE_INDEX,
+    NONZERO_INDEX,
+    SIGNALS,
+    Population,
+    Signal,
+    Strategy,
+    strategy_distance,
+    validate_investor,
+)
 from signalmfg.quad import Quadrature
 from signalmfg.response import (
     DEFAULT_OPT_TOL,
@@ -426,14 +435,18 @@ def extreme_equilibrium(index, q):
 
 def assert_warm_rows_are_cold_rows(ctx, iterate, rng):
     """From starts at lo, lo + 1e-12, hi, the iterate and random points, every row is the cold (midpoint-started)
-    row within opt_tol, and a cold row at a bound is that bound exactly."""
+    row within opt_tol, and a row whose g' points out of its interval at a bound is that bound exactly."""
     lo, hi = (np.repeat(end[:, np.newaxis], len(SIGNALS), axis=1) for end in ctx.bounds.T)
+    terms = response._first_order_terms(ctx)
+    g_lo, g_hi = (response._derivatives(end.ravel(), *terms)[0].reshape(end.shape) for end in (lo, hi))
+    own = np.ones(lo.shape, dtype=bool)
+    own[:, NONZERO_INDEX] = ~ctx.jumps_degenerate[:, np.newaxis]  # degenerate signal rows copy the no-signal row
+    at_lo, at_hi = own & (g_lo < 0.0), own & (g_hi > 0.0)
     cold = _respond(ctx, DEFAULT_OPT_TOL).table
-    at_bound = (cold == lo) | (cold == hi)
-    for start in (lo, lo + 1e-12, hi, iterate, rng.uniform(lo, hi), rng.uniform(lo, hi)):
+    for start in (None, lo, lo + 1e-12, hi, iterate, rng.uniform(lo, hi), rng.uniform(lo, hi)):
         warm = _respond(ctx, DEFAULT_OPT_TOL, start).table
         assert np.max(np.abs(warm - cold)) <= DEFAULT_OPT_TOL
-        assert np.array_equal(warm[at_bound], cold[at_bound])
+        assert np.array_equal(warm[at_lo], lo[at_lo]) and np.array_equal(warm[at_hi], hi[at_hi])
 
 
 class TestWarmStart:
@@ -445,10 +458,13 @@ class TestWarmStart:
         _, result, ctx = extreme_equilibrium(index, quad128)
         assert_warm_rows_are_cold_rows(ctx, result.strategy.table, np.random.default_rng(index))
 
+    # Jump sizes either absent or at least 1e-3: for sigma_hat -> 0 a signal row's g' is of order sigma_hat^2
+    # against terms of order sigma_hat, so rounding alone places its root within about 2e-16/(alpha*sigma_hat),
+    # and no start-independent answer exists below that (sigma_hat = 2e-16 moved a row by 1e-3).
     @settings(max_examples=40, deadline=None)
     @given(
         lam=st.floats(0.0, 20.0),
-        sigma_hat=st.floats(0.0, 4.0),
+        sigma_hat=st.just(0.0) | st.floats(1e-3, 4.0),
         kind=TYPE_PARAMETERS,
         env=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
