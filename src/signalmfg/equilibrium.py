@@ -223,12 +223,14 @@ def _solve(ctx: TargetContext, environment: Callable, cfg: SolverConfig, iterati
     return EquilibriumResult(strategy, residual, iterations, per_type_M, values, residual < cfg.tol, stats, notes)
 
 
-def _mean_field(pop: Population, q: Quadrature, ctx: TargetContext) -> Callable:
-    """The mean-field ``environment`` of ``_solve``: aggregate a strategy, write its statistic into ``ctx``.
+def _node_law(ctx: TargetContext) -> tuple:
+    """``meanfield.law_on_nodes`` read off ``ctx``, which a solver builds once."""
+    return law_parts(ctx.law), ctx.eta_raw
 
-    The aggregate reads m's signal laws and jump sizes on the nodes off ``ctx``, built once per solve.
-    """
-    node_law = (law_parts(ctx.law), ctx.eta_raw)
+
+def _mean_field(pop: Population, q: Quadrature, ctx: TargetContext) -> Callable:
+    """The mean-field ``environment`` of ``_solve``: aggregate a strategy, write its statistic into ``ctx``."""
+    node_law = _node_law(ctx)
 
     def environment(strat: Strategy):
         stats = aggregate(pop, strat, q, node_law)
@@ -261,13 +263,13 @@ def solve_nagent(
     return _solve(ctx, lambda strat: (_nagent_environment(ctx, strat), peers_x0, None), cfg)
 
 
-def statistic_of(pop: Population, strat: Strategy, q: Quadrature) -> np.ndarray:
-    """Statistic vector (sigma0 * pi averaged, mean jump at each mark)."""
-    stats = aggregate(pop, strat, q)
+def statistic_of(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> np.ndarray:
+    """Statistic vector (sigma0 * pi averaged, mean jump at each mark); ``node_law`` as in ``aggregate``."""
+    stats = aggregate(pop, strat, q, node_law)
     return np.concatenate(([stats.sigma0pi_bar], stats.mean_jump_nodes))
 
 
-def _statistic_box(pop: Population, q: Quadrature) -> tuple[np.ndarray, np.ndarray]:
+def _statistic_box(pop: Population, q: Quadrature, node_law: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate-wise range of ``statistic_of`` over admissible strategies.
 
     sigma0pi_bar and each log m(e_c) sum over types a weighted term that
@@ -279,7 +281,7 @@ def _statistic_box(pop: Population, q: Quadrature) -> tuple[np.ndarray, np.ndarr
     lo, hi = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, pop.types)]).T
 
     def log_statistic(positions: np.ndarray) -> np.ndarray:
-        stat = statistic_of(pop, Strategy(np.repeat(positions[:, np.newaxis], len(SIGNALS), axis=1)), q)
+        stat = statistic_of(pop, Strategy(np.repeat(positions[:, np.newaxis], len(SIGNALS), axis=1)), q, node_law)
         return np.concatenate((stat[:1], np.log(stat[1:])))
 
     base = log_statistic(lo)
@@ -304,12 +306,14 @@ def solve_mf_statistic(
     probs = [float(p) for _, p in common_marks]
     q = Quadrature.discrete(marks, probs)
     ctx = _contexts(pop.types, q)
+    node_law = _node_law(ctx)
 
     def respond(m: np.ndarray) -> Strategy:
         return _respond(_mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), cfg.opt_tol)
 
-    start = statistic_of(pop, cfg.init if cfg.init is not None else Strategy.zeros(len(pop)), q)
-    iteration = (lambda m: statistic_of(pop, respond(m), q), start, _statistic_box(pop, q), respond)
+    start = statistic_of(pop, cfg.init if cfg.init is not None else Strategy.zeros(len(pop)), q, node_law)
+    box = _statistic_box(pop, q, node_law)
+    iteration = (lambda m: statistic_of(pop, respond(m), q, node_law), start, box, respond)
     return _solve(ctx, _mean_field(pop, q, ctx), cfg, iteration)
 
 

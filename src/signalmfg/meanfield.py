@@ -11,8 +11,9 @@ its signal law (``signals.signal_expectation``), one block of marks at a time,
 once per distinct (rho, p_s, jump law, row) of the population.  It takes the
 jump sizes at the marks as given (``_log_mean_jump_given``), so Monte Carlo
 computes them once for m and for its paths, and sums log m per path.  On the
-quadrature nodes, a solver's aggregate reads the signal laws and jump sizes
-its target context already holds, with the same bits.
+quadrature nodes, the aggregate sums m from tables of the signal laws and
+jump sizes there (``law_on_nodes``), in the same order and with the same bits;
+a solver passes the tables its target context already holds.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .model import NONE_INDEX, InvestorType, Population, Strategy, check_admissible, check_horizon
 from .quad import Quadrature
-from .signals import JumpLaw, distinct, jump_sizes, signal_expectation, signal_kernel, signal_law
+from .signals import JumpLaw, distinct, jump_sizes, law_parts, signal_expectation, signal_kernel, signal_law, signal_laws
 
 # Marks per block of m(e_c): bounds its per-block tables, each (5 to 7,
 # distinct investors, block), on ~1e6 Monte Carlo marks.  Measured on 1e6
@@ -133,15 +134,23 @@ def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
     return mean_jump
 
 
+def law_on_nodes(types: Sequence[InvestorType], q: Quadrature) -> tuple:
+    """(law, sizes): each type's P(z | e_c) on ``q``'s nodes and its jump sizes there, as ``aggregate`` reads them.
+
+    ``law`` is a ``signals.signal_laws`` table split by ``signals.law_parts``;
+    ``sizes`` (types, nodes) stacks ``signals.jump_sizes``.  A target context
+    holds the same tables as ``law`` and ``eta_raw``.
+    """
+    laws = [JumpLaw.from_market(t.market) for t in types]
+    return law_parts(signal_laws(types, q.nodes)[1]), np.stack(jump_sizes(laws, q.nodes))
+
+
 def aggregate(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> MeanFieldStats:
     """Aggregate a population and strategy into ``MeanFieldStats``.
 
-    ``node_law`` = (law, sizes) gives each type's P(z | e_c) on ``q``'s
-    nodes, a ``signals.signal_laws`` table split by ``signals.law_parts``,
-    and its jump sizes there, (types, nodes), as ``signals.jump_sizes``
-    builds them (from a target context's ``law`` and ``eta_raw``).  Given,
-    m is summed on the nodes from these tables in the evaluator's order, so
-    the statistic has the same bits and no kernel is built.  Raises on
+    m on ``q``'s nodes is summed from ``node_law`` = ``law_on_nodes(pop.types,
+    q)``, built here unless given, in the order of the evaluator
+    ``mean_jump``, so it has the evaluator's bits at the nodes.  Raises on
     inadmissible positions, naming the offending (type, signal).
     """
     check_admissible(pop, strat)
@@ -151,13 +160,9 @@ def aggregate(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple |
     terms = pop.weights[:, np.newaxis] * np.stack((sigma0pi, drift, log_x0), axis=1)
     sigma0pi_bar, taupi_bar, log_xbar0 = terms.sum(axis=0)
 
-    mean_jump = _mean_jump_evaluator(pop, strat)
-    if node_law is None:
-        nodes_table = np.asarray(mean_jump(q.nodes), dtype=float)
-    else:
-        law, sizes = node_law
-        mixture = signal_expectation(law, np.log1p(strat.table.T[:, :, np.newaxis] * sizes))
-        nodes_table = np.exp(_weighted_sum(pop.weights, mixture))
+    law, sizes = law_on_nodes(pop.types, q) if node_law is None else node_law
+    mixture = signal_expectation(law, np.log1p(strat.table.T[:, :, np.newaxis] * sizes))
+    nodes_table = np.exp(_weighted_sum(pop.weights, mixture))
     if np.any(nodes_table <= 0.0) or not np.all(np.isfinite(nodes_table)):
         k = int(np.argmin(nodes_table))
         raise ValueError(f"mean jump factor not positive at node e_c={q.nodes[k]}: {nodes_table[k]}")
@@ -167,7 +172,7 @@ def aggregate(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple |
         sigma0pi_bar=float(sigma0pi_bar),
         taupi_bar=float(taupi_bar),
         xbar0=float(np.exp(log_xbar0)),
-        mean_jump=mean_jump,
+        mean_jump=_mean_jump_evaluator(pop, strat),
         mean_jump_nodes=nodes_table,
     )
 

@@ -500,11 +500,17 @@ class TestWorkCounts:
         assert result.converged and result.iterations == 4
         assert len(calls) <= 20
 
-    def test_no_node_kernel_built_by_the_mean_field_iteration(self, ref_pop, quad128, monkeypatch):
+    @pytest.mark.parametrize(
+        "solve",
+        [lambda pop, q: solve_mf_finite(pop, q), lambda pop, q: solve_mf_statistic(pop, MARKS_11)],
+        ids=["mf_finite", "mf_statistic"],
+    )
+    def test_no_node_kernel_built_by_the_mean_field_iteration(self, solve, ref_pop, quad128, monkeypatch):
         calls = []
-        kernel = meanfield.signal_kernel
+        kernel, tables = meanfield.signal_kernel, meanfield.law_on_nodes
         monkeypatch.setattr(meanfield, "signal_kernel", lambda *args: calls.append(args) or kernel(*args))
-        result = solve_mf_finite(ref_pop, quad128)
+        monkeypatch.setattr(meanfield, "law_on_nodes", lambda *args: calls.append(args) or tables(*args))
+        result = solve(ref_pop, quad128)
         assert result.converged and result.iterations > 1
         assert not calls
         result.stats.mean_jump(0.5)
@@ -533,6 +539,20 @@ class TestGroupedValues:
         per_type = _value_constant(ctx, ref_eq.strategy.table)
         assert np.array(ref_eq.per_type_M).tobytes() == per_type.tobytes()
 
+    def test_markets_with_one_excess_return(self, quad128):
+        # kappa - r is byte-equal, so the two types have the same rows, but M reads theta*r: they differ by theta/8.
+        pop = Population([
+            casestudy.investor(casestudy.default_market(kappa=0.125, r=0.0)),
+            casestudy.investor(casestudy.default_market(kappa=0.25, r=0.125)),
+        ])
+        result = solve_mf_finite(pop, quad128)
+        stats = result.stats
+        ctx = mf_target_context(pop.types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+        per_type = _value_constant(ctx, result.strategy.table)
+        assert result.converged and np.array(result.per_type_M).tobytes() == per_type.tobytes()
+        assert result.strategy.table[0].tobytes() == result.strategy.table[1].tobytes()
+        assert per_type[1] - per_type[0] == pytest.approx(0.5 * 0.125)
+
 
 class TestContextBuiltOnce:
     """A solve builds its investors' signal laws once; each iteration writes only the environment."""
@@ -547,7 +567,7 @@ class TestContextBuiltOnce:
         ids=["mf_finite", "nagent", "mf_statistic"],
     )
     def test_one_signal_law_build_per_solve(self, solve, quad128, monkeypatch):
-        # Counts the context builder's tables; meanfield.aggregate builds no law table.
+        # Counts the context builder's tables; a solver's aggregate reads them off its context.
         calls = []
         build = response.signal_laws
         monkeypatch.setattr(response, "signal_laws", lambda *args: calls.append(args) or build(*args))

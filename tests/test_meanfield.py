@@ -162,6 +162,8 @@ class TestAggregate:
         ctx = _contexts(types, q)
         fresh, read = aggregate(pop, strat, q), aggregate(pop, strat, q, (law_parts(ctx.law), ctx.eta_raw))
         assert read.mean_jump_nodes.tobytes() == fresh.mean_jump_nodes.tobytes()
+        # The node table and the evaluator at any marks are one m.
+        assert fresh.mean_jump(q.nodes).tobytes() == fresh.mean_jump_nodes.tobytes()
         assert (read.sigma0pi_bar, read.taupi_bar, read.xbar0) == (fresh.sigma0pi_bar, fresh.taupi_bar, fresh.xbar0)
         e = np.linspace(-3.0, 3.0, 7)
         assert read.mean_jump(e).tobytes() == fresh.mean_jump(e).tobytes()
