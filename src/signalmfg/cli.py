@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import casestudy
-from .equilibrium import SolverConfig, solve_mf_finite
+from .equilibrium import SolverConfig, _solve_mf_many, solve_mf_finite
 from .metrics import certainty_equivalent
 from .model import SIGNALS, InvestorType, MarketParams, Population, validate_population
 from .quad import DEFAULT_HALF_WIDTH, DEFAULT_NODES, Quadrature
@@ -192,22 +192,24 @@ def _alternative(cfg: ExperimentConfig, value: float) -> tuple[Population, float
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
-    """Solve the reference once, then one alternative equilibrium per grid point.
+    """Solve the reference and one alternative equilibrium per grid point, all in one lockstep iteration.
 
-    Returns (rows, notes); each row carries the sweep value, the Type-A
-    certainty equivalent exp(T (M_alt - M_ref)), residuals, iteration count
-    of the alternative solve, both M constants and a converged flag.
+    ``equilibrium._solve_mf_many`` advances every population together, one
+    best response per iteration for all of them, each with the iterates,
+    iteration count and M of its solve alone; a grid point equal to the
+    reference reuses the reference's result.  Returns (rows, notes); each
+    row carries the sweep value, the Type-A certainty equivalent
+    exp(T (M_alt - M_ref)), residuals, iteration count of the alternative
+    solve, both M constants and a converged flag.
     """
-    q = cfg.quadrature()
-    ref = solve_mf_finite(cfg.reference, q, cfg.solver)
+    alternatives = [_alternative(cfg, value) for value in cfg.sweep_grid]
+    ref, *alts = _solve_mf_many([cfg.reference, *(pop for pop, _, _ in alternatives)], cfg.quadrature(), cfg.solver)
     notes = [f"reference: residual={ref.residual:.3e} iterations={ref.iterations}"]
     notes.extend(ref.notes)
     m_a_ref = ref.per_type_M[0]
 
     rows = []
-    for value in cfg.sweep_grid:
-        alt_pop, used, point_notes = _alternative(cfg, value)
-        alt = solve_mf_finite(alt_pop, q, cfg.solver)
+    for value, (_, used, point_notes), alt in zip(cfg.sweep_grid, alternatives, alts):
         notes.extend(f"grid {value}: {n}" for n in (*point_notes, *alt.notes))
         m_a_alt = alt.per_type_M[0]
         rows.append(

@@ -1,22 +1,27 @@
 """Fixed-point solvers.
 
-One Anderson-accelerated fixed-point iteration (``damped_fixed_point``) on
-the best-response map serves three solvers: the n-agent Nash game, the
-finite-type mean-field game iterated in strategy space, and the mean-field
-game iterated in the (|marks| + 1)-dimensional statistic space for a finite
-common-mark law.  Each solver clips every iterate to the box of values its
-admissible positions can reach.  A solver builds its investors' context
-once and gives one core (``_solve``) the environment its iterates induce;
-the core iterates, then reads M, values and notes off the final context
-for every solver alike.  Non-convergence is a reported state, not an
-exception.
+One Anderson-accelerated fixed-point iteration on the best-response map
+serves three solvers: the n-agent Nash game, the finite-type mean-field
+game iterated in strategy space, and the mean-field game iterated in the
+(|marks| + 1)-dimensional statistic space for a finite common-mark law.
+Each solver clips every iterate to the box of values its admissible
+positions can reach.  The iteration is a generator (``_anderson``) advanced
+one image at a time, so one core (``_solve``) runs many fixed points in
+lockstep: a sweep's reference and grid-point populations iterate together,
+with one best response per iteration for all of them, each population on
+its own environment and Anderson history, with the iterates of its solve
+alone; ``solve_mf_finite`` is that lockstep solve of one population and
+``damped_fixed_point`` drives one iteration of a given map.  A solver
+builds its investors' context once and gives the core the environment its
+iterates induce; the core iterates, then reads M, values and notes off the
+final context for every solver alike.  Non-convergence is a reported state,
+not an exception.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,17 +41,17 @@ from .model import (
 from .quad import Quadrature
 from .response import (
     DEFAULT_OPT_TOL,
-    NewtonCapWarning,
     TargetContext,
+    _best_rows,
+    _cap_notes,
     _contexts,
     _distinct_investors,
     _mf_environment,
     _nagent_environment,
-    _respond,
     best_response,
     jump_cap_binds,
 )
-from .signals import law_parts
+from .signals import distinct, law_parts
 
 # Anderson memory: how many past residual and image differences enter each extrapolation.
 _ANDERSON_MEMORY = 3
@@ -98,29 +103,13 @@ class EquilibriumResult:
     notes: tuple[str, ...] = ()
 
 
-def damped_fixed_point(
-    step: Callable[[np.ndarray], np.ndarray],
-    init: np.ndarray,
-    tol: float,
-    max_iter: int,
-    damping: float,
-    box: tuple = (-np.inf, np.inf),
-) -> tuple[np.ndarray, float, int, tuple[str, ...]]:
-    """Anderson-accelerated fixed-point iteration of ``step`` until sup|step(x) - x| < tol.
+def _anderson(init: np.ndarray, tol: float, max_iter: int, damping: float, box: tuple):
+    """The iteration of ``damped_fixed_point``, one image at a time: a generator.
 
-    Type-II Anderson mixing (Walker & Ni 2011) with memory ``_ANDERSON_MEMORY``
-    and mixing weight beta = ``damping``: from the differences dX, dF and dG
-    of the last iterates x, residuals f = step(x) - x and images step(x),
-    gamma minimizes |f - dF gamma| (least squares) and the next iterate is
-    (1 - beta)(x - dX gamma) + beta(step(x) - dG gamma), clipped to ``box``
-    = (lo, hi) (bounds broadcast against x).  With no history yet this is
-    the damped step (1 - beta) x + beta step(x).
-
-    Returns (point, residual, iterations, notes): the point is an iterate
-    and the residual is sup|step(point) - point|.  At full damping a stalled
-    residual (no new best for ``_STALL_WINDOW`` iterations) triggers one
-    automatic restart from ``init`` that drops the history and iterates
-    the plain damped step with damping 0.5.
+    It yields each point whose image it needs and is sent that image; it
+    returns (point, residual, iterations, notes) as ``damped_fixed_point``
+    does, the point being the last one it yielded.  A driver can so advance
+    many iterations side by side, each on its own history.
     """
     lo, hi = box
     notes: list[str] = []
@@ -133,7 +122,7 @@ def damped_fixed_point(
     retried = False
     recent: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (x, f, image), oldest first
     while True:
-        image = step(x)
+        image = yield x
         f = image - x
         residual = float(np.max(np.abs(f)))
         if residual < tol or iterations >= max_iter:
@@ -164,53 +153,140 @@ def damped_fixed_point(
     return x, residual, iterations, tuple(notes)
 
 
+def damped_fixed_point(
+    step: Callable[[np.ndarray], np.ndarray],
+    init: np.ndarray,
+    tol: float,
+    max_iter: int,
+    damping: float,
+    box: tuple = (-np.inf, np.inf),
+) -> tuple[np.ndarray, float, int, tuple[str, ...]]:
+    """Anderson-accelerated fixed-point iteration of ``step`` until sup|step(x) - x| < tol.
+
+    Type-II Anderson mixing (Walker & Ni 2011) with memory ``_ANDERSON_MEMORY``
+    and mixing weight beta = ``damping``: from the differences dX, dF and dG
+    of the last iterates x, residuals f = step(x) - x and images step(x),
+    gamma minimizes |f - dF gamma| (least squares) and the next iterate is
+    (1 - beta)(x - dX gamma) + beta(step(x) - dG gamma), clipped to ``box``
+    = (lo, hi) (bounds broadcast against x).  With no history yet this is
+    the damped step (1 - beta) x + beta step(x).
+
+    Returns (point, residual, iterations, notes): the point is an iterate
+    and the residual is sup|step(point) - point|.  At full damping a stalled
+    residual (no new best for ``_STALL_WINDOW`` iterations) triggers one
+    automatic restart from ``init`` that drops the history and iterates
+    the plain damped step with damping 0.5.  This drives one ``_anderson``;
+    the solvers drive theirs in lockstep (``_solve``).
+    """
+    iteration = _anderson(init, tol, max_iter, damping, box)
+    point = next(iteration)
+    while True:
+        try:
+            point = iteration.send(step(point))
+        except StopIteration as stop:
+            return stop.value
+
+
 def _require(what: str, problems: list[str]) -> None:
     if problems:
         raise ValueError(f"invalid {what}: " + "; ".join(problems))
 
 
-def _solve(ctx: TargetContext, environment: Callable, cfg: SolverConfig, iteration=None) -> EquilibriumResult:
-    """Every solver's core: the fixed point of the best-response map, and its result.
+@dataclass(frozen=True)
+class _Problem:
+    """One fixed point that ``_solve`` iterates beside others.
 
-    ``ctx`` is the investors' context from ``response._contexts``, built
-    once; ``environment(strategy)`` writes the environment a strategy
-    induces into it and returns (context, each investor's peer initial
-    wealth, ``MeanFieldStats`` or None).  The iteration runs on strategy
-    tables, each row clipped to its admissible interval, and each best
-    response starts its Newton at the rows of the iterate it answers, unless
-    ``iteration`` = (step, start, box, strategy_at) gives another map, its
-    start and box, and the strategy at its points.  M, closed-form values
-    and notes are read off the final context, M and its clip flag once per
-    distinct (``static_class``, environment, row): a note per best-response
-    row stopped at the Newton cap (``NewtonCapWarning``), per type whose M
-    clips its jump factor (``jump_cap_binds``) and per value that overflows
-    double.
+    ``investors`` are its investors' places in the batch context and
+    ``environment`` is as in ``_solve``.  The iteration starts at ``start``,
+    clipped to ``box``; at a point x the map asks for the best response in
+    the context ``ask(x)[0]``, each row's Newton started at ``ask(x)[1]``,
+    and ``image(x, rows)`` is its value from those rows.  ``strategy(x,
+    rows)`` is the strategy at the final point x, given its best response.
     """
-    if iteration is None:
-        shape = (len(ctx.investors), len(SIGNALS))
-        if cfg.init is not None and cfg.init.n_types != shape[0]:
-            raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {shape[0]}")
-        start = (Strategy.zeros(shape[0]) if cfg.init is None else cfg.init).table.ravel()
-        box = tuple(np.repeat(ctx.bounds, len(SIGNALS), axis=0).T)
 
-        def step(x: np.ndarray) -> np.ndarray:
-            # Warm start: each row's Newton starts at the iterate whose environment it answers.
-            table = x.reshape(shape)
-            return _respond(environment(Strategy(table))[0], cfg.opt_tol, table).table.ravel()
+    investors: np.ndarray
+    environment: Callable
+    start: np.ndarray
+    box: tuple
+    ask: Callable
+    image: Callable
+    strategy: Callable
 
-        iteration = (step, start, box, lambda x: Strategy(x.reshape(shape)))
-    step, start, box, strategy_at = iteration
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NewtonCapWarning)
-        point, residual, iterations, notes = damped_fixed_point(step, start, cfg.tol, cfg.max_iter, cfg.damping, box)
-        strategy = strategy_at(point)
-    capped = []
-    for record in caught:
-        if issubclass(record.category, NewtonCapWarning):
-            capped.append(str(record.message))
+
+def _strategy_problem(investors: np.ndarray, ctx: TargetContext, environment: Callable, cfg: SolverConfig) -> _Problem:
+    """The iteration on strategy tables of ``ctx``'s investors, each row clipped to its admissible interval.
+
+    Each best response starts its Newton at the rows of the iterate whose
+    environment it answers (warm start).
+    """
+    shape = (len(ctx.investors), len(SIGNALS))
+    if cfg.init is not None and cfg.init.n_types != shape[0]:
+        raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {shape[0]}")
+    start = (Strategy.zeros(shape[0]) if cfg.init is None else cfg.init).table.ravel()
+    box = tuple(np.repeat(ctx.bounds, len(SIGNALS), axis=0).T)
+
+    def ask(x: np.ndarray) -> tuple:
+        table = x.reshape(shape)
+        return environment(Strategy(table))[0], table
+
+    return _Problem(investors, environment, start, box, ask, lambda x, rows: rows.ravel(),
+                    lambda x, rows: Strategy(x.reshape(shape)))
+
+
+def _solve(ctx: TargetContext, problems: Sequence[_Problem], cfg: SolverConfig) -> list[EquilibriumResult]:
+    """Every solver's core: the fixed points of ``problems``, iterated in lockstep, and their results.
+
+    ``ctx`` is the context of every problem's investors from
+    ``response._contexts``, built once; the problems' ``investors`` split it
+    in order.  A problem's ``environment(strategy)`` writes the environment
+    its strategy induces into its investors' part of ``ctx`` and returns
+    (context, each investor's peer initial wealth, ``MeanFieldStats`` or
+    None).  Each problem runs its own ``_anderson`` iteration.  Every round
+    makes one best response for all problems still iterating: their asked
+    contexts side by side in one context, where rows never mix
+    (``response._best_rows``), so each problem's iterates, residuals and
+    iteration count are those of its solve alone.  A problem drops out when
+    its iteration stops.  M, closed-form values and notes are read off each
+    final context, M and its clip flag once per distinct
+    (``static_class``, environment, row): a note per best-response row
+    stopped at the Newton cap (``NewtonCapWarning``, named by the
+    investor's index in its own problem), per type whose M clips its jump
+    factor (``jump_cap_binds``) and per value that overflows double.
+    """
+    runs = [_anderson(p.start, cfg.tol, cfg.max_iter, cfg.damping, p.box) for p in problems]
+    points = [next(run) for run in runs]
+    answers, capped, outcomes = [None] * len(problems), [[] for _ in problems], [None] * len(problems)
+    live, batch = list(range(len(problems))), ctx
+    while live:
+        asked = [problems[i].ask(points[i]) for i in live]
+        if len(asked) == 1:
+            env_ctx, start = asked[0]
         else:
-            warnings.warn_explicit(record.message, record.category, record.filename, record.lineno)
-    final, xbar0s, stats = environment(strategy)
+            contexts, starts = zip(*asked)
+            env = {name: np.concatenate([getattr(c, name) for c in contexts])
+                   for name in ("sigma0pi_env", "taupi_env", "sig2pi2_env", "env_jump_log")}
+            env_ctx, start = replace(batch, **env), np.concatenate(starts)
+        rows, stopped = _best_rows(env_ctx, cfg.opt_tol, start)
+        ends = np.cumsum([len(problems[i].investors) for i in live])[:-1]
+        for i, answer, cap in zip(live, np.split(rows, ends), np.split(stopped, ends)):
+            answers[i] = answer
+            capped[i] += _cap_notes(cap)
+            try:
+                points[i] = runs[i].send(problems[i].image(points[i], answer))
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+        if any(outcomes[i] is not None for i in live):
+            live = [i for i in live if outcomes[i] is None]
+            if len(live) > 1:
+                batch = ctx.take(np.concatenate([problems[i].investors for i in live]))
+    return [_result(*args, cfg) for args in zip(problems, outcomes, answers, capped)]
+
+
+def _result(problem: _Problem, outcome: tuple, rows: np.ndarray, capped: list, cfg: SolverConfig) -> EquilibriumResult:
+    """The result of ``problem`` from its ``_anderson`` outcome and the best-response rows at its final point."""
+    point, residual, iterations, notes = outcome
+    strategy = problem.strategy(point, rows)
+    final, xbar0s, stats = problem.environment(strategy)
     M, clips = _distinct_investors(final, strategy.table, lambda c, t: (_value_constant(c, t), jump_cap_binds(t, c)))
     per_type_M = tuple(M.tolist())
     with np.errstate(over="ignore"):
@@ -240,11 +316,40 @@ def _mean_field(pop: Population, q: Quadrature, ctx: TargetContext) -> Callable:
     return environment
 
 
+def _population_key(pop: Population) -> bytes:
+    """The bytes of every number of every type and its market: -0.0 and 0.0 key apart, as in ``static_class``."""
+
+    def numbers(block) -> list:
+        return [getattr(block, f.name) for f in fields(block) if f.name != "market"]
+
+    return np.array([numbers(t) + numbers(t.market) for t in pop.types], dtype=float).tobytes()
+
+
+def _solve_mf_many(pops: Sequence[Population], q: Quadrature, cfg: SolverConfig) -> list[EquilibriumResult]:
+    """``solve_mf_finite`` of each population of ``pops``, all in one lockstep ``_solve``.
+
+    One context holds every population's types, each population's block
+    taken out of it as its own context.  Populations equal byte for byte
+    (``_population_key``) are solved once and share one result.
+    """
+    for pop in pops:
+        _require("population", validate_population(pop, require_shared_market=False))
+    firsts, position = distinct([_population_key(pop) for pop in pops])
+    unique = [pops[i] for i in firsts]
+    ctx = _contexts([t for pop in unique for t in pop.types], q)
+    ends = np.cumsum([len(pop) for pop in unique])
+    problems = []
+    for pop, end in zip(unique, ends):
+        investors = np.arange(end - len(pop), end)
+        own = ctx if len(unique) == 1 else ctx.take(investors)
+        problems.append(_strategy_problem(investors, own, _mean_field(pop, q, own), cfg))
+    results = _solve(ctx, problems, cfg)
+    return [results[d] for d in position]
+
+
 def solve_mf_finite(pop: Population, q: Quadrature, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
     """Signal-driven mean-field equilibrium for a finite-type population."""
-    _require("population", validate_population(pop, require_shared_market=False))
-    ctx = _contexts(pop.types, q)
-    return _solve(ctx, _mean_field(pop, q, ctx), cfg)
+    return _solve_mf_many([pop], q, cfg)[0]
 
 
 def solve_nagent(
@@ -260,7 +365,11 @@ def solve_nagent(
     # Each player's peer average is the geometric mean of the others' x0: total minus own.
     log_x0 = np.log([t.x0 for t in types])
     peers_x0 = np.exp((log_x0.sum() - log_x0) / (len(types) - 1))
-    return _solve(ctx, lambda strat: (_nagent_environment(ctx, strat), peers_x0, None), cfg)
+
+    def environment(strat: Strategy):
+        return _nagent_environment(ctx, strat), peers_x0, None
+
+    return _solve(ctx, [_strategy_problem(np.arange(len(types)), ctx, environment, cfg)], cfg)[0]
 
 
 def statistic_of(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> np.ndarray:
@@ -307,14 +416,17 @@ def solve_mf_statistic(
     q = Quadrature.discrete(marks, probs)
     ctx = _contexts(pop.types, q)
     node_law = _node_law(ctx)
+    middle = np.repeat(ctx.bounds.mean(axis=1, keepdims=True), len(SIGNALS), axis=1)
 
-    def respond(m: np.ndarray) -> Strategy:
-        return _respond(_mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), cfg.opt_tol)
+    def ask(m: np.ndarray) -> tuple:
+        # Each best response starts at the middle of the admissible intervals.
+        return _mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), middle
 
     start = statistic_of(pop, cfg.init if cfg.init is not None else Strategy.zeros(len(pop)), q, node_law)
     box = _statistic_box(pop, q, node_law)
-    iteration = (lambda m: statistic_of(pop, respond(m), q, node_law), start, box, respond)
-    return _solve(ctx, _mean_field(pop, q, ctx), cfg, iteration)
+    problem = _Problem(np.arange(len(pop)), _mean_field(pop, q, ctx), start, box, ask,
+                       lambda m, rows: statistic_of(pop, Strategy(rows), q, node_law), lambda m, rows: Strategy(rows))
+    return _solve(ctx, [problem], cfg)[0]
 
 
 def residual(pop: Population, strat: Strategy, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL) -> float:

@@ -118,8 +118,8 @@ class TargetContext:
     def take(self, index) -> "TargetContext":
         """The investors at ``index`` (one index or a sequence of them) as their own context."""
         rows = np.atleast_1d(index)
-        arrays = (getattr(self, f.name)[rows] for f in fields(self)[1:])
-        return TargetContext(tuple(self.investors[i] for i in rows), *arrays)
+        arrays = (getattr(self, f.name) for f in fields(self)[1:])
+        return TargetContext(tuple(self.investors[i] for i in rows), *(a if a is None else a[rows] for a in arrays))
 
 
 def _contexts(types: Sequence[InvestorType], q: Quadrature) -> TargetContext:
@@ -360,9 +360,10 @@ def _distinct_investors(ctx: TargetContext, table: np.ndarray, evaluate: Callabl
     and byte-equal rows of ``table`` get the same outputs: ``evaluate`` runs
     on one of each such group and its outputs are copied to every member.
     When every ``static_class`` label differs, every investor is distinct
-    and ``evaluate`` runs on ``ctx`` itself.
+    and ``evaluate`` runs on ``ctx`` itself.  Labels need not run 0..n-1:
+    a context taken from a larger one keeps the larger one's labels.
     """
-    if ctx.static_class.max() + 1 == len(ctx.investors):
+    if np.unique(ctx.static_class).size == len(ctx.investors):
         return evaluate(ctx, table)
     keys = np.column_stack((ctx.env_jump_log, ctx.sigma0pi_env, ctx.taupi_env, ctx.sig2pi2_env, table))
     firsts, position = distinct(list(zip(ctx.static_class.tolist(), map(np.ndarray.tobytes, keys))))
@@ -372,24 +373,38 @@ def _distinct_investors(ctx: TargetContext, table: np.ndarray, evaluate: Callabl
 def _respond(ctx: TargetContext, opt_tol: float, start: np.ndarray | None = None) -> Strategy:
     """Best-response strategy, one row per investor, from one Newton over the distinct investors' rows.
 
+    The rows of ``_best_rows``; each row it flags as stopped at the
+    ``_MAX_NEWTON`` cap is returned as it stands, with a ``NewtonCapWarning``
+    naming its (investor, signal).
+    """
+    row, capped = _best_rows(ctx, opt_tol, start)
+    for message in _cap_notes(capped):
+        warnings.warn(message, NewtonCapWarning, stacklevel=2)
+    return Strategy(row)
+
+
+def _best_rows(ctx: TargetContext, opt_tol: float, start: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every investor's best-response row (investors x 7), and which rows stopped at the Newton cap.
+
     Each row's Newton starts at its entry of ``start`` (investors x 7),
     typically the iterate whose environment ``ctx`` holds; without a start,
     at the middle of its admissible interval.  Where it starts moves a row
     by at most ``opt_tol``.  Investors with the same ``static_class``,
     byte-equal environment fields and byte-equal start rows have the same
-    rows: ``_newton`` solves one of each such group, whose rows are copied
-    to every member.  A row still unconverged at the ``_MAX_NEWTON`` cap is
-    returned as it stands, with a ``NewtonCapWarning`` naming its
-    (investor, signal) for every member of the group.
+    rows: ``_newton`` solves one of each such group, whose rows and cap
+    flags are copied to every member.  Rows never mix, so an investor's row
+    is the same in any context that holds it.
     """
     if not opt_tol > 0.0:
         raise ValueError("opt_tol must be > 0")
     start = np.repeat(ctx.bounds.mean(axis=1, keepdims=True), len(SIGNALS), axis=1) if start is None else start
-    row, active = _distinct_investors(ctx, np.asarray(start, dtype=float), lambda c, s: _newton(c, opt_tol, s))
-    for i, k in np.argwhere(active):
-        warnings.warn(f"type {i}, signal {SIGNALS[k].value}: best response stopped unconverged at the "
-                      f"{_MAX_NEWTON}-step Newton cap", NewtonCapWarning, stacklevel=2)
-    return Strategy(row)
+    return _distinct_investors(ctx, np.asarray(start, dtype=float), lambda c, s: _newton(c, opt_tol, s))
+
+
+def _cap_notes(capped: np.ndarray) -> list[str]:
+    """One message per (investor, signal) flagged in ``capped`` (investors x 7), in row order."""
+    return [f"type {i}, signal {SIGNALS[k].value}: best response stopped unconverged at the "
+            f"{_MAX_NEWTON}-step Newton cap" for i, k in np.argwhere(capped)]
 
 
 def _derivatives(phi: np.ndarray, nodes: np.ndarray, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

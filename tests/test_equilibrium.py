@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signalmfg import casestudy, cli, meanfield, response
+from signalmfg import casestudy, cli, equilibrium, meanfield, response
 from signalmfg.equilibrium import (
     SolverConfig,
+    _solve_mf_many,
     _statistic_box,
     damped_fixed_point,
     residual,
@@ -597,6 +598,100 @@ class TestContextBuiltOnce:
         result = solve_nagent(players, quad128)
         assert result.converged and result.iterations > 1
         assert len(sizes) > result.iterations and set(sizes) == {distinct}
+
+
+def assert_same_result(lockstep, alone):
+    """Byte for byte: strategy, residual, iterations, M, values, statistic and notes."""
+    def numbers(r):
+        stats = r.stats
+        return np.array([r.residual, *r.per_type_M, *r.per_type_value, stats.sigma0pi_bar, stats.taupi_bar,
+                         stats.xbar0, *stats.mean_jump_nodes]).tobytes()
+
+    assert lockstep.strategy.table.tobytes() == alone.strategy.table.tobytes()
+    assert numbers(lockstep) == numbers(alone)
+    assert (lockstep.iterations, lockstep.converged, lockstep.notes) == (alone.iterations, alone.converged, alone.notes)
+
+
+def sweep_populations(parameter, grid):
+    cfg = cli.load_config({"sweep": {"parameter": parameter, "grid": grid}})
+    return [cfg.reference, *(cli._alternative(cfg, value)[0] for value in grid)]
+
+
+def envious_type(weight=1.0):
+    """The weakly contracting type of ``EXTREME_TYPES``: 19 iterations alone."""
+    market, kwargs = EXTREME_TYPES[3]
+    return casestudy.investor(casestudy.default_market(**market), weight=weight, **kwargs)
+
+
+class TestLockstep:
+    """A sweep's populations iterate together, one best response per round, each as if solved alone."""
+
+    @pytest.mark.parametrize("parameter", list(BENCHMARK_GRIDS))
+    def test_benchmark_grids_equal_solo_solves(self, quad128, parameter):
+        pops = sweep_populations(parameter, BENCHMARK_GRIDS[parameter])
+        for lockstep, pop in zip(_solve_mf_many(pops, quad128, SolverConfig()), pops):
+            assert_same_result(lockstep, solve_mf_finite(pop, quad128))
+
+    def test_populations_that_stop_at_different_iterations(self, quad128):
+        # 4 and 5 iterations beside one that hits max_iter; the populations hold 2, 1 and 2 types.
+        cfg = SolverConfig(max_iter=10)
+        pops = [casestudy.reference_population(), Population([envious_type()]),
+                casestudy.alternative_population(p_s_b=0.25, rho_b=0.8)]
+        results = _solve_mf_many(pops, quad128, cfg)
+        assert [r.iterations for r in results] == [4, 10, 5]
+        assert [r.converged for r in results] == [True, False, True]
+        assert "did not converge within 10 iterations" in results[1].notes[0]
+        for lockstep, pop in zip(results, pops):
+            assert_same_result(lockstep, solve_mf_finite(pop, quad128, cfg))
+
+    def test_newton_cap_notes_name_the_populations_own_investors(self, quad128, monkeypatch):
+        # At an 8-step cap the reference rows converge (they take at most 5) and the envious type's rows cap.
+        monkeypatch.setattr(response, "_MAX_NEWTON", 8)
+        pops = [casestudy.reference_population(), Population([casestudy.investor(), envious_type(0.5)])]
+        results = _solve_mf_many(pops, quad128, SolverConfig(max_iter=3))
+        capped = [[n for n in r.notes if "Newton cap" in n] for r in results]
+        assert capped[0] == []
+        assert capped[1] and all(n.startswith("type 1, signal ") for n in capped[1])
+        for lockstep, pop in zip(results, pops):
+            assert_same_result(lockstep, solve_mf_finite(pop, quad128, SolverConfig(max_iter=3)))
+
+    @pytest.mark.parametrize("parameter", list(BENCHMARK_GRIDS))
+    def test_derivative_evaluations_per_sweep(self, parameter, monkeypatch):
+        # Solved one population at a time, the three grids took 110, 104 and 107 evaluations.
+        calls = []
+        derivatives = response._derivatives
+        monkeypatch.setattr(response, "_derivatives", lambda *args: calls.append(1) or derivatives(*args))
+        rows, _ = cli.run_experiment(cli.load_config({"sweep": {"parameter": parameter,
+                                                                "grid": BENCHMARK_GRIDS[parameter]}}))
+        assert all(row["converged"] for row in rows)
+        assert len(calls) <= 25
+
+    def test_a_grid_point_equal_to_the_reference_is_solved_once(self, monkeypatch):
+        sizes = []
+        solve = equilibrium._solve
+        monkeypatch.setattr(equilibrium, "_solve", lambda ctx, problems, cfg: sizes.append(len(problems))
+                            or solve(ctx, problems, cfg))
+        cfg = cli.load_config({"sweep": {"parameter": "theta_B", "grid": BENCHMARK_GRIDS["theta_B"]}})
+        rows, notes = cli.run_experiment(cfg)
+        assert sizes == [5]
+        middle = rows[2]
+        assert middle["sweep_value"] == 0.5 and middle["certainty_equivalent"] == 1.0
+        assert middle["M_A_alt"] == middle["M_A_ref"] and middle["residual_alt"] == middle["residual_ref"]
+        assert f"reference: residual={middle['residual_ref']:.3e} iterations={middle['iterations']}" == notes[0]
+
+    def test_populations_are_keyed_by_bytes(self, quad128, monkeypatch):
+        # theta = -0.0 equals 0.0 as a type field, but the two populations solve apart.
+        sizes = []
+        solve = equilibrium._solve
+        monkeypatch.setattr(equilibrium, "_solve", lambda ctx, problems, cfg: sizes.append(len(problems))
+                            or solve(ctx, problems, cfg))
+        zero, negative_zero = (casestudy.alternative_population(theta_b=theta) for theta in (0.0, -0.0))
+        assert zero == negative_zero
+        results = _solve_mf_many([zero, negative_zero, zero], quad128, SolverConfig())
+        assert sizes == [2]
+        assert results[2] is results[0] and results[1] is not results[0]
+        for lockstep, pop in zip(results, (zero, negative_zero)):
+            assert_same_result(lockstep, solve_mf_finite(pop, quad128))
 
 
 class TestResidual:

@@ -26,6 +26,8 @@ from signalmfg.response import (
     _LOG_CAP,
     DEFAULT_OPT_TOL,
     NewtonCapWarning,
+    _contexts,
+    _mf_environment,
     _nagent_contexts,
     _respond,
     best_response,
@@ -557,6 +559,42 @@ class TestNAgentContext:
         for i in (2, -1):
             with pytest.raises(IndexError):
                 nagent_target_context(i, types, Strategy.zeros(2), quad128)
+
+
+class TestTakenContexts:
+    """A context taken out of a larger one: before its environment is written, and with the larger one's labels."""
+
+    def test_take_before_the_environment_is_the_one_type_context(self, quad128):
+        types = batch_types()
+        ctx = _contexts(types, quad128)
+        for i, t in enumerate(types):
+            taken, alone = ctx.take(i), _contexts([t], quad128)
+            assert taken.investors == alone.investors == (t,)
+            # Labels compare only within one context: the taken one keeps the larger context's label.
+            assert taken.static_class.tolist() == [ctx.static_class[i]]
+            for f in dataclasses.fields(alone)[1:]:
+                a, b = getattr(taken, f.name), getattr(alone, f.name)
+                if f.name == "static_class":
+                    continue
+                if b is None:
+                    assert a is None
+                else:
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    @pytest.mark.parametrize("labels, newton_sizes", [([0, 5], [None]), ([2, 0, 0], [2])])
+    def test_grouping_reads_distinct_labels_not_their_range(self, quad128, ref_eq, monkeypatch, labels, newton_sizes):
+        # [0, 5] are distinct, so the Newton runs on the context itself; [2, 0, 0] repeat one investor, run once.
+        stats = ref_eq.stats
+        ctx = _contexts(batch_types(), quad128)
+        taken = ctx.take(labels)
+        assert taken.static_class.tolist() == labels
+        env = _mf_environment(taken, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+        contexts = []
+        newton = response._newton
+        monkeypatch.setattr(response, "_newton", lambda c, *a: contexts.append(c) or newton(c, *a))
+        rows = _respond(env, DEFAULT_OPT_TOL).table
+        assert [None if c is env else len(c.investors) for c in contexts] == newton_sizes
+        assert rows.tobytes() == rows_one_by_one(env).tobytes()
 
 
 def rows_one_by_one(ctx, start=None):
