@@ -14,7 +14,8 @@ alone; ``solve_mf_finite`` is that lockstep solve of one population and
 ``damped_fixed_point`` drives one iteration of a given map.  A solver
 builds its investors' context once and gives the core the environment its
 iterates induce; the core iterates, then reads M, values and notes off the
-final context for every solver alike.  Non-convergence is a reported state,
+final environment, which the last round already built, for every solver
+alike.  Non-convergence is a reported state,
 not an exception.
 """
 
@@ -34,6 +35,7 @@ from .model import (
     Population,
     Strategy,
     admissible_interval,
+    check_admissible,
     strategy_distance,
     validate_investor,
     validate_population,
@@ -46,12 +48,13 @@ from .response import (
     _cap_notes,
     _contexts,
     _distinct_investors,
+    _mean_field,
     _mf_environment,
     _nagent_environment,
     best_response,
     jump_cap_binds,
 )
-from .signals import distinct, law_parts
+from .signals import distinct
 
 # Anderson memory: how many past residual and image differences enter each extrapolation.
 _ANDERSON_MEMORY = 3
@@ -196,41 +199,42 @@ def _require(what: str, problems: list[str]) -> None:
 class _Problem:
     """One fixed point that ``_solve`` iterates beside others.
 
-    ``investors`` are its investors' places in the batch context and
-    ``environment`` is as in ``_solve``.  The iteration starts at ``start``,
-    clipped to ``box``; at a point x the map asks for the best response in
-    the context ``ask(x)[0]``, each row's Newton started at ``ask(x)[1]``,
-    and ``image(x, rows)`` is its value from those rows.  ``strategy(x,
-    rows)`` is the strategy at the final point x, given its best response.
+    ``investors`` are its investors' places in the batch context.  The
+    iteration starts at ``start``, clipped to ``box``; at a point x the map
+    asks for the best response in the environment ``ask(x)[0]`` (its context
+    first), each row's Newton started at ``ask(x)[1]``.  Given those rows
+    and that environment, ``answer(x, rows, environment)`` is (the image of
+    x, (strategy, environment)): the result's strategy and environment,
+    should x be the final point.  An environment is as in ``_solve``.
     """
 
     investors: np.ndarray
-    environment: Callable
     start: np.ndarray
     box: tuple
     ask: Callable
-    image: Callable
-    strategy: Callable
+    answer: Callable
 
 
 def _strategy_problem(investors: np.ndarray, ctx: TargetContext, environment: Callable, cfg: SolverConfig) -> _Problem:
     """The iteration on strategy tables of ``ctx``'s investors, each row clipped to its admissible interval.
 
     Each best response starts its Newton at the rows of the iterate whose
-    environment it answers (warm start).
+    environment it answers (warm start); the final iterate's environment is
+    its result's.  An ``init`` outside the admissible intervals raises.
     """
     shape = (len(ctx.investors), len(SIGNALS))
-    if cfg.init is not None and cfg.init.n_types != shape[0]:
-        raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {shape[0]}")
+    if cfg.init is not None:
+        if cfg.init.n_types != shape[0]:
+            raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {shape[0]}")
+        check_admissible(Population(ctx.investors), cfg.init)
     start = (Strategy.zeros(shape[0]) if cfg.init is None else cfg.init).table.ravel()
     box = tuple(np.repeat(ctx.bounds, len(SIGNALS), axis=0).T)
 
     def ask(x: np.ndarray) -> tuple:
         table = x.reshape(shape)
-        return environment(Strategy(table))[0], table
+        return environment(Strategy(table)), table
 
-    return _Problem(investors, environment, start, box, ask, lambda x, rows: rows.ravel(),
-                    lambda x, rows: Strategy(x.reshape(shape)))
+    return _Problem(investors, start, box, ask, lambda x, rows, env: (rows.ravel(), (Strategy(x.reshape(shape)), env)))
 
 
 def _solve(ctx: TargetContext, problems: Sequence[_Problem], cfg: SolverConfig) -> list[EquilibriumResult]:
@@ -238,55 +242,54 @@ def _solve(ctx: TargetContext, problems: Sequence[_Problem], cfg: SolverConfig) 
 
     ``ctx`` is the context of every problem's investors from
     ``response._contexts``, built once; the problems' ``investors`` split it
-    in order.  A problem's ``environment(strategy)`` writes the environment
-    its strategy induces into its investors' part of ``ctx`` and returns
-    (context, each investor's peer initial wealth, ``MeanFieldStats`` or
-    None).  Each problem runs its own ``_anderson`` iteration.  Every round
-    makes one best response for all problems still iterating: their asked
-    contexts side by side in one context, where rows never mix
-    (``response._best_rows``), so each problem's iterates, residuals and
-    iteration count are those of its solve alone.  A problem drops out when
-    its iteration stops.  M, closed-form values and notes are read off each
-    final context, M and its clip flag once per distinct
-    (``static_class``, environment, row): a note per best-response row
+    in order.  A problem's environment is the one a strategy induces,
+    written into its investors' part of ``ctx``: (context, each investor's
+    peer initial wealth, ``MeanFieldStats`` or None).  Each problem runs its
+    own ``_anderson`` iteration.  Every round makes one best response for
+    all problems still iterating: their asked contexts side by side in one
+    context, where rows never mix (``response._best_rows``), so each
+    problem's iterates, residuals and iteration count are those of its
+    solve alone.  A problem drops out when its iteration stops, with the
+    strategy and environment its last answer gave, so no environment is
+    built twice.  M, closed-form values and notes are read off each final
+    context, M and its clip flag once per distinct (``static_class``,
+    environment, row): a note per best-response row
     stopped at the Newton cap (``NewtonCapWarning``, named by the
     investor's index in its own problem), per type whose M clips its jump
     factor (``jump_cap_binds``) and per value that overflows double.
     """
     runs = [_anderson(p.start, cfg.tol, cfg.max_iter, cfg.damping, p.box) for p in problems]
     points = [next(run) for run in runs]
-    answers, capped, outcomes = [None] * len(problems), [[] for _ in problems], [None] * len(problems)
+    lasts, capped, outcomes = [None] * len(problems), [[] for _ in problems], [None] * len(problems)
     live, batch = list(range(len(problems))), ctx
     while live:
-        asked = [problems[i].ask(points[i]) for i in live]
-        if len(asked) == 1:
-            env_ctx, start = asked[0]
+        environments, starts = zip(*(problems[i].ask(points[i]) for i in live))
+        if len(live) == 1:
+            env_ctx, start = environments[0][0], starts[0]
         else:
-            contexts, starts = zip(*asked)
-            env = {name: np.concatenate([getattr(c, name) for c in contexts])
+            env = {name: np.concatenate([getattr(e[0], name) for e in environments])
                    for name in ("sigma0pi_env", "taupi_env", "sig2pi2_env", "env_jump_log")}
             env_ctx, start = replace(batch, **env), np.concatenate(starts)
         rows, stopped = _best_rows(env_ctx, cfg.opt_tol, start)
         ends = np.cumsum([len(problems[i].investors) for i in live])[:-1]
-        for i, answer, cap in zip(live, np.split(rows, ends), np.split(stopped, ends)):
-            answers[i] = answer
+        for i, environment, answer, cap in zip(live, environments, np.split(rows, ends), np.split(stopped, ends)):
             capped[i] += _cap_notes(cap)
+            image, lasts[i] = problems[i].answer(points[i], answer, environment)
             try:
-                points[i] = runs[i].send(problems[i].image(points[i], answer))
+                points[i] = runs[i].send(image)
             except StopIteration as stop:
                 outcomes[i] = stop.value
         if any(outcomes[i] is not None for i in live):
             live = [i for i in live if outcomes[i] is None]
             if len(live) > 1:
                 batch = ctx.take(np.concatenate([problems[i].investors for i in live]))
-    return [_result(*args, cfg) for args in zip(problems, outcomes, answers, capped)]
+    return [_result(*args, cfg) for args in zip(outcomes, lasts, capped)]
 
 
-def _result(problem: _Problem, outcome: tuple, rows: np.ndarray, capped: list, cfg: SolverConfig) -> EquilibriumResult:
-    """The result of ``problem`` from its ``_anderson`` outcome and the best-response rows at its final point."""
-    point, residual, iterations, notes = outcome
-    strategy = problem.strategy(point, rows)
-    final, xbar0s, stats = problem.environment(strategy)
+def _result(outcome: tuple, last: tuple, capped: list, cfg: SolverConfig) -> EquilibriumResult:
+    """The result of a problem from its ``_anderson`` outcome and its last answer's (strategy, environment)."""
+    _, residual, iterations, notes = outcome
+    strategy, (final, xbar0s, stats) = last
     M, clips = _distinct_investors(final, strategy.table, lambda c, t: (_value_constant(c, t), jump_cap_binds(t, c)))
     per_type_M = tuple(M.tolist())
     with np.errstate(over="ignore"):
@@ -297,23 +300,6 @@ def _result(problem: _Problem, outcome: tuple, rows: np.ndarray, capped: list, c
     notes += tuple(f"type {i}: value exp(T(1-alpha)M) overflows double; use per_type_M" for i in overflowed)
     notes += tuple(dict.fromkeys(capped))
     return EquilibriumResult(strategy, residual, iterations, per_type_M, values, residual < cfg.tol, stats, notes)
-
-
-def _node_law(ctx: TargetContext) -> tuple:
-    """``meanfield.law_on_nodes`` read off ``ctx``, which a solver builds once."""
-    return law_parts(ctx.law), ctx.eta_raw
-
-
-def _mean_field(pop: Population, q: Quadrature, ctx: TargetContext) -> Callable:
-    """The mean-field ``environment`` of ``_solve``: aggregate a strategy, write its statistic into ``ctx``."""
-    node_law = _node_law(ctx)
-
-    def environment(strat: Strategy):
-        stats = aggregate(pop, strat, q, node_law)
-        env_ctx = _mf_environment(ctx, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
-        return env_ctx, [stats.xbar0] * len(pop), stats
-
-    return environment
 
 
 def _population_key(pop: Population) -> bytes:
@@ -415,17 +401,21 @@ def solve_mf_statistic(
     probs = [float(p) for _, p in common_marks]
     q = Quadrature.discrete(marks, probs)
     ctx = _contexts(pop.types, q)
-    node_law = _node_law(ctx)
+    node_law, environment = (ctx.law, ctx.eta_raw), _mean_field(pop, q, ctx)
     middle = np.repeat(ctx.bounds.mean(axis=1, keepdims=True), len(SIGNALS), axis=1)
 
     def ask(m: np.ndarray) -> tuple:
-        # Each best response starts at the middle of the admissible intervals.
-        return _mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), middle
+        # Each best response starts at the middle of the admissible intervals; ``answer`` reads no environment.
+        return (_mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)),), middle
+
+    def answer(m: np.ndarray, rows: np.ndarray, _) -> tuple:
+        # The image and the result read one aggregate of the best response.
+        strategy = Strategy(rows)
+        final = environment(strategy)
+        return np.concatenate(([final[2].sigma0pi_bar], final[2].mean_jump_nodes)), (strategy, final)
 
     start = statistic_of(pop, cfg.init if cfg.init is not None else Strategy.zeros(len(pop)), q, node_law)
-    box = _statistic_box(pop, q, node_law)
-    problem = _Problem(np.arange(len(pop)), _mean_field(pop, q, ctx), start, box, ask,
-                       lambda m, rows: statistic_of(pop, Strategy(rows), q, node_law), lambda m, rows: Strategy(rows))
+    problem = _Problem(np.arange(len(pop)), start, _statistic_box(pop, q, node_law), ask, answer)
     return _solve(ctx, [problem], cfg)[0]
 
 

@@ -7,13 +7,14 @@ signal-driven strategy induces the sufficient statistic of everyone's
 environment: drift aggregate, common volatility exposure, initial geometric
 mean wealth, and the mean-jump function e_c -> m(e_c) multiplying the
 geometric mean wealth at each jump; m mixes each type's log jump return under
-its signal law (``signals.signal_expectation``), one block of marks at a time,
-once per distinct (rho, p_s, jump law, row) of the population.  It takes the
-jump sizes at the marks as given (``_log_mean_jump_given``), so Monte Carlo
+its signal law (a ``signals.signal_laws`` table, summed by
+``signals.signal_expectation``), one block of marks at a time, once per
+distinct (rho, p_s, jump law, row) of the population.  It takes the jump
+sizes at the marks as given (``_log_mean_jump_given``), so Monte Carlo
 computes them once for m and for its paths, and sums log m per path.  On the
-quadrature nodes, the aggregate sums m from tables of the signal laws and
-jump sizes there (``law_on_nodes``), in the same order and with the same bits;
-a solver passes the tables its target context already holds.
+quadrature nodes, the aggregate sums m from the law table and jump sizes
+there (``law_on_nodes``), in the same order and with the same bits; a solver
+passes the tables its target context already holds.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .model import NONE_INDEX, InvestorType, Population, Strategy, check_admissible, check_horizon
 from .quad import Quadrature
-from .signals import JumpLaw, distinct, jump_sizes, law_parts, signal_expectation, signal_kernel, signal_law, signal_laws
+from .signals import JumpLaw, distinct, jump_sizes, signal_expectation, signal_laws
 
 # Marks per block of m(e_c): bounds its per-block tables, each (5 to 7,
 # distinct investors, block), on ~1e6 Monte Carlo marks.  Measured on 1e6
@@ -78,8 +79,8 @@ def _log_mean_jump_given(pop: Population, strat: Strategy, laws: Sequence[JumpLa
 
     log m(e_c) = sum_i w_i * sum_z P_i(z | e_c) log(1 + pi_iz eta_i(e_c)).  The
     expectation over z is taken once per distinct (rho, p_s, jump law, row),
-    from one kernel call over their distinct rho, so types differing only in
-    weight, x0, alpha or theta share it.  Each expectation adds its
+    from one ``signal_laws`` table per block of marks, so types differing
+    only in weight, x0, alpha or theta share it.  Each expectation adds its
     no-signal term first, then its nonzero signals in order; the weighted
     types are then added one at a time, in population order.  Marks go
     through in blocks of ``_MARK_BLOCK``.
@@ -88,16 +89,10 @@ def _log_mean_jump_given(pop: Population, strat: Strategy, laws: Sequence[JumpLa
     keys = [(t.rho, t.p_s, law, row.tobytes()) for t, law, row in zip(pop.types, law_of, strat.table)]
     firsts, investor_of = distinct(keys)
     investors = [pop.types[i] for i in firsts]
-    rho_firsts, rho_of = distinct([t.rho for t in investors])
-    rhos = [investors[i].rho for i in rho_firsts]
-    p_s = np.array([[t.p_s] for t in investors])
     rows = strat.table[firsts].T[:, :, np.newaxis]
 
     def log_mean_jump(e: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        kernels = signal_kernel(rhos, e)
-        if 1 < len(rhos) < len(firsts):  # one rho broadcasts over the investors
-            kernels = kernels[:, rho_of]
-        mixture = signal_expectation(signal_law(p_s, kernels), np.log1p(rows * sizes))
+        mixture = signal_expectation(signal_laws(investors, e)[1], np.log1p(rows * sizes))
         if len(firsts) < len(investor_of):
             mixture = mixture[investor_of]
         return _weighted_sum(pop.weights, mixture)
@@ -137,20 +132,21 @@ def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
 def law_on_nodes(types: Sequence[InvestorType], q: Quadrature) -> tuple:
     """(law, sizes): each type's P(z | e_c) on ``q``'s nodes and its jump sizes there, as ``aggregate`` reads them.
 
-    ``law`` is a ``signals.signal_laws`` table split by ``signals.law_parts``;
-    ``sizes`` (types, nodes) stacks ``signals.jump_sizes``.  A target context
-    holds the same tables as ``law`` and ``eta_raw``.
+    ``law`` is the ``signals.signal_laws`` table; ``sizes`` (types, nodes)
+    stacks ``signals.jump_sizes``.  A target context holds the same tables
+    as ``law`` and ``eta_raw``.
     """
     laws = [JumpLaw.from_market(t.market) for t in types]
-    return law_parts(signal_laws(types, q.nodes)[1]), np.stack(jump_sizes(laws, q.nodes))
+    return signal_laws(types, q.nodes)[1], np.stack(jump_sizes(laws, q.nodes))
 
 
 def aggregate(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> MeanFieldStats:
     """Aggregate a population and strategy into ``MeanFieldStats``.
 
     m on ``q``'s nodes is summed from ``node_law`` = ``law_on_nodes(pop.types,
-    q)``, built here unless given, in the order of the evaluator
-    ``mean_jump``, so it has the evaluator's bits at the nodes.  Raises on
+    q)``, built here unless given (a target context's ``(law, eta_raw)``
+    holds the same tables), in the order of the evaluator ``mean_jump``, so
+    it has the evaluator's bits at the nodes.  Raises on
     inadmissible positions, naming the offending (type, signal).
     """
     check_admissible(pop, strat)

@@ -4,7 +4,8 @@ One ``TargetContext`` holds an environment's investors in both game modes.
 ``_contexts`` builds every field that does not depend on the peers (signal
 laws from ``signals.signal_laws``, jump sizes, row weights, boxes), once per
 solve; ``_with_environment`` writes the environment into it: mean-field,
-from a ``MeanFieldStats`` (``_mf_environment``), or n-agent, from the other
+from a ``MeanFieldStats`` (``_mf_environment``; ``_mean_field`` aggregates a
+strategy on the context's own law tables), or n-agent, from the other
 players' explicit strategies (``_nagent_environment``).  An investor's
 seven targets (one per signal) are rows of one (7 x nodes) weight table
 applied to one jump integrand.  Each is strictly concave on its admissible
@@ -38,6 +39,7 @@ from .model import (
     Signal,
     Strategy,
     admissible_interval,
+    check_admissible,
 )
 from .quad import Quadrature
 from .signals import JumpLaw, distinct, jump_sizes, signal_kernel, signal_laws
@@ -169,6 +171,18 @@ def _mf_environment(ctx: TargetContext, sigma0pi_bar: float, mean_jump_nodes, ta
     return _with_environment(ctx, (sigma0pi_bar, taupi_bar, 0.0), env_log)
 
 
+def _mean_field(pop: Population, q: Quadrature, ctx: TargetContext) -> Callable:
+    """The mean-field environment of a strategy, as a solver reads it: (``ctx`` against the strategy's aggregate,
+    each type's peer initial wealth, the ``MeanFieldStats``), aggregated on ``ctx``'s law and jump sizes."""
+
+    def environment(strat: Strategy) -> tuple:
+        stats = aggregate(pop, strat, q, (ctx.law, ctx.eta_raw))
+        env_ctx = _mf_environment(ctx, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+        return env_ctx, [stats.xbar0] * len(pop), stats
+
+    return environment
+
+
 def mf_target_context(
     types: Sequence[InvestorType], q: Quadrature, sigma0pi_bar: float, mean_jump_nodes, taupi_bar: float = 0.0
 ) -> TargetContext:
@@ -221,7 +235,8 @@ def _nagent_environment(ctx: TargetContext, strat: Strategy) -> TargetContext:
 
 
 def _nagent_contexts(types: Sequence[InvestorType], strat: Strategy, q: Quadrature) -> TargetContext:
-    """The context of every player against the others (see ``_nagent_environment``)."""
+    """The context of every player against the others (see ``_nagent_environment``); raises on inadmissible positions."""
+    check_admissible(Population(types), strat)
     return _nagent_environment(_contexts(types, q), strat)
 
 
@@ -512,7 +527,8 @@ def _newton(ctx: TargetContext, opt_tol: float, start: np.ndarray) -> tuple[np.n
     rows, pairs = np.arange(n_rows), np.arange(0)
     row = np.empty(n_rows)
     width, nudge, close = opt_tol / 2.0, opt_tol / 5.0, math.sqrt(opt_tol)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # g1 / g2 is inf where g'' is 0 or subnormal (both clip to [lo, hi]) and NaN where both are 0.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_NEWTON):
             if pairs.size:
                 at = np.concatenate((np.arange(rows.size), pairs))
@@ -578,8 +594,8 @@ def best_response_to_stats(
 def best_response(
     pop: Population, strat_env: Strategy, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
 ) -> Strategy:
-    """Mean-field best response of every type to the environment ``strat_env``."""
-    return best_response_to_stats(pop, aggregate(pop, strat_env, q), q, opt_tol)
+    """Mean-field best response of every type to the environment ``strat_env``, from one context's signal laws."""
+    return _respond(_mean_field(pop, q, _contexts(pop.types, q))(strat_env)[0], opt_tol)
 
 
 def best_response_nagent(

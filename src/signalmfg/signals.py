@@ -7,12 +7,11 @@ categorical signal built from the perturbed mark
 buckets 0.5 / 1 / inf.  One edges table defines both the classification and
 the intervals I(z), hence the signal law
 P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)), written once in
-``signal_law``.  ``signal_kernel`` evaluates N01(I(z, e_c)) for any number of
-rho in one CDF call; ``signal_laws`` tabulates the law (the target contexts
-and the n-agent peer mixtures read it) and ``signal_expectation`` takes an
-expectation under it, from the kernels with no law table (the mean-jump
-function at any marks) or from the table (the mean-jump function on the
-quadrature nodes).
+``signal_laws`` as an (investors, 7, marks) table in ``SIGNALS`` order.
+``signal_kernel`` evaluates N01(I(z, e_c)) for any number of rho in one CDF
+call; the target contexts, the n-agent peer mixtures and the mean-jump
+function read the law table, and ``signal_expectation`` takes an expectation
+under it.
 """
 
 from __future__ import annotations
@@ -115,54 +114,39 @@ def signal_kernel(rho, e_c) -> np.ndarray:
     return np.concatenate((cdf[:1], cdf[1:] - cdf[:-1], 1.0 - cdf[-1:]))
 
 
-def signal_law(p_s, kernels) -> tuple[np.ndarray, np.ndarray]:
-    """P(z | e_c) = (1 - p_s)*[z = 0] + p_s*kernel, as (no-signal, nonzero-signal) probabilities.
-
-    ``kernels`` lead with the signal axis, as ``signal_kernel`` returns them,
-    and so do the nonzero-signal probabilities; ``p_s`` broadcasts against
-    each kernel row.
-    """
-    return 1.0 - p_s, p_s * kernels
-
-
 def signal_laws(types: Sequence[InvestorType], e_c) -> tuple[np.ndarray, np.ndarray]:
     """(kernels, law) of ``types`` at marks ``e_c``: the tables of P(z | e_c).
 
     ``kernels`` (investors, 6, *shape(e_c)) is each investor's
     ``signal_kernel``, from one kernel call over the distinct rho; ``law``
-    (investors, 7, *shape(e_c)) is P(z | e_c) in ``SIGNALS`` order.
+    (investors, 7, *shape(e_c)) is P(z | e_c) in ``SIGNALS`` order.  The
+    kernels are copied out per investor only when some, not all, share a rho.
     """
     e = np.asarray(e_c, dtype=float)
     firsts, rho_of = distinct([t.rho for t in types])
-    kernels = signal_kernel([types[i].rho for i in firsts], e)[:, rho_of]
-    p_s = np.array([t.p_s for t in types]).reshape((-1,) + (1,) * e.ndim)
-    no_signal, signal = signal_law(p_s, kernels)
-    law = np.empty((len(types), len(SIGNALS)) + e.shape)
-    law[:, NONE_INDEX] = no_signal
-    law[:, NONZERO_INDEX] = np.moveaxis(signal, 0, 1)
-    return np.moveaxis(kernels, 0, 1), law
+    kernels = signal_kernel([types[i].rho for i in firsts], e)
+    if 1 < len(firsts) < len(types):  # one rho broadcasts over the investors
+        kernels = kernels[:, rho_of]
+    p_s = np.array([t.p_s for t in types]).reshape((-1, 1) + (1,) * e.ndim)
+    law, signal = np.empty((len(types), len(SIGNALS)) + e.shape), np.moveaxis(kernels, 0, 1)
+    law[:, NONE_INDEX] = 1.0 - p_s[:, 0]
+    # The nonzero signals are the columns on either side of the no-signal one, in order.
+    np.multiply(p_s, signal[:, :NONE_INDEX], out=law[:, :NONE_INDEX])
+    np.multiply(p_s, signal[:, NONE_INDEX:], out=law[:, NONE_INDEX + 1 :])
+    return np.moveaxis(np.broadcast_to(kernels, (len(NONZERO_SIGNALS), len(types)) + e.shape), 0, 1), law
 
 
-def law_parts(law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A ``signal_laws`` table as the (no-signal, nonzero-signal) pair that ``signal_expectation`` takes."""
-    return law[:, NONE_INDEX], np.moveaxis(law[:, NONZERO_INDEX], 1, 0)
-
-
-def signal_expectation(law: tuple, values: np.ndarray) -> np.ndarray:
-    """E[v(z) | e_c] under P(z | e_c).
+def signal_expectation(law: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """E[v(z) | e_c] under P(z | e_c), the ``signal_laws`` table ``law``.
 
     ``values`` (7, investors, *shape(e_c)) holds v at each signal in
-    ``SIGNALS`` order; ``law`` is P(z | e_c) as (no-signal, nonzero-signal)
-    probabilities, the nonzero-signal ones leading with the signal axis:
-    ``signal_law(p_s, kernels)``, or the same values read off a
-    ``signal_laws`` table by ``law_parts``.  The terms P(z | e_c)*v(z) are
-    added one at a time: the no-signal term first, then the nonzero signals
+    ``SIGNALS`` order.  The terms P(z | e_c)*v(z) are added one column of
+    ``law`` at a time: the no-signal term first, then the nonzero signals
     in ``NONZERO_SIGNALS`` order.
     """
-    no_signal, signal = law
-    total = no_signal * values[NONE_INDEX]
-    for term in signal * values[NONZERO_INDEX]:
-        total += term
+    total = law[:, NONE_INDEX] * values[NONE_INDEX]
+    for z in NONZERO_INDEX:
+        total += law[:, z] * values[z]
     return total
 
 

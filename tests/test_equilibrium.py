@@ -33,6 +33,7 @@ from signalmfg.response import (
     DEFAULT_OPT_TOL,
     _nagent_contexts,
     _respond,
+    best_response_nagent,
     context_from_stats,
     jump_cap_binds,
     mf_target_context,
@@ -508,8 +509,8 @@ class TestWorkCounts:
     )
     def test_no_node_kernel_built_by_the_mean_field_iteration(self, solve, ref_pop, quad128, monkeypatch):
         calls = []
-        kernel, tables = meanfield.signal_kernel, meanfield.law_on_nodes
-        monkeypatch.setattr(meanfield, "signal_kernel", lambda *args: calls.append(args) or kernel(*args))
+        laws, tables = meanfield.signal_laws, meanfield.law_on_nodes
+        monkeypatch.setattr(meanfield, "signal_laws", lambda *args: calls.append(args) or laws(*args))
         monkeypatch.setattr(meanfield, "law_on_nodes", lambda *args: calls.append(args) or tables(*args))
         result = solve(ref_pop, quad128)
         assert result.converged and result.iterations > 1
@@ -575,6 +576,28 @@ class TestContextBuiltOnce:
         result = solve(quad128)
         assert result.converged and result.iterations > 1
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "solve, builder, setup",
+        [
+            (lambda q: solve_mf_finite(casestudy.reference_population(), q), "aggregate", 0),
+            (lambda q: solve_nagent([casestudy.investor()] * 5, q), "_nagent_environment", 0),
+            # The statistic solve also aggregates its start and the 1 + 2 strategies of its box.
+            (lambda q: solve_mf_statistic(casestudy.reference_population(), MARKS_11), "aggregate", 4),
+        ],
+        ids=["mf_finite", "nagent", "mf_statistic"],
+    )
+    def test_one_environment_build_per_best_response(self, solve, builder, setup, quad128, monkeypatch):
+        # The result reads the environment of its final best response; it builds none of its own.
+        builds, responses = [], []
+        for module in (equilibrium, response):
+            build = getattr(module, builder)
+            monkeypatch.setattr(module, builder, lambda *args, build=build: builds.append(args) or build(*args))
+        best_rows = equilibrium._best_rows
+        monkeypatch.setattr(equilibrium, "_best_rows", lambda *args: responses.append(args) or best_rows(*args))
+        result = solve(quad128)
+        assert result.converged and len(responses) == result.iterations + 1
+        assert len(builds) == len(responses) + setup
 
     def test_distinct_investors_are_not_regrouped(self, quad128, monkeypatch):
         # Every sweep alternative population has distinct types: no context is sliced into representatives.
@@ -710,6 +733,15 @@ class TestResidual:
             residual(flipped, back, quad128), abs=1e-14
         )
 
+    def test_one_signal_law_build_per_residual(self, ref_pop, quad128, monkeypatch):
+        # The aggregate reads the laws of the context that the best response is made in.
+        calls = []
+        for module in (meanfield, response):
+            build = module.signal_laws
+            monkeypatch.setattr(module, "signal_laws", lambda *args, build=build: calls.append(args) or build(*args))
+        assert residual(ref_pop, Strategy.constant(2, 0.3), quad128) > 0.0
+        assert len(calls) == 1
+
 
 class TestSolveNAgent:
     def test_two_player_merton(self, quad128):
@@ -742,6 +774,18 @@ class TestSolveNAgent:
         g2, g16 = gap(2), gap(16)
         assert np.isfinite(g2) and np.isfinite(g16)
         assert g16 < g2
+
+    @pytest.mark.parametrize("value", [-0.5, 1.0, 2.0, np.nan])
+    def test_inadmissible_init_rejected(self, quad128, value):
+        # Outside [0, 1 - eps_b]: named as the mean-field solver names it, before any environment is built.
+        players, init = [casestudy.investor()] * 3, Strategy.constant(3, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="inadmissible position .* for type 0, signal -inf"):
+                solve_nagent(players, quad128, SolverConfig(init=init))
+            for call in (best_response_nagent, lambda *args: M_nagent(1, *args)):
+                with pytest.raises(ValueError, match="inadmissible position"):
+                    call(players, init, quad128)
 
     def test_single_player_rejected(self, quad128):
         with pytest.raises(ValueError):

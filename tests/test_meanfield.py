@@ -8,7 +8,7 @@ from signalmfg.meanfield import _MARK_BLOCK, aggregate, mean_log_terminal
 from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, Population, Strategy
 from signalmfg.quad import Quadrature
 from signalmfg.response import _contexts
-from signalmfg.signals import JumpLaw, classify_index, conditional_prob, eta, law_parts, perturb
+from signalmfg.signals import JumpLaw, classify_index, conditional_prob, eta, perturb
 from signalmfg.sim import CommonNoisePath
 
 
@@ -160,7 +160,7 @@ class TestAggregate:
         ]
         pop, strat = Population(types), Strategy(rng.uniform(0.0, 0.9, size=(n_types, 7)))
         ctx = _contexts(types, q)
-        fresh, read = aggregate(pop, strat, q), aggregate(pop, strat, q, (law_parts(ctx.law), ctx.eta_raw))
+        fresh, read = aggregate(pop, strat, q), aggregate(pop, strat, q, (ctx.law, ctx.eta_raw))
         assert read.mean_jump_nodes.tobytes() == fresh.mean_jump_nodes.tobytes()
         # The node table and the evaluator at any marks are one m.
         assert fresh.mean_jump(q.nodes).tobytes() == fresh.mean_jump_nodes.tobytes()

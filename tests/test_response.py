@@ -3,7 +3,7 @@ import dataclasses
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from signalmfg import casestudy, response
 from signalmfg.meanfield import aggregate, wealth_diffusion
@@ -346,6 +346,9 @@ class TestNewtonBestResponse:
         eps_b=st.floats(1e-6, 0.5),
         env=st.floats(0.0, 1.0),
     )
+    # Subnormal lam and sigma0: g'' of the signal rows underflows and the Newton quotient overflows to inf.
+    @example(lam=2.225073858507e-311, kappa=0.25, sigma=0.0, sigma0=2.2250738585e-313, kappa_hat=0.0,
+             sigma_hat=0.5, p_s=0.0, rho=0.0, alpha=0.5, theta=0.0, eps_b=0.5, env=0.0)
     def test_property_rows_finite_and_admissible(
         self, quad128, lam, kappa, sigma, sigma0, kappa_hat, sigma_hat, p_s, rho, alpha, theta, eps_b, env
     ):

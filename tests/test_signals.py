@@ -16,11 +16,9 @@ from signalmfg.signals import (
     classify_index,
     conditional_prob,
     eta,
-    law_parts,
     perturb,
     signal_expectation,
     signal_kernel,
-    signal_law,
     signal_laws,
 )
 
@@ -257,34 +255,30 @@ class TestSignalKernel:
 class TestSignalLaws:
     @pytest.mark.parametrize("e_c", [np.linspace(-6.0, 6.0, 101), 0.3])
     def test_laws_and_shared_kernels(self, e_c):
-        # Types 0, 1 and 3 share rho = 0.5; type 1 never receives a signal.
-        types = [
-            casestudy.investor(p_s=0.5, rho=0.5),
-            casestudy.investor(p_s=0.0, rho=0.5),
-            casestudy.investor(p_s=0.9, rho=-0.3),
-            casestudy.investor(p_s=0.2, rho=0.5),
-        ]
-        kernels, law = signal_laws(types, e_c)
-        assert kernels.shape == (4, 6) + np.shape(e_c) and law.shape == (4, 7) + np.shape(e_c)
-        assert np.max(np.abs(law.sum(axis=1) - 1.0)) <= 1e-12
-        for i, t in enumerate(types):
-            assert np.all(law[i, NONE_INDEX] == 1.0 - t.p_s)
-            assert np.array_equal(kernels[i], signal_kernel(t.rho, e_c))
+        # rho shared by all, distinct, or shared by types 0, 1 and 3; type 1 never receives a signal.  Each
+        # investor's rows have the bits of its table built alone.
+        for rhos in [(0.5, 0.5, 0.5, 0.5), (0.5, 0.1, -0.3, 0.8), (0.5, 0.5, -0.3, 0.5)]:
+            types = [casestudy.investor(p_s=p_s, rho=rho) for p_s, rho in zip((0.5, 0.0, 0.9, 0.2), rhos)]
+            kernels, law = signal_laws(types, e_c)
+            assert kernels.shape == (4, 6) + np.shape(e_c) and law.shape == (4, 7) + np.shape(e_c)
+            assert np.max(np.abs(law.sum(axis=1) - 1.0)) <= 1e-12
+            for i, t in enumerate(types):
+                assert np.all(law[i, NONE_INDEX] == 1.0 - t.p_s)
+                assert np.array_equal(kernels[i], signal_kernel(t.rho, e_c))
+                alone_kernels, alone_law = signal_laws([t], e_c)
+                assert kernels[i].tobytes() == alone_kernels[0].tobytes()
+                assert law[i].tobytes() == alone_law[0].tobytes()
 
     def test_expectation_is_the_law_table_summed_in_order(self):
         types = [casestudy.investor(p_s=0.5, rho=0.5), casestudy.investor(p_s=0.0, rho=0.5),
                  casestudy.investor(p_s=0.9, rho=-0.3)]
         e_c = np.linspace(-6.0, 6.0, 101)
-        kernels, law = signal_laws(types, e_c)
+        _, law = signal_laws(types, e_c)
         values = np.random.default_rng(2).standard_normal((len(SIGNALS), len(types), e_c.size))
-        p_s = np.array([[t.p_s] for t in types])
         expected = law[:, NONE_INDEX] * values[NONE_INDEX]
         for z in NONZERO_SIGNALS:
             column = SIGNALS.index(z)
             expected = expected + law[:, column] * values[column]
-        got = signal_expectation(signal_law(p_s, np.moveaxis(kernels, 1, 0)), values)
-        assert np.array_equal(got, expected)
-        # Read off the law table, as the mean-jump function on the quadrature nodes does: the same bits.
-        from_table = signal_expectation(law_parts(law), values)
-        assert got.tobytes() == from_table.tobytes()
+        # The no-signal term first, then the nonzero signals in order: the same bits.
+        assert signal_expectation(law, values).tobytes() == expected.tobytes()
 
