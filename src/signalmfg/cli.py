@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -283,7 +284,10 @@ def _cmd_simulate(cfg: ExperimentConfig) -> int:
     means, errors = estimate_utility(cfg.reference, result.strategy, cfg.mc_paths, cfg.horizon, cfg.mc_seed)
     print(f"equilibrium residual={result.residual:.3e} (converged={result.converged})")
     for i, (closed, mean, error) in enumerate(zip(result.per_type_value, means, errors)):
-        gap = (mean - closed) / error
+        if error > 0.0:
+            gap = (mean - closed) / error
+        else:  # deterministic wealth (lam = 0, kappa = r): the estimate is exact or infinitely many SE off
+            gap = 0.0 if mean == closed else math.copysign(math.inf, mean - closed)
         print(f"type {i}: closed-form={closed:.8f} mc={mean:.8f} se={error:.2e} gap={gap:+.2f} SE")
     return 0 if result.converged else 2
 

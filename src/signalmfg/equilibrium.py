@@ -358,14 +358,14 @@ def solve_nagent(
     return _solve(ctx, [_strategy_problem(np.arange(len(types)), ctx, environment, cfg)], cfg)[0]
 
 
-def statistic_of(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> np.ndarray:
+def _statistic_of(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> np.ndarray:
     """Statistic vector (sigma0 * pi averaged, mean jump at each mark); ``node_law`` as in ``aggregate``."""
     stats = aggregate(pop, strat, q, node_law)
     return np.concatenate(([stats.sigma0pi_bar], stats.mean_jump_nodes))
 
 
 def _statistic_box(pop: Population, q: Quadrature, node_law: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate-wise range of ``statistic_of`` over admissible strategies.
+    """Coordinate-wise range of ``_statistic_of`` over admissible strategies.
 
     sigma0pi_bar and each log m(e_c) sum over types a weighted term that
     moves monotonically with each of the type's positions, all in one
@@ -376,7 +376,7 @@ def _statistic_box(pop: Population, q: Quadrature, node_law: tuple | None = None
     lo, hi = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, pop.types)]).T
 
     def log_statistic(positions: np.ndarray) -> np.ndarray:
-        stat = statistic_of(pop, Strategy(np.repeat(positions[:, np.newaxis], len(SIGNALS), axis=1)), q, node_law)
+        stat = _statistic_of(pop, Strategy(np.repeat(positions[:, np.newaxis], len(SIGNALS), axis=1)), q, node_law)
         return np.concatenate((stat[:1], np.log(stat[1:])))
 
     base = log_statistic(lo)
@@ -414,7 +414,7 @@ def solve_mf_statistic(
         final = environment(strategy)
         return np.concatenate(([final[2].sigma0pi_bar], final[2].mean_jump_nodes)), (strategy, final)
 
-    start = statistic_of(pop, cfg.init if cfg.init is not None else Strategy.zeros(len(pop)), q, node_law)
+    start = _statistic_of(pop, cfg.init if cfg.init is not None else Strategy.zeros(len(pop)), q, node_law)
     problem = _Problem(np.arange(len(pop)), start, _statistic_box(pop, q, node_law), ask, answer)
     return _solve(ctx, [problem], cfg)[0]
 

@@ -9,7 +9,8 @@ mean wealth, and the mean-jump function e_c -> m(e_c) multiplying the
 geometric mean wealth at each jump; m mixes each type's log jump return under
 its signal law (a ``signals.signal_laws`` table, summed by
 ``signals.signal_expectation``), one block of marks at a time, once per
-distinct (rho, p_s, jump law, row) of the population.  It takes the jump
+distinct (rho, p_s, jump law, row) of the population, the jump law being the
+market's (kappa_hat, sigma_hat) (``signals.jump_law``).  It takes the jump
 sizes at the marks as given (``_log_mean_jump_given``), so Monte Carlo
 computes them once for m and for its paths, and sums log m per path.  On the
 quadrature nodes, the aggregate sums m from the law table and jump sizes
@@ -28,7 +29,7 @@ import numpy as np
 
 from .model import NONE_INDEX, InvestorType, Population, Strategy, check_admissible, check_horizon
 from .quad import Quadrature
-from .signals import JumpLaw, distinct, jump_sizes, signal_expectation, signal_laws
+from .signals import distinct, jump_law, jump_sizes, signal_expectation, signal_laws
 
 # Marks per block of m(e_c): bounds its per-block tables, each (5 to 7,
 # distinct investors, block), on ~1e6 Monte Carlo marks.  Measured on 1e6
@@ -74,8 +75,8 @@ def _weighted_sum(weights: np.ndarray, mixture: np.ndarray) -> np.ndarray:
     return functools.reduce(np.add, weights[:, np.newaxis] * mixture)
 
 
-def _log_mean_jump_given(pop: Population, strat: Strategy, laws: Sequence[JumpLaw]) -> Callable:
-    """log m at flat marks ``e``, given each type's jump sizes there: ``signals.jump_sizes(laws, e)``.
+def _log_mean_jump_given(pop: Population, strat: Strategy) -> Callable:
+    """log m at flat marks ``e``, given each type's jump sizes there: ``signals.jump_sizes(pop.types, e)``.
 
     log m(e_c) = sum_i w_i * sum_z P_i(z | e_c) log(1 + pi_iz eta_i(e_c)).  The
     expectation over z is taken once per distinct (rho, p_s, jump law, row),
@@ -85,8 +86,7 @@ def _log_mean_jump_given(pop: Population, strat: Strategy, laws: Sequence[JumpLa
     types are then added one at a time, in population order.  Marks go
     through in blocks of ``_MARK_BLOCK``.
     """
-    _, law_of = distinct(laws)
-    keys = [(t.rho, t.p_s, law, row.tobytes()) for t, law, row in zip(pop.types, law_of, strat.table)]
+    keys = [(t.rho, t.p_s, jump_law(t.market), row.tobytes()) for t, row in zip(pop.types, strat.table)]
     firsts, investor_of = distinct(keys)
     investors = [pop.types[i] for i in firsts]
     rows = strat.table[firsts].T[:, :, np.newaxis]
@@ -113,17 +113,12 @@ def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
 
     Set up at its first call, so a statistic whose m is only read on the nodes sets up nothing.
     """
-
-    @functools.cache
-    def setup():
-        laws = [JumpLaw.from_market(t.market) for t in pop.types]
-        return laws, _log_mean_jump_given(pop, strat, laws)
+    setup = functools.cache(lambda: _log_mean_jump_given(pop, strat))
 
     def mean_jump(e_c):
-        laws, given = setup()
         e = np.atleast_1d(np.asarray(e_c, dtype=float))
         flat = e.ravel()
-        out = np.exp(given(flat, jump_sizes(laws, flat))).reshape(e.shape)
+        out = np.exp(setup()(flat, jump_sizes(pop.types, flat))).reshape(e.shape)
         return float(out[0]) if np.isscalar(e_c) else out
 
     return mean_jump
@@ -136,8 +131,7 @@ def law_on_nodes(types: Sequence[InvestorType], q: Quadrature) -> tuple:
     stacks ``signals.jump_sizes``.  A target context holds the same tables
     as ``law`` and ``eta_raw``.
     """
-    laws = [JumpLaw.from_market(t.market) for t in types]
-    return signal_laws(types, q.nodes)[1], np.stack(jump_sizes(laws, q.nodes))
+    return signal_laws(types, q.nodes)[1], np.stack(jump_sizes(types, q.nodes))
 
 
 def aggregate(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> MeanFieldStats:

@@ -36,9 +36,6 @@ class Signal(Enum):
     POS_ONE = "+1"
     POS_INF = "+inf"
 
-    def mirrored(self) -> "Signal":
-        return _MIRROR[self]
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -48,9 +45,6 @@ NONZERO_SIGNALS: tuple[Signal, ...] = tuple(s for s in SIGNALS if s is not Signa
 SIGNAL_INDEX: dict[Signal, int] = {s: i for i, s in enumerate(SIGNALS)}
 NONE_INDEX = SIGNAL_INDEX[Signal.NONE]
 NONZERO_INDEX = [SIGNAL_INDEX[z] for z in NONZERO_SIGNALS]
-
-# ``SIGNALS`` runs from -inf to +inf, so reversing it mirrors each signal.
-_MIRROR = dict(zip(SIGNALS, reversed(SIGNALS)))
 
 
 @dataclass(frozen=True)

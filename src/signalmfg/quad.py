@@ -1,16 +1,16 @@
 """Numerical integration primitives.
 
-Standard-normal CDF and interval probabilities, plus a fixed-node quadrature
-over a truncated mark domain used for every outer expectation in the
-best-response targets and mean-field aggregates.  Inner (conditional) normal
-integrals are never quadratured; they reduce to CDF differences.
+The standard-normal CDF, plus a fixed-node quadrature over a truncated mark
+domain used for every outer expectation in the best-response targets and
+mean-field aggregates.  Inner (conditional) normal integrals are never
+quadratured; they reduce to CDF differences.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -33,25 +33,6 @@ def std_normal_cdf(x):
     """
     out = ndtr(x)
     return float(out) if np.isscalar(x) else out
-
-
-def std_normal_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-
-
-def normal_prob(iv) -> float:
-    """N(0,1) probability of an interval with optionally unbounded endpoints.
-
-    ``iv`` needs ``lo``/``hi`` attributes where ``None`` marks an unbounded
-    side; endpoint openness is irrelevant for an atomless law.
-    """
-    lo, hi = iv.lo, iv.hi
-    if lo is not None and hi is not None and lo > hi:
-        raise ValueError(f"interval has lo={lo} > hi={hi}")
-    upper = 1.0 if hi is None else float(ndtr(hi))
-    lower = 0.0 if lo is None else float(ndtr(lo))
-    return upper - lower
 
 
 @dataclass(frozen=True)
@@ -119,20 +100,4 @@ class Quadrature:
 def _standard_normal(n_nodes: int, half_width: float) -> Quadrature:
     x, w = leggauss(n_nodes)
     nodes = x * half_width
-    return Quadrature(nodes=nodes, weights=w * half_width * std_normal_pdf(nodes))
-
-
-def expect_outer(f: Callable, q: Quadrature) -> float:
-    """Quadrature expectation ``sum(weights * f(nodes))``.
-
-    ``f`` is evaluated once on the whole node array (scalar results are
-    broadcast).  Non-finite values abort with the offending node, since they
-    only arise from inadmissible positions upstream.  Summation is a single
-    pairwise ``dot`` for run-to-run determinism.
-    """
-    values = np.broadcast_to(np.asarray(f(q.nodes), dtype=float), q.nodes.shape)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise ValueError(f"integrand not finite at node {k} (e_c={q.nodes[k]}): {values[k]}")
-    return float(np.dot(q.weights, values))
+    return Quadrature(nodes=nodes, weights=w * half_width * (_INV_SQRT_2PI * np.exp(-0.5 * nodes * nodes)))

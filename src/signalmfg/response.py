@@ -42,7 +42,7 @@ from .model import (
     check_admissible,
 )
 from .quad import Quadrature
-from .signals import JumpLaw, distinct, jump_sizes, signal_kernel, signal_laws
+from .signals import distinct, jump_sizes, signal_kernel, signal_laws
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_OPT_TOL = 1e-10
@@ -127,8 +127,10 @@ class TargetContext:
 def _contexts(types: Sequence[InvestorType], q: Quadrature) -> TargetContext:
     """The context of ``types`` with no environment yet: the one build of every field the peers leave alone.
 
-    One ``signal_laws`` call and one ``eta`` per distinct jump law; a solver
-    builds this once and writes each iteration's environment into it.
+    One ``signal_laws`` call and one ``eta`` per distinct jump law, read
+    with the flags jump-free (lam = 0) and sizeless (kappa_hat = sigma_hat =
+    0) from the markets; a solver builds this once and writes each
+    iteration's environment into it.
     ``static_class`` labels the investors by the bytes of these fields and
     of theta and r, so that investors of one label have the same rows and
     the same M in any environment, and -0.0 and 0.0 (equal as
@@ -137,11 +139,11 @@ def _contexts(types: Sequence[InvestorType], q: Quadrature) -> TargetContext:
     types = tuple(types)
     markets = [t.market for t in types]
     alpha, theta, p_s = np.array([(t.alpha, t.theta, t.p_s) for t in types]).T
-    r, kappa, sigma, sigma0, lam = np.array([(m.r, m.kappa, m.sigma, m.sigma0, m.lam) for m in markets]).T
-    laws = [JumpLaw.from_market(m) for m in markets]
+    r, kappa, sigma, sigma0, lam, kappa_hat, sigma_hat = np.array(
+        [(m.r, m.kappa, m.sigma, m.sigma0, m.lam, m.kappa_hat, m.sigma_hat) for m in markets]).T
     jump_free = lam == 0.0
-    degenerate = jump_free | np.array([law.degenerate for law in laws])
-    jumps = np.stack(jump_sizes(laws, q.nodes))
+    degenerate = jump_free | ((kappa_hat == 0.0) & (sigma_hat == 0.0))  # sizeless jumps
+    jumps = np.stack(jump_sizes(types, q.nodes))
     kernels, law = signal_laws(types, q.nodes)
     weights = np.empty((len(types), len(SIGNALS), q.n_nodes))
     weights[:, NONE_INDEX] = (lam * (1.0 - p_s))[:, np.newaxis] * q.weights

@@ -1,8 +1,10 @@
 """Case-study signal model: the one place that knows the signal buckets.
 
 A jump carries a common mark e_c ~ N(0,1) that moves the stock through the
-log-normal map ``eta``.  Each investor observes, with probability ``p_s``, a
-categorical signal built from the perturbed mark
+log-normal map ``eta``, fixed by the market's jump law (kappa_hat,
+sigma_hat), the key ``jump_law``; ``jump_sizes`` evaluates eta once per
+distinct jump law among its investors.  Each investor observes, with
+probability ``p_s``, a categorical signal built from the perturbed mark
 ``z = rho * e_c + sqrt(1 - rho^2) * e_i1``: its sign plus one of the size
 buckets 0.5 / 1 / inf.  One edges table defines both the classification and
 the intervals I(z), hence the signal law
@@ -17,7 +19,6 @@ under it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,27 +32,15 @@ from .quad import std_normal_cdf
 SIGNAL_EDGES = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
-class JumpLaw:
-    """Log-normal jump map parameters; eta(e_c) > -1 for all finite e_c."""
-
-    kappa_hat: float
-    sigma_hat: float
-
-    @classmethod
-    def from_market(cls, market: MarketParams) -> "JumpLaw":
-        return cls(kappa_hat=market.kappa_hat, sigma_hat=market.sigma_hat)
-
-    @property
-    def degenerate(self) -> bool:
-        """True iff the jump size is identically zero (sizeless jumps)."""
-        return self.sigma_hat == 0.0 and self.kappa_hat == 0.0
+def jump_law(market: MarketParams) -> tuple[float, float]:
+    """(kappa_hat, sigma_hat): the jump law, the part of ``market`` that fixes its jump sizes."""
+    return market.kappa_hat, market.sigma_hat
 
 
-def eta(law: JumpLaw, e_c):
-    """Jump size exp(sigma_hat*e_c + kappa_hat - sigma_hat^2/2) - 1."""
+def eta(market: MarketParams, e_c):
+    """Jump size exp(sigma_hat*e_c + kappa_hat - sigma_hat^2/2) - 1 of ``market``; > -1 for all finite e_c."""
     x = np.asarray(e_c, dtype=float)
-    out = np.expm1(law.sigma_hat * x + law.kappa_hat - 0.5 * law.sigma_hat**2)
+    out = np.expm1(market.sigma_hat * x + market.kappa_hat - 0.5 * market.sigma_hat**2)
     return float(out) if np.isscalar(e_c) else out
 
 
@@ -73,10 +62,10 @@ def distinct(keys: Sequence) -> tuple[list[int], list[int]]:
     return firsts, position
 
 
-def jump_sizes(laws: Sequence[JumpLaw], e_c) -> list:
-    """``eta`` of each entry of ``laws`` at ``e_c``, evaluated once per distinct law (equal laws share one array)."""
-    firsts, law_of = distinct(laws)
-    sizes = [eta(laws[i], e_c) for i in firsts]
+def jump_sizes(types: Sequence[InvestorType], e_c) -> list:
+    """``eta`` of each type's market at ``e_c``, once per distinct ``jump_law``: types sharing one share its array."""
+    firsts, law_of = distinct([jump_law(t.market) for t in types])
+    sizes = [eta(types[i].market, e_c) for i in firsts]
     return [sizes[d] for d in law_of]
 
 

@@ -6,7 +6,8 @@ closed-form log-normal factor, and at each jump it is multiplied by
 1 + phi(signal) * eta(e_c).  One elementwise kernel, ``_exact_path``, turns
 draws and the jump sizes eta(e_c) into these log returns and signal labels;
 ``_log_wealth`` sums them per agent (``simulate_agent``, ``simulate_cohort``),
-``estimate_utility`` per path.  Each evaluates eta once per distinct jump law;
+``estimate_utility`` per path.  Each evaluates eta once per distinct jump law
+(kappa_hat, sigma_hat) of its types' markets (``signals.jump_sizes``);
 ``estimate_utility`` hands the same sizes to m(e_c) and to every type's paths.
 
 Randomness comes from one counter-based seed tree: Philox generators keyed by
@@ -52,7 +53,7 @@ from .model import (
 )
 from .quad import Quadrature
 from .response import relative_utility
-from .signals import JumpLaw, classify_index, jump_sizes, perturb
+from .signals import classify_index, jump_sizes, perturb
 
 # Stream ids of the seed tree, in the order of the table above.
 _STREAM_JUMP_TIMES, _STREAM_COMMON_MARKS, _STREAM_W0, _STREAM_AGENT = range(4)
@@ -136,7 +137,7 @@ def _log_wealth(types, rows, type_idx: np.ndarray, path: CommonNoisePath, rng) -
     dW = rng.standard_normal((n, k + 1)) * np.sqrt(dt)
     e_i1 = rng.standard_normal((n, k))
     e_i2 = rng.uniform(size=(n, k))
-    sizes = jump_sizes([JumpLaw.from_market(t.market) for t in types], path.common_marks)
+    sizes = jump_sizes(types, path.common_marks)
     log_wealth = np.empty(n)
     labels = np.empty((n, k), dtype=int)
     for i in np.unique(type_idx):
@@ -194,9 +195,8 @@ def estimate_utility(
         return np.bincount(path_of_jump, weights=per_jump, minlength=n_paths)
 
     # One eta per distinct jump law at the marks, for m(e_c) and every type's paths.
-    laws = [JumpLaw.from_market(t.market) for t in pop.types]
-    sizes = jump_sizes(laws, marks)
-    log_mean_jump = _log_mean_jump_given(pop, strat, laws)
+    sizes = jump_sizes(pop.types, marks)
+    log_mean_jump = _log_mean_jump_given(pop, strat)
     xbar = np.exp(stats.log_mean_wealth(T, w0, by_path(log_mean_jump(marks, sizes))))
 
     def utility(i: int) -> np.ndarray:

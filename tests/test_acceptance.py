@@ -30,7 +30,7 @@ from signalmfg.model import (
 )
 from signalmfg.quad import Quadrature
 from signalmfg.response import context_from_stats, maximize_concave_1d, target_no_signal, target_signal
-from signalmfg.signals import JumpLaw, classify_index, eta, perturb
+from signalmfg.signals import classify_index, eta, perturb
 from signalmfg.sim import estimate_utility, simulate_cohort, simulate_common
 
 CFG = SolverConfig()
@@ -265,7 +265,7 @@ def test_12_positivity_invariants(quad, reference):
     rng = np.random.default_rng(99)
     n = 1_000_000
     marks = rng.standard_normal(n)
-    jumps = eta(JumpLaw.from_market(market), marks)
+    jumps = eta(market, marks)
     worst = np.inf
     for i, t in enumerate(pop.types):
         e1, e2 = rng.standard_normal(n), rng.uniform(size=n)

@@ -217,6 +217,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert "closed-form" in out and "gap" in out
 
+    def test_simulate_deterministic_wealth_reports_no_nan(self, capsys, tmp_path):
+        # lam = 0 and kappa = r = 0: every path has the closed-form wealth, so both SEs are 0.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"market": {"lam": 0.0, "kappa": 0.0}}))
+        assert main(["--config", str(p), "simulate"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert lines == [f"type {i}: closed-form=-1.00000000 mc=-1.00000000 se=0.00e+00 gap=+0.00 SE" for i in range(2)]
+
     def test_seed_and_nodes_overrides(self, tmp_path, capsys):
         cfg = {"mc": {"n_paths": 1000, "seed": 1}}
         p = tmp_path / "cfg.json"

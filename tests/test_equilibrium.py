@@ -9,12 +9,12 @@ from signalmfg.equilibrium import (
     SolverConfig,
     _solve_mf_many,
     _statistic_box,
+    _statistic_of,
     damped_fixed_point,
     residual,
     solve_mf_finite,
     solve_mf_statistic,
     solve_nagent,
-    statistic_of,
 )
 from signalmfg.meanfield import aggregate
 from signalmfg.metrics import M_mf, M_nagent, _value_constant
@@ -849,7 +849,7 @@ class TestSolveMfStatistic:
         q = Quadrature.discrete([-1.0, 0.0, 1.5], [0.25, 0.5, 0.25])
         lo, hi = _statistic_box(pop, q)
         hi_position = 1.0 - pop.types[0].eps_b
-        corners = np.array([statistic_of(pop, Strategy([[a] * 7, [b] * 7]), q)
+        corners = np.array([_statistic_of(pop, Strategy([[a] * 7, [b] * 7]), q)
                             for a in (0.0, hi_position) for b in (0.0, hi_position)])
         assert corners.min(axis=0) == pytest.approx(lo, rel=1e-12, abs=1e-15)
         assert corners.max(axis=0) == pytest.approx(hi, rel=1e-12, abs=1e-15)
@@ -857,7 +857,7 @@ class TestSolveMfStatistic:
         assert np.any(lo < np.minimum(corners[0], corners[3])) and np.any(hi > np.maximum(corners[0], corners[3]))
         rng = np.random.default_rng(3)
         for _ in range(50):
-            stat = statistic_of(pop, Strategy(rng.uniform(0.0, hi_position, (2, 7))), q)
+            stat = _statistic_of(pop, Strategy(rng.uniform(0.0, hi_position, (2, 7))), q)
             assert np.all(lo <= stat) and np.all(stat <= hi)
 
     def test_matches_strategy_space_solver_on_discrete_law(self):

@@ -8,7 +8,7 @@ from signalmfg.meanfield import _MARK_BLOCK, aggregate, mean_log_terminal
 from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, Population, Strategy
 from signalmfg.quad import Quadrature
 from signalmfg.response import _contexts
-from signalmfg.signals import JumpLaw, classify_index, conditional_prob, eta, perturb
+from signalmfg.signals import classify_index, conditional_prob, eta, perturb
 from signalmfg.sim import CommonNoisePath
 
 
@@ -30,7 +30,7 @@ def per_type_mean_jump(pop, strat, e):
     """m(e_c) one type at a time: each type's own jump map and kernel, its signal terms summed in order."""
     log_m = np.zeros_like(e)
     for t, row in zip(pop.types, strat.table):
-        jump = eta(JumpLaw.from_market(t.market), e)
+        jump = eta(t.market, e)
         mixture = (1.0 - t.p_s) * np.log1p(row[NONE_INDEX] * jump)
         if t.p_s > 0.0:
             for z in NONZERO_SIGNALS:
@@ -42,9 +42,9 @@ def per_type_mean_jump(pop, strat, e):
 class TestAggregate:
     def test_constant_positions_collapse(self, ref_pop, quad128):
         stats = aggregate(ref_pop, Strategy.constant(2, 0.3), quad128)
-        law = JumpLaw.from_market(ref_pop.types[0].market)
+        market = ref_pop.types[0].market
         for e_c in (-2.0, 0.0, 1.5):
-            assert stats.mean_jump(e_c) == pytest.approx(1.0 + 0.3 * eta(law, e_c), rel=1e-14)
+            assert stats.mean_jump(e_c) == pytest.approx(1.0 + 0.3 * eta(market, e_c), rel=1e-14)
 
     def test_shared_kernel_is_bitwise_per_type(self, quad128):
         # Types 0 and 1 share rho = 0.5 (type 1 never receives a signal); type 2 has its own rho.
@@ -194,7 +194,7 @@ class TestAggregate:
         stats = aggregate(pop, Strategy(table), quad128)
         marks = np.random.default_rng(4).normal(0.0, 2.0, size=10_000)
         for e_c in (quad128.nodes, marks):
-            jump = eta(JumpLaw.from_market(market), e_c)
+            jump = eta(market, e_c)
             log_m = np.zeros_like(e_c)
             for t, row in zip(pop.types, table):
                 log_m += t.weight * (1.0 - t.p_s) * np.log1p(row[NONE_INDEX] * jump)
@@ -221,8 +221,7 @@ class TestAggregate:
         strat = Strategy(table)
         stats = aggregate(pop, strat, quad128)
         e_c = 0.0
-        law = JumpLaw.from_market(pop.types[0].market)
-        jump = eta(law, e_c)
+        jump = eta(pop.types[0].market, e_c)
 
         rng = np.random.default_rng(42)
         n = 10_000_000

@@ -170,9 +170,3 @@ class TestSignalAlphabet:
         assert len(SIGNALS) == 7
         assert Signal.NONE in SIGNALS
         assert SIGNALS.index(Signal.NONE) == 3
-
-    def test_mirror(self):
-        assert Signal.POS_INF.mirrored() is Signal.NEG_INF
-        assert Signal.NONE.mirrored() is Signal.NONE
-        for z in SIGNALS:
-            assert z.mirrored().mirrored() is z

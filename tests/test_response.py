@@ -21,7 +21,7 @@ from signalmfg.model import (
     admissible_interval,
     validate_investor,
 )
-from signalmfg.quad import Quadrature, expect_outer
+from signalmfg.quad import Quadrature
 from signalmfg.response import (
     _LOG_CAP,
     DEFAULT_OPT_TOL,
@@ -41,7 +41,7 @@ from signalmfg.response import (
     target_no_signal,
     target_signal,
 )
-from signalmfg.signals import JumpLaw, conditional_prob, eta
+from signalmfg.signals import conditional_prob, eta, jump_law
 
 MERTON = 4.0 / 9.0  # 0.08 / (2 * 0.09) for the case-study market
 
@@ -109,13 +109,13 @@ class TestTargetSignal:
         ctx = mf_context(pop, Strategy.constant(1, 0.3), quad128)
         for z in (Signal.POS_HALF, Signal.POS_ONE, Signal.POS_INF):
             assert target_signal(0.4, z, ctx) == pytest.approx(
-                target_signal(0.4, z.mirrored(), ctx), abs=1e-10
+                target_signal(0.4, SIGNALS[-1 - SIGNAL_INDEX[z]], ctx), abs=1e-10
             )
 
     def test_posterior_weights_integrate_to_one(self, ref_pop, quad128):
         t = ref_pop.types[0]
         for z in NONZERO_SIGNALS:
-            mass = expect_outer(lambda x: conditional_prob(z, x, t.rho), quad128)
+            mass = quad128.weights @ conditional_prob(z, quad128.nodes, t.rho)
             assert mass / conditional_prob(z, 0.0, 0.0) == pytest.approx(1.0, abs=1e-8)
 
     def test_null_signal_rejected(self, ref_pop, quad128):
@@ -200,7 +200,7 @@ class TestBestResponse:
         pop = Population([casestudy.investor(rho=0.0, weight=1.0)])
         out = best_response(pop, Strategy.constant(1, 0.4), quad128)
         for z in (Signal.POS_HALF, Signal.POS_ONE, Signal.POS_INF):
-            assert out.position(0, z) == pytest.approx(out.position(0, z.mirrored()), abs=1e-8)
+            assert out.position(0, z) == pytest.approx(out.position(0, SIGNALS[-1 - SIGNAL_INDEX[z]]), abs=1e-8)
 
     def test_concern_raises_default_position(self, ref_pop, quad128):
         # argmax of the no-signal target is nondecreasing in theta at fixed stats
@@ -256,7 +256,7 @@ class TestNAgentResponse:
 def first_derivative(phi, z, t, stats, q):
     """Closed-form g'(phi) of target z, built here from the public model pieces."""
     m = t.market
-    jump = eta(JumpLaw.from_market(m), q.nodes)
+    jump = eta(m, q.nodes)
     env = stats.mean_jump_nodes ** (-t.theta * (1.0 - t.alpha))
     integrand = jump * (1.0 + phi * jump) ** (-t.alpha) * env
     if z is Signal.NONE:
@@ -475,7 +475,7 @@ class TestBatchedRows:
             casestudy.investor(m(sigma_hat=0.0), rho=0.9, weight=1.0),
         ]
         assert len({t.rho for t in types}) == 3
-        assert len({JumpLaw.from_market(t.market) for t in types}) == 3
+        assert len({jump_law(t.market) for t in types}) == 3
         stats = ref_eq.stats
         ctx = mf_target_context(types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
         assert ctx.investors == tuple(types)
@@ -515,7 +515,7 @@ def direct_nagent_context(i, types, table, q):
         taupi += (m.r + pj0 * (m.kappa - m.r) - 0.5 * (m.sigma**2 + m.sigma0**2) * pj0**2) / n
         sigma0pi += m.sigma0 * pj0 / n
         sig2pi2 += (m.sigma * pj0) ** 2 / n**2
-        jump = eta(JumpLaw.from_market(m), q.nodes)
+        jump = eta(m, q.nodes)
         mix = (1.0 - t.p_s) * (1.0 + pj0 * jump) ** exponent
         for z in NONZERO_SIGNALS:
             w = conditional_prob(z, q.nodes, t.rho)

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,21 +7,25 @@ from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
 from signalmfg import casestudy
-from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNALS, Signal
-from signalmfg.quad import normal_prob
+from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNALS, MarketParams, Signal
 from signalmfg.signals import (
     SIGNAL_EDGES,
-    JumpLaw,
     classify_index,
     conditional_prob,
     eta,
+    jump_sizes,
     perturb,
     signal_expectation,
     signal_kernel,
     signal_laws,
 )
 
-LAW = JumpLaw(kappa_hat=0.0, sigma_hat=0.1)
+LAW = MarketParams(kappa_hat=0.0, sigma_hat=0.1)
+
+
+def interval_mass(lo, hi):
+    # N(0,1) mass of the interval (lo, hi); None marks an unbounded side.
+    return (1.0 if hi is None else float(ndtr(hi))) - (0.0 if lo is None else float(ndtr(lo)))
 
 
 class TestEta:
@@ -35,13 +38,12 @@ class TestEta:
         assert eta(LAW, e_c) == pytest.approx(expected, abs=1e-15)
 
     def test_degenerate_law_is_zero(self):
-        law = JumpLaw(kappa_hat=0.0, sigma_hat=0.0)
-        assert law.degenerate
+        law = MarketParams(kappa_hat=0.0, sigma_hat=0.0)
         assert np.all(eta(law, np.linspace(-8, 8, 33)) == 0.0)
 
     @given(st.floats(-8, 8), st.floats(1e-6, 2.0))
     def test_increasing_and_above_minus_one(self, e_c, step):
-        law = JumpLaw(kappa_hat=0.2, sigma_hat=0.3)
+        law = MarketParams(kappa_hat=0.2, sigma_hat=0.3)
         lo, hi = eta(law, e_c), eta(law, e_c + step)
         assert lo > -1.0
         assert hi > lo
@@ -49,6 +51,23 @@ class TestEta:
     def test_vectorized_matches_scalar(self):
         grid = np.linspace(-3, 3, 7)
         assert eta(LAW, grid) == pytest.approx([eta(LAW, x) for x in grid])
+
+
+class TestJumpSizes:
+    def test_one_array_per_jump_law(self):
+        e_c = np.linspace(-8.0, 8.0, 33)
+        base = casestudy.default_market(kappa_hat=0.05, sigma_hat=0.2)
+        markets = [base, casestudy.default_market(r=0.01, kappa_hat=0.05, sigma_hat=0.2),
+                   casestudy.default_market(lam=2.0, kappa_hat=0.05, sigma_hat=0.2),
+                   casestudy.default_market(kappa_hat=0.05, sigma_hat=0.3)]
+        sizes = jump_sizes([casestudy.investor(m) for m in markets], e_c)
+        assert len(sizes) == 4
+        # Markets differing only in r or lam share (kappa_hat, sigma_hat), hence one array.
+        assert sizes[1] is sizes[0] and sizes[2] is sizes[0]
+        assert sizes[0].tobytes() == eta(base, e_c).tobytes()
+        assert sizes[3] is not sizes[0]
+        assert sizes[3].tobytes() == eta(markets[3], e_c).tobytes()
+        assert not np.array_equal(sizes[3], sizes[0])
 
 
 class TestPerturb:
@@ -166,7 +185,7 @@ class TestSignalIntervals:
         assert plain_interval(z) == (lo, hi)
         # the kernel at rho = 0 is the N(0,1) mass of exactly this interval
         mass = conditional_prob(z, 0.0, 0.0)
-        assert mass == pytest.approx(normal_prob(SimpleNamespace(lo=lo, hi=hi)), abs=1e-15)
+        assert mass == pytest.approx(interval_mass(lo, hi), abs=1e-15)
 
     def test_null_signal_has_no_interval(self):
         with pytest.raises(ValueError):
@@ -191,12 +210,12 @@ class TestConditionalIntervals:
     def test_pos_inf_example(self):
         # frozen oracle: I(+inf, 0.1) at rho = 0.5 starts at (1 - 0.05)/sqrt(0.75)
         prob = conditional_prob(Signal.POS_INF, e_c=0.1, rho=0.5)
-        assert prob == pytest.approx(normal_prob(SimpleNamespace(lo=1.0969655114602890, hi=None)), abs=1e-14)
+        assert prob == pytest.approx(interval_mass(1.0969655114602890, None), abs=1e-14)
 
     def test_rho_zero_reduces_to_unconditional(self):
         for z in NONZERO_SIGNALS:
             lo, hi = plain_interval(z)
-            expected = normal_prob(SimpleNamespace(lo=lo, hi=hi))
+            expected = interval_mass(lo, hi)
             for e_c in (-2.0, 0.0, 0.7):
                 assert conditional_prob(z, e_c, 0.0) == pytest.approx(expected, abs=1e-15)
 
