@@ -12,22 +12,26 @@ with one best response per iteration for all of them, each population on
 its own environment and Anderson history, with the iterates of its solve
 alone; ``solve_mf_finite`` is that lockstep solve of one population and
 ``damped_fixed_point`` drives one iteration of a given map.  A solver
-builds its investors' context once and gives the core the environment its
-iterates induce; the core iterates, then reads M, values and notes off the
-final environment, which the last round already built, for every solver
-alike.  Non-convergence is a reported state,
-not an exception.
+builds its investors' context once and gives the core one builder of the
+environment its live iterates induce: each round builds one environment
+for every live problem (a sweep: every population's mean field from one
+node mixture, ``response._mean_field``).  The core iterates, then reads M,
+values and notes off the final environment, which the last round already
+built, for every solver alike; a population's ``MeanFieldStats`` is built
+once, when it stops.  Non-convergence is a reported state, not an
+exception.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .meanfield import MeanFieldStats, aggregate
+from .meanfield import MeanFieldStats, _stats, aggregate
 from .metrics import _value_constant, value_mf
 from .model import (
     SIGNALS,
@@ -123,7 +127,7 @@ def _anderson(init: np.ndarray, tol: float, max_iter: int, damping: float, box: 
     since_best = 0
     iterations = 0
     retried = False
-    recent: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (x, f, image), oldest first
+    previous, deltas = None, []  # (x, f, image) of the last step; differences of the steps before, oldest first
     while True:
         image = yield x
         f = image - x
@@ -144,11 +148,12 @@ def _anderson(init: np.ndarray, tol: float, max_iter: int, damping: float, box: 
             best, since_best = np.inf, 0
         else:
             x_bar, image_bar = x, image
-            if not retried:
-                recent = [*recent, (x, f, image)][-(_ANDERSON_MEMORY + 1):]
-                d_x, d_f, d_image = np.diff(recent, axis=0).transpose(1, 2, 0)  # each (len(x), len(recent) - 1)
+            if not retried and previous is not None:
+                deltas = [*deltas, np.subtract((x, f, image), previous)][-_ANDERSON_MEMORY:]
+                d_x, d_f, d_image = np.transpose(deltas, (1, 2, 0))  # each (len(x), len(deltas))
                 gamma = np.linalg.lstsq(d_f, f, rcond=None)[0]
                 x_bar, image_bar = x - d_x @ gamma, image - d_image @ gamma
+            previous = (x, f, image)
             x = np.clip((1.0 - w) * x_bar + w * image_bar, lo, hi)
         iterations += 1
     if not residual < tol:
@@ -200,96 +205,83 @@ class _Problem:
     """One fixed point that ``_solve`` iterates beside others.
 
     ``investors`` are its investors' places in the batch context.  The
-    iteration starts at ``start``, clipped to ``box``; at a point x the map
-    asks for the best response in the environment ``ask(x)[0]`` (its context
-    first), each row's Newton started at ``ask(x)[1]``.  Given those rows
-    and that environment, ``answer(x, rows, environment)`` is (the image of
-    x, (strategy, environment)): the result's strategy and environment,
-    should x be the final point.  An environment is as in ``_solve``.
+    iteration starts at ``start``, clipped to ``box``.  At a point x, a
+    round gives the problem its best-response rows and ``last``, which
+    builds its result's (strategy, context, peers' initial wealth,
+    ``MeanFieldStats`` or None) should x be the final point; ``answer(x,
+    rows, last)`` is (the image of x, the ``last`` of its result).
     """
 
     investors: np.ndarray
     start: np.ndarray
     box: tuple
-    ask: Callable
-    answer: Callable
+    answer: Callable = lambda x, rows, last: (rows.ravel(), last)
 
 
-def _strategy_problem(investors: np.ndarray, ctx: TargetContext, environment: Callable, cfg: SolverConfig) -> _Problem:
-    """The iteration on strategy tables of ``ctx``'s investors, each row clipped to its admissible interval.
+def _strategy_problem(investors: np.ndarray, ctx: TargetContext, cfg: SolverConfig) -> _Problem:
+    """The iteration on strategy tables of the investors of ``ctx`` at ``investors``, each row clipped to its
+    admissible interval; its image is the best response.
 
-    Each best response starts its Newton at the rows of the iterate whose
-    environment it answers (warm start); the final iterate's environment is
-    its result's.  An ``init`` outside the admissible intervals raises.
+    An ``init`` outside the admissible intervals raises.
     """
-    shape = (len(ctx.investors), len(SIGNALS))
     if cfg.init is not None:
-        if cfg.init.n_types != shape[0]:
-            raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {shape[0]}")
-        check_admissible(Population(ctx.investors), cfg.init)
-    start = (Strategy.zeros(shape[0]) if cfg.init is None else cfg.init).table.ravel()
-    box = tuple(np.repeat(ctx.bounds, len(SIGNALS), axis=0).T)
-
-    def ask(x: np.ndarray) -> tuple:
-        table = x.reshape(shape)
-        return environment(Strategy(table)), table
-
-    return _Problem(investors, start, box, ask, lambda x, rows, env: (rows.ravel(), (Strategy(x.reshape(shape)), env)))
+        if cfg.init.n_types != len(investors):
+            raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {len(investors)}")
+        check_admissible(Population([ctx.investors[i] for i in investors]), cfg.init)
+    start = (Strategy.zeros(len(investors)) if cfg.init is None else cfg.init).table.ravel()
+    return _Problem(investors, start, tuple(np.repeat(ctx.bounds[investors], len(SIGNALS), axis=0).T))
 
 
-def _solve(ctx: TargetContext, problems: Sequence[_Problem], cfg: SolverConfig) -> list[EquilibriumResult]:
+def _solve(ctx: TargetContext, problems: Sequence[_Problem], environment: Callable,
+           cfg: SolverConfig) -> list[EquilibriumResult]:
     """Every solver's core: the fixed points of ``problems``, iterated in lockstep, and their results.
 
     ``ctx`` is the context of every problem's investors from
     ``response._contexts``, built once; the problems' ``investors`` split it
-    in order.  A problem's environment is the one a strategy induces,
-    written into its investors' part of ``ctx``: (context, each investor's
-    peer initial wealth, ``MeanFieldStats`` or None).  Each problem runs its
-    own ``_anderson`` iteration.  Every round makes one best response for
-    all problems still iterating: their asked contexts side by side in one
-    context, where rows never mix (``response._best_rows``), so each
-    problem's iterates, residuals and iteration count are those of its
-    solve alone.  A problem drops out when its iteration stops, with the
-    strategy and environment its last answer gave, so no environment is
-    built twice.  M, closed-form values and notes are read off each final
-    context, M and its clip flag once per distinct (``static_class``,
-    environment, row): a note per best-response row
-    stopped at the Newton cap (``NewtonCapWarning``, named by the
-    investor's index in its own problem), per type whose M clips its jump
-    factor (``jump_cap_binds``) and per value that overflows double.
+    in order.  Each problem runs its own ``_anderson`` iteration.  Every
+    round builds one environment for all problems still iterating:
+    ``environment(batch, live, points)`` is given ``ctx`` taken at their
+    investors, their indices and their points, and returns the batch
+    against their environments, each row's Newton start and ``last``, where
+    ``last(k, part)`` builds the result's pieces of the k-th live problem,
+    whose rows are ``part`` of the batch (see ``_Problem``).  One best
+    response follows for all of them, where rows never mix
+    (``response._best_rows``), so each problem's iterates, residuals and
+    iteration count are those of its solve alone.  A problem drops out when
+    its iteration stops, and its result is read off the environment its
+    last round built.  M, closed-form values and notes are read off each
+    final context, M and its clip flag once per distinct (``static_class``,
+    environment, row): a note per best-response row stopped at the Newton
+    cap (``NewtonCapWarning``, named by the investor's index in its own
+    problem), per type whose M clips its jump factor (``jump_cap_binds``)
+    and per value that overflows double.
     """
     runs = [_anderson(p.start, cfg.tol, cfg.max_iter, cfg.damping, p.box) for p in problems]
     points = [next(run) for run in runs]
     lasts, capped, outcomes = [None] * len(problems), [[] for _ in problems], [None] * len(problems)
     live, batch = list(range(len(problems))), ctx
     while live:
-        environments, starts = zip(*(problems[i].ask(points[i]) for i in live))
-        if len(live) == 1:
-            env_ctx, start = environments[0][0], starts[0]
-        else:
-            env = {name: np.concatenate([getattr(e[0], name) for e in environments])
-                   for name in ("sigma0pi_env", "taupi_env", "sig2pi2_env", "env_jump_log")}
-            env_ctx, start = replace(batch, **env), np.concatenate(starts)
+        env_ctx, start, last = environment(batch, live, [points[i] for i in live])
         rows, stopped = _best_rows(env_ctx, cfg.opt_tol, start)
-        ends = np.cumsum([len(problems[i].investors) for i in live])[:-1]
-        for i, environment, answer, cap in zip(live, environments, np.split(rows, ends), np.split(stopped, ends)):
-            capped[i] += _cap_notes(cap)
-            image, lasts[i] = problems[i].answer(points[i], answer, environment)
+        for k, (i, end) in enumerate(zip(live, np.cumsum([len(problems[i].investors) for i in live]))):
+            part = np.arange(end - len(problems[i].investors), end)
+            capped[i] += _cap_notes(stopped[part])
+            image, lasts[i] = problems[i].answer(points[i], rows[part], functools.partial(last, k, part))
             try:
                 points[i] = runs[i].send(image)
             except StopIteration as stop:
                 outcomes[i] = stop.value
         if any(outcomes[i] is not None for i in live):
             live = [i for i in live if outcomes[i] is None]
-            if len(live) > 1:
+            if live:
                 batch = ctx.take(np.concatenate([problems[i].investors for i in live]))
     return [_result(*args, cfg) for args in zip(outcomes, lasts, capped)]
 
 
-def _result(outcome: tuple, last: tuple, capped: list, cfg: SolverConfig) -> EquilibriumResult:
-    """The result of a problem from its ``_anderson`` outcome and its last answer's (strategy, environment)."""
+def _result(outcome: tuple, last: Callable, capped: list, cfg: SolverConfig) -> EquilibriumResult:
+    """The result of a problem from its ``_anderson`` outcome and its last round's ``last``."""
     _, residual, iterations, notes = outcome
-    strategy, (final, xbar0s, stats) = last
+    strategy, final, xbar0s, stats = last()
     M, clips = _distinct_investors(final, strategy.table, lambda c, t: (_value_constant(c, t), jump_cap_binds(t, c)))
     per_type_M = tuple(M.tolist())
     with np.errstate(over="ignore"):
@@ -314,8 +306,11 @@ def _population_key(pop: Population) -> bytes:
 def _solve_mf_many(pops: Sequence[Population], q: Quadrature, cfg: SolverConfig) -> list[EquilibriumResult]:
     """``solve_mf_finite`` of each population of ``pops``, all in one lockstep ``_solve``.
 
-    One context holds every population's types, each population's block
-    taken out of it as its own context.  Populations equal byte for byte
+    One context holds every population's types.  A round stacks the live
+    populations' iterates and builds their environments with one
+    ``response._mean_field`` call, each population one segment of it; a
+    population's ``MeanFieldStats`` is built once, from its last round's
+    sums, when it stops.  Populations equal byte for byte
     (``_population_key``) are solved once and share one result.
     """
     for pop in pops:
@@ -324,12 +319,21 @@ def _solve_mf_many(pops: Sequence[Population], q: Quadrature, cfg: SolverConfig)
     unique = [pops[i] for i in firsts]
     ctx = _contexts([t for pop in unique for t in pop.types], q)
     ends = np.cumsum([len(pop) for pop in unique])
-    problems = []
-    for pop, end in zip(unique, ends):
-        investors = np.arange(end - len(pop), end)
-        own = ctx if len(unique) == 1 else ctx.take(investors)
-        problems.append(_strategy_problem(investors, own, _mean_field(pop, q, own), cfg))
-    results = _solve(ctx, problems, cfg)
+    problems = [_strategy_problem(np.arange(end - len(pop), end), ctx, cfg) for pop, end in zip(unique, ends)]
+
+    def environment(batch: TargetContext, live: list, points: list) -> tuple:
+        table = np.concatenate(points).reshape(-1, len(SIGNALS))
+        population = np.repeat(np.arange(len(live)), [len(unique[i]) for i in live])
+        env, sums, mean_jump = _mean_field(batch, table, population, q.nodes)
+
+        def last(k: int, part: np.ndarray) -> tuple:
+            pop, strategy = unique[live[k]], Strategy(table[part])
+            stats = _stats(pop, strategy, sums[k], mean_jump[k])
+            return strategy, env if len(live) == 1 else env.take(part), [stats.xbar0] * len(pop), stats
+
+        return env, table, last
+
+    results = _solve(ctx, problems, environment, cfg)
     return [results[d] for d in position]
 
 
@@ -352,10 +356,12 @@ def solve_nagent(
     log_x0 = np.log([t.x0 for t in types])
     peers_x0 = np.exp((log_x0.sum() - log_x0) / (len(types) - 1))
 
-    def environment(strat: Strategy):
-        return _nagent_environment(ctx, strat), peers_x0, None
+    def environment(batch: TargetContext, live: list, points: list) -> tuple:
+        strategy = Strategy(points[0].reshape(len(types), len(SIGNALS)))
+        env = _nagent_environment(ctx, strategy)
+        return env, strategy.table, lambda k, part: (strategy, env, peers_x0, None)
 
-    return _solve(ctx, [_strategy_problem(np.arange(len(types)), ctx, environment, cfg)], cfg)[0]
+    return _solve(ctx, [_strategy_problem(np.arange(len(types)), ctx, cfg)], environment, cfg)[0]
 
 
 def _statistic_of(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> np.ndarray:
@@ -401,22 +407,28 @@ def solve_mf_statistic(
     probs = [float(p) for _, p in common_marks]
     q = Quadrature.discrete(marks, probs)
     ctx = _contexts(pop.types, q)
-    node_law, environment = (ctx.law, ctx.eta_raw), _mean_field(pop, q, ctx)
+    node_law = (ctx.law, ctx.eta_raw)
     middle = np.repeat(ctx.bounds.mean(axis=1, keepdims=True), len(SIGNALS), axis=1)
 
-    def ask(m: np.ndarray) -> tuple:
-        # Each best response starts at the middle of the admissible intervals; ``answer`` reads no environment.
-        return (_mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)),), middle
+    def environment(batch: TargetContext, live: list, points: list) -> tuple:
+        # Each best response starts at the middle of the admissible intervals; ``answer`` builds the ``last``.
+        m = points[0]
+        return _mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), middle, lambda k, part: None
 
     def answer(m: np.ndarray, rows: np.ndarray, _) -> tuple:
         # The image and the result read one aggregate of the best response.
         strategy = Strategy(rows)
-        final = environment(strategy)
-        return np.concatenate(([final[2].sigma0pi_bar], final[2].mean_jump_nodes)), (strategy, final)
+        stats = aggregate(pop, strategy, q, node_law)
+
+        def last() -> tuple:
+            final = _mf_environment(ctx, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
+            return strategy, final, [stats.xbar0] * len(pop), stats
+
+        return np.concatenate(([stats.sigma0pi_bar], stats.mean_jump_nodes)), last
 
     start = _statistic_of(pop, cfg.init if cfg.init is not None else Strategy.zeros(len(pop)), q, node_law)
-    problem = _Problem(np.arange(len(pop)), start, _statistic_box(pop, q, node_law), ask, answer)
-    return _solve(ctx, [problem], cfg)[0]
+    problem = _Problem(np.arange(len(pop)), start, _statistic_box(pop, q, node_law), answer)
+    return _solve(ctx, [problem], environment, cfg)[0]
 
 
 def residual(pop: Population, strat: Strategy, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL) -> float:

@@ -13,9 +13,11 @@ distinct (rho, p_s, jump law, row) of the population, the jump law being the
 market's (kappa_hat, sigma_hat) (``signals.jump_law``).  It takes the jump
 sizes at the marks as given (``_log_mean_jump_given``), so Monte Carlo
 computes them once for m and for its paths, and sums log m per path.  On the
-quadrature nodes, the aggregate sums m from the law table and jump sizes
-there (``law_on_nodes``), in the same order and with the same bits; a solver
-passes the tables its target context already holds.
+quadrature nodes, m is summed from the law table and jump sizes there
+(``law_on_nodes``) by one kernel, ``_population_sums``, with the evaluator's
+bits: ``aggregate`` runs it on one population, a solver's round on every
+population it iterates at once, each with the tables its target context
+already holds.
 """
 
 from __future__ import annotations
@@ -67,14 +69,6 @@ def wealth_diffusion(types: Sequence[InvestorType], pi0) -> tuple[np.ndarray, np
     return drift, sigma * pi0, sigma0 * pi0
 
 
-def _weighted_sum(weights: np.ndarray, mixture: np.ndarray) -> np.ndarray:
-    """sum_i w_i * mixture_i, the types added one at a time in population order.
-
-    np.sum over the type axis would add in pairs on a one-mark block.
-    """
-    return functools.reduce(np.add, weights[:, np.newaxis] * mixture)
-
-
 def _log_mean_jump_given(pop: Population, strat: Strategy) -> Callable:
     """log m at flat marks ``e``, given each type's jump sizes there: ``signals.jump_sizes(pop.types, e)``.
 
@@ -95,7 +89,8 @@ def _log_mean_jump_given(pop: Population, strat: Strategy) -> Callable:
         mixture = signal_expectation(signal_laws(investors, e)[1], np.log1p(rows * sizes))
         if len(firsts) < len(investor_of):
             mixture = mixture[investor_of]
-        return _weighted_sum(pop.weights, mixture)
+        # One type at a time: np.sum over the type axis would add in pairs on a one-mark block.
+        return functools.reduce(np.add, pop.weights[:, np.newaxis] * mixture)
 
     def log_mean_jump_given(e: np.ndarray, jumps: Sequence) -> np.ndarray:
         own = [jumps[i] for i in firsts]
@@ -134,37 +129,58 @@ def law_on_nodes(types: Sequence[InvestorType], q: Quadrature) -> tuple:
     return signal_laws(types, q.nodes)[1], np.stack(jump_sizes(types, q.nodes))
 
 
+def _population_sums(types: Sequence[InvestorType], table: np.ndarray, node_law: tuple, nodes: np.ndarray,
+                     population: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per population: (sigma0pi_bar, taupi_bar, log xbar0) and m on the quadrature nodes, as ``aggregate`` sums them.
+
+    ``types`` holding ``table`` form populations, labelled 0, 1, ... in
+    order by ``population``; ``node_law`` is their ``law_on_nodes``.  The
+    mixture sum_z P(z | e_c) log(1 + pi_z eta) is taken once for all of
+    them, and each population adds its weighted types to +0.0, one at a time
+    in its order, as ``np.sum`` over axis 0 adds them: the one statement of
+    m on the nodes, for one population (``aggregate``) or for every
+    population a lockstep round iterates.  Every m must be finite and > 0.
+    """
+    drift, _, sigma0pi = wealth_diffusion(types, table[:, NONE_INDEX])
+    weights = np.array([t.weight for t in types])[:, np.newaxis]
+    mixture = signal_expectation(node_law[0], np.log1p(table.T[:, :, np.newaxis] * node_law[1]))
+    terms = np.concatenate((np.stack((sigma0pi, drift, np.log([t.x0 for t in types])), axis=1), mixture), axis=1)
+    position = np.arange(len(types)) - np.searchsorted(population, population)
+    padded = np.zeros((population[-1] + 1, position.max() + 1, terms.shape[1]))
+    padded[population, position] = weights * terms
+    # Column k holds each population's k-th type, 0 past its last; the columns are added in turn to +0.0, as
+    # np.sum starts (np.array([-0.0]).sum() is +0.0).  A sum from +0.0 is never -0.0, so the zeros add nothing.
+    # The mixture's sums are only exponentiated: the sign of a zero there moves no bit of m.
+    sums = sum(padded.transpose(1, 0, 2), 0.0)
+    mean_jump = np.exp(sums[:, 3:])
+    valid = ((mean_jump > 0.0) & np.isfinite(mean_jump)).all(axis=1)
+    if not valid.all():
+        row = mean_jump[np.argmin(valid)]
+        raise ValueError(f"mean jump factor not positive at node e_c={nodes[np.argmin(row)]}: {row[np.argmin(row)]}")
+    mean_jump.setflags(write=False)
+    return sums[:, :3], mean_jump
+
+
+def _stats(pop: Population, strat: Strategy, sums: np.ndarray, mean_jump_nodes: np.ndarray) -> MeanFieldStats:
+    """The ``MeanFieldStats`` of one population's ``_population_sums``: (sigma0pi_bar, taupi_bar, log xbar0) and m."""
+    evaluator = _mean_jump_evaluator(pop, strat)
+    return MeanFieldStats(*map(float, sums[:2]), float(np.exp(sums[2])), evaluator, mean_jump_nodes)
+
+
 def aggregate(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> MeanFieldStats:
     """Aggregate a population and strategy into ``MeanFieldStats``.
 
     m on ``q``'s nodes is summed from ``node_law`` = ``law_on_nodes(pop.types,
     q)``, built here unless given (a target context's ``(law, eta_raw)``
-    holds the same tables), in the order of the evaluator ``mean_jump``, so
-    it has the evaluator's bits at the nodes.  Raises on
-    inadmissible positions, naming the offending (type, signal).
+    holds the same tables), by ``_population_sums`` with the population as
+    its one segment; it has the bits of the evaluator ``mean_jump`` at the
+    nodes.  Raises on inadmissible positions, naming the offending (type,
+    signal).
     """
     check_admissible(pop, strat)
-    drift, _, sigma0pi = wealth_diffusion(pop.types, strat.table[:, NONE_INDEX])
-    log_x0 = np.log([t.x0 for t in pop.types])
-    # An axis-0 sum adds the types' rows one at a time, in population order.
-    terms = pop.weights[:, np.newaxis] * np.stack((sigma0pi, drift, log_x0), axis=1)
-    sigma0pi_bar, taupi_bar, log_xbar0 = terms.sum(axis=0)
-
-    law, sizes = law_on_nodes(pop.types, q) if node_law is None else node_law
-    mixture = signal_expectation(law, np.log1p(strat.table.T[:, :, np.newaxis] * sizes))
-    nodes_table = np.exp(_weighted_sum(pop.weights, mixture))
-    if np.any(nodes_table <= 0.0) or not np.all(np.isfinite(nodes_table)):
-        k = int(np.argmin(nodes_table))
-        raise ValueError(f"mean jump factor not positive at node e_c={q.nodes[k]}: {nodes_table[k]}")
-    nodes_table.setflags(write=False)
-
-    return MeanFieldStats(
-        sigma0pi_bar=float(sigma0pi_bar),
-        taupi_bar=float(taupi_bar),
-        xbar0=float(np.exp(log_xbar0)),
-        mean_jump=_mean_jump_evaluator(pop, strat),
-        mean_jump_nodes=nodes_table,
-    )
+    node_law = node_law or law_on_nodes(pop.types, q)
+    sums, mean_jump = _population_sums(pop.types, strat.table, node_law, q.nodes, np.zeros(len(pop), dtype=np.intp))
+    return _stats(pop, strat, sums[0], mean_jump[0])
 
 
 def mean_log_terminal(stats: MeanFieldStats, common_path, T: float) -> float:

@@ -192,12 +192,23 @@ def check_admissible(pop: Population, strat: Strategy) -> None:
     """Raise, naming the first offending (type, signal), if a position (or NaN) leaves its interval."""
     if strat.n_types != len(pop):
         raise ValueError(f"strategy has {strat.n_types} rows for {len(pop)} types")
-    lo, hi = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, pop.types)]).T[..., np.newaxis]
-    outside = ~((strat.table >= lo) & (strat.table <= hi))
+    bounds = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, pop.types)])
+    _check_positions(strat.table, bounds, np.zeros(len(pop), dtype=np.intp))
+
+
+def _check_positions(table: np.ndarray, bounds: np.ndarray, population: np.ndarray) -> None:
+    """``check_admissible`` of the rows of ``table`` against their (lo, hi) rows of ``bounds``.
+
+    The rows form populations, labelled in order by ``population``; the
+    offending type is named by its index in its own population.
+    """
+    lo, hi = bounds.T[..., np.newaxis]
+    outside = ~((table >= lo) & (table <= hi))
     if outside.any():
         i, k = np.argwhere(outside)[0]
         raise ValueError(
-            f"inadmissible position {float(strat.table[i, k])} for type {i}, signal {SIGNALS[k].value}: "
+            f"inadmissible position {float(table[i, k])} for type {i - np.searchsorted(population, population[i])}, "
+            f"signal {SIGNALS[k].value}: "
             f"allowed [{float(lo[i, 0])}, {float(hi[i, 0])}]"
         )
 

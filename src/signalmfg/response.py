@@ -4,9 +4,10 @@ One ``TargetContext`` holds an environment's investors in both game modes.
 ``_contexts`` builds every field that does not depend on the peers (signal
 laws from ``signals.signal_laws``, jump sizes, row weights, boxes), once per
 solve; ``_with_environment`` writes the environment into it: mean-field,
-from a ``MeanFieldStats`` (``_mf_environment``; ``_mean_field`` aggregates a
-strategy on the context's own law tables), or n-agent, from the other
-players' explicit strategies (``_nagent_environment``).  An investor's
+from a statistic (``_mf_environment``) or from the strategies of one or
+many populations side by side, all from one node mixture on the context's
+own law tables (``_mean_field``), or n-agent, from the other players'
+explicit strategies (``_nagent_environment``).  An investor's
 seven targets (one per signal) are rows of one (7 x nodes) weight table
 applied to one jump integrand.  Each is strictly concave on its admissible
 interval whenever jumps are live, with closed-form first and second
@@ -27,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .meanfield import MeanFieldStats, aggregate, wealth_diffusion
+from .meanfield import MeanFieldStats, _population_sums, wealth_diffusion
 from .model import (
     NONE_INDEX,
     NONZERO_INDEX,
@@ -38,6 +39,7 @@ from .model import (
     Population,
     Signal,
     Strategy,
+    _check_positions,
     admissible_interval,
     check_admissible,
 )
@@ -173,16 +175,20 @@ def _mf_environment(ctx: TargetContext, sigma0pi_bar: float, mean_jump_nodes, ta
     return _with_environment(ctx, (sigma0pi_bar, taupi_bar, 0.0), env_log)
 
 
-def _mean_field(pop: Population, q: Quadrature, ctx: TargetContext) -> Callable:
-    """The mean-field environment of a strategy, as a solver reads it: (``ctx`` against the strategy's aggregate,
-    each type's peer initial wealth, the ``MeanFieldStats``), aggregated on ``ctx``'s law and jump sizes."""
+def _mean_field(ctx: TargetContext, table: np.ndarray, population: np.ndarray, nodes: np.ndarray) -> tuple:
+    """``ctx`` against the mean field of each of its populations: (context, per-population sums, m on the nodes).
 
-    def environment(strat: Strategy) -> tuple:
-        stats = aggregate(pop, strat, q, (ctx.law, ctx.eta_raw))
-        env_ctx = _mf_environment(ctx, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
-        return env_ctx, [stats.xbar0] * len(pop), stats
-
-    return environment
+    The investors of ``ctx`` holding ``table`` form populations, labelled
+    0, 1, ... in order by ``population``, and ``nodes`` are the quadrature
+    nodes.  Each population's statistic is ``meanfield._population_sums`` of
+    its rows, all from one node mixture over ``ctx``'s law and jump sizes,
+    and every investor gets its own population's environment.  Raises on
+    inadmissible positions, naming the (type, signal) in its population.
+    """
+    _check_positions(table, ctx.bounds, population)
+    sums, mean_jump = _population_sums(ctx.investors, table, (ctx.law, ctx.eta_raw), nodes, population)
+    env_log = ctx.peer_exponent[:, np.newaxis] * np.log(mean_jump)[population]
+    return _with_environment(ctx, (sums[population, 0], sums[population, 1], 0.0), env_log), sums, mean_jump
 
 
 def mf_target_context(
@@ -550,8 +556,7 @@ def _newton(ctx: TargetContext, opt_tol: float, start: np.ndarray) -> tuple[np.n
             done = b - a <= width
             if np.count_nonzero(done):
                 # Newton is NaN only where g' = g'' = 0: a flat row, maximized anywhere, takes lo.
-                finish = newton[done]
-                row[rows[done]] = np.where(np.isnan(finish), lo[done], np.fmin(np.fmax(finish, a[done]), b[done]))
+                row[rows[done]] = np.where(np.isnan(newton), lo, np.fmin(np.fmax(newton, a), b))[done]
                 keep = ~done
                 rows, state, newton = rows[keep], state.compress(keep, axis=1), newton[keep]
                 if not rows.size:
@@ -597,7 +602,9 @@ def best_response(
     pop: Population, strat_env: Strategy, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
 ) -> Strategy:
     """Mean-field best response of every type to the environment ``strat_env``, from one context's signal laws."""
-    return _respond(_mean_field(pop, q, _contexts(pop.types, q))(strat_env)[0], opt_tol)
+    check_admissible(pop, strat_env)
+    population = np.zeros(len(pop), dtype=np.intp)
+    return _respond(_mean_field(_contexts(pop.types, q), strat_env.table, population, q.nodes)[0], opt_tol)
 
 
 def best_response_nagent(

@@ -580,7 +580,7 @@ class TestContextBuiltOnce:
     @pytest.mark.parametrize(
         "solve, builder, setup",
         [
-            (lambda q: solve_mf_finite(casestudy.reference_population(), q), "aggregate", 0),
+            (lambda q: solve_mf_finite(casestudy.reference_population(), q), "_mean_field", 0),
             (lambda q: solve_nagent([casestudy.investor()] * 5, q), "_nagent_environment", 0),
             # The statistic solve also aggregates its start and the 1 + 2 strategies of its box.
             (lambda q: solve_mf_statistic(casestudy.reference_population(), MARKS_11), "aggregate", 4),
@@ -590,9 +590,10 @@ class TestContextBuiltOnce:
     def test_one_environment_build_per_best_response(self, solve, builder, setup, quad128, monkeypatch):
         # The result reads the environment of its final best response; it builds none of its own.
         builds, responses = [], []
-        for module in (equilibrium, response):
-            build = getattr(module, builder)
-            monkeypatch.setattr(module, builder, lambda *args, build=build: builds.append(args) or build(*args))
+        for module in (equilibrium, response, meanfield):
+            build = getattr(module, builder, None)
+            if build is not None:
+                monkeypatch.setattr(module, builder, lambda *args, build=build: builds.append(args) or build(*args))
         best_rows = equilibrium._best_rows
         monkeypatch.setattr(equilibrium, "_best_rows", lambda *args: responses.append(args) or best_rows(*args))
         result = solve(quad128)
@@ -692,8 +693,8 @@ class TestLockstep:
     def test_a_grid_point_equal_to_the_reference_is_solved_once(self, monkeypatch):
         sizes = []
         solve = equilibrium._solve
-        monkeypatch.setattr(equilibrium, "_solve", lambda ctx, problems, cfg: sizes.append(len(problems))
-                            or solve(ctx, problems, cfg))
+        monkeypatch.setattr(equilibrium, "_solve", lambda ctx, problems, *args: sizes.append(len(problems))
+                            or solve(ctx, problems, *args))
         cfg = cli.load_config({"sweep": {"parameter": "theta_B", "grid": BENCHMARK_GRIDS["theta_B"]}})
         rows, notes = cli.run_experiment(cfg)
         assert sizes == [5]
@@ -706,8 +707,8 @@ class TestLockstep:
         # theta = -0.0 equals 0.0 as a type field, but the two populations solve apart.
         sizes = []
         solve = equilibrium._solve
-        monkeypatch.setattr(equilibrium, "_solve", lambda ctx, problems, cfg: sizes.append(len(problems))
-                            or solve(ctx, problems, cfg))
+        monkeypatch.setattr(equilibrium, "_solve", lambda ctx, problems, *args: sizes.append(len(problems))
+                            or solve(ctx, problems, *args))
         zero, negative_zero = (casestudy.alternative_population(theta_b=theta) for theta in (0.0, -0.0))
         assert zero == negative_zero
         results = _solve_mf_many([zero, negative_zero, zero], quad128, SolverConfig())
@@ -715,6 +716,68 @@ class TestLockstep:
         assert results[2] is results[0] and results[1] is not results[0]
         for lockstep, pop in zip(results, (zero, negative_zero)):
             assert_same_result(lockstep, solve_mf_finite(pop, quad128))
+
+
+def lockstep_populations():
+    """Populations of 1-3 types: mixed rho, a sizeless type beside sized ones, a jump-free market, theta in
+    {0, -0.0, 1}, and the weakly contracting type, which iterates on after the others stop."""
+    m = casestudy.default_market
+    return [
+        Population([casestudy.investor(weight=1.0)]),
+        Population([casestudy.investor(rho=0.3, weight=0.25), casestudy.investor(rho=-0.6, p_s=0.7, weight=0.25),
+                    casestudy.investor(rho=0.9, theta=1.0, weight=0.5)]),
+        Population([casestudy.investor(m(kappa_hat=0.0, sigma_hat=0.0), weight=0.5),
+                    casestudy.investor(m(sigma_hat=0.3), rho=0.8, weight=0.5)]),
+        Population([casestudy.investor(m(lam=0.0), weight=0.5), casestudy.investor(m(lam=0.0), p_s=0.2, weight=0.5)]),
+        Population([casestudy.investor(theta=0.0, weight=0.25), casestudy.investor(theta=-0.0, weight=0.25),
+                    casestudy.investor(theta=1.0, weight=0.5)]),
+        Population([envious_type(0.5), casestudy.investor(weight=0.5)]),
+    ]
+
+
+class TestBatchedRounds:
+    """One round builds every live population's environment from one node mixture; each result is the solo
+    solve's, byte for byte."""
+
+    @pytest.mark.parametrize("order", [slice(None), slice(None, None, -1)], ids=["forward", "backward"])
+    def test_mixed_populations_equal_solo_solves(self, quad128, order):
+        pops = lockstep_populations()[order]
+        results = _solve_mf_many(pops, quad128, SolverConfig())
+        assert len({r.iterations for r in results}) > 2  # populations stop in different rounds
+        for lockstep, pop in zip(results, pops):
+            assert_same_result(lockstep, solve_mf_finite(pop, quad128))
+
+    def test_a_nan_image_raises_as_the_solo_solve(self, quad128, monkeypatch):
+        # A best response of NaN for the p_s = 0.7 type: the next round's admissibility check names that
+        # type by its index in its own population, as the population's solve alone does.
+        best_rows = equilibrium._best_rows
+
+        def poisoned(ctx, *args):
+            rows, stopped = best_rows(ctx, *args)
+            return np.where(np.array([[t.p_s == 0.7] for t in ctx.investors]), np.nan, rows), stopped
+
+        monkeypatch.setattr(equilibrium, "_best_rows", poisoned)
+        pops = lockstep_populations()
+        with pytest.raises(ValueError) as alone:
+            solve_mf_finite(pops[1], quad128)
+        with pytest.raises(ValueError) as lockstep:
+            _solve_mf_many(pops, quad128, SolverConfig())
+        assert str(alone.value).startswith("inadmissible position nan for type 1, signal -inf")
+        assert str(lockstep.value) == str(alone.value)
+
+    @pytest.mark.parametrize("parameter", list(BENCHMARK_GRIDS))
+    def test_one_environment_per_round_in_a_sweep(self, parameter, monkeypatch):
+        # The per-population path ran aggregate and the context writer once per population per round.
+        rounds, environments, aggregates = [], [], []
+        for module, name, calls in ((equilibrium, "_best_rows", rounds), (equilibrium, "_mean_field", environments),
+                                    (equilibrium, "aggregate", aggregates), (meanfield, "aggregate", aggregates)):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, f=original, c=calls: c.append(1) or f(*a))
+        cfg = cli.load_config({"sweep": {"parameter": parameter, "grid": BENCHMARK_GRIDS[parameter]}})
+        rows, _ = cli.run_experiment(cfg)
+        assert all(row["converged"] for row in rows)
+        assert len(environments) == len(rounds) == max(row["iterations"] for row in rows) + 1
+        assert len(aggregates) <= 1 + len(rows)
 
 
 class TestResidual:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from signalmfg import casestudy
-from signalmfg.meanfield import _MARK_BLOCK, aggregate, mean_log_terminal
-from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, Population, Strategy
+from signalmfg.meanfield import _MARK_BLOCK, _population_sums, aggregate, law_on_nodes, mean_log_terminal
+from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, SIGNALS, Population, Strategy
 from signalmfg.quad import Quadrature
 from signalmfg.response import _contexts
 from signalmfg.signals import classify_index, conditional_prob, eta, perturb
@@ -106,6 +106,27 @@ class TestAggregate:
             sum(t.weight * t.market.r for t in ref_pop.types), abs=1e-15
         )
         assert stats.xbar0 == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n_types", [1, 2])
+    def test_negative_zero_no_signal_column_sums_as_np_sum(self, quad128, n_types):
+        # Every weighted sigma0*pi is -0.0; the sum has the bits np.sum over the types gives (+0.0: it starts there).
+        pop = Population([casestudy.investor(weight=1.0 / n_types)] * n_types)
+        table = np.zeros((n_types, len(SIGNALS)))
+        table[:, NONE_INDEX] = -0.0
+        stats = aggregate(pop, Strategy(table), quad128)
+        terms = np.array([[t.weight * t.market.sigma0 * -0.0] for t in pop.types])
+        assert np.float64(stats.sigma0pi_bar).tobytes() == terms.sum(axis=0)[0].tobytes()
+
+    def test_padding_past_a_population_adds_nothing(self, quad128):
+        # A one-type population beside a two-type one is padded to two columns; its sums keep their bits, the
+        # sum of its one -0.0 term included.
+        types = [casestudy.investor(weight=1.0)] + [casestudy.investor(weight=0.5)] * 2
+        table = np.full((3, len(SIGNALS)), 0.25)
+        table[0, NONE_INDEX] = -0.0
+        sums, _ = _population_sums(types, table, law_on_nodes(types, quad128), quad128.nodes, np.array([0, 1, 1]))
+        alone, _ = _population_sums(types[:1], table[:1], law_on_nodes(types[:1], quad128), quad128.nodes,
+                                    np.array([0]))
+        assert sums[0].tobytes() == alone[0].tobytes()
 
     def test_single_type_collapse(self, quad128):
         t = casestudy.investor(weight=1.0, x0=2.0)

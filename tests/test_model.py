@@ -1,13 +1,16 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from signalmfg import casestudy
 from signalmfg.model import (
     NONE_INDEX,
     SIGNALS,
+    WEIGHT_TOL,
     AdmissibleInterval,
     InvestorType,
     Population,
@@ -44,6 +47,29 @@ class TestValidatePopulation:
         # 0.1 + 0.2 + 0.7 is not exactly 1.0 in binary; the rational check is.
         pop = Population([casestudy.investor(weight=w) for w in (0.1, 0.2, 0.7)])
         assert validate_population(pop) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        others=st.lists(st.sampled_from([0.1, 0.2, 0.7, 1.0 / 3.0, 0.25]) | st.floats(0.0, 0.5), max_size=4),
+        edge=st.sampled_from([1.0 - WEIGHT_TOL, 1.0, 1.0 + WEIGHT_TOL]),
+        ulps=st.integers(-6, 6),
+    )
+    @example(others=[0.1, 0.2], edge=1.0, ulps=0)  # 0.1 + 0.2 + 0.7
+    @example(others=[1.0 / 3.0, 1.0 / 3.0], edge=1.0, ulps=0)
+    @example(others=[], edge=1.0 - WEIGHT_TOL, ulps=-1)
+    @example(others=[], edge=1.0 + WEIGHT_TOL, ulps=1)
+    def test_weight_sums_near_the_tolerance_edges(self, others, edge, ulps):
+        # The last weight puts the float sum within a few ulp of 1 or of 1 -+ WEIGHT_TOL; the verdict and its
+        # message follow the exact sum of the decimal weights, computed here.
+        last = edge - math.fsum(others)
+        for _ in range(abs(ulps)):
+            last = math.nextafter(last, math.copysign(math.inf, ulps))
+        assume(0.0 <= last <= 1.0)
+        weights = [*others, last]
+        total = float(sum((Fraction(str(w)) for w in weights), Fraction(0)))
+        off = [f"population: weights sum to {total}, expected 1 within {WEIGHT_TOL}"]
+        pop = Population([casestudy.investor(weight=w) for w in weights])
+        assert validate_population(pop, require_shared_market=False) == (off if abs(total - 1.0) > WEIGHT_TOL else [])
 
     @pytest.mark.parametrize(
         "field, value, fragment",
