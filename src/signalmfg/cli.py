@@ -47,7 +47,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description; out-of-range values raise ``ConfigError``."""
+    """Fully resolved experiment description; out-of-range values raise ``ConfigError``.
+
+    The reference population and every grid point's population are checked
+    here, once, so the solvers take them as valid.
+    """
 
     market: MarketParams
     reference: Population
@@ -61,6 +65,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Also runs on ``dataclasses.replace``, so the --nodes/--seed overrides are checked too.
+        problems = validate_population(self.reference)
+        if problems:
+            raise ConfigError("invalid reference population: " + "; ".join(problems))
         if self.n_nodes < 1:
             raise ConfigError(f"quadrature.nodes must be >= 1, got {self.n_nodes}")
         if not self.half_width > 0.0:
@@ -69,6 +76,10 @@ class ExperimentConfig:
             raise ConfigError(f"mc.n_paths must be >= {MIN_PATHS}, got {self.mc_paths}")
         if self.mc_seed < 0:
             raise ConfigError(f"mc.seed must be >= 0, got {self.mc_seed}")
+        for value in self.sweep_grid:
+            problems = validate_population(_alternative(self, value)[0])
+            if problems:
+                raise ConfigError(f"invalid sweep point {self.sweep_parameter}={value}: " + "; ".join(problems))
 
     @property
     def horizon(self) -> float:
@@ -126,9 +137,6 @@ def load_config(raw: dict) -> ExperimentConfig:
     type_a = _type_block(ref_block.get("A", {}), market, "A")
     type_b = _type_block(ref_block.get("B", {}), market, "B")
     reference = Population([type_a, type_b])
-    problems = validate_population(reference)
-    if problems:
-        raise ConfigError("invalid reference population: " + "; ".join(problems))
 
     solver_block = _block(raw.get("solver", {}), "solver", ("tol", "max_iter", "damping"))
     convert = {"tol": _real, "max_iter": _integer, "damping": _real}
@@ -150,7 +158,7 @@ def load_config(raw: dict) -> ExperimentConfig:
     grid = tuple(_real(v, "sweep grid value") for v in grid)
 
     mc_block = _block(raw.get("mc", {}), "mc", ("n_paths", "seed"))
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         market=market,
         reference=reference,
         solver=solver,
@@ -161,11 +169,6 @@ def load_config(raw: dict) -> ExperimentConfig:
         mc_paths=_integer(mc_block.get("n_paths", 100_000), "mc.n_paths"),
         mc_seed=_integer(mc_block.get("seed", 0), "mc.seed"),
     )
-    for value in grid:
-        problems = validate_population(_alternative(cfg, value)[0])
-        if problems:
-            raise ConfigError(f"invalid sweep point {parameter}={value}: " + "; ".join(problems))
-    return cfg
 
 
 def read_config(path: str | None) -> ExperimentConfig:
@@ -306,10 +309,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = read_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, mc_seed=args.seed)
-        if args.nodes is not None:
-            cfg = replace(cfg, n_nodes=args.nodes)
+        # One replace: each builds and checks the config, the sweep's populations too.
+        overrides = {name: v for name, v in (("mc_seed", args.seed), ("n_nodes", args.nodes)) if v is not None}
+        cfg = replace(cfg, **overrides) if overrides else cfg
         if args.command == "solve":
             return _cmd_solve(cfg)
         if args.command == "sweep":

@@ -12,33 +12,33 @@ with one best response per iteration for all of them, each population on
 its own environment and Anderson history, with the iterates of its solve
 alone; ``solve_mf_finite`` is that lockstep solve of one population and
 ``damped_fixed_point`` drives one iteration of a given map.  A solver
-builds its investors' context once and gives the core one builder of the
-environment its live iterates induce: each round builds one environment
-for every live problem (a sweep: every population's mean field from one
-node mixture, ``response._mean_field``).  The core iterates, then reads M,
-values and notes off the final environment, which the last round already
-built, for every solver alike; a population's ``MeanFieldStats`` is built
-once, when it stops.  Non-convergence is a reported state, not an
-exception.
+builds its investors' context once and gives the core one hook: each round
+builds one environment for every live problem (a sweep: every
+population's mean field from one node mixture, ``response._mean_field``)
+and answers each problem's point with its image.  Both mean-field solvers
+take a strategy's statistic and environment from that one
+``_mean_field`` path; the statistic-space image is the statistic of the
+best response.  The core iterates, then reads M, values and notes off the
+final environment, which the last round already built, for every solver
+alike; a population's ``MeanFieldStats`` is built once, when it stops.
+Non-convergence is a reported state, not an exception.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .meanfield import MeanFieldStats, _stats, aggregate
+from .meanfield import MeanFieldStats, _population_sums, _stats
 from .metrics import _value_constant, value_mf
 from .model import (
     SIGNALS,
     InvestorType,
     Population,
     Strategy,
-    admissible_interval,
     check_admissible,
     strategy_distance,
     validate_investor,
@@ -56,7 +56,6 @@ from .response import (
     _mf_environment,
     _nagent_environment,
     best_response,
-    jump_cap_binds,
 )
 from .signals import distinct
 
@@ -205,17 +204,13 @@ class _Problem:
     """One fixed point that ``_solve`` iterates beside others.
 
     ``investors`` are its investors' places in the batch context.  The
-    iteration starts at ``start``, clipped to ``box``.  At a point x, a
-    round gives the problem its best-response rows and ``last``, which
-    builds its result's (strategy, context, peers' initial wealth,
-    ``MeanFieldStats`` or None) should x be the final point; ``answer(x,
-    rows, last)`` is (the image of x, the ``last`` of its result).
+    iteration starts at ``start``, clipped to ``box``; the round that
+    ``_solve`` is given answers each point with its image.
     """
 
     investors: np.ndarray
     start: np.ndarray
     box: tuple
-    answer: Callable = lambda x, rows, last: (rows.ravel(), last)
 
 
 def _strategy_problem(investors: np.ndarray, ctx: TargetContext, cfg: SolverConfig) -> _Problem:
@@ -242,31 +237,34 @@ def _solve(ctx: TargetContext, problems: Sequence[_Problem], environment: Callab
     round builds one environment for all problems still iterating:
     ``environment(batch, live, points)`` is given ``ctx`` taken at their
     investors, their indices and their points, and returns the batch
-    against their environments, each row's Newton start and ``last``, where
-    ``last(k, part)`` builds the result's pieces of the k-th live problem,
-    whose rows are ``part`` of the batch (see ``_Problem``).  One best
-    response follows for all of them, where rows never mix
+    against their environments, each row's Newton start and ``answer``.
+    One best response follows for all of them, where rows never mix
     (``response._best_rows``), so each problem's iterates, residuals and
-    iteration count are those of its solve alone.  A problem drops out when
-    its iteration stops, and its result is read off the environment its
-    last round built.  M, closed-form values and notes are read off each
-    final context, M and its clip flag once per distinct (``static_class``,
-    environment, row): a note per best-response row stopped at the Newton
-    cap (``NewtonCapWarning``, named by the investor's index in its own
-    problem), per type whose M clips its jump factor (``jump_cap_binds``)
-    and per value that overflows double.
+    iteration count are those of its solve alone.  ``answer(k, part, rows)``
+    is, for the k-th live problem, whose investors are ``part`` of the batch
+    and whose best-response rows are ``rows``, (the image of its point,
+    ``last``), where ``last()`` builds its result's (strategy, context,
+    peers' initial wealth, ``MeanFieldStats`` or None) should that point be
+    the final one.  A problem drops out when its iteration stops, and its
+    result is read off the environment its last round built.  M, closed-form
+    values and notes are read off each final context, M and its clip flag
+    from one evaluation (``metrics._value_constant``) per distinct
+    (``static_class``, environment, row): a note per best-response row
+    stopped at the Newton cap (``NewtonCapWarning``, named by the investor's
+    index in its own problem), per type whose M clips its jump factor and
+    per value that overflows double.
     """
     runs = [_anderson(p.start, cfg.tol, cfg.max_iter, cfg.damping, p.box) for p in problems]
     points = [next(run) for run in runs]
     lasts, capped, outcomes = [None] * len(problems), [[] for _ in problems], [None] * len(problems)
     live, batch = list(range(len(problems))), ctx
     while live:
-        env_ctx, start, last = environment(batch, live, [points[i] for i in live])
+        env_ctx, start, answer = environment(batch, live, [points[i] for i in live])
         rows, stopped = _best_rows(env_ctx, cfg.opt_tol, start)
         for k, (i, end) in enumerate(zip(live, np.cumsum([len(problems[i].investors) for i in live]))):
             part = np.arange(end - len(problems[i].investors), end)
             capped[i] += _cap_notes(stopped[part])
-            image, lasts[i] = problems[i].answer(points[i], rows[part], functools.partial(last, k, part))
+            image, lasts[i] = answer(k, part, rows[part])
             try:
                 points[i] = runs[i].send(image)
             except StopIteration as stop:
@@ -282,7 +280,7 @@ def _result(outcome: tuple, last: Callable, capped: list, cfg: SolverConfig) -> 
     """The result of a problem from its ``_anderson`` outcome and its last round's ``last``."""
     _, residual, iterations, notes = outcome
     strategy, final, xbar0s, stats = last()
-    M, clips = _distinct_investors(final, strategy.table, lambda c, t: (_value_constant(c, t), jump_cap_binds(t, c)))
+    M, clips = _distinct_investors(final, strategy.table, _value_constant)
     per_type_M = tuple(M.tolist())
     with np.errstate(over="ignore"):
         values = tuple(value_mf(t, m, t.x0, x, cfg.horizon) for t, m, x in zip(final.investors, per_type_M, xbar0s))
@@ -292,6 +290,13 @@ def _result(outcome: tuple, last: Callable, capped: list, cfg: SolverConfig) -> 
     notes += tuple(f"type {i}: value exp(T(1-alpha)M) overflows double; use per_type_M" for i in overflowed)
     notes += tuple(dict.fromkeys(capped))
     return EquilibriumResult(strategy, residual, iterations, per_type_M, values, residual < cfg.tol, stats, notes)
+
+
+def _mf_last(pop: Population, table: np.ndarray, final: TargetContext, sums, mean_jump) -> tuple:
+    """A mean-field result's pieces (see ``_solve``), its ``MeanFieldStats`` built from its last round's sums."""
+    strategy = Strategy(table)
+    stats = _stats(pop, strategy, sums, mean_jump)
+    return strategy, final, [stats.xbar0] * len(pop), stats
 
 
 def _population_key(pop: Population) -> bytes:
@@ -306,15 +311,14 @@ def _population_key(pop: Population) -> bytes:
 def _solve_mf_many(pops: Sequence[Population], q: Quadrature, cfg: SolverConfig) -> list[EquilibriumResult]:
     """``solve_mf_finite`` of each population of ``pops``, all in one lockstep ``_solve``.
 
-    One context holds every population's types.  A round stacks the live
-    populations' iterates and builds their environments with one
-    ``response._mean_field`` call, each population one segment of it; a
+    The populations must be valid (``validate_population``); the caller
+    checks them.  One context holds every population's types.  A round
+    stacks the live populations' iterates and builds their environments with
+    one ``response._mean_field`` call, each population one segment of it; a
     population's ``MeanFieldStats`` is built once, from its last round's
     sums, when it stops.  Populations equal byte for byte
     (``_population_key``) are solved once and share one result.
     """
-    for pop in pops:
-        _require("population", validate_population(pop, require_shared_market=False))
     firsts, position = distinct([_population_key(pop) for pop in pops])
     unique = [pops[i] for i in firsts]
     ctx = _contexts([t for pop in unique for t in pop.types], q)
@@ -326,12 +330,11 @@ def _solve_mf_many(pops: Sequence[Population], q: Quadrature, cfg: SolverConfig)
         population = np.repeat(np.arange(len(live)), [len(unique[i]) for i in live])
         env, sums, mean_jump = _mean_field(batch, table, population, q.nodes)
 
-        def last(k: int, part: np.ndarray) -> tuple:
-            pop, strategy = unique[live[k]], Strategy(table[part])
-            stats = _stats(pop, strategy, sums[k], mean_jump[k])
-            return strategy, env if len(live) == 1 else env.take(part), [stats.xbar0] * len(pop), stats
+        def answer(k: int, part: np.ndarray, rows: np.ndarray) -> tuple:
+            pop, final = unique[live[k]], lambda: env if len(live) == 1 else env.take(part)
+            return rows.ravel(), lambda: _mf_last(pop, table[part], final(), sums[k], mean_jump[k])
 
-        return env, table, last
+        return env, table, answer
 
     results = _solve(ctx, problems, environment, cfg)
     return [results[d] for d in position]
@@ -339,6 +342,7 @@ def _solve_mf_many(pops: Sequence[Population], q: Quadrature, cfg: SolverConfig)
 
 def solve_mf_finite(pop: Population, q: Quadrature, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:
     """Signal-driven mean-field equilibrium for a finite-type population."""
+    _require("population", validate_population(pop, require_shared_market=False))
     return _solve_mf_many([pop], q, cfg)[0]
 
 
@@ -359,19 +363,14 @@ def solve_nagent(
     def environment(batch: TargetContext, live: list, points: list) -> tuple:
         strategy = Strategy(points[0].reshape(len(types), len(SIGNALS)))
         env = _nagent_environment(ctx, strategy)
-        return env, strategy.table, lambda k, part: (strategy, env, peers_x0, None)
+        return env, strategy.table, lambda k, part, rows: (rows.ravel(), lambda: (strategy, env, peers_x0, None))
 
     return _solve(ctx, [_strategy_problem(np.arange(len(types)), ctx, cfg)], environment, cfg)[0]
 
 
-def _statistic_of(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> np.ndarray:
-    """Statistic vector (sigma0 * pi averaged, mean jump at each mark); ``node_law`` as in ``aggregate``."""
-    stats = aggregate(pop, strat, q, node_law)
-    return np.concatenate(([stats.sigma0pi_bar], stats.mean_jump_nodes))
-
-
-def _statistic_box(pop: Population, q: Quadrature, node_law: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate-wise range of ``_statistic_of`` over admissible strategies.
+def _statistic_box(ctx: TargetContext, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate-wise range of the statistic (sigma0pi_bar, m on ``nodes``) over the admissible strategies of the
+    population that ``ctx`` holds.
 
     sigma0pi_bar and each log m(e_c) sum over types a weighted term that
     moves monotonically with each of the type's positions, all in one
@@ -379,14 +378,16 @@ def _statistic_box(pop: Population, q: Quadrature, node_law: tuple | None = None
     at one end of its interval: the range is the all-lower statistic plus
     each type's negative, respectively positive, moves to its upper end.
     """
-    lo, hi = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, pop.types)]).T
+    lo, hi = ctx.bounds.T
+    population = np.zeros(len(lo), dtype=np.intp)
 
     def log_statistic(positions: np.ndarray) -> np.ndarray:
-        stat = _statistic_of(pop, Strategy(np.repeat(positions[:, np.newaxis], len(SIGNALS), axis=1)), q, node_law)
-        return np.concatenate((stat[:1], np.log(stat[1:])))
+        table = np.repeat(positions[:, np.newaxis], len(SIGNALS), axis=1)
+        sums, mean_jump = _population_sums(ctx.investors, table, (ctx.law, ctx.eta_raw), nodes, population)
+        return np.concatenate((sums[0, :1], np.log(mean_jump[0])))
 
     base = log_statistic(lo)
-    moves = np.array([log_statistic(np.where(np.arange(len(pop)) == i, hi, lo)) - base for i in range(len(pop))])
+    moves = np.array([log_statistic(np.where(np.arange(len(lo)) == i, hi, lo)) - base for i in range(len(lo))])
     ends = base + np.minimum(moves, 0.0).sum(axis=0), base + np.maximum(moves, 0.0).sum(axis=0)
     return tuple(np.concatenate((end[:1], np.exp(end[1:]))) for end in ends)
 
@@ -401,34 +402,31 @@ def solve_mf_statistic(
     ``common_marks`` lists (mark value, probability) pairs with probabilities
     summing to 1.  The iteration runs on the (|marks| + 1)-dimensional vector
     (sigma0-exposure, mean jump at each mark); the residual is measured there.
+    It starts at the statistic of ``init``, checked as the other solvers
+    check it.  The statistic of a strategy is read off the one
+    ``response._mean_field`` path of the strategy-space solvers.
     """
     _require("population", validate_population(pop, require_shared_market=False))
     marks = [float(m) for m, _ in common_marks]
     probs = [float(p) for _, p in common_marks]
     q = Quadrature.discrete(marks, probs)
     ctx = _contexts(pop.types, q)
-    node_law = (ctx.law, ctx.eta_raw)
     middle = np.repeat(ctx.bounds.mean(axis=1, keepdims=True), len(SIGNALS), axis=1)
 
+    def answer(k: int, part: np.ndarray, rows: np.ndarray) -> tuple:
+        # The statistic of ``rows`` is the image; the result reads its environment and sums.
+        env, sums, mean_jump = _mean_field(ctx, rows, np.zeros(len(pop), dtype=np.intp), q.nodes)
+        last = lambda: _mf_last(pop, rows, env, sums[0], mean_jump[0])
+        return np.concatenate((sums[0, :1], mean_jump[0])), last
+
     def environment(batch: TargetContext, live: list, points: list) -> tuple:
-        # Each best response starts at the middle of the admissible intervals; ``answer`` builds the ``last``.
+        # Each best response starts at the middle of the admissible intervals.
         m = points[0]
-        return _mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), middle, lambda k, part: None
+        return _mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), middle, answer
 
-    def answer(m: np.ndarray, rows: np.ndarray, _) -> tuple:
-        # The image and the result read one aggregate of the best response.
-        strategy = Strategy(rows)
-        stats = aggregate(pop, strategy, q, node_law)
-
-        def last() -> tuple:
-            final = _mf_environment(ctx, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
-            return strategy, final, [stats.xbar0] * len(pop), stats
-
-        return np.concatenate(([stats.sigma0pi_bar], stats.mean_jump_nodes)), last
-
-    start = _statistic_of(pop, cfg.init if cfg.init is not None else Strategy.zeros(len(pop)), q, node_law)
-    problem = _Problem(np.arange(len(pop)), start, _statistic_box(pop, q, node_law), answer)
-    return _solve(ctx, [problem], environment, cfg)[0]
+    problem = _strategy_problem(np.arange(len(pop)), ctx, cfg)
+    start = answer(0, problem.investors, problem.start.reshape(len(pop), len(SIGNALS)))[0]
+    return _solve(ctx, [replace(problem, start=start, box=_statistic_box(ctx, q.nodes))], environment, cfg)[0]
 
 
 def residual(pop: Population, strat: Strategy, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL) -> float:

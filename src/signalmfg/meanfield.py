@@ -15,9 +15,9 @@ sizes at the marks as given (``_log_mean_jump_given``), so Monte Carlo
 computes them once for m and for its paths, and sums log m per path.  On the
 quadrature nodes, m is summed from the law table and jump sizes there
 (``law_on_nodes``) by one kernel, ``_population_sums``, with the evaluator's
-bits: ``aggregate`` runs it on one population, a solver's round on every
-population it iterates at once, each with the tables its target context
-already holds.
+bits: ``aggregate`` runs it on one population, and both mean-field solvers
+run it through ``response._mean_field``, on every population a round
+iterates at once, with the tables their target context already holds.
 """
 
 from __future__ import annotations
@@ -167,18 +167,18 @@ def _stats(pop: Population, strat: Strategy, sums: np.ndarray, mean_jump_nodes: 
     return MeanFieldStats(*map(float, sums[:2]), float(np.exp(sums[2])), evaluator, mean_jump_nodes)
 
 
-def aggregate(pop: Population, strat: Strategy, q: Quadrature, node_law: tuple | None = None) -> MeanFieldStats:
+def aggregate(pop: Population, strat: Strategy, q: Quadrature) -> MeanFieldStats:
     """Aggregate a population and strategy into ``MeanFieldStats``.
 
-    m on ``q``'s nodes is summed from ``node_law`` = ``law_on_nodes(pop.types,
-    q)``, built here unless given (a target context's ``(law, eta_raw)``
-    holds the same tables), by ``_population_sums`` with the population as
-    its one segment; it has the bits of the evaluator ``mean_jump`` at the
-    nodes.  Raises on inadmissible positions, naming the offending (type,
-    signal).
+    m on ``q``'s nodes is summed from ``law_on_nodes(pop.types, q)`` by
+    ``_population_sums`` with the population as its one segment; it has the
+    bits of the evaluator ``mean_jump`` at the nodes.  The solvers do not
+    call this: they sum the same kernel over the tables their target context
+    already holds (``response._mean_field``).  Raises on inadmissible
+    positions, naming the offending (type, signal).
     """
     check_admissible(pop, strat)
-    node_law = node_law or law_on_nodes(pop.types, q)
+    node_law = law_on_nodes(pop.types, q)
     sums, mean_jump = _population_sums(pop.types, strat.table, node_law, q.nodes, np.zeros(len(pop), dtype=np.intp))
     return _stats(pop, strat, sums[0], mean_jump[0])
 

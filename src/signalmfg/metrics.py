@@ -27,8 +27,8 @@ from .response import (
 )
 
 
-def _value_constant(ctx: TargetContext, table) -> np.ndarray:
-    """Every investor's M at its row of ``table``, in both game modes.
+def _value_constant(ctx: TargetContext, table) -> tuple[np.ndarray, np.ndarray]:
+    """Every investor's M at its row of ``table``, in both game modes, and whether it clips (``target_values``).
 
     M = theta*(r - taupi_env) + 0.5*theta^2*(1-alpha)*(sigma0pi_env^2 +
     sig2pi2_env) + no-signal target + lam*p_s * sum_z N01(I(z)) * signal-z
@@ -40,8 +40,9 @@ def _value_constant(ctx: TargetContext, table) -> np.ndarray:
     theta, r = np.array([(t.theta, t.market.r) for t in ctx.investors]).T
     out = theta * (r - ctx.taupi_env)
     out += 0.5 * theta**2 * (1.0 - ctx.alpha) * (ctx.sigma0pi_env**2 + ctx.sig2pi2_env)
-    jumps = target_values(table, ctx)[:, np.newaxis, :] @ ctx.row_mass[:, :, np.newaxis]  # a dot per investor
-    return out + jumps[:, 0, 0]
+    targets, clips = target_values(table, ctx)
+    jumps = targets[:, np.newaxis, :] @ ctx.row_mass[:, :, np.newaxis]  # a dot per investor
+    return out + jumps[:, 0, 0], clips
 
 
 def M_mf(
@@ -58,7 +59,7 @@ def M_mf(
     """
     ctx = context_from_stats(inv_type, stats, q)
     row = respond_type(inv_type, ctx, opt_tol) if row is None else row_positions(row)
-    return float(_value_constant(ctx, [row])[0])
+    return float(_value_constant(ctx, [row])[0][0])
 
 
 def value_mf(inv_type: InvestorType, M: float, x0: float, xbar0: float, T: float) -> float:
@@ -72,7 +73,7 @@ def value_mf(inv_type: InvestorType, M: float, x0: float, xbar0: float, T: float
 
 def M_nagent(i: int, types: Sequence[InvestorType], strategies: Strategy, q: Quadrature) -> float:
     """n-agent value constant for player ``i`` at the supplied strategies."""
-    return float(_value_constant(nagent_target_context(i, types, strategies, q), [strategies.row(i)])[0])
+    return float(_value_constant(nagent_target_context(i, types, strategies, q), [strategies.row(i)])[0][0])
 
 
 def certainty_equivalent(M_alt: float, M_ref: float, T: float = 1.0) -> float:

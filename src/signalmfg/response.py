@@ -4,10 +4,10 @@ One ``TargetContext`` holds an environment's investors in both game modes.
 ``_contexts`` builds every field that does not depend on the peers (signal
 laws from ``signals.signal_laws``, jump sizes, row weights, boxes), once per
 solve; ``_with_environment`` writes the environment into it: mean-field,
-from a statistic (``_mf_environment``) or from the strategies of one or
-many populations side by side, all from one node mixture on the context's
-own law tables (``_mean_field``), or n-agent, from the other players'
-explicit strategies (``_nagent_environment``).  An investor's
+from a statistic (``_mf_environment``), which ``_mean_field`` computes for
+the strategies of one or many populations side by side, all from one node
+mixture on the context's own law tables, or n-agent, from the other
+players' explicit strategies (``_nagent_environment``).  An investor's
 seven targets (one per signal) are rows of one (7 x nodes) weight table
 applied to one jump integrand.  Each is strictly concave on its admissible
 interval whenever jumps are live, with closed-form first and second
@@ -169,8 +169,8 @@ def _with_environment(ctx: TargetContext, env: tuple, env_log) -> TargetContext:
     return replace(ctx, sigma0pi_env=sigma0pi, taupi_env=taupi, sig2pi2_env=sig2pi2, env_jump_log=env_log)
 
 
-def _mf_environment(ctx: TargetContext, sigma0pi_bar: float, mean_jump_nodes, taupi_bar: float = 0.0):
-    """``ctx`` against a mean-field environment given by its statistic."""
+def _mf_environment(ctx: TargetContext, sigma0pi_bar, mean_jump_nodes, taupi_bar=0.0):
+    """``ctx`` against a mean-field environment given by its statistic, shared or one per investor."""
     env_log = ctx.peer_exponent[:, np.newaxis] * np.log(np.asarray(mean_jump_nodes))
     return _with_environment(ctx, (sigma0pi_bar, taupi_bar, 0.0), env_log)
 
@@ -182,13 +182,13 @@ def _mean_field(ctx: TargetContext, table: np.ndarray, population: np.ndarray, n
     0, 1, ... in order by ``population``, and ``nodes`` are the quadrature
     nodes.  Each population's statistic is ``meanfield._population_sums`` of
     its rows, all from one node mixture over ``ctx``'s law and jump sizes,
-    and every investor gets its own population's environment.  Raises on
-    inadmissible positions, naming the (type, signal) in its population.
+    and every investor gets its own population's environment, written by
+    ``_mf_environment``.  Raises on inadmissible positions, naming the
+    (type, signal) in its population.
     """
     _check_positions(table, ctx.bounds, population)
     sums, mean_jump = _population_sums(ctx.investors, table, (ctx.law, ctx.eta_raw), nodes, population)
-    env_log = ctx.peer_exponent[:, np.newaxis] * np.log(mean_jump)[population]
-    return _with_environment(ctx, (sums[population, 0], sums[population, 1], 0.0), env_log), sums, mean_jump
+    return _mf_environment(ctx, sums[population, 0], mean_jump[population], sums[population, 1]), sums, mean_jump
 
 
 def mf_target_context(
@@ -261,14 +261,9 @@ def _log_scaled_returns(phi, ctx: TargetContext) -> np.ndarray:
     return ctx.env_jump_log[:, np.newaxis] + (1.0 - ctx.alpha)[:, np.newaxis, np.newaxis] * np.log1p(move)
 
 
-def jump_cap_binds(table, ctx: TargetContext) -> np.ndarray:
-    """Per investor: do ``target_values(table, ctx)``, hence M, clip a weighted node's log at ``_LOG_CAP``?"""
-    return ((_log_scaled_returns(table, ctx) > _LOG_CAP) & (ctx.row_weights != 0.0)).any(axis=(-2, -1))
-
-
-def _jump_integrand(phi, ctx: TargetContext) -> np.ndarray:
-    """Per-node (u(1 + phi*eta, env) - u(1, 1)) with the env power E folded in; shaped as ``_log_scaled_returns``."""
-    scaled = np.exp(np.minimum(_log_scaled_returns(phi, ctx), _LOG_CAP))
+def _jump_integrand(log_scaled: np.ndarray, ctx: TargetContext) -> np.ndarray:
+    """Per-node (u(1 + phi*eta, env) - u(1, 1)) with the env power E folded in, from ``_log_scaled_returns``."""
+    scaled = np.exp(np.minimum(log_scaled, _LOG_CAP))
     vals = (scaled - 1.0) / (1.0 - ctx.alpha)[:, np.newaxis, np.newaxis]
     if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite jump integrand; position outside its admissible interval?")
@@ -278,7 +273,7 @@ def _jump_integrand(phi, ctx: TargetContext) -> np.ndarray:
 def _target(phi, ctx: TargetContext, column: int):
     """Target ``column`` (``SIGNALS`` order) of a one-investor context at scalar or array phi."""
     phi_arr = np.asarray(phi, dtype=float)
-    integrand = _jump_integrand(phi_arr.reshape(1, -1), ctx).reshape(phi_arr.shape + (-1,))
+    integrand = _jump_integrand(_log_scaled_returns(phi_arr.reshape(1, -1), ctx), ctx).reshape(phi_arr.shape + (-1,))
     out = np.dot(integrand, ctx.row_weights[0, column])
     if column == NONE_INDEX:
         out = ctx.drift_slope[0] * phi_arr - 0.5 * ctx.drift_curvature[0] * phi_arr**2 + out
@@ -297,13 +292,16 @@ def target_signal(phi, z: Signal, ctx: TargetContext):
     return _target(phi, ctx, SIGNAL_INDEX[z])
 
 
-def target_values(table, ctx: TargetContext) -> np.ndarray:
-    """(investors, 7) targets: target z of investor i evaluated at ``table[i, z]`` (``SIGNALS`` order)."""
+def target_values(table, ctx: TargetContext) -> tuple[np.ndarray, np.ndarray]:
+    """(investors, 7) targets, target z of investor i evaluated at ``table[i, z]`` (``SIGNALS`` order), and per
+    investor whether they clip a weighted node's log at ``_LOG_CAP`` (then M is inexact)."""
     table = np.asarray(table, dtype=float)
-    out = np.sum(_jump_integrand(table, ctx) * ctx.row_weights, axis=-1)
+    log_scaled = _log_scaled_returns(table, ctx)
+    clips = ((log_scaled > _LOG_CAP) & (ctx.row_weights != 0.0)).any(axis=(-2, -1))
+    out = np.sum(_jump_integrand(log_scaled, ctx) * ctx.row_weights, axis=-1)
     phi0 = table[:, NONE_INDEX]
     out[:, NONE_INDEX] += ctx.drift_slope * phi0 - 0.5 * ctx.drift_curvature * phi0**2
-    return out
+    return out, clips
 
 
 def maximize_concave_1d(

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from signalmfg import Quadrature, casestudy
@@ -28,3 +30,20 @@ def ref_pop():
 @pytest.fixture(scope="session")
 def ref_eq(ref_pop, quad128):
     return solve_mf_finite(ref_pop, quad128, SolverConfig())
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)``: a list that grows by one per call of ``module.name``, through every
+    ``signalmfg`` module that holds that function."""
+
+    def count(module, name: str) -> list:
+        calls, original = [], getattr(module, name)
+        wrapper = lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs)
+        for held in [m for n, m in sys.modules.items() if n == "signalmfg" or n.startswith("signalmfg.")]:
+            for attr, value in list(vars(held).items()):
+                if value is original:
+                    monkeypatch.setattr(held, attr, wrapper)
+        return calls
+
+    return count

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from signalmfg import model
 from signalmfg.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -13,6 +14,7 @@ from signalmfg.cli import (
     read_config,
     run_experiment,
 )
+from signalmfg.model import Population
 
 FAST_SOLVER = {"tol": 1e-8, "max_iter": 500, "damping": 1.0}
 
@@ -51,6 +53,23 @@ class TestConfig:
     def test_invalid_reference_rejected(self):
         with pytest.raises(ConfigError, match="invalid reference"):
             load_config({"reference": {"A": {"alpha": 1.0}}})
+
+    def test_replaced_populations_are_checked(self):
+        # A reference of weights 0.5 and 0.6, and a grid point rho_B = 1: both invalid.
+        cfg = load_config({"sweep": {"parameter": "rho_B", "grid": [0.0]}})
+        heavy = replace(cfg.reference.types[1], weight=0.6)
+        with pytest.raises(ConfigError, match="^invalid reference population: population: weights sum to 1.1"):
+            replace(cfg, reference=Population([cfg.reference.types[0], heavy]))
+        with pytest.raises(ConfigError, match=r"^invalid sweep point rho_B=1\.0: type 1: signal quality rho"):
+            replace(cfg, sweep_grid=(0.0, 1.0))
+
+    def test_run_experiment_validates_no_population(self, count_calls):
+        # The config checked every population when it was built; the solve trusts it.
+        cfg = load_config({"sweep": {"parameter": "rho_B", "grid": [-0.9, -0.45, 0.0, 0.45, 0.9]}})
+        calls = count_calls(model, "validate_population")
+        rows, _ = run_experiment(cfg)
+        assert len(rows) == 5 and all(row["converged"] for row in rows)
+        assert not calls
 
     def test_missing_file_reports_config_error(self):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -9,7 +9,6 @@ from signalmfg.equilibrium import (
     SolverConfig,
     _solve_mf_many,
     _statistic_box,
-    _statistic_of,
     damped_fixed_point,
     residual,
     solve_mf_finite,
@@ -31,11 +30,11 @@ from signalmfg.model import (
 from signalmfg.quad import Quadrature
 from signalmfg.response import (
     DEFAULT_OPT_TOL,
+    _contexts,
     _nagent_contexts,
     _respond,
     best_response_nagent,
     context_from_stats,
-    jump_cap_binds,
     mf_target_context,
 )
 
@@ -237,7 +236,7 @@ class TestExtremeTypes:
         t = casestudy.investor(casestudy.default_market(**market), weight=1.0, **kwargs)
         result = assert_finite_solve(t, quad128)
         assert result.converged and not result.notes
-        assert not jump_cap_binds(result.strategy.row(0), context_from_stats(t, result.stats, quad128))
+        assert not _value_constant(context_from_stats(t, result.stats, quad128), [result.strategy.row(0)])[1]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -519,6 +518,47 @@ class TestWorkCounts:
         assert len(calls) == 1
 
 
+class TestOneEvaluation:
+    """Work that each solve does once: no aggregate beside the mean field, one log return table per result."""
+
+    def test_statistic_solve_calls_no_aggregate(self, count_calls):
+        # Its rounds, start and box read the strategy solvers' mean field, never a MeanFieldStats per call.
+        calls = count_calls(meanfield, "aggregate")
+        result = solve_mf_statistic(casestudy.reference_population(), MARKS_11)
+        assert result.converged and not calls
+
+    @pytest.mark.parametrize("solve", [
+        lambda q: solve_mf_finite(casestudy.reference_population(), q),
+        lambda q: solve_nagent(casestudy.reference_population().types, q),
+        lambda q: solve_mf_statistic(casestudy.reference_population(), MARKS_11),
+    ], ids=["mf_finite", "nagent", "mf_statistic"])
+    def test_M_and_its_clip_flag_from_one_log_return_table(self, solve, quad128, count_calls):
+        calls = count_calls(response, "_log_scaled_returns")
+        result = solve(quad128)
+        assert result.converged and len(calls) == 1
+
+
+class TestInitChecked:
+    """Every solver checks ``init`` alike: its row count, then each position against its interval."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda pop, cfg: solve_mf_finite(pop, Quadrature.standard_normal(16), cfg),
+        lambda pop, cfg: solve_nagent(pop.types, Quadrature.standard_normal(16), cfg),
+        lambda pop, cfg: solve_mf_statistic(pop, MARKS_11, cfg),
+    ], ids=["mf_finite", "nagent", "mf_statistic"])
+    @pytest.mark.parametrize("row, column, value, message", [
+        (2, 0, 0.2, "init strategy has 3 rows, expected 2"),
+        (1, 3, 1.0, "inadmissible position 1.0 for type 1, signal 0: allowed [0.0, 0.999999]"),
+        (1, 5, np.nan, "inadmissible position nan for type 1, signal +1: allowed [0.0, 0.999999]"),
+    ], ids=["rows", "one", "nan"])
+    def test_bad_init_raises_one_message(self, solve, row, column, value, message):
+        table = np.full((max(row + 1, 2), 7), 0.2)
+        table[row, column] = value
+        with pytest.raises(ValueError) as error:
+            solve(casestudy.reference_population(), SolverConfig(init=Strategy(table)))
+        assert str(error.value) == message
+
+
 class TestGroupedValues:
     """M and its clip flag are evaluated once per distinct (static class, environment, row), bit for bit the
     per-player values."""
@@ -531,14 +571,14 @@ class TestGroupedValues:
     def test_nagent(self, quad128, players):
         result = solve_nagent(players, quad128)
         ctx = _nagent_contexts(players, result.strategy, quad128)
-        per_player = _value_constant(ctx, result.strategy.table)
+        per_player, clips = _value_constant(ctx, result.strategy.table)
         assert result.converged and np.array(result.per_type_M).tobytes() == per_player.tobytes()
-        assert not jump_cap_binds(result.strategy.table, ctx).any()
+        assert not clips.any()
 
     def test_mean_field(self, ref_pop, quad128, ref_eq):
         stats = ref_eq.stats
         ctx = mf_target_context(ref_pop.types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
-        per_type = _value_constant(ctx, ref_eq.strategy.table)
+        per_type = _value_constant(ctx, ref_eq.strategy.table)[0]
         assert np.array(ref_eq.per_type_M).tobytes() == per_type.tobytes()
 
     def test_markets_with_one_excess_return(self, quad128):
@@ -550,7 +590,7 @@ class TestGroupedValues:
         result = solve_mf_finite(pop, quad128)
         stats = result.stats
         ctx = mf_target_context(pop.types, quad128, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
-        per_type = _value_constant(ctx, result.strategy.table)
+        per_type = _value_constant(ctx, result.strategy.table)[0]
         assert result.converged and np.array(result.per_type_M).tobytes() == per_type.tobytes()
         assert result.strategy.table[0].tobytes() == result.strategy.table[1].tobytes()
         assert per_type[1] - per_type[0] == pytest.approx(0.5 * 0.125)
@@ -569,7 +609,7 @@ class TestContextBuiltOnce:
         ids=["mf_finite", "nagent", "mf_statistic"],
     )
     def test_one_signal_law_build_per_solve(self, solve, quad128, monkeypatch):
-        # Counts the context builder's tables; a solver's aggregate reads them off its context.
+        # Counts the context builder's tables; a solver's mean field reads them off its context.
         calls = []
         build = response.signal_laws
         monkeypatch.setattr(response, "signal_laws", lambda *args: calls.append(args) or build(*args))
@@ -582,8 +622,8 @@ class TestContextBuiltOnce:
         [
             (lambda q: solve_mf_finite(casestudy.reference_population(), q), "_mean_field", 0),
             (lambda q: solve_nagent([casestudy.investor()] * 5, q), "_nagent_environment", 0),
-            # The statistic solve also aggregates its start and the 1 + 2 strategies of its box.
-            (lambda q: solve_mf_statistic(casestudy.reference_population(), MARKS_11), "aggregate", 4),
+            # The statistic solve also builds the mean field of its start.
+            (lambda q: solve_mf_statistic(casestudy.reference_population(), MARKS_11), "_mean_field", 1),
         ],
         ids=["mf_finite", "nagent", "mf_statistic"],
     )
@@ -770,7 +810,7 @@ class TestBatchedRounds:
         # The per-population path ran aggregate and the context writer once per population per round.
         rounds, environments, aggregates = [], [], []
         for module, name, calls in ((equilibrium, "_best_rows", rounds), (equilibrium, "_mean_field", environments),
-                                    (equilibrium, "aggregate", aggregates), (meanfield, "aggregate", aggregates)):
+                                    (meanfield, "aggregate", aggregates)):
             original = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, f=original, c=calls: c.append(1) or f(*a))
         cfg = cli.load_config({"sweep": {"parameter": parameter, "grid": BENCHMARK_GRIDS[parameter]}})
@@ -797,7 +837,7 @@ class TestResidual:
         )
 
     def test_one_signal_law_build_per_residual(self, ref_pop, quad128, monkeypatch):
-        # The aggregate reads the laws of the context that the best response is made in.
+        # The mean field reads the laws of the context that the best response is made in.
         calls = []
         for module in (meanfield, response):
             build = module.signal_laws
@@ -910,17 +950,21 @@ class TestSolveMfStatistic:
         m = casestudy.default_market
         pop = Population([casestudy.investor(m(kappa_hat=0.3)), casestudy.investor(m(kappa_hat=-0.3, sigma_hat=0.5))])
         q = Quadrature.discrete([-1.0, 0.0, 1.5], [0.25, 0.5, 0.25])
-        lo, hi = _statistic_box(pop, q)
+        lo, hi = _statistic_box(_contexts(pop.types, q), q.nodes)
         hi_position = 1.0 - pop.types[0].eps_b
-        corners = np.array([_statistic_of(pop, Strategy([[a] * 7, [b] * 7]), q)
-                            for a in (0.0, hi_position) for b in (0.0, hi_position)])
+
+        def statistic(table):
+            stats = aggregate(pop, Strategy(table), q)
+            return np.concatenate(([stats.sigma0pi_bar], stats.mean_jump_nodes))
+
+        corners = np.array([statistic([[a] * 7, [b] * 7]) for a in (0.0, hi_position) for b in (0.0, hi_position)])
         assert corners.min(axis=0) == pytest.approx(lo, rel=1e-12, abs=1e-15)
         assert corners.max(axis=0) == pytest.approx(hi, rel=1e-12, abs=1e-15)
         # Wider than the range between the all-lower and all-upper statistics.
         assert np.any(lo < np.minimum(corners[0], corners[3])) and np.any(hi > np.maximum(corners[0], corners[3]))
         rng = np.random.default_rng(3)
         for _ in range(50):
-            stat = _statistic_of(pop, Strategy(rng.uniform(0.0, hi_position, (2, 7))), q)
+            stat = statistic(rng.uniform(0.0, hi_position, (2, 7)))
             assert np.all(lo <= stat) and np.all(stat <= hi)
 
     def test_matches_strategy_space_solver_on_discrete_law(self):

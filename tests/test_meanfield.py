@@ -168,7 +168,7 @@ class TestAggregate:
         Quadrature.discrete([-1.0, 0.0, 1.5], [0.25, 0.5, 0.25]),
     ], ids=["gauss", "discrete"])
     def test_node_law_gives_the_aggregate_bits(self, q, n_types):
-        # A solver's aggregate reads the signal laws and jump sizes its context built once per solve.
+        # A solver's mean field sums the signal laws and jump sizes its context built once per solve: aggregate's bits.
         rng = np.random.default_rng(n_types)
         types = [
             casestudy.investor(
@@ -181,13 +181,12 @@ class TestAggregate:
         ]
         pop, strat = Population(types), Strategy(rng.uniform(0.0, 0.9, size=(n_types, 7)))
         ctx = _contexts(types, q)
-        fresh, read = aggregate(pop, strat, q), aggregate(pop, strat, q, (ctx.law, ctx.eta_raw))
-        assert read.mean_jump_nodes.tobytes() == fresh.mean_jump_nodes.tobytes()
+        fresh = aggregate(pop, strat, q)
+        sums, mean_jump = _population_sums(types, strat.table, (ctx.law, ctx.eta_raw), q.nodes, np.zeros(n_types, int))
+        assert mean_jump[0].tobytes() == fresh.mean_jump_nodes.tobytes()
         # The node table and the evaluator at any marks are one m.
         assert fresh.mean_jump(q.nodes).tobytes() == fresh.mean_jump_nodes.tobytes()
-        assert (read.sigma0pi_bar, read.taupi_bar, read.xbar0) == (fresh.sigma0pi_bar, fresh.taupi_bar, fresh.xbar0)
-        e = np.linspace(-3.0, 3.0, 7)
-        assert read.mean_jump(e).tobytes() == fresh.mean_jump(e).tobytes()
+        assert (sums[0, 0], sums[0, 1], np.exp(sums[0, 2])) == (fresh.sigma0pi_bar, fresh.taupi_bar, fresh.xbar0)
 
     def test_exposure_monotonicity(self, ref_pop, quad128):
         lo = aggregate(ref_pop, Strategy.constant(2, 0.2), quad128)
