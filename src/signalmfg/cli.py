@@ -53,7 +53,6 @@ class ExperimentConfig:
     here, once, so the solvers take them as valid.
     """
 
-    market: MarketParams
     reference: Population
     solver: SolverConfig
     n_nodes: int
@@ -85,6 +84,11 @@ class ExperimentConfig:
     def horizon(self) -> float:
         """Investment horizon; the solver block carries it."""
         return self.solver.horizon
+
+    @property
+    def market(self) -> MarketParams:
+        """The market; every type of the reference shares it (``validate_population``)."""
+        return self.reference.types[0].market
 
     def quadrature(self) -> Quadrature:
         return Quadrature.standard_normal(self.n_nodes, self.half_width)
@@ -159,7 +163,6 @@ def load_config(raw: dict) -> ExperimentConfig:
 
     mc_block = _block(raw.get("mc", {}), "mc", ("n_paths", "seed"))
     return ExperimentConfig(
-        market=market,
         reference=reference,
         solver=solver,
         n_nodes=_integer(quad_block.get("nodes", DEFAULT_NODES), "quadrature.nodes"),

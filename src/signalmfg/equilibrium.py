@@ -16,12 +16,16 @@ builds its investors' context once and gives the core one hook: each round
 builds one environment for every live problem (a sweep: every
 population's mean field from one node mixture, ``response._mean_field``)
 and answers each problem's point with its image.  Both mean-field solvers
-take a strategy's statistic and environment from that one
-``_mean_field`` path; the statistic-space image is the statistic of the
-best response.  The core iterates, then reads M, values and notes off the
-final environment, which the last round already built, for every solver
-alike; a population's ``MeanFieldStats`` is built once, when it stops.
-Non-convergence is a reported state, not an exception.
+take a strategy's statistic from that one node mixture
+(``meanfield._population_sums`` on the context's tables); the
+statistic-space image is the statistic of the best response, and only the
+final one gets an environment.  The core iterates, then reads M, values
+and notes off each final environment, for every solver alike; a
+population's ``MeanFieldStats`` is built once, when it stops.
+The equilibria exist by Schauder's theorem, which gives no contraction
+rate, so the iteration has no fallback: it runs at the configured
+``damping`` to ``max_iter``, and non-convergence is a reported state, not
+an exception.
 """
 
 from __future__ import annotations
@@ -61,10 +65,6 @@ from .signals import distinct
 
 # Anderson memory: how many past residual and image differences enter each extrapolation.
 _ANDERSON_MEMORY = 3
-# Restart with plain half damping if the residual has not improved for this many
-# accelerated iterations at full damping (oscillation guard; existence theory
-# gives no contraction rate).
-_STALL_WINDOW = 50
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,14 @@ def _anderson(init: np.ndarray, tol: float, max_iter: int, damping: float, box: 
 
     It yields each point whose image it needs and is sent that image; it
     returns (point, residual, iterations, notes) as ``damped_fixed_point``
-    does, the point being the last one it yielded.  A driver can so advance
-    many iterations side by side, each on its own history.
+    does, the point being the last one it yielded.  Every step is the
+    type-II Anderson step with mixing weight ``damping``; the only note is
+    the one of non-convergence.  A driver can so advance many iterations
+    side by side, each on its own history.
     """
     lo, hi = box
-    notes: list[str] = []
     x = np.array(init, dtype=float)
-    start = x.copy()
-    w = damping
-    best = np.inf
-    since_best = 0
     iterations = 0
-    retried = False
     previous, deltas = None, []  # (x, f, image) of the last step; differences of the steps before, oldest first
     while True:
         image = yield x
@@ -133,31 +129,17 @@ def _anderson(init: np.ndarray, tol: float, max_iter: int, damping: float, box: 
         residual = float(np.max(np.abs(f)))
         if residual < tol or iterations >= max_iter:
             break
-        if residual < best:
-            best, since_best = residual, 0
-        else:
-            since_best += 1
-        if damping == 1.0 and not retried and since_best >= _STALL_WINDOW:
-            notes.append(
-                f"residual stalled at {residual:.3e} after {iterations} iterations "
-                "at full damping; restarted with damping 0.5"
-            )
-            x = start.copy()
-            w, retried = 0.5, True
-            best, since_best = np.inf, 0
-        else:
-            x_bar, image_bar = x, image
-            if not retried and previous is not None:
-                deltas = [*deltas, np.subtract((x, f, image), previous)][-_ANDERSON_MEMORY:]
-                d_x, d_f, d_image = np.transpose(deltas, (1, 2, 0))  # each (len(x), len(deltas))
-                gamma = np.linalg.lstsq(d_f, f, rcond=None)[0]
-                x_bar, image_bar = x - d_x @ gamma, image - d_image @ gamma
-            previous = (x, f, image)
-            x = np.clip((1.0 - w) * x_bar + w * image_bar, lo, hi)
+        x_bar, image_bar = x, image
+        if previous is not None:
+            deltas = [*deltas, np.subtract((x, f, image), previous)][-_ANDERSON_MEMORY:]
+            d_x, d_f, d_image = np.transpose(deltas, (1, 2, 0))  # each (len(x), len(deltas))
+            gamma = np.linalg.lstsq(d_f, f, rcond=None)[0]
+            x_bar, image_bar = x - d_x @ gamma, image - d_image @ gamma
+        previous = (x, f, image)
+        x = np.clip((1.0 - damping) * x_bar + damping * image_bar, lo, hi)
         iterations += 1
-    if not residual < tol:
-        notes.append(f"did not converge within {max_iter} iterations (residual {residual:.3e})")
-    return x, residual, iterations, tuple(notes)
+    notes = () if residual < tol else (f"did not converge within {max_iter} iterations (residual {residual:.3e})",)
+    return x, residual, iterations, notes
 
 
 def damped_fixed_point(
@@ -179,11 +161,12 @@ def damped_fixed_point(
     the damped step (1 - beta) x + beta step(x).
 
     Returns (point, residual, iterations, notes): the point is an iterate
-    and the residual is sup|step(point) - point|.  At full damping a stalled
-    residual (no new best for ``_STALL_WINDOW`` iterations) triggers one
-    automatic restart from ``init`` that drops the history and iterates
-    the plain damped step with damping 0.5.  This drives one ``_anderson``;
-    the solvers drive theirs in lockstep (``_solve``).
+    and the residual is sup|step(point) - point|.  Every iteration is this
+    one step at this one ``damping``: an iteration still above ``tol``
+    after ``max_iter`` iterations stops with the note "did not converge
+    within ... iterations", and a ``damping`` below 1 is the remedy.  This
+    drives one ``_anderson``; the solvers drive theirs in lockstep
+    (``_solve``).
     """
     iteration = _anderson(init, tol, max_iter, damping, box)
     point = next(iteration)
@@ -246,7 +229,7 @@ def _solve(ctx: TargetContext, problems: Sequence[_Problem], environment: Callab
     ``last``), where ``last()`` builds its result's (strategy, context,
     peers' initial wealth, ``MeanFieldStats`` or None) should that point be
     the final one.  A problem drops out when its iteration stops, and its
-    result is read off the environment its last round built.  M, closed-form
+    result is read off what its last round's ``last`` gives.  M, closed-form
     values and notes are read off each final context, M and its clip flag
     from one evaluation (``metrics._value_constant``) per distinct
     (``static_class``, environment, row): a note per best-response row
@@ -403,8 +386,10 @@ def solve_mf_statistic(
     summing to 1.  The iteration runs on the (|marks| + 1)-dimensional vector
     (sigma0-exposure, mean jump at each mark); the residual is measured there.
     It starts at the statistic of ``init``, checked as the other solvers
-    check it.  The statistic of a strategy is read off the one
-    ``response._mean_field`` path of the strategy-space solvers.
+    check it.  The statistic of a strategy is the one node mixture of
+    ``response._mean_field`` (``meanfield._population_sums`` on the
+    context's tables); a round writes one environment, at its iterate, and
+    the result one more, at its final best response.
     """
     _require("population", validate_population(pop, require_shared_market=False))
     marks = [float(m) for m, _ in common_marks]
@@ -412,12 +397,13 @@ def solve_mf_statistic(
     q = Quadrature.discrete(marks, probs)
     ctx = _contexts(pop.types, q)
     middle = np.repeat(ctx.bounds.mean(axis=1, keepdims=True), len(SIGNALS), axis=1)
+    population = np.zeros(len(pop), dtype=np.intp)
 
     def answer(k: int, part: np.ndarray, rows: np.ndarray) -> tuple:
-        # The statistic of ``rows`` is the image; the result reads its environment and sums.
-        env, sums, mean_jump = _mean_field(ctx, rows, np.zeros(len(pop), dtype=np.intp), q.nodes)
-        last = lambda: _mf_last(pop, rows, env, sums[0], mean_jump[0])
-        return np.concatenate((sums[0, :1], mean_jump[0])), last
+        # The statistic of ``rows`` is the image; only the result writes its environment, as ``_mean_field`` does.
+        sums, mean_jump = _population_sums(ctx.investors, rows, (ctx.law, ctx.eta_raw), q.nodes, population)
+        env = lambda: _mf_environment(ctx, sums[0, 0], mean_jump[0], sums[0, 1])
+        return np.concatenate((sums[0, :1], mean_jump[0])), lambda: _mf_last(pop, rows, env(), sums[0], mean_jump[0])
 
     def environment(batch: TargetContext, live: list, points: list) -> tuple:
         # Each best response starts at the middle of the admissible intervals.

@@ -14,7 +14,7 @@ from signalmfg.cli import (
     read_config,
     run_experiment,
 )
-from signalmfg.model import Population
+from signalmfg.model import MarketParams, Population
 
 FAST_SOLVER = {"tol": 1e-8, "max_iter": 500, "damping": 1.0}
 
@@ -41,6 +41,12 @@ class TestConfig:
         assert moved.horizon == 0.5
         with pytest.raises(TypeError):
             replace(cfg, horizon=3.0)
+
+    def test_market_has_one_source(self):
+        cfg = load_config({"market": {"lam": 4.0}})
+        assert cfg.market is cfg.reference.types[0].market and cfg.market.lam == 4.0
+        with pytest.raises(TypeError):
+            replace(cfg, market=MarketParams(lam=0.0))
 
     def test_unknown_sweep_parameter_rejected(self):
         with pytest.raises(ConfigError, match="sweep parameter"):

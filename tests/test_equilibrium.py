@@ -26,6 +26,7 @@ from signalmfg.model import (
     Strategy,
     strategy_distance,
     validate_investor,
+    validate_population,
 )
 from signalmfg.quad import Quadrature
 from signalmfg.response import (
@@ -49,17 +50,17 @@ def merton_pop():
 
 
 class TestDampedFixedPoint:
-    def test_stalled_map_triggers_half_damping_retry(self):
+    def test_stalled_map_is_reported_and_damping_is_the_remedy(self):
         # The residual is exactly 1 within 1/4 of every integer and 0 at the half-integers.
         # Full steps from 0 hop from integer to integer: the residual differences Anderson
         # extrapolates from vanish, so the residual never improves; half steps land on 0.5.
         step = lambda x: x + np.minimum(1.0, 4.0 * np.abs(x - np.floor(x) - 0.5))
-        point, res, iters, notes = damped_fixed_point(
-            step, np.array([0.0]), tol=1e-10, max_iter=500, damping=1.0
-        )
+        _, res, iters, notes = damped_fixed_point(step, np.array([0.0]), tol=1e-10, max_iter=500, damping=1.0)
+        assert (iters, res) == (500, 1.0)
+        assert len(notes) == 1 and notes[0].startswith("did not converge within 500 iterations")
+        point, res, _, notes = damped_fixed_point(step, np.array([0.0]), tol=1e-10, max_iter=500, damping=0.5)
         assert point[0] == pytest.approx(0.5, abs=1e-9)
-        assert res < 1e-10
-        assert any("damping 0.5" in n for n in notes)
+        assert res < 1e-10 and notes == ()
 
     def test_divergent_map_reports_failure(self):
         step = lambda x: x + 1.0
@@ -268,6 +269,31 @@ class TestExtremeTypes:
             assert np.all(np.isfinite(result.per_type_M))
         else:
             assert any("did not converge" in n for n in result.notes)
+
+    def test_drawn_solves_converge_at_default_settings(self):
+        # One iteration path suffices: 40 populations of 1-5 types and 10 games of 2-7 distinct players,
+        # drawn over validate_investor's ranges, every one solved at the default SolverConfig.
+        rng = np.random.default_rng(0)
+        q = Quadrature.standard_normal(64)
+
+        def drawn_types(count):
+            market = casestudy.default_market(lam=float(rng.choice([0.0, 1.0, 10.0, 20.0])),
+                                              sigma_hat=float(rng.uniform(0.0, 4.0)),
+                                              kappa_hat=float(rng.uniform(-0.5, 0.5)))
+            alphas = np.exp(rng.uniform(np.log(0.1), np.log(100.0), count))
+            alphas[np.abs(alphas - 1.0) < 1e-3] = 2.0
+            shares = rng.uniform(0.1, 1.0, count)
+            return [casestudy.investor(market, x0=float(np.exp(rng.uniform(-0.7, 0.7))),
+                                       p_s=float(rng.uniform(0.0, 0.99)), rho=float(rng.uniform(-0.99, 0.99)),
+                                       theta=float(rng.uniform(0.0, 1.0)), alpha=float(a),
+                                       weight=float(share / shares.sum()))
+                    for a, share in zip(alphas, shares)]
+
+        populations = [Population(drawn_types(int(rng.integers(1, 6)))) for _ in range(40)]
+        games = [drawn_types(int(rng.integers(2, 8))) for _ in range(10)]
+        assert not [problem for pop in populations for problem in validate_population(pop)]
+        results = [solve_mf_finite(pop, q) for pop in populations] + [solve_nagent(game, q) for game in games]
+        assert [r.notes for r in results if not r.converged] == []
 
 
 OVERFLOW_NOTE = "type 0: value exp(T(1-alpha)M) overflows double; use per_type_M"
@@ -618,27 +644,21 @@ class TestContextBuiltOnce:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "solve, builder, setup",
+        "solve, result_writes",
         [
-            (lambda q: solve_mf_finite(casestudy.reference_population(), q), "_mean_field", 0),
-            (lambda q: solve_nagent([casestudy.investor()] * 5, q), "_nagent_environment", 0),
-            # The statistic solve also builds the mean field of its start.
-            (lambda q: solve_mf_statistic(casestudy.reference_population(), MARKS_11), "_mean_field", 1),
+            (lambda q: solve_mf_finite(casestudy.reference_population(), q), 0),
+            (lambda q: solve_nagent([casestudy.investor()] * 5, q), 0),
+            # The statistic solve's image is a statistic: its result writes the final best response's environment.
+            (lambda q: solve_mf_statistic(casestudy.reference_population(), MARKS_11), 1),
         ],
         ids=["mf_finite", "nagent", "mf_statistic"],
     )
-    def test_one_environment_build_per_best_response(self, solve, builder, setup, quad128, monkeypatch):
-        # The result reads the environment of its final best response; it builds none of its own.
-        builds, responses = [], []
-        for module in (equilibrium, response, meanfield):
-            build = getattr(module, builder, None)
-            if build is not None:
-                monkeypatch.setattr(module, builder, lambda *args, build=build: builds.append(args) or build(*args))
-        best_rows = equilibrium._best_rows
-        monkeypatch.setattr(equilibrium, "_best_rows", lambda *args: responses.append(args) or best_rows(*args))
+    def test_one_environment_build_per_best_response(self, solve, result_writes, quad128, count_calls):
+        # Each round writes one environment, for its best response, and no image or start writes another.
+        writes, responses = count_calls(response, "_with_environment"), count_calls(equilibrium, "_best_rows")
         result = solve(quad128)
         assert result.converged and len(responses) == result.iterations + 1
-        assert len(builds) == len(responses) + setup
+        assert len(writes) == len(responses) + result_writes
 
     def test_distinct_investors_are_not_regrouped(self, quad128, monkeypatch):
         # Every sweep alternative population has distinct types: no context is sliced into representatives.
@@ -894,19 +914,16 @@ class TestSolveNAgent:
         with pytest.raises(ValueError):
             solve_nagent([casestudy.investor()], quad128)
 
-    def test_two_group_game_converges_without_restart(self, quad128):
-        # stalled at a 4e-8 residual and restarted when the best response was a
-        # golden-section search accurate to ~4e-8 only
+    def test_two_group_game_converges(self, quad128):
+        # stalled at a 4e-8 residual when the best response was a golden-section search accurate to ~4e-8 only
         players = [casestudy.investor()] * 2 + [casestudy.investor(p_s=0.25)] * 2
         res = solve_nagent(players, quad128)
         assert res.converged
-        assert not any("restarted" in note for note in res.notes)
 
-    def test_weakly_informed_symmetric_game_converges_without_restart(self, quad128):
+    def test_weakly_informed_symmetric_game_converges(self, quad128):
         # took 395 iterations with a golden-section best response
         res = solve_nagent([casestudy.investor(p_s=0.3, rho=0.01, theta=0.7)] * 5, quad128)
         assert res.converged
-        assert not any("restarted" in note for note in res.notes)
         assert res.iterations < 50
 
 
