@@ -10,6 +10,9 @@ buckets 0.5 / 1 / inf.  One edges table defines both the classification and
 the intervals I(z), hence the signal law
 P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)), written once in
 ``signal_laws`` as an (investors, 7, marks) table in ``SIGNALS`` order.
+``classify_index`` is the signal before reception (``signal_offset``, one
+byte per mark) followed by reception (``receive``), so Monte Carlo can keep
+the first and draw the reception coins later.
 ``signal_kernel`` evaluates N01(I(z, e_c)) for any number of rho in one CDF
 call; the target contexts, the n-agent peer mixtures and the mean-jump
 function read the law table, and ``signal_expectation`` takes an expectation
@@ -69,11 +72,11 @@ def jump_sizes(types: Sequence[InvestorType], e_c) -> list:
     return [sizes[d] for d in law_of]
 
 
-def classify_index(z_perturbed, received):
-    """Index into ``SIGNALS`` of each perturbed mark's signal; no signal when not received.
+def signal_offset(z_perturbed) -> np.ndarray:
+    """Each perturbed mark's signal before reception: its index into ``SIGNALS`` minus ``NONE_INDEX``.
 
     Counts the edges each mark lies strictly beyond, outward from 0, so a mark
-    on an edge goes to the inner bucket; the result has dtype ``np.intp``.
+    on an edge goes to the inner bucket; the result has dtype ``np.int8``.
     """
     z = np.asarray(z_perturbed, dtype=float)
     outward = np.zeros(z.shape, dtype=np.int8)
@@ -82,7 +85,17 @@ def classify_index(z_perturbed, received):
             outward += z > edge
         if edge <= 0.0:
             outward -= z < edge
-    return np.add(outward * received, NONE_INDEX, dtype=np.intp)
+    return outward
+
+
+def receive(offset, received):
+    """Index into ``SIGNALS`` (dtype ``np.intp``) of ``signal_offset`` values; no signal when not received."""
+    return np.add(offset * received, NONE_INDEX, dtype=np.intp)
+
+
+def classify_index(z_perturbed, received):
+    """Index into ``SIGNALS`` of each perturbed mark's signal; no signal when not received."""
+    return receive(signal_offset(z_perturbed), received)
 
 
 def signal_kernel(rho, e_c) -> np.ndarray:

@@ -3,12 +3,15 @@
 The model is piecewise log-normal with multiplicative jumps, so paths are
 simulated exactly (no Euler discretization): between jumps wealth grows by the
 closed-form log-normal factor, and at each jump it is multiplied by
-1 + phi(signal) * eta(e_c).  One elementwise kernel, ``_exact_path``, turns
-draws and the jump sizes eta(e_c) into these log returns and signal labels;
-``_log_wealth`` sums them per agent (``simulate_agent``, ``simulate_cohort``),
-``estimate_utility`` per path.  Each evaluates eta once per distinct jump law
-(kappa_hat, sigma_hat) of its types' markets (``signals.jump_sizes``);
-``estimate_utility`` hands the same sizes to m(e_c) and to every type's paths.
+1 + phi(signal) * eta(e_c).  One elementwise kernel in two steps turns draws
+and the jump sizes eta(e_c) into these log returns and signal labels: the
+signals before reception are read off e_i1 (``signals.signal_offset``), and
+``_exact_path`` applies reception by e_i2 and returns the diffusion and jump
+terms.  ``_log_wealth`` sums them per agent (``simulate_agent``,
+``simulate_cohort``), ``estimate_utility`` per path.  Each evaluates eta once
+per distinct jump law (kappa_hat, sigma_hat) of its types' markets
+(``signals.jump_sizes``); ``estimate_utility`` hands the same sizes to m(e_c)
+and to every type's paths.
 
 Randomness comes from one counter-based seed tree: Philox generators keyed by
 (master seed, stream id, substream...), so the common realization can be
@@ -27,7 +30,16 @@ Noise blocks (``_log_wealth``) hold agents in rows, jumps in columns:
 Brownian increments (n, k+1), signal-noise marks e_i1 (n, k), reception
 coins e_i2 (n, k); agent j of a cohort reads row j of each.  In
 ``estimate_utility`` type i draws one increment over [0, T] per path, then
-e_i1 and e_i2 for every jump of the batch.
+e_i1 and e_i2 for every jump of the batch.  The ziggurat takes a random
+number of draws, so a type's first e_i2 is reached only after its last e_i1:
+``estimate_utility`` makes two passes over path-aligned blocks of about
+``meanfield._MARK_BLOCK`` marks.  Pass 1 draws each block's marks and every
+type's e_i1, sums log m(e_c) per path, and keeps eta at the marks (8 bytes
+per mark and distinct jump law) and each type's signals before reception
+(int8, 1 byte per mark and type).  Pass 2 draws each type's e_i2 block by
+block, applies reception and sums the jump returns per path.  A block holds
+whole paths, so each path's terms are added in the order of one pass over
+all marks, whatever the block size.
 """
 
 from __future__ import annotations
@@ -37,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meanfield import _log_mean_jump_given, aggregate, wealth_diffusion
+from .meanfield import _MARK_BLOCK, _log_mean_jump_given, aggregate, wealth_diffusion
 from .model import (
     NONE_INDEX,
     SIGNALS,
@@ -53,7 +65,7 @@ from .model import (
 )
 from .quad import Quadrature
 from .response import relative_utility
-from .signals import classify_index, jump_sizes, perturb
+from .signals import jump_sizes, perturb, receive, signal_offset
 
 # Stream ids of the seed tree, in the order of the table above.
 _STREAM_JUMP_TIMES, _STREAM_COMMON_MARKS, _STREAM_W0, _STREAM_AGENT = range(4)
@@ -113,15 +125,17 @@ def simulate_common(T: float, market: MarketParams, seed: int) -> CommonNoisePat
     return CommonNoisePath(times, marks, increments, horizon=float(T), seed=seed)
 
 
-def _exact_path(t: InvestorType, row: np.ndarray, dt, dW, dW0, marks, sizes, e_i1, e_i2):
+def _exact_path(t: InvestorType, row: np.ndarray, dt, dW, dW0, offsets, sizes, e_i2):
     """(diffusion, jumps, labels) of type ``t`` holding ``row``, elementwise over its draws.
 
     diffusion = drift*dt + sigma*pi0*dW + sigma0*pi0*dW0 per segment; jumps =
-    log(1 + pi_z*eta(e_c)) and labels = z per common mark, z read off e_i1,
-    e_i2; ``sizes`` is eta at the marks under ``t``'s jump law.
+    log(1 + pi_z*eta(e_c)) and labels = z per common mark: ``offsets`` are the
+    signals before reception (``signals.signal_offset`` of the perturbed
+    marks), received where e_i2 <= p_s; ``sizes`` is eta at the marks under
+    ``t``'s jump law.
     """
     drift, sigma_pi, sigma0_pi = wealth_diffusion((t,), row[NONE_INDEX])
-    labels = classify_index(perturb(t.rho, marks, e_i1), e_i2 <= t.p_s)
+    labels = receive(offsets, e_i2 <= t.p_s)
     jumps = np.log1p(row[labels] * sizes)
     return drift * dt + sigma_pi * dW + sigma0_pi * dW0, jumps, labels
 
@@ -142,8 +156,9 @@ def _log_wealth(types, rows, type_idx: np.ndarray, path: CommonNoisePath, rng) -
     labels = np.empty((n, k), dtype=int)
     for i in np.unique(type_idx):
         sel = type_idx == i
+        offsets = signal_offset(perturb(types[i].rho, path.common_marks, e_i1[sel]))
         diffusion, jumps, own = _exact_path(
-            types[i], rows[i], dt, dW[sel], path.w0_increments, path.common_marks, sizes[i], e_i1[sel], e_i2[sel]
+            types[i], rows[i], dt, dW[sel], path.w0_increments, offsets, sizes[i], e_i2[sel]
         )
         log_wealth[sel] = math.log(types[i].x0) + diffusion.sum(axis=1) + jumps.sum(axis=1)
         labels[sel] = own
@@ -166,6 +181,26 @@ def simulate_agent(
     return AgentPath(math.exp(log_wealth[0]), tuple(SIGNALS[i] for i in labels[0]), seed=int(seed))
 
 
+def _path_blocks(counts: np.ndarray):
+    """Path-aligned blocks of about ``_MARK_BLOCK`` marks: (path slice, path of each mark within it).
+
+    A block holds whole paths, so a path's terms are summed in the order of
+    one pass over all marks; a path with more marks than that is a block.
+    """
+    ends = np.cumsum(counts)
+    first = 0
+    while first < counts.size:
+        done = int(ends[first - 1]) if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, done + _MARK_BLOCK, side="right")))
+        yield slice(first, last), np.repeat(np.arange(last - first), counts[first:last])
+        first = last
+
+
+def _by_path(paths: slice, path_of_jump: np.ndarray, per_jump: np.ndarray) -> np.ndarray:
+    """Sum of ``per_jump`` over each path of a block, in mark order; 0 on a path without marks."""
+    return np.bincount(path_of_jump, weights=per_jump, minlength=paths.stop - paths.start)
+
+
 def estimate_utility(
     pop: Population, strat: Strategy, n_paths: int, T: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +208,9 @@ def estimate_utility(
 
     On each scenario the peer average wealth is evaluated in closed form on
     the common realization, and one representative agent per type is
-    simulated on it with fresh idiosyncratic noise.  The whole batch is drawn
-    vectorized from dedicated substreams of the seed tree; jump times never
+    simulated on it with fresh idiosyncratic noise.  The batch is drawn
+    vectorized, in two passes over path-aligned blocks of marks (module
+    docstring), from dedicated substreams of the seed tree; jump times never
     enter terminal wealth (positions are signal-driven), so only jump counts
     are drawn.  Returns (means, standard errors), one entry per type.
     """
@@ -187,30 +223,35 @@ def estimate_utility(
     stats = aggregate(pop, strat, Quadrature.standard_normal())
 
     counts = _generator(seed, _STREAM_BATCH, 0).poisson(market.lam * T, size=n_paths)
-    path_of_jump = np.repeat(np.arange(n_paths), counts)
-    marks = _generator(seed, _STREAM_BATCH, 1).standard_normal(path_of_jump.size)
+    marks_rng = _generator(seed, _STREAM_BATCH, 1)
     w0 = _generator(seed, _STREAM_BATCH, 2).standard_normal(n_paths) * math.sqrt(T)
-
-    def by_path(per_jump: np.ndarray) -> np.ndarray:
-        return np.bincount(path_of_jump, weights=per_jump, minlength=n_paths)
-
-    # One eta per distinct jump law at the marks, for m(e_c) and every type's paths.
-    sizes = jump_sizes(pop.types, marks)
+    rngs = [_generator(seed, _STREAM_BATCH, 10 + i) for i in range(len(pop))]
+    w_own = [rng.standard_normal(n_paths) * math.sqrt(T) for rng in rngs]
     log_mean_jump = _log_mean_jump_given(pop, strat)
-    xbar = np.exp(stats.log_mean_wealth(T, w0, by_path(log_mean_jump(marks, sizes))))
 
-    def utility(i: int) -> np.ndarray:
-        # A call per type frees its draws before the next type draws its own.
-        t, rng = pop.types[i], _generator(seed, _STREAM_BATCH, 10 + i)
-        w_own = rng.standard_normal(n_paths) * math.sqrt(T)
-        e_i1 = rng.standard_normal(marks.size)
-        e_i2 = rng.uniform(size=marks.size)
-        diffusion, jumps, _ = _exact_path(t, strat.row(i), T, w_own, w0, marks, sizes[i], e_i1, e_i2)
-        return relative_utility(np.exp(math.log(t.x0) + diffusion + by_path(jumps)), xbar, t.alpha, t.theta)
+    # Pass 1, block by block: the marks, eta once per distinct jump law (kept),
+    # log m summed per path, and each type's e_i1 and signals before reception (kept).
+    log_m, kept = np.empty(n_paths), []
+    for paths, path_of_jump in _path_blocks(counts):
+        marks = marks_rng.standard_normal(path_of_jump.size)
+        sizes = jump_sizes(pop.types, marks)
+        log_m[paths] = _by_path(paths, path_of_jump, log_mean_jump(marks, sizes))
+        e_i1 = [rng.standard_normal(marks.size) for rng in rngs]
+        kept.append((sizes, [signal_offset(perturb(t.rho, marks, e)) for t, e in zip(pop.types, e_i1)]))
+    xbar = np.exp(stats.log_mean_wealth(T, w0, log_m))
+
+    # Pass 2, the same blocks: each type's e_i2, its reception and jumps, its log wealth per path.
+    log_wealth = np.empty((len(pop), n_paths))
+    for (paths, path_of_jump), (sizes, offsets) in zip(_path_blocks(counts), kept):
+        for i, (t, rng) in enumerate(zip(pop.types, rngs)):
+            e_i2 = rng.uniform(size=path_of_jump.size)
+            dW = w_own[i][paths]
+            diffusion, jumps, _ = _exact_path(t, strat.row(i), T, dW, w0[paths], offsets[i], sizes[i], e_i2)
+            log_wealth[i, paths] = math.log(t.x0) + diffusion + _by_path(paths, path_of_jump, jumps)
 
     means, errors = np.empty((2, len(pop)))
-    for i in range(len(pop)):
-        u = utility(i)
+    for i, t in enumerate(pop.types):
+        u = relative_utility(np.exp(log_wealth[i]), xbar, t.alpha, t.theta)
         means[i] = float(np.mean(u))
         errors[i] = float(np.std(u, ddof=1) / math.sqrt(n_paths))
     return means, errors

@@ -1,11 +1,12 @@
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signalmfg import casestudy
+from signalmfg import casestudy, cli, meanfield, sim
 from signalmfg.meanfield import aggregate, mean_log_terminal
 from signalmfg.model import SIGNALS, Population, Signal, Strategy, validate_population
 from signalmfg.quad import Quadrature
@@ -24,6 +25,27 @@ from signalmfg.sim import (
 
 MARKET = casestudy.default_market()
 MIXED_ROW = np.array([0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9])
+TWO_ROWS = Strategy([MIXED_ROW, MIXED_ROW[::-1]])
+
+# Non-dyadic weights, x0 != 1, sigma > 0 and T != 1: no term of the wealth model drops out.
+REPLAY_MARKET = casestudy.default_market(sigma=0.2, sigma_hat=0.3, kappa_hat=0.02)
+REPLAY_POP = Population([
+    casestudy.investor(REPLAY_MARKET, weight=0.3, x0=2.0, p_s=0.7, rho=0.3, alpha=3.0),
+    casestudy.investor(REPLAY_MARKET, weight=0.7, x0=0.7, theta=0.8, rho=-0.6),
+])
+# Populations and horizons for block-boundary invariance (lam*T = 3 where lam > 0).
+BLOCK_CASES = {
+    "reference": (casestudy.reference_population(), 0.3),
+    "distinct": (cli.load_config({"reference": {"B": {"p_s": 0.25, "rho": 0.8}}}).reference, 0.3),
+    "two jump laws": (
+        Population([
+            casestudy.investor(casestudy.default_market(lam=3.0), weight=0.4),
+            casestudy.investor(casestudy.default_market(lam=3.0, kappa_hat=0.05, sigma_hat=0.4), weight=0.6, rho=-0.3),
+        ]),
+        1.0,
+    ),
+    "lam = 0": (casestudy.reference_population(casestudy.default_market(lam=0.0, sigma=0.2)), 1.0),
+}
 
 
 def nagent_geometric_average(
@@ -302,16 +324,58 @@ class TestEstimateUtility:
             estimate_utility(ref_pop, Strategy.zeros(2), 1_000, T, seed=0)
 
     def test_matches_scalar_replay_of_its_streams(self):
-        # Non-dyadic weights, x0 != 1, sigma > 0 and T != 1: no term of the wealth model drops out.
-        market = casestudy.default_market(sigma=0.2, sigma_hat=0.3, kappa_hat=0.02)
-        pop = Population([
-            casestudy.investor(market, weight=0.3, x0=2.0, p_s=0.7, rho=0.3, alpha=3.0),
-            casestudy.investor(market, weight=0.7, x0=0.7, theta=0.8, rho=-0.6),
-        ])
-        means, errors = estimate_utility(pop, TWO_ROWS, 300, 1.5, seed=7)
-        oracle_means, oracle_errors = replay_estimate_utility(pop, TWO_ROWS, 300, 1.5, seed=7)
+        means, errors = estimate_utility(REPLAY_POP, TWO_ROWS, 300, 1.5, seed=7)
+        oracle_means, oracle_errors = replay_estimate_utility(REPLAY_POP, TWO_ROWS, 300, 1.5, seed=7)
         assert np.max(np.abs(means / oracle_means - 1.0)) <= 1e-12
         assert np.max(np.abs(errors / oracle_errors - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "args, means_hex, errors_hex",
+        [
+            (
+                (REPLAY_POP, TWO_ROWS, 300, 1.5, 7),
+                ("-0x1.270dac06b47c3p-3", "-0x1.49a891fa68876p+0"),
+                ("0x1.294e6fb4f683ap-7", "0x1.6966b1032f4cfp-6"),
+            ),
+            (
+                (casestudy.reference_population(), Strategy.constant(2, 0.3), 2_000, 1.0, 8),
+                ("-0x1.fd284940b8419p-1",) * 2,
+                ("0x1.6f4c77e2709c9p-10",) * 2,
+            ),
+        ],
+        ids=["replay", "reference"],
+    )
+    def test_outputs_pinned(self, args, means_hex, errors_hex):
+        # Values of the whole-array implementation that predates the path-aligned blocks.
+        means, errors = estimate_utility(*args)
+        assert tuple(m.hex() for m in means.tolist()) == means_hex
+        assert tuple(e.hex() for e in errors.tolist()) == errors_hex
+
+    @pytest.mark.parametrize("block", [1, 7, 10**9])
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_block_boundaries_leave_every_bit(self, monkeypatch, case, block):
+        pop, T = BLOCK_CASES[case]
+        expected = estimate_utility(pop, TWO_ROWS, 300, T, seed=5)
+        counts = _generator(5, _STREAM_BATCH, 0).poisson(pop.types[0].market.lam * T, size=300)
+        if pop.types[0].market.lam > 0:
+            # Paths without marks, and paths with more marks than a block of 7.
+            assert counts.min() == 0 and counts.max() > 7
+        for module in (sim, meanfield):
+            monkeypatch.setattr(module, "_MARK_BLOCK", block)
+        means, errors = estimate_utility(pop, TWO_ROWS, 300, T, seed=5)
+        assert means.tobytes() == expected[0].tobytes() and errors.tobytes() == expected[1].tobytes()
+
+    def test_memory_stays_per_mark_small(self, ref_pop):
+        # About 1e6 marks (lam*T = 10).  The whole-array body held ~68 bytes per mark, 68 MB here; the
+        # path-aligned blocks keep eta (8 B per jump law) and int8 signals (1 B per type), 21 MB in all.
+        # The bound is 1.5x the measured peak and below half of the whole-array figure.
+        tracemalloc.start()
+        try:
+            estimate_utility(ref_pop, TWO_ROWS, 100_000, 1.0, seed=12345)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
 
 
 class TestCohorts:
@@ -389,7 +453,6 @@ def test_numpy_integer_counts_accepted():
 
 
 TWO_TYPES = Population([casestudy.investor(weight=0.25, rho=0.3, p_s=0.7, x0=2.0), casestudy.investor(weight=0.75)])
-TWO_ROWS = Strategy([MIXED_ROW, MIXED_ROW[::-1]])
 
 
 class TestCohortKernel:

@@ -16,6 +16,11 @@ records three things, parent and change side by side:
 * ``solves``: ``time.perf_counter`` medians of single solves, alternating
   checkouts: the reference ``solve_mf_finite``, 200 drawn types, and
   ``solve_nagent`` on 20 and 80 distinct players.
+* ``monte_carlo``: one 1e5-path ``estimate_utility`` at the reference
+  equilibrium: the marks it draws (read off its ``jump_sizes`` calls) and
+  its ``tracemalloc`` peak in MB.  Both repeat exactly; the peak is the
+  allocation behind the ``montecarlo`` workload's ``peak_rss_mb``, without
+  the interpreter and imports.
 
 Run it on an otherwise idle machine; it starts one process at a time.
 """
@@ -102,6 +107,22 @@ for name, (solve, repeats) in cases.items():
 print(json.dumps(out))
 """
 
+MONTE_CARLO = """
+import json, tracemalloc
+from signalmfg import Quadrature, casestudy, sim
+from signalmfg.equilibrium import solve_mf_finite
+
+pop = casestudy.reference_population()
+strategy = solve_mf_finite(pop, Quadrature.standard_normal()).strategy
+marks, jump_sizes = [], sim.jump_sizes
+sim.jump_sizes = lambda types, e_c: marks.append(len(e_c)) or jump_sizes(types, e_c)
+tracemalloc.start()
+sim.estimate_utility(pop, strategy, 100_000, 1.0, 2401)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(json.dumps({"paths": 100_000, "marks": sum(marks), "tracemalloc_peak_mb": peak / 1e6}))
+"""
+
 
 def python_in(checkout: Path, code: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
@@ -153,6 +174,8 @@ def main(argv=None) -> int:
     }
     print("counts", file=sys.stderr)
     report["counts"] = {side: python_in(path, COUNTS) for side, path in checkouts.items()}
+    print("monte carlo", file=sys.stderr)
+    report["monte_carlo"] = {side: python_in(path, MONTE_CARLO) for side, path in checkouts.items()}
     print("solves", file=sys.stderr)
     solves = alternate(lambda side, _: python_in(checkouts[side], SOLVES), 5)
     report["solves"] = {side: {name: statistics.median(run[name]["median_s"] for run in runs)
