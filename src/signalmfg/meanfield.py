@@ -10,14 +10,18 @@ geometric mean wealth at each jump; m mixes each type's log jump return under
 its signal law (a ``signals.signal_laws`` table, summed by
 ``signals.signal_expectation``), one block of marks at a time, once per
 distinct (rho, p_s, jump law, row) of the population, the jump law being the
-market's (kappa_hat, sigma_hat) (``signals.jump_law``).  It takes the jump
-sizes at the marks as given (``_log_mean_jump_given``), so Monte Carlo
-computes them once for m and for its paths, and sums log m per path.  On the
-quadrature nodes, m is summed from the law table and jump sizes there
-(``law_on_nodes``) by one kernel, ``_population_sums``, with the evaluator's
-bits: ``aggregate`` runs it on one population, and both mean-field solvers
-run it through ``response._mean_field``, on every population a round
-iterates at once, with the tables their target context already holds.
+market's (kappa_hat, sigma_hat) (``signals.jump_law``).  At marks, the table
+holds only the signals some row holds (no signal, and every nonzero signal
+with a nonzero position): a zero position's term is an exact zero, so m
+keeps its bits while the CDF skips the edges of the other signals.  It
+takes the jump sizes at the marks as given (``_log_mean_jump_given``), so
+Monte Carlo computes them once for m and for its paths, and sums log m per
+path.  On the quadrature nodes, m is summed from the law table of every
+signal and the jump sizes there (``law_on_nodes``) by one kernel,
+``_population_sums``, with the evaluator's bits: ``aggregate`` runs it on
+one population, and both mean-field solvers run it through
+``response._mean_field``, on every population a round iterates at once,
+with the tables their target context already holds.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import NONE_INDEX, InvestorType, Population, Strategy, check_admissible, check_horizon
+from .model import NONE_INDEX, SIGNALS, InvestorType, Population, Strategy, check_admissible, check_horizon
 from .quad import Quadrature
 from .signals import distinct, jump_law, jump_sizes, signal_expectation, signal_laws
 
@@ -75,18 +79,24 @@ def _log_mean_jump_given(pop: Population, strat: Strategy) -> Callable:
     log m(e_c) = sum_i w_i * sum_z P_i(z | e_c) log(1 + pi_iz eta_i(e_c)).  The
     expectation over z is taken once per distinct (rho, p_s, jump law, row),
     from one ``signal_laws`` table per block of marks, so types differing
-    only in weight, x0, alpha or theta share it.  Each expectation adds its
-    no-signal term first, then its nonzero signals in order; the weighted
-    types are then added one at a time, in population order.  Marks go
-    through in blocks of ``_MARK_BLOCK``.
+    only in weight, x0, alpha or theta share it.  The table holds only the
+    held signals: no signal, and each nonzero signal at which some distinct
+    row is nonzero.  The terms of the others are P(z | e_c)*log1p(0*eta) =
+    +-0 at finite marks, so leaving them out keeps every bit of m (only the
+    sign of a zero log m may differ, and m = exp(log m) is 1 either way).
+    Each expectation adds its no-signal term first, then its held nonzero
+    signals in order; the weighted types are then added one at a time, in
+    population order.  Marks go through in blocks of ``_MARK_BLOCK``.
     """
     keys = [(t.rho, t.p_s, jump_law(t.market), row.tobytes()) for t, row in zip(pop.types, strat.table)]
     firsts, investor_of = distinct(keys)
     investors = [pop.types[i] for i in firsts]
-    rows = strat.table[firsts].T[:, :, np.newaxis]
+    rows = strat.table[firsts]
+    columns = [j for j, column in enumerate(rows.T) if j == NONE_INDEX or column.any()]
+    held, rows = [SIGNALS[j] for j in columns], rows[:, columns].T[:, :, np.newaxis]
 
     def log_mean_jump(e: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        mixture = signal_expectation(signal_laws(investors, e)[1], np.log1p(rows * sizes))
+        mixture = signal_expectation(signal_laws(investors, e, held)[1], np.log1p(rows * sizes), held)
         if len(firsts) < len(investor_of):
             mixture = mixture[investor_of]
         # One type at a time: np.sum over the type axis would add in pairs on a one-mark block.
@@ -104,17 +114,17 @@ def _log_mean_jump_given(pop: Population, strat: Strategy) -> Callable:
 
 
 def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
-    """Closed-form m(e_c) at marks of any shape: ``_log_mean_jump_given`` with one eta per distinct jump law.
+    """Closed-form m(e_c) at marks of any shape, returned in that shape: ``_log_mean_jump_given``.
 
-    Set up at its first call, so a statistic whose m is only read on the nodes sets up nothing.
+    It takes one eta per distinct jump law, and is set up at its first call,
+    so a statistic whose m is only read on the nodes sets up nothing.
     """
     setup = functools.cache(lambda: _log_mean_jump_given(pop, strat))
 
     def mean_jump(e_c):
-        e = np.atleast_1d(np.asarray(e_c, dtype=float))
-        flat = e.ravel()
-        out = np.exp(setup()(flat, jump_sizes(pop.types, flat))).reshape(e.shape)
-        return float(out[0]) if np.isscalar(e_c) else out
+        flat = np.asarray(e_c, dtype=float).ravel()
+        out = np.exp(setup()(flat, jump_sizes(pop.types, flat))).reshape(np.shape(e_c))
+        return float(out) if np.isscalar(e_c) else out
 
     return mean_jump
 

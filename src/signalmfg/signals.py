@@ -14,9 +14,10 @@ P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)), written once in
 byte per mark) followed by reception (``receive``), so Monte Carlo can keep
 the first and draw the reception coins later.
 ``signal_kernel`` evaluates N01(I(z, e_c)) for any number of rho in one CDF
-call; the target contexts, the n-agent peer mixtures and the mean-jump
-function read the law table, and ``signal_expectation`` takes an expectation
-under it.
+call, at the edges of the signals asked for (all by default); the target
+contexts and the n-agent peer mixtures read the law table of every signal,
+the mean-jump function the table of the signals a strategy holds, and
+``signal_expectation`` takes an expectation under either.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NONE_INDEX, NONZERO_INDEX, NONZERO_SIGNALS, SIGNALS, InvestorType, MarketParams, Signal
+from .model import NONE_INDEX, NONZERO_SIGNALS, SIGNALS, InvestorType, MarketParams, Signal
 from .quad import std_normal_cdf
 
 # Bucket edges on the perturbed mark: the six intervals they cut R into are
@@ -98,56 +99,71 @@ def classify_index(z_perturbed, received):
     return receive(signal_offset(z_perturbed), received)
 
 
-def signal_kernel(rho, e_c) -> np.ndarray:
-    """N01(I(z, e_c)) for z in ``NONZERO_SIGNALS`` order: a (6, *shape(rho), *shape(e_c)) table.
+def signal_kernel(rho, e_c, signals: Sequence[Signal] = NONZERO_SIGNALS) -> np.ndarray:
+    """N01(I(z, e_c)) for z in ``signals``: a (len(signals), *shape(rho), *shape(e_c)) table.
 
-    I(z, e_c) holds the noise values e_i1 producing signal z at mark e_c; the
-    perturbation is increasing in e_i1, so its edges are
+    ``signals`` is a subsequence of ``NONZERO_SIGNALS``, all of them by
+    default.  I(z, e_c) holds the noise values e_i1 producing signal z at
+    mark e_c; the perturbation is increasing in e_i1, so its edges are
     (edge - rho*e_c)/sqrt(1-rho^2).  At rho = 0 the rows are the masses
-    N01(I(z)).  One CDF call covers every rho and mark; each value is the
-    one a single (rho, e_c) gives.
+    N01(I(z)).  One CDF call covers every rho and mark, at the edges that
+    bound the intervals of ``signals`` only; each value is the one a single
+    (rho, e_c) gives with every signal.
     """
     rho = np.asarray(rho, dtype=float)
     if not (np.abs(rho) < 1.0).all():
         raise ValueError(f"signal quality must satisfy |rho| < 1, got {rho}")
     e = np.asarray(e_c, dtype=float)
     scale = np.sqrt(1.0 - rho * rho).reshape(rho.shape + (1,) * e.ndim)
-    cdf = std_normal_cdf(np.subtract.outer(SIGNAL_EDGES, np.multiply.outer(rho, e)) / scale)
-    return np.concatenate((cdf[:1], cdf[1:] - cdf[:-1], 1.0 - cdf[-1:]))
+    # Signal k of NONZERO_SIGNALS lies between bounds k and k + 1 of (-inf, *SIGNAL_EDGES, inf).
+    asked = [NONZERO_SIGNALS.index(z) for z in signals]
+    bounds = sorted(set(asked) | {k + 1 for k in asked})
+    edges = [SIGNAL_EDGES[b - 1] for b in bounds if 0 < b <= len(SIGNAL_EDGES)]
+    cdf = std_normal_cdf(np.subtract.outer(edges, np.multiply.outer(rho, e)) / scale)
+    first, last = [cdf[:1]] * (0 in bounds), [1.0 - cdf[-1:]] * (len(NONZERO_SIGNALS) in bounds)
+    kernel = np.concatenate(first + [cdf[1:] - cdf[:-1]] + last)
+    # Between the intervals of signals that are not neighbours lie rows of no signal asked for.
+    return kernel if len(kernel) == len(asked) else kernel[[i for i, b in enumerate(bounds[:-1]) if b in asked]]
 
 
-def signal_laws(types: Sequence[InvestorType], e_c) -> tuple[np.ndarray, np.ndarray]:
-    """(kernels, law) of ``types`` at marks ``e_c``: the tables of P(z | e_c).
+def signal_laws(types: Sequence[InvestorType], e_c,
+                signals: Sequence[Signal] = SIGNALS) -> tuple[np.ndarray, np.ndarray]:
+    """(kernels, law) of ``types`` at marks ``e_c``: the tables of P(z | e_c) for z in ``signals``.
 
-    ``kernels`` (investors, 6, *shape(e_c)) is each investor's
-    ``signal_kernel``, from one kernel call over the distinct rho; ``law``
-    (investors, 7, *shape(e_c)) is P(z | e_c) in ``SIGNALS`` order.  The
+    ``signals`` is a subsequence of ``SIGNALS`` that holds ``Signal.NONE``,
+    all of them by default.  ``kernels`` (investors, nonzero signals,
+    *shape(e_c)) is each investor's ``signal_kernel`` on the nonzero ones,
+    from one kernel call over the distinct rho; ``law`` (investors,
+    len(signals), *shape(e_c)) is P(z | e_c) in ``signals`` order.  The
     kernels are copied out per investor only when some, not all, share a rho.
     """
     e = np.asarray(e_c, dtype=float)
+    nonzero, none = [z for z in signals if z is not Signal.NONE], signals.index(Signal.NONE)
     firsts, rho_of = distinct([t.rho for t in types])
-    kernels = signal_kernel([types[i].rho for i in firsts], e)
+    kernels = signal_kernel([types[i].rho for i in firsts], e, nonzero)
     if 1 < len(firsts) < len(types):  # one rho broadcasts over the investors
         kernels = kernels[:, rho_of]
     p_s = np.array([t.p_s for t in types]).reshape((-1, 1) + (1,) * e.ndim)
-    law, signal = np.empty((len(types), len(SIGNALS)) + e.shape), np.moveaxis(kernels, 0, 1)
-    law[:, NONE_INDEX] = 1.0 - p_s[:, 0]
+    law, signal = np.empty((len(types), len(signals)) + e.shape), np.moveaxis(kernels, 0, 1)
+    law[:, none] = 1.0 - p_s[:, 0]
     # The nonzero signals are the columns on either side of the no-signal one, in order.
-    np.multiply(p_s, signal[:, :NONE_INDEX], out=law[:, :NONE_INDEX])
-    np.multiply(p_s, signal[:, NONE_INDEX:], out=law[:, NONE_INDEX + 1 :])
-    return np.moveaxis(np.broadcast_to(kernels, (len(NONZERO_SIGNALS), len(types)) + e.shape), 0, 1), law
+    np.multiply(p_s, signal[:, :none], out=law[:, :none])
+    np.multiply(p_s, signal[:, none:], out=law[:, none + 1 :])
+    return np.moveaxis(np.broadcast_to(kernels, (len(nonzero), len(types)) + e.shape), 0, 1), law
 
 
-def signal_expectation(law: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """E[v(z) | e_c] under P(z | e_c), the ``signal_laws`` table ``law``.
+def signal_expectation(law: np.ndarray, values: np.ndarray, signals: Sequence[Signal] = SIGNALS) -> np.ndarray:
+    """E[v(z) | e_c] under P(z | e_c), the ``signal_laws`` table ``law`` of ``signals``.
 
-    ``values`` (7, investors, *shape(e_c)) holds v at each signal in
-    ``SIGNALS`` order.  The terms P(z | e_c)*v(z) are added one column of
-    ``law`` at a time: the no-signal term first, then the nonzero signals
-    in ``NONZERO_SIGNALS`` order.
+    ``values`` (len(signals), investors, *shape(e_c)) holds v at each
+    signal in ``signals`` order.  The terms P(z | e_c)*v(z) are added one
+    column of ``law`` at a time: the no-signal term first, then the nonzero
+    signals in ``NONZERO_SIGNALS`` order.  A signal left out adds nothing
+    where its v is 0, except the sign of a zero expectation.
     """
-    total = law[:, NONE_INDEX] * values[NONE_INDEX]
-    for z in NONZERO_INDEX:
+    none = signals.index(Signal.NONE)
+    total = law[:, none] * values[none]
+    for z in [*range(none), *range(none + 1, len(signals))]:
         total += law[:, z] * values[z]
     return total
 

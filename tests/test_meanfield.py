@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from signalmfg.meanfield import _MARK_BLOCK, _population_sums, aggregate, law_on
 from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, SIGNALS, Population, Strategy
 from signalmfg.quad import Quadrature
 from signalmfg.response import _contexts
-from signalmfg.signals import classify_index, conditional_prob, eta, perturb
+from signalmfg.signals import (classify_index, conditional_prob, eta, jump_sizes, perturb, signal_expectation,
+                               signal_laws)
 from signalmfg.sim import CommonNoisePath
 
 
@@ -37,6 +39,31 @@ def per_type_mean_jump(pop, strat, e):
                 mixture = mixture + t.p_s * conditional_prob(z, e, t.rho) * np.log1p(row[SIGNAL_INDEX[z]] * jump)
         log_m += t.weight * mixture
     return np.exp(log_m)
+
+
+def full_law_mean_jump(pop, strat, e):
+    """m(e_c) from the law of all seven signals: one ``signal_laws`` table, its expectation, the types one at a time."""
+    sizes = np.stack(jump_sizes(pop.types, e))
+    mixture = signal_expectation(signal_laws(pop.types, e)[1], np.log1p(strat.table.T[:, :, np.newaxis] * sizes))
+    return np.exp(functools.reduce(np.add, pop.weights[:, np.newaxis] * mixture))
+
+
+SIZELESS = casestudy.default_market(sigma_hat=0.0, kappa_hat=0.0)
+# Populations and strategies whose rows hold zeros: the evaluator tabulates only the signals some row holds.
+# The two distinct rho together hold the first, fourth and sixth nonzero signals, which are not all neighbours.
+HELD_CASES = {
+    "negative_zeros": (casestudy.reference_population(), Strategy([[-0.0, -0.0, 0.0, 0.4, 0.8, 0.9, -0.0]] * 2)),
+    "all_zero": (casestudy.reference_population(), Strategy.zeros(2)),
+    "distinct_rho_and_zeros": (
+        Population([casestudy.investor(weight=0.4, p_s=0.6, rho=0.5),
+                    casestudy.investor(weight=0.6, p_s=0.9, rho=-0.3)]),
+        Strategy([[0.0, 0.0, 0.0, 0.4, 0.8, 0.0, 0.0], [0.2, 0.0, 0.0, 0.3, 0.0, 0.0, 0.9]]),
+    ),
+    "sizeless_beside_sized": (
+        Population([casestudy.investor(SIZELESS, weight=0.5), casestudy.investor(weight=0.5, rho=0.2)]),
+        Strategy([[0.3, 0.0, 0.0, 0.2, 0.5, 0.7, 0.9], [0.0, 0.0, 0.0, 0.386, 0.838, 0.999999, 0.999999]]),
+    ),
+}
 
 
 class TestAggregate:
@@ -255,6 +282,29 @@ class TestAggregate:
             var_est += (t.weight**2) * samples.var() / n
         se = math.sqrt(var_est)
         assert abs(math.log(stats.mean_jump(e_c)) - log_est) < 3 * se
+
+
+class TestHeldSignals:
+    """m(e_c) tabulates only the signals some row holds; the terms it leaves out are exact zeros."""
+
+    @pytest.mark.parametrize("case", ["reference", *HELD_CASES])
+    def test_bitwise_the_full_law(self, case, ref_pop, ref_eq, quad128):
+        pop, strat = (ref_pop, ref_eq.strategy) if case == "reference" else HELD_CASES[case]
+        marks = 3.0 * np.random.default_rng(8).standard_normal(3 * _MARK_BLOCK + 7)
+        jumps = eta(pop.types[-1].market, marks)
+        assert jumps.min() < 0.0 < jumps.max()  # 0 * eta takes both signs
+        stats = aggregate(pop, strat, quad128)
+        assert stats.mean_jump(marks).tobytes() == full_law_mean_jump(pop, strat, marks).tobytes()
+        assert stats.mean_jump(quad128.nodes).tobytes() == stats.mean_jump_nodes.tobytes()
+
+    @pytest.mark.parametrize("e_c", [np.array(0.5), 0.5, np.empty(0), np.linspace(-2.0, 2.0, 12).reshape(3, 4)],
+                             ids=["0-d", "scalar", "empty", "3x4"])
+    def test_mean_jump_keeps_the_shape_of_its_marks(self, e_c, ref_pop, quad128):
+        stats = aggregate(ref_pop, Strategy.constant(2, 0.3), quad128)
+        m = stats.mean_jump(e_c)
+        assert isinstance(m, float) if np.isscalar(e_c) else m.shape == np.shape(e_c)
+        flat = stats.mean_jump(np.ravel(e_c))
+        assert np.asarray(m).ravel().tobytes() == flat.tobytes()
 
 
 class TestMeanLogTerminal:

@@ -288,6 +288,25 @@ class TestSignalLaws:
                 assert kernels[i].tobytes() == alone_kernels[0].tobytes()
                 assert law[i].tobytes() == alone_law[0].tobytes()
 
+    @pytest.mark.parametrize("held", [(3, 4, 5), (0, 3, 5), (1,), (0,), (5,), (), tuple(range(6))])
+    def test_held_signals_are_bitwise_the_full_tables(self, held):
+        # The tables of some signals have the bits of the full tables' columns, also where they are not neighbours.
+        types = [casestudy.investor(p_s=0.5, rho=0.5), casestudy.investor(p_s=0.9, rho=-0.3)]
+        e_c = np.linspace(-6.0, 6.0, 101)
+        nonzero = [NONZERO_SIGNALS[k] for k in held]
+        signals = [z for z in SIGNALS if z is Signal.NONE or z in nonzero]
+        columns = [SIGNALS.index(z) for z in signals]
+        rhos = [0.5, -0.3]
+        assert signal_kernel(rhos, e_c, nonzero).tobytes() == signal_kernel(rhos, e_c)[list(held)].tobytes()
+        kernels, law = signal_laws(types, e_c, signals)
+        full_kernels, full_law = signal_laws(types, e_c)
+        assert kernels.tobytes() == full_kernels[:, list(held)].tobytes()
+        assert law.tobytes() == full_law[:, columns].tobytes()
+        values = np.random.default_rng(3).standard_normal((len(SIGNALS), len(types), e_c.size))
+        values[[i for i in range(len(SIGNALS)) if i not in columns]] = 0.0
+        expected = signal_expectation(full_law, values)
+        assert signal_expectation(law, values[columns], signals).tobytes() == expected.tobytes()
+
     def test_expectation_is_the_law_table_summed_in_order(self):
         types = [casestudy.investor(p_s=0.5, rho=0.5), casestudy.investor(p_s=0.0, rho=0.5),
                  casestudy.investor(p_s=0.9, rho=-0.3)]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signalmfg import casestudy, cli, meanfield, sim
+from signalmfg import casestudy, cli, meanfield, signals, sim
 from signalmfg.meanfield import aggregate, mean_log_terminal
 from signalmfg.model import SIGNALS, Population, Signal, Strategy, validate_population
 from signalmfg.quad import Quadrature
@@ -26,6 +26,8 @@ from signalmfg.sim import (
 MARKET = casestudy.default_market()
 MIXED_ROW = np.array([0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 0.9])
 TWO_ROWS = Strategy([MIXED_ROW, MIXED_ROW[::-1]])
+# Every investor holds nothing on the short-side signals, as at the reference equilibrium.
+ZERO_SHORT_ROW = [0.0, 0.0, 0.0, 0.4, 0.8, 0.999999, 0.999999]
 
 # Non-dyadic weights, x0 != 1, sigma > 0 and T != 1: no term of the wealth model drops out.
 REPLAY_MARKET = casestudy.default_market(sigma=0.2, sigma_hat=0.3, kappa_hat=0.02)
@@ -342,11 +344,17 @@ class TestEstimateUtility:
                 ("-0x1.fd284940b8419p-1",) * 2,
                 ("0x1.6f4c77e2709c9p-10",) * 2,
             ),
+            (
+                (casestudy.reference_population(), Strategy([ZERO_SHORT_ROW] * 2), 2_000, 1.0, 9),
+                ("-0x1.eb086d1179facp-1", "-0x1.eb7d6e24a475dp-1"),
+                ("0x1.659b842cef06ep-9", "0x1.7037b4044e908p-9"),
+            ),
         ],
-        ids=["replay", "reference"],
+        ids=["replay", "reference", "zero_short_side"],
     )
     def test_outputs_pinned(self, args, means_hex, errors_hex):
-        # Values of the whole-array implementation that predates the path-aligned blocks.
+        # Values of the whole-array implementation that predates the path-aligned blocks; the zero-short-side
+        # values are those of m(e_c) on the law of all seven signals, before it tabulated only the held ones.
         means, errors = estimate_utility(*args)
         assert tuple(m.hex() for m in means.tolist()) == means_hex
         assert tuple(e.hex() for e in errors.tolist()) == errors_hex
@@ -364,6 +372,19 @@ class TestEstimateUtility:
             monkeypatch.setattr(module, "_MARK_BLOCK", block)
         means, errors = estimate_utility(pop, TWO_ROWS, 300, T, seed=5)
         assert means.tobytes() == expected[0].tobytes() and errors.tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("equilibrium, edges", [(True, 3), (False, 5)], ids=["reference_equilibrium", "constant"])
+    def test_cdf_edges_per_mark(self, monkeypatch, ref_pop, ref_eq, quad128, equilibrium, edges):
+        # m(e_c) evaluates the CDF only at the edges of the signals some row holds: at the reference equilibrium
+        # the three short-side signals sit at 0, so it skips 2 of the 5 edges.  The aggregate's node law takes all 5.
+        strat = ref_eq.strategy if equilibrium else Strategy.constant(2, 0.3)
+        values, marks = [], []
+        cdf, sizes = signals.std_normal_cdf, sim.jump_sizes
+        monkeypatch.setattr(signals, "std_normal_cdf", lambda x: values.append(np.size(x)) or cdf(x))
+        monkeypatch.setattr(sim, "jump_sizes", lambda types, e_c: marks.append(len(e_c)) or sizes(types, e_c))
+        estimate_utility(ref_pop, strat, 10_000, 1.0, seed=3)
+        assert sum(marks) > 50_000
+        assert sum(values) == edges * sum(marks) + 5 * len(quad128.nodes)
 
     def test_memory_stays_per_mark_small(self, ref_pop):
         # About 1e6 marks (lam*T = 10).  The whole-array body held ~68 bytes per mark, 68 MB here; the

@@ -17,10 +17,12 @@ records three things, parent and change side by side:
   checkouts: the reference ``solve_mf_finite``, 200 drawn types, and
   ``solve_nagent`` on 20 and 80 distinct players.
 * ``monte_carlo``: one 1e5-path ``estimate_utility`` at the reference
-  equilibrium: the marks it draws (read off its ``jump_sizes`` calls) and
-  its ``tracemalloc`` peak in MB.  Both repeat exactly; the peak is the
-  allocation behind the ``montecarlo`` workload's ``peak_rss_mb``, without
-  the interpreter and imports.
+  equilibrium: the marks it draws (read off its ``jump_sizes`` calls), the
+  values it passes to the normal CDF (``signals.std_normal_cdf``; the
+  aggregate's node law included) and its ``tracemalloc`` peak in MB.  All
+  three repeat exactly; the peak is the allocation behind the
+  ``montecarlo`` workload's ``peak_rss_mb``, without the interpreter and
+  imports.
 
 Run it on an otherwise idle machine; it starts one process at a time.
 """
@@ -109,18 +111,22 @@ print(json.dumps(out))
 
 MONTE_CARLO = """
 import json, tracemalloc
-from signalmfg import Quadrature, casestudy, sim
+import numpy as np
+from signalmfg import Quadrature, casestudy, signals, sim
 from signalmfg.equilibrium import solve_mf_finite
 
 pop = casestudy.reference_population()
 strategy = solve_mf_finite(pop, Quadrature.standard_normal()).strategy
 marks, jump_sizes = [], sim.jump_sizes
 sim.jump_sizes = lambda types, e_c: marks.append(len(e_c)) or jump_sizes(types, e_c)
+cdf_values, cdf = [], signals.std_normal_cdf
+signals.std_normal_cdf = lambda x: cdf_values.append(np.size(x)) or cdf(x)
 tracemalloc.start()
 sim.estimate_utility(pop, strategy, 100_000, 1.0, 2401)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-print(json.dumps({"paths": 100_000, "marks": sum(marks), "tracemalloc_peak_mb": peak / 1e6}))
+print(json.dumps({"paths": 100_000, "marks": sum(marks), "cdf_values": sum(cdf_values),
+                  "tracemalloc_peak_mb": peak / 1e6}))
 """
 
 
