@@ -204,7 +204,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[dict], list[str]]:
     ``equilibrium._solve_mf_many`` advances every population together, one
     best response per iteration for all of them, each with the iterates,
     iteration count and M of its solve alone; a grid point equal to the
-    reference reuses the reference's result.  Returns (rows, notes); each
+    reference iterates beside it, sharing its Newton rows, to the same bits,
+    so its certainty equivalent is exactly 1.  Returns (rows, notes); each
     row carries the sweep value, the Type-A certainty equivalent
     exp(T (M_alt - M_ref)), residuals, iteration count of the alternative
     solve, both M constants and a converged flag.

@@ -10,10 +10,13 @@ one image at a time, so one core (``_solve``) runs many fixed points in
 lockstep: a sweep's reference and grid-point populations iterate together,
 with one best response per iteration for all of them, each population on
 its own environment and Anderson history, with the iterates of its solve
-alone; ``solve_mf_finite`` is that lockstep solve of one population and
-``damped_fixed_point`` drives one iteration of a given map.  A solver
-builds its investors' context once and gives the core one hook: each round
-builds one environment for every live problem (a sweep: every
+alone.  Populations equal byte for byte (a grid point equal to the
+reference) are iterated apart but share their Newton rows: the one sharing
+rule is ``response._best_rows``'s, by ``static_class`` and the bytes of
+environment and start.  ``solve_mf_finite`` is that lockstep solve of
+one population and ``damped_fixed_point`` drives one iteration of a given
+map.  A solver builds its investors' context once and gives the core one
+hook: each round builds one environment for every live problem (a sweep: every
 population's mean field from one node mixture, ``response._mean_field``)
 and answers each problem's point with its image.  Both mean-field solvers
 take a strategy's statistic from that one node mixture
@@ -31,7 +34,7 @@ an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +64,6 @@ from .response import (
     _nagent_environment,
     best_response,
 )
-from .signals import distinct
 
 # Anderson memory: how many past residual and image differences enter each extrapolation.
 _ANDERSON_MEMORY = 3
@@ -282,15 +284,6 @@ def _mf_last(pop: Population, table: np.ndarray, final: TargetContext, sums, mea
     return strategy, final, [stats.xbar0] * len(pop), stats
 
 
-def _population_key(pop: Population) -> bytes:
-    """The bytes of every number of every type and its market: -0.0 and 0.0 key apart, as in ``static_class``."""
-
-    def numbers(block) -> list:
-        return [getattr(block, f.name) for f in fields(block) if f.name != "market"]
-
-    return np.array([numbers(t) + numbers(t.market) for t in pop.types], dtype=float).tobytes()
-
-
 def _solve_mf_many(pops: Sequence[Population], q: Quadrature, cfg: SolverConfig) -> list[EquilibriumResult]:
     """``solve_mf_finite`` of each population of ``pops``, all in one lockstep ``_solve``.
 
@@ -299,28 +292,26 @@ def _solve_mf_many(pops: Sequence[Population], q: Quadrature, cfg: SolverConfig)
     stacks the live populations' iterates and builds their environments with
     one ``response._mean_field`` call, each population one segment of it; a
     population's ``MeanFieldStats`` is built once, from its last round's
-    sums, when it stops.  Populations equal byte for byte
-    (``_population_key``) are solved once and share one result.
+    sums, when it stops.  Each population is its own problem with its own
+    result; populations equal byte for byte iterate side by side, and their
+    investors share each round's Newton rows through ``response._best_rows``.
     """
-    firsts, position = distinct([_population_key(pop) for pop in pops])
-    unique = [pops[i] for i in firsts]
-    ctx = _contexts([t for pop in unique for t in pop.types], q)
-    ends = np.cumsum([len(pop) for pop in unique])
-    problems = [_strategy_problem(np.arange(end - len(pop), end), ctx, cfg) for pop, end in zip(unique, ends)]
+    ctx = _contexts([t for pop in pops for t in pop.types], q)
+    ends = np.cumsum([len(pop) for pop in pops])
+    problems = [_strategy_problem(np.arange(end - len(pop), end), ctx, cfg) for pop, end in zip(pops, ends)]
 
     def environment(batch: TargetContext, live: list, points: list) -> tuple:
         table = np.concatenate(points).reshape(-1, len(SIGNALS))
-        population = np.repeat(np.arange(len(live)), [len(unique[i]) for i in live])
+        population = np.repeat(np.arange(len(live)), [len(pops[i]) for i in live])
         env, sums, mean_jump = _mean_field(batch, table, population, q.nodes)
 
         def answer(k: int, part: np.ndarray, rows: np.ndarray) -> tuple:
-            pop, final = unique[live[k]], lambda: env if len(live) == 1 else env.take(part)
+            pop, final = pops[live[k]], lambda: env if len(live) == 1 else env.take(part)
             return rows.ravel(), lambda: _mf_last(pop, table[part], final(), sums[k], mean_jump[k])
 
         return env, table, answer
 
-    results = _solve(ctx, problems, environment, cfg)
-    return [results[d] for d in position]
+    return _solve(ctx, problems, environment, cfg)
 
 
 def solve_mf_finite(pop: Population, q: Quadrature, cfg: SolverConfig = SolverConfig()) -> EquilibriumResult:

@@ -17,11 +17,11 @@ keeps its bits while the CDF skips the edges of the other signals.  It
 takes the jump sizes at the marks as given (``_log_mean_jump_given``), so
 Monte Carlo computes them once for m and for its paths, and sums log m per
 path.  On the quadrature nodes, m is summed from the law table of every
-signal and the jump sizes there (``law_on_nodes``) by one kernel,
-``_population_sums``, with the evaluator's bits: ``aggregate`` runs it on
-one population, and both mean-field solvers run it through
-``response._mean_field``, on every population a round iterates at once,
-with the tables their target context already holds.
+signal and the jump sizes there by one kernel, ``_population_sums``, with
+the evaluator's bits: ``aggregate`` runs it on one population, and both
+mean-field solvers run it through ``response._mean_field``, on every
+population a round iterates at once, with the tables their target context
+already holds.
 """
 
 from __future__ import annotations
@@ -129,27 +129,20 @@ def _mean_jump_evaluator(pop: Population, strat: Strategy) -> Callable:
     return mean_jump
 
 
-def law_on_nodes(types: Sequence[InvestorType], q: Quadrature) -> tuple:
-    """(law, sizes): each type's P(z | e_c) on ``q``'s nodes and its jump sizes there, as ``aggregate`` reads them.
-
-    ``law`` is the ``signals.signal_laws`` table; ``sizes`` (types, nodes)
-    stacks ``signals.jump_sizes``.  A target context holds the same tables
-    as ``law`` and ``eta_raw``.
-    """
-    return signal_laws(types, q.nodes)[1], np.stack(jump_sizes(types, q.nodes))
-
-
 def _population_sums(types: Sequence[InvestorType], table: np.ndarray, node_law: tuple, nodes: np.ndarray,
                      population: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per population: (sigma0pi_bar, taupi_bar, log xbar0) and m on the quadrature nodes, as ``aggregate`` sums them.
 
     ``types`` holding ``table`` form populations, labelled 0, 1, ... in
-    order by ``population``; ``node_law`` is their ``law_on_nodes``.  The
-    mixture sum_z P(z | e_c) log(1 + pi_z eta) is taken once for all of
-    them, and each population adds its weighted types to +0.0, one at a time
-    in its order, as ``np.sum`` over axis 0 adds them: the one statement of
-    m on the nodes, for one population (``aggregate``) or for every
-    population a lockstep round iterates.  Every m must be finite and > 0.
+    order by ``population``; ``node_law`` is their (law, sizes) on
+    ``nodes``: the ``signals.signal_laws`` table of every signal and the
+    stacked ``signals.jump_sizes``, as a target context holds them (``law``,
+    ``eta_raw``).  The mixture sum_z P(z | e_c) log(1 + pi_z eta) is taken
+    once for all of them, and each population adds its weighted types to
+    +0.0, one at a time in its order, as ``np.sum`` over axis 0 adds them:
+    the one statement of m on the nodes, for one population (``aggregate``)
+    or for every population a lockstep round iterates.  Every m must be
+    finite and > 0.
     """
     drift, _, sigma0pi = wealth_diffusion(types, table[:, NONE_INDEX])
     weights = np.array([t.weight for t in types])[:, np.newaxis]
@@ -180,15 +173,15 @@ def _stats(pop: Population, strat: Strategy, sums: np.ndarray, mean_jump_nodes: 
 def aggregate(pop: Population, strat: Strategy, q: Quadrature) -> MeanFieldStats:
     """Aggregate a population and strategy into ``MeanFieldStats``.
 
-    m on ``q``'s nodes is summed from ``law_on_nodes(pop.types, q)`` by
-    ``_population_sums`` with the population as its one segment; it has the
-    bits of the evaluator ``mean_jump`` at the nodes.  The solvers do not
+    m on ``q``'s nodes is summed from the types' signal law and jump sizes
+    there by ``_population_sums``, with the population as its one segment;
+    it has the bits of the evaluator ``mean_jump`` at the nodes.  The solvers do not
     call this: they sum the same kernel over the tables their target context
     already holds (``response._mean_field``).  Raises on inadmissible
     positions, naming the offending (type, signal).
     """
     check_admissible(pop, strat)
-    node_law = law_on_nodes(pop.types, q)
+    node_law = signal_laws(pop.types, q.nodes)[1], np.stack(jump_sizes(pop.types, q.nodes))
     sums, mean_jump = _population_sums(pop.types, strat.table, node_law, q.nodes, np.zeros(len(pop), dtype=np.intp))
     return _stats(pop, strat, sums[0], mean_jump[0])
 

@@ -533,10 +533,10 @@ class TestWorkCounts:
         ids=["mf_finite", "mf_statistic"],
     )
     def test_no_node_kernel_built_by_the_mean_field_iteration(self, solve, ref_pop, quad128, monkeypatch):
+        # aggregate and the mean jump evaluator build their node or mark law through meanfield.signal_laws.
         calls = []
-        laws, tables = meanfield.signal_laws, meanfield.law_on_nodes
+        laws = meanfield.signal_laws
         monkeypatch.setattr(meanfield, "signal_laws", lambda *args: calls.append(args) or laws(*args))
-        monkeypatch.setattr(meanfield, "law_on_nodes", lambda *args: calls.append(args) or tables(*args))
         result = solve(ref_pop, quad128)
         assert result.converged and result.iterations > 1
         assert not calls
@@ -750,32 +750,53 @@ class TestLockstep:
         assert all(row["converged"] for row in rows)
         assert len(calls) <= 25
 
-    def test_a_grid_point_equal_to_the_reference_is_solved_once(self, monkeypatch):
-        sizes = []
-        solve = equilibrium._solve
-        monkeypatch.setattr(equilibrium, "_solve", lambda ctx, problems, *args: sizes.append(len(problems))
-                            or solve(ctx, problems, *args))
+    def test_a_grid_point_equal_to_the_reference_keeps_ce_one(self):
+        # theta_B = 0.5 is the reference population: it iterates beside the reference, to the same bits.
         cfg = cli.load_config({"sweep": {"parameter": "theta_B", "grid": BENCHMARK_GRIDS["theta_B"]}})
         rows, notes = cli.run_experiment(cfg)
-        assert sizes == [5]
         middle = rows[2]
         assert middle["sweep_value"] == 0.5 and middle["certainty_equivalent"] == 1.0
         assert middle["M_A_alt"] == middle["M_A_ref"] and middle["residual_alt"] == middle["residual_ref"]
         assert f"reference: residual={middle['residual_ref']:.3e} iterations={middle['iterations']}" == notes[0]
 
     def test_populations_are_keyed_by_bytes(self, quad128, monkeypatch):
-        # theta = -0.0 equals 0.0 as a type field, but the two populations solve apart.
-        sizes = []
-        solve = equilibrium._solve
-        monkeypatch.setattr(equilibrium, "_solve", lambda ctx, problems, *args: sizes.append(len(problems))
-                            or solve(ctx, problems, *args))
+        # theta = -0.0 equals 0.0 as a type field.  A repeated population gets the bits of its first copy and
+        # adds no Newton row; the -0.0 population's type B has rows of its own.
         zero, negative_zero = (casestudy.alternative_population(theta_b=theta) for theta in (0.0, -0.0))
         assert zero == negative_zero
-        results = _solve_mf_many([zero, negative_zero, zero], quad128, SolverConfig())
-        assert sizes == [2]
-        assert results[2] is results[0] and results[1] is not results[0]
-        for lockstep, pop in zip(results, (zero, negative_zero)):
+        rows = count_newton_rows(monkeypatch)
+
+        def solve(pops):
+            rows.clear()
+            return _solve_mf_many(pops, quad128, SolverConfig()), sum(rows)
+
+        results, with_repeat = solve([zero, negative_zero, zero])
+        assert with_repeat == solve([zero, negative_zero])[1] > solve([zero])[1]
+        assert_same_result(results[2], results[0])
+        for lockstep, pop in zip(results, (zero, negative_zero, zero)):
             assert_same_result(lockstep, solve_mf_finite(pop, quad128))
+
+    @pytest.mark.parametrize("parameter, newton_rows, derivative_calls", [("theta_B", 287, 20), ("p_s_B", 343, 19)],
+                             ids=["theta_B", "p_s_B"])
+    def test_the_reference_grid_point_adds_no_newton_work(self, parameter, newton_rows, derivative_calls, monkeypatch):
+        # The 0.5 point's investors share every round's Newton rows with the reference's (response._best_rows).
+        rows, calls, work = count_newton_rows(monkeypatch), [], []
+        derivatives = response._derivatives
+        monkeypatch.setattr(response, "_derivatives", lambda *args: calls.append(1) or derivatives(*args))
+        for grid in (BENCHMARK_GRIDS[parameter], [v for v in BENCHMARK_GRIDS[parameter] if v != 0.5]):
+            rows.clear()
+            calls.clear()
+            cli.run_experiment(cli.load_config({"sweep": {"parameter": parameter, "grid": grid}}))
+            work.append((sum(rows), len(calls)))
+        assert work == [(newton_rows, derivative_calls)] * 2
+
+
+def count_newton_rows(monkeypatch):
+    """A list that gets, per ``response._newton`` call, the number of (investor, signal) rows it solves."""
+    rows, newton = [], response._newton
+    monkeypatch.setattr(response, "_newton", lambda ctx, opt_tol, start: rows.append(start.size)
+                        or newton(ctx, opt_tol, start))
+    return rows
 
 
 def lockstep_populations():

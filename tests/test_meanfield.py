@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from signalmfg import casestudy
-from signalmfg.meanfield import _MARK_BLOCK, _population_sums, aggregate, law_on_nodes, mean_log_terminal
+from signalmfg.meanfield import _MARK_BLOCK, _population_sums, aggregate, mean_log_terminal
 from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, SIGNALS, Population, Strategy
 from signalmfg.quad import Quadrature
 from signalmfg.response import _contexts
@@ -150,9 +150,12 @@ class TestAggregate:
         types = [casestudy.investor(weight=1.0)] + [casestudy.investor(weight=0.5)] * 2
         table = np.full((3, len(SIGNALS)), 0.25)
         table[0, NONE_INDEX] = -0.0
-        sums, _ = _population_sums(types, table, law_on_nodes(types, quad128), quad128.nodes, np.array([0, 1, 1]))
-        alone, _ = _population_sums(types[:1], table[:1], law_on_nodes(types[:1], quad128), quad128.nodes,
-                                    np.array([0]))
+
+        def node_law(types):
+            return signal_laws(types, quad128.nodes)[1], np.stack(jump_sizes(types, quad128.nodes))
+
+        sums, _ = _population_sums(types, table, node_law(types), quad128.nodes, np.array([0, 1, 1]))
+        alone, _ = _population_sums(types[:1], table[:1], node_law(types[:1]), quad128.nodes, np.array([0]))
         assert sums[0].tobytes() == alone[0].tobytes()
 
     def test_single_type_collapse(self, quad128):

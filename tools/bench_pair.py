@@ -11,8 +11,10 @@ records three things, parent and change side by side:
   median and quartiles of each side, and the pairs the change wins.
 * ``counts``: per sweep of each benchmark grid, the lockstep rounds (best
   responses), environment builds (writes of an environment into a target
-  context), ``meanfield.aggregate`` calls and ``response._derivatives``
-  calls.  Counts repeat exactly and do not depend on the machine.
+  context), ``meanfield.aggregate`` calls, ``response._derivatives``
+  calls and Newton rows (the (investor, signal) rows entering
+  ``response._newton``).  Counts repeat exactly and do not depend on the
+  machine.
 * ``solves``: ``time.perf_counter`` medians of single solves, alternating
   checkouts: the reference ``solve_mf_finite``, 200 drawn types, and
   ``solve_nagent`` on 20 and 80 distinct players.
@@ -65,11 +67,18 @@ count(response, "_with_environment", "environment_builds")
 for module in (meanfield, response, equilibrium):
     count(module, "aggregate", "aggregate_calls")
 count(response, "_derivatives", "derivative_calls")
+newton = response._newton
+
+def counted_newton(ctx, opt_tol, start):
+    calls["newton_rows"] = calls.get("newton_rows", 0) + start.size
+    return newton(ctx, opt_tol, start)
+
+response._newton = counted_newton
 out = {{}}
 for parameter, grid in {GRIDS!r}.items():
     calls.clear()
     rows, _ = cli.run_experiment(cli.load_config({{"sweep": {{"parameter": parameter, "grid": grid}}}}))
-    keys = ("rounds", "environment_builds", "aggregate_calls", "derivative_calls")
+    keys = ("rounds", "environment_builds", "aggregate_calls", "derivative_calls", "newton_rows")
     out[parameter] = {{"iterations": [row["iterations"] for row in rows], **{{k: calls.get(k, 0) for k in keys}}}}
 print(json.dumps(out))
 """
