@@ -7,16 +7,18 @@ signal-driven strategy induces the sufficient statistic of everyone's
 environment: drift aggregate, common volatility exposure, initial geometric
 mean wealth, and the mean-jump function e_c -> m(e_c) multiplying the
 geometric mean wealth at each jump; m mixes each type's log jump return under
-its signal law (a ``signals.signal_laws`` table, summed by
-``signals.signal_expectation``), one block of marks at a time, once per
-distinct (rho, p_s, jump law, row) of the population, the jump law being the
-market's (kappa_hat, sigma_hat) (``signals.jump_law``).  At marks, the table
-holds only the signals some row holds (no signal, and every nonzero signal
-with a nonzero position): a zero position's term is an exact zero, so m
-keeps its bits while the CDF skips the edges of the other signals.  It
-takes the jump sizes at the marks as given (``_log_mean_jump_given``), so
-Monte Carlo computes them once for m and for its paths, and sums log m per
-path.  On the quadrature nodes, m is summed from the law table of every
+its signal law P(z | e_c), once per distinct (rho, p_s, jump law, row) of
+the population, the jump law being the market's (kappa_hat, sigma_hat)
+(``signals.jump_law``).  At marks, m streams: one block of marks at a
+time, it takes the law one signal row at a time (``signals.law_rows``) and
+adds each row's term to the mixture at once, so no law, CDF or log-return
+table of a block is built.  It takes only the signals some row holds (no
+signal, and every nonzero signal with a nonzero position): a zero
+position's term is an exact zero, so m keeps its bits while the CDF skips
+the edges of the other signals.  It takes the jump sizes at the marks as
+given (``_log_mean_jump_given``), so Monte Carlo computes them once for m
+and for its paths, and sums log m per path.  On the quadrature nodes, m is
+summed from the law table of every
 signal and the jump sizes there by one kernel, ``_population_sums``, with
 the evaluator's bits: ``aggregate`` runs it on one population, and both
 mean-field solvers run it through ``response._mean_field``, on every
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,12 +38,14 @@ import numpy as np
 
 from .model import NONE_INDEX, SIGNALS, InvestorType, Population, Strategy, check_admissible, check_horizon
 from .quad import Quadrature
-from .signals import distinct, jump_law, jump_sizes, signal_expectation, signal_laws
+from .signals import distinct, jump_law, jump_sizes, law_rows, signal_expectation, signal_laws
 
-# Marks per block of m(e_c): bounds its per-block tables, each (5 to 7,
-# distinct investors, block), on ~1e6 Monte Carlo marks.  Measured on 1e6
-# marks (2-core Xeon, one and two distinct investors): 2^12 to 2^15 within
-# noise, 2^16 and 2^17 1.4-1.8x slower.
+# Marks per block of m(e_c) and of the Monte Carlo passes: bounds the rows of
+# a block, each (distinct investors, block), on ~1e6 Monte Carlo marks.
+# Measured on the streaming m (2-core Xeon, medians of 7 interleaved runs):
+# on 1e6 marks with one and two distinct investors, 2^14 is fastest, 2^12,
+# 2^13 and 2^15 to 2^17 take 1.0-1.2x as long; the 1e5-path reference
+# estimate_utility at 2^14 took 223 ms, 237-246 ms at the other sizes.
 _MARK_BLOCK = 1 << 14
 
 
@@ -78,15 +83,18 @@ def _log_mean_jump_given(pop: Population, strat: Strategy) -> Callable:
 
     log m(e_c) = sum_i w_i * sum_z P_i(z | e_c) log(1 + pi_iz eta_i(e_c)).  The
     expectation over z is taken once per distinct (rho, p_s, jump law, row),
-    from one ``signal_laws`` table per block of marks, so types differing
-    only in weight, x0, alpha or theta share it.  The table holds only the
-    held signals: no signal, and each nonzero signal at which some distinct
-    row is nonzero.  The terms of the others are P(z | e_c)*log1p(0*eta) =
-    +-0 at finite marks, so leaving them out keeps every bit of m (only the
-    sign of a zero log m may differ, and m = exp(log m) is 1 either way).
-    Each expectation adds its no-signal term first, then its held nonzero
-    signals in order; the weighted types are then added one at a time, in
-    population order.  Marks go through in blocks of ``_MARK_BLOCK``.
+    so types differing only in weight, x0, alpha or theta share it.  Marks
+    go through in blocks of ``_MARK_BLOCK``; in a block the law comes one
+    signal row at a time (``signals.law_rows``: CDF row, p_s*(CDF_hi -
+    CDF_lo)), and each term P(z | e_c)*log1p(pi_z*eta) is formed in place
+    and added to the mixture before the next row is taken, in
+    ``signal_expectation``'s order: the no-signal term first, then the held
+    nonzero signals in order.  Only the held signals come: no signal, and
+    each nonzero signal at which some distinct row is nonzero.  The terms of
+    the others are P(z | e_c)*log1p(0*eta) = +-0 at finite marks, so leaving
+    them out keeps every bit of m (only the sign of a zero log m may differ,
+    and m = exp(log m) is 1 either way).  The weighted types are then added
+    one at a time, in population order.
     """
     keys = [(t.rho, t.p_s, jump_law(t.market), row.tobytes()) for t, row in zip(pop.types, strat.table)]
     firsts, investor_of = distinct(keys)
@@ -95,12 +103,16 @@ def _log_mean_jump_given(pop: Population, strat: Strategy) -> Callable:
     columns = [j for j, column in enumerate(rows.T) if j == NONE_INDEX or column.any()]
     held, rows = [SIGNALS[j] for j in columns], rows[:, columns].T[:, :, np.newaxis]
 
+    def term(column: int, law: np.ndarray, sizes: np.ndarray) -> np.ndarray:  # P(z | e_c)*log1p(pi_z*eta), in place
+        value = np.multiply(rows[column], sizes)
+        np.log1p(value, out=value)
+        value *= law
+        return value
+
     def log_mean_jump(e: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        mixture = signal_expectation(signal_laws(investors, e, held)[1], np.log1p(rows * sizes), held)
-        if len(firsts) < len(investor_of):
-            mixture = mixture[investor_of]
+        mixture = functools.reduce(operator.iadd, (term(c, law, sizes) for c, _, law in law_rows(investors, e, held)))
         # One type at a time: np.sum over the type axis would add in pairs on a one-mark block.
-        return functools.reduce(np.add, pop.weights[:, np.newaxis] * mixture)
+        return functools.reduce(operator.iadd, (w * mixture[d] for w, d in zip(pop.weights, investor_of)))
 
     def log_mean_jump_given(e: np.ndarray, jumps: Sequence) -> np.ndarray:
         own = [jumps[i] for i in firsts]

@@ -8,16 +8,17 @@ probability ``p_s``, a categorical signal built from the perturbed mark
 ``z = rho * e_c + sqrt(1 - rho^2) * e_i1``: its sign plus one of the size
 buckets 0.5 / 1 / inf.  One edges table defines both the classification and
 the intervals I(z), hence the signal law
-P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)), written once in
-``signal_laws`` as an (investors, 7, marks) table in ``SIGNALS`` order.
-``classify_index`` is the signal before reception (``signal_offset``, one
-byte per mark) followed by reception (``receive``), so Monte Carlo can keep
-the first and draw the reception coins later.
-``signal_kernel`` evaluates N01(I(z, e_c)) for any number of rho in one CDF
-call, at the edges of the signals asked for (all by default); the target
-contexts and the n-agent peer mixtures read the law table of every signal,
-the mean-jump function the table of the signals a strategy holds, and
-``signal_expectation`` takes an expectation under either.
+P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)).  It is written once,
+one signal row at a time: ``signal_rows`` states N01(I(z, e_c)) as CDF
+differences at the edges of the signals asked for (all by default), each
+edge's CDF once for any number of rho, and ``law_rows`` weights them by
+p_s.  The tables stack the rows: ``signal_kernel``, and ``signal_laws``'s
+(investors, 7, nodes) law in ``SIGNALS`` order, which the target contexts
+and the n-agent peer mixtures read and ``signal_expectation`` sums; the
+mean-jump function at marks streams ``law_rows`` of the signals a strategy
+holds instead.  ``classify_index`` is the signal before reception
+(``signal_offset``, one byte per mark) followed by reception (``receive``),
+so Monte Carlo can keep the first and draw the reception coins later.
 """
 
 from __future__ import annotations
@@ -49,10 +50,16 @@ def eta(market: MarketParams, e_c):
 
 
 def perturb(rho: float, e_c, e_i1):
-    """Perturbed jump mark rho*e_c + sqrt(1-rho^2)*e_i1; needs |rho| < 1."""
+    """Perturbed jump mark rho*e_c + sqrt(1-rho^2)*e_i1; needs |rho| < 1.
+
+    The sum is formed in place in the noise term, so ``e_i1`` has the shape
+    of the result (or is a scalar).
+    """
     if not abs(rho) < 1.0:
         raise ValueError(f"signal quality must satisfy |rho| < 1, got {rho}")
-    return rho * np.asarray(e_c, dtype=float) + math.sqrt(1.0 - rho * rho) * np.asarray(e_i1, dtype=float)
+    z = np.multiply(math.sqrt(1.0 - rho * rho), e_i1, dtype=float)
+    z += rho * np.asarray(e_c, dtype=float)
+    return z
 
 
 def distinct(keys: Sequence) -> tuple[list[int], list[int]]:
@@ -99,31 +106,62 @@ def classify_index(z_perturbed, received):
     return receive(signal_offset(z_perturbed), received)
 
 
-def signal_kernel(rho, e_c, signals: Sequence[Signal] = NONZERO_SIGNALS) -> np.ndarray:
-    """N01(I(z, e_c)) for z in ``signals``: a (len(signals), *shape(rho), *shape(e_c)) table.
+def signal_rows(rho, e_c, signals: Sequence[Signal] = NONZERO_SIGNALS):
+    """N01(I(z, e_c)) for z in ``signals``, one (*shape(rho), *shape(e_c)) row at a time.
 
-    ``signals`` is a subsequence of ``NONZERO_SIGNALS``, all of them by
-    default.  I(z, e_c) holds the noise values e_i1 producing signal z at
-    mark e_c; the perturbation is increasing in e_i1, so its edges are
-    (edge - rho*e_c)/sqrt(1-rho^2).  At rho = 0 the rows are the masses
-    N01(I(z)).  One CDF call covers every rho and mark, at the edges that
-    bound the intervals of ``signals`` only; each value is the one a single
-    (rho, e_c) gives with every signal.
+    ``signals`` is a subsequence of ``NONZERO_SIGNALS``.  I(z, e_c) holds
+    the noise values e_i1 producing signal z at mark e_c; the perturbation
+    is increasing in e_i1, so its edges are (edge - rho*e_c)/sqrt(1-rho^2),
+    and a row is the CDF at its upper edge less the CDF at its lower one
+    (1 above the last edge, 0 below the first).  Each edge's CDF is
+    evaluated once, for every rho and mark: the upper CDF of a signal is
+    kept as the lower one of the next when they are neighbours.  At rho = 0
+    the rows are the masses N01(I(z)).  The one statement of the CDF
+    differences, for the tables (``signal_kernel``) and the rows that
+    ``law_rows`` weights.
     """
     rho = np.asarray(rho, dtype=float)
     if not (np.abs(rho) < 1.0).all():
         raise ValueError(f"signal quality must satisfy |rho| < 1, got {rho}")
     e = np.asarray(e_c, dtype=float)
-    scale = np.sqrt(1.0 - rho * rho).reshape(rho.shape + (1,) * e.ndim)
-    # Signal k of NONZERO_SIGNALS lies between bounds k and k + 1 of (-inf, *SIGNAL_EDGES, inf).
-    asked = [NONZERO_SIGNALS.index(z) for z in signals]
-    bounds = sorted(set(asked) | {k + 1 for k in asked})
-    edges = [SIGNAL_EDGES[b - 1] for b in bounds if 0 < b <= len(SIGNAL_EDGES)]
-    cdf = std_normal_cdf(np.subtract.outer(edges, np.multiply.outer(rho, e)) / scale)
-    first, last = [cdf[:1]] * (0 in bounds), [1.0 - cdf[-1:]] * (len(NONZERO_SIGNALS) in bounds)
-    kernel = np.concatenate(first + [cdf[1:] - cdf[:-1]] + last)
-    # Between the intervals of signals that are not neighbours lie rows of no signal asked for.
-    return kernel if len(kernel) == len(asked) else kernel[[i for i, b in enumerate(bounds[:-1]) if b in asked]]
+    rho_e, scale = np.multiply.outer(rho, e), np.sqrt(1.0 - rho * rho).reshape(rho.shape + (1,) * e.ndim)
+
+    def cdf(edge: int):  # the CDF at one edge, for every rho and mark
+        return std_normal_cdf((SIGNAL_EDGES[edge] - rho_e) / scale)
+
+    upper, last = None, None
+    for k in map(NONZERO_SIGNALS.index, signals):
+        # Signal k of NONZERO_SIGNALS lies between edges k - 1 and k of SIGNAL_EDGES.
+        lower = upper if last == k - 1 else cdf(k - 1) if k else 0.0
+        upper, last = cdf(k) if k < len(SIGNAL_EDGES) else 1.0, k
+        yield upper - lower
+
+
+def signal_kernel(rho, e_c, signals: Sequence[Signal] = NONZERO_SIGNALS) -> np.ndarray:
+    """N01(I(z, e_c)) for z in ``signals``: the ``signal_rows`` as a (len(signals), *shape(rho), *shape(e_c)) table."""
+    return np.reshape(list(signal_rows(rho, e_c, signals)), (len(signals),) + np.shape(rho) + np.shape(e_c))
+
+
+def law_rows(types: Sequence[InvestorType], e_c, signals: Sequence[Signal] = SIGNALS):
+    """P(z | e_c) of ``types`` for z in ``signals``, one signal at a time: (column, kernel, law) triples.
+
+    ``signals`` is a subsequence of ``SIGNALS`` that holds ``Signal.NONE``;
+    ``column`` indexes it.  The rows come in ``signal_expectation``'s order:
+    no signal first, with ``kernel`` None and ``law`` = 1 - p_s, then the
+    nonzero signals in order, with ``kernel`` each investor's N01(I(z, e_c))
+    (``signal_rows`` over the distinct rho, picked per investor only when
+    some, not all, share a rho) and ``law`` = p_s * ``kernel``.  Each row
+    broadcasts to (investors, *shape(e_c)).
+    """
+    e = np.asarray(e_c, dtype=float)
+    nonzero = [column for column, z in enumerate(signals) if z is not Signal.NONE]
+    firsts, rho_of = distinct([t.rho for t in types])
+    p_s = np.array([t.p_s for t in types]).reshape((-1,) + (1,) * e.ndim)
+    yield signals.index(Signal.NONE), None, 1.0 - p_s
+    kernels = signal_rows([types[i].rho for i in firsts], e, [signals[column] for column in nonzero])
+    for column, kernel in zip(nonzero, kernels):
+        kernel = kernel[rho_of] if 1 < len(firsts) < len(types) else kernel
+        yield column, kernel, p_s * kernel
 
 
 def signal_laws(types: Sequence[InvestorType], e_c,
@@ -132,24 +170,17 @@ def signal_laws(types: Sequence[InvestorType], e_c,
 
     ``signals`` is a subsequence of ``SIGNALS`` that holds ``Signal.NONE``,
     all of them by default.  ``kernels`` (investors, nonzero signals,
-    *shape(e_c)) is each investor's ``signal_kernel`` on the nonzero ones,
-    from one kernel call over the distinct rho; ``law`` (investors,
-    len(signals), *shape(e_c)) is P(z | e_c) in ``signals`` order.  The
-    kernels are copied out per investor only when some, not all, share a rho.
+    *shape(e_c)) is each investor's ``signal_kernel`` on the nonzero ones
+    and ``law`` (investors, len(signals), *shape(e_c)) is P(z | e_c) in
+    ``signals`` order, both filled from ``law_rows``.
     """
-    e = np.asarray(e_c, dtype=float)
-    nonzero, none = [z for z in signals if z is not Signal.NONE], signals.index(Signal.NONE)
-    firsts, rho_of = distinct([t.rho for t in types])
-    kernels = signal_kernel([types[i].rho for i in firsts], e, nonzero)
-    if 1 < len(firsts) < len(types):  # one rho broadcasts over the investors
-        kernels = kernels[:, rho_of]
-    p_s = np.array([t.p_s for t in types]).reshape((-1, 1) + (1,) * e.ndim)
-    law, signal = np.empty((len(types), len(signals)) + e.shape), np.moveaxis(kernels, 0, 1)
-    law[:, none] = 1.0 - p_s[:, 0]
-    # The nonzero signals are the columns on either side of the no-signal one, in order.
-    np.multiply(p_s, signal[:, :none], out=law[:, :none])
-    np.multiply(p_s, signal[:, none:], out=law[:, none + 1 :])
-    return np.moveaxis(np.broadcast_to(kernels, (len(nonzero), len(types)) + e.shape), 0, 1), law
+    shape = np.shape(e_c)
+    kernels, law = np.empty((len(types), len(signals) - 1) + shape), np.empty((len(types), len(signals)) + shape)
+    for k, (column, kernel, row) in enumerate(law_rows(types, e_c, signals)):
+        law[:, column] = row
+        if k:  # the no-signal row comes first and has no kernel
+            kernels[:, k - 1] = kernel
+    return kernels, law
 
 
 def signal_expectation(law: np.ndarray, values: np.ndarray, signals: Sequence[Signal] = SIGNALS) -> np.ndarray:

@@ -7,7 +7,9 @@ closed-form log-normal factor, and at each jump it is multiplied by
 and the jump sizes eta(e_c) into these log returns and signal labels: the
 signals before reception are read off e_i1 (``signals.signal_offset``), and
 ``_exact_path`` applies reception by e_i2 and returns the diffusion and jump
-terms.  ``_log_wealth`` sums them per agent (``simulate_agent``,
+terms, from each type's diffusion coefficients (``meanfield.wealth_diffusion``,
+taken once per type and call) and with the jump returns formed in place.
+``_log_wealth`` sums them per agent (``simulate_agent``,
 ``simulate_cohort``), ``estimate_utility`` per path.  Each evaluates eta once
 per distinct jump law (kappa_hat, sigma_hat) of its types' markets
 (``signals.jump_sizes``); ``estimate_utility`` hands the same sizes to m(e_c)
@@ -34,9 +36,10 @@ e_i1 and e_i2 for every jump of the batch.  The ziggurat takes a random
 number of draws, so a type's first e_i2 is reached only after its last e_i1:
 ``estimate_utility`` makes two passes over path-aligned blocks of about
 ``meanfield._MARK_BLOCK`` marks.  Pass 1 draws each block's marks and every
-type's e_i1, sums log m(e_c) per path, and keeps eta at the marks (8 bytes
-per mark and distinct jump law) and each type's signals before reception
-(int8, 1 byte per mark and type).  Pass 2 draws each type's e_i2 block by
+type's e_i1, sums log m(e_c) per path (m streams its signal law one row at a
+time, with no per-block law table), and keeps eta at the marks (8 bytes per
+mark and distinct jump law) and each type's signals before reception (int8,
+1 byte per mark and type).  Pass 2 draws each type's e_i2 block by
 block, applies reception and sums the jump returns per path.  A block holds
 whole paths, so each path's terms are added in the order of one pass over
 all marks, whatever the block size.
@@ -125,18 +128,23 @@ def simulate_common(T: float, market: MarketParams, seed: int) -> CommonNoisePat
     return CommonNoisePath(times, marks, increments, horizon=float(T), seed=seed)
 
 
-def _exact_path(t: InvestorType, row: np.ndarray, dt, dW, dW0, offsets, sizes, e_i2):
-    """(diffusion, jumps, labels) of type ``t`` holding ``row``, elementwise over its draws.
+def _exact_path(diffusion, row: np.ndarray, p_s: float, dt, dW, dW0, offsets, sizes, e_i2):
+    """(diffusion, jumps, labels) of an investor holding ``row``, elementwise over its draws.
 
-    diffusion = drift*dt + sigma*pi0*dW + sigma0*pi0*dW0 per segment; jumps =
-    log(1 + pi_z*eta(e_c)) and labels = z per common mark: ``offsets`` are the
-    signals before reception (``signals.signal_offset`` of the perturbed
+    ``diffusion`` is the investor's (drift, sigma*pi0, sigma0*pi0), one
+    entry of ``meanfield.wealth_diffusion``.  It returns diffusion =
+    drift*dt + sigma*pi0*dW + sigma0*pi0*dW0 per segment; jumps =
+    log(1 + pi_z*eta(e_c)) and labels = z per common mark: ``offsets`` are
+    the signals before reception (``signals.signal_offset`` of the perturbed
     marks), received where e_i2 <= p_s; ``sizes`` is eta at the marks under
-    ``t``'s jump law.
+    the investor's jump law.  The jump returns are formed in place in one
+    array.
     """
-    drift, sigma_pi, sigma0_pi = wealth_diffusion((t,), row[NONE_INDEX])
-    labels = receive(offsets, e_i2 <= t.p_s)
-    jumps = np.log1p(row[labels] * sizes)
+    drift, sigma_pi, sigma0_pi = diffusion
+    labels = receive(offsets, e_i2 <= p_s)
+    jumps = row[labels]
+    jumps *= sizes
+    np.log1p(jumps, out=jumps)
     return drift * dt + sigma_pi * dW + sigma0_pi * dW0, jumps, labels
 
 
@@ -152,13 +160,14 @@ def _log_wealth(types, rows, type_idx: np.ndarray, path: CommonNoisePath, rng) -
     e_i1 = rng.standard_normal((n, k))
     e_i2 = rng.uniform(size=(n, k))
     sizes = jump_sizes(types, path.common_marks)
+    coefficients = np.transpose(wealth_diffusion(types, rows[:, NONE_INDEX]))
     log_wealth = np.empty(n)
     labels = np.empty((n, k), dtype=int)
     for i in np.unique(type_idx):
         sel = type_idx == i
         offsets = signal_offset(perturb(types[i].rho, path.common_marks, e_i1[sel]))
         diffusion, jumps, own = _exact_path(
-            types[i], rows[i], dt, dW[sel], path.w0_increments, offsets, sizes[i], e_i2[sel]
+            coefficients[i], rows[i], types[i].p_s, dt, dW[sel], path.w0_increments, offsets, sizes[i], e_i2[sel]
         )
         log_wealth[sel] = math.log(types[i].x0) + diffusion.sum(axis=1) + jumps.sum(axis=1)
         labels[sel] = own
@@ -242,11 +251,12 @@ def estimate_utility(
 
     # Pass 2, the same blocks: each type's e_i2, its reception and jumps, its log wealth per path.
     log_wealth = np.empty((len(pop), n_paths))
+    coefficients = np.transpose(wealth_diffusion(pop.types, strat.table[:, NONE_INDEX]))
     for (paths, path_of_jump), (sizes, offsets) in zip(_path_blocks(counts), kept):
         for i, (t, rng) in enumerate(zip(pop.types, rngs)):
             e_i2 = rng.uniform(size=path_of_jump.size)
-            dW = w_own[i][paths]
-            diffusion, jumps, _ = _exact_path(t, strat.row(i), T, dW, w0[paths], offsets[i], sizes[i], e_i2)
+            diffusion, jumps, _ = _exact_path(coefficients[i], strat.table[i], t.p_s, T, w_own[i][paths], w0[paths],
+                                              offsets[i], sizes[i], e_i2)
             log_wealth[i, paths] = math.log(t.x0) + diffusion + _by_path(paths, path_of_jump, jumps)
 
     means, errors = np.empty((2, len(pop)))

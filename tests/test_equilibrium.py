@@ -533,10 +533,12 @@ class TestWorkCounts:
         ids=["mf_finite", "mf_statistic"],
     )
     def test_no_node_kernel_built_by_the_mean_field_iteration(self, solve, ref_pop, quad128, monkeypatch):
-        # aggregate and the mean jump evaluator build their node or mark law through meanfield.signal_laws.
+        # aggregate builds its node law through meanfield.signal_laws; the mean jump evaluator streams its mark law
+        # through meanfield.law_rows, once per block of marks.
         calls = []
-        laws = meanfield.signal_laws
-        monkeypatch.setattr(meanfield, "signal_laws", lambda *args: calls.append(args) or laws(*args))
+        for name in ("signal_laws", "law_rows"):
+            build = getattr(meanfield, name)
+            monkeypatch.setattr(meanfield, name, lambda *args, build=build: calls.append(args) or build(*args))
         result = solve(ref_pop, quad128)
         assert result.converged and result.iterations > 1
         assert not calls

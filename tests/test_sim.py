@@ -1,3 +1,4 @@
+import hashlib
 import math
 import statistics
 import tracemalloc
@@ -386,6 +387,22 @@ class TestEstimateUtility:
         assert sum(marks) > 50_000
         assert sum(values) == edges * sum(marks) + 5 * len(quad128.nodes)
 
+    def test_one_signal_law_table_per_run(self, monkeypatch, ref_pop, ref_eq, quad128):
+        # m(e_c) at marks streams one signal row at a time (signals.law_rows): the one signal_laws table of a run
+        # is aggregate's node law, never one per block of marks.
+        tables, marks = [], []
+
+        def counted(build):
+            return lambda types, e_c, *args: tables.append(np.shape(e_c)) or build(types, e_c, *args)
+
+        for module in (signals, meanfield):
+            monkeypatch.setattr(module, "signal_laws", counted(module.signal_laws))
+        sizes = sim.jump_sizes
+        monkeypatch.setattr(sim, "jump_sizes", lambda types, e_c: marks.append(len(e_c)) or sizes(types, e_c))
+        estimate_utility(ref_pop, ref_eq.strategy, 10_000, 1.0, seed=3)
+        assert len(marks) > 3 and sum(marks) > 3 * meanfield._MARK_BLOCK
+        assert tables == [quad128.nodes.shape]
+
     def test_memory_stays_per_mark_small(self, ref_pop):
         # About 1e6 marks (lam*T = 10).  The whole-array body held ~68 bytes per mark, 68 MB here; the
         # path-aligned blocks keep eta (8 B per jump law) and int8 signals (1 B per type), 21 MB in all.
@@ -494,6 +511,15 @@ class TestCohortKernel:
         # The type draw has its own stream; these indices predate the batched kernel.
         idx, _ = simulate_cohort(40, TWO_TYPES, TWO_ROWS, simulate_common(1.0, MARKET, seed=7), seed=7)
         assert "".join(map(str, idx)) == "1110000011111111011111111111110101101010"
+
+    def test_terminal_wealth_pinned(self):
+        # sha256 of the 400 wealths' bytes, recorded before the jump returns were formed in place and the
+        # diffusion coefficients taken once per type; the oracle above checks them only to 1e-13.
+        _, wealth = simulate_cohort(400, TWO_TYPES, TWO_ROWS, simulate_common(1.0, MARKET, seed=7), seed=7)
+        assert wealth[0].hex() == "0x1.7b9f64933e621p-1"
+        assert hashlib.sha256(wealth.tobytes()).hexdigest() == (
+            "e6798209a00c310bac43a86d405060254224ac7a3749310cdc4f54560f58bca3"
+        )
 
     def test_jump_free_path_matches_oracle(self):
         m = casestudy.default_market(lam=0.0, sigma=0.2)

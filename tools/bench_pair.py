@@ -24,7 +24,10 @@ records three things, parent and change side by side:
   aggregate's node law included) and its ``tracemalloc`` peak in MB.  All
   three repeat exactly; the peak is the allocation behind the
   ``montecarlo`` workload's ``peak_rss_mb``, without the interpreter and
-  imports.
+  imports.  Beside them, the CPU seconds of the same run in three parts,
+  each the median of 5 alternating runs per side: draws (the calls on the
+  generators that ``sim._generator`` returns), CDF (the calls of
+  ``signals.std_normal_cdf``) and the rest.
 
 Run it on an otherwise idle machine; it starts one process at a time.
 """
@@ -138,6 +141,42 @@ print(json.dumps({"paths": 100_000, "marks": sum(marks), "cdf_values": sum(cdf_v
                   "tracemalloc_peak_mb": peak / 1e6}))
 """
 
+# CPU seconds of one 1e5-path estimate_utility after a warm-up run: in all, in draws and in the normal CDF.
+MONTE_CARLO_SPLIT = """
+import json, time
+from signalmfg import Quadrature, casestudy, signals, sim
+from signalmfg.equilibrium import solve_mf_finite
+
+pop = casestudy.reference_population()
+strategy = solve_mf_finite(pop, Quadrature.standard_normal()).strategy
+spent = {"draws_s": 0.0, "cdf_s": 0.0}
+
+def timed(part, call):
+    def timed_call(*args, **kwargs):
+        start = time.process_time()
+        out = call(*args, **kwargs)
+        spent[part] += time.process_time() - start
+        return out
+    return timed_call
+
+class Draws:
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return timed("draws_s", getattr(self.rng, name))
+
+generator = sim._generator
+sim._generator = lambda *key: Draws(generator(*key))
+signals.std_normal_cdf = timed("cdf_s", signals.std_normal_cdf)
+sim.estimate_utility(pop, strategy, 100_000, 1.0, 2400)
+spent.update(draws_s=0.0, cdf_s=0.0)
+start = time.process_time()
+sim.estimate_utility(pop, strategy, 100_000, 1.0, 2401)
+total = time.process_time() - start
+print(json.dumps({"total_s": total, **spent, "rest_s": total - spent["draws_s"] - spent["cdf_s"]}))
+"""
+
 
 def python_in(checkout: Path, code: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
@@ -185,12 +224,17 @@ def main(argv=None) -> int:
         "machine": {"cpu": platform.processor() or platform.machine(), "nproc": os.cpu_count(),
                     "python": platform.python_version()},
         "method": f"{PAIRS} alternating pairs per workload, perfbench/run.py --seconds {SECONDS}, "
-                  f"seeds {args.seed}..{args.seed + PAIRS - 1}; solves: medians of 5 alternating runs",
+                  f"seeds {args.seed}..{args.seed + PAIRS - 1}; solves and the monte carlo split: medians of 5 "
+                  "alternating runs",
     }
     print("counts", file=sys.stderr)
     report["counts"] = {side: python_in(path, COUNTS) for side, path in checkouts.items()}
     print("monte carlo", file=sys.stderr)
     report["monte_carlo"] = {side: python_in(path, MONTE_CARLO) for side, path in checkouts.items()}
+    split = alternate(lambda side, _: python_in(checkouts[side], MONTE_CARLO_SPLIT), 5)
+    for side, runs in split.items():
+        report["monte_carlo"][side]["cpu_s_median_of_5"] = {part: statistics.median(run[part] for run in runs)
+                                                              for part in runs[0]}
     print("solves", file=sys.stderr)
     solves = alternate(lambda side, _: python_in(checkouts[side], SOLVES), 5)
     report["solves"] = {side: {name: statistics.median(run[name]["median_s"] for run in runs)

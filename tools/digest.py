@@ -16,8 +16,12 @@ output, ``<sha256>  <name>``:
   two-group game of four;
 * the statistic-space solve and the discrete finite solve on the
   three-mark law (-1, 0.25), (0, 0.5), (1.5, 0.25);
-* ``estimate_utility``: means and standard errors of one 1e5-path run at
-  the reference equilibrium.
+* Monte Carlo at the reference equilibrium: the means and standard errors
+  of one 1e5-path ``estimate_utility``; one ``simulate_agent`` (terminal
+  wealth and signals) and one 5 000-agent ``simulate_cohort`` (type indices
+  and terminal wealths) on a ``simulate_common`` path; and a 2e4-path
+  ``estimate_utility`` at the distinct-B equilibrium (two rho, two
+  mixtures).
 
 With ``--parent DIR`` the same digests are also taken in the checkout
 ``DIR`` (its ``src`` first on the path, in a child process) and the outputs
@@ -40,7 +44,7 @@ from signalmfg import casestudy, cli
 from signalmfg.equilibrium import solve_mf_finite, solve_mf_statistic, solve_nagent
 from signalmfg.model import Population
 from signalmfg.quad import Quadrature
-from signalmfg.sim import estimate_utility
+from signalmfg.sim import estimate_utility, simulate_agent, simulate_cohort, simulate_common
 
 GRIDS = {
     "p_s_B": [0.0, 0.25, 0.5, 0.75, 1.0],
@@ -57,6 +61,7 @@ EXTREME_TYPES = [
 ]
 MARKS = [(-1.0, 0.25), (0.0, 0.5), (1.5, 0.25)]
 MC_PATHS, MC_SEED = 100_000, 2401
+COHORT_AGENTS, DISTINCT_PATHS = 5_000, 20_000
 
 
 def _sha(*parts) -> str:
@@ -116,8 +121,17 @@ def digests() -> dict[str, str]:
     discrete = Quadrature.discrete([mark for mark, _ in MARKS], [p for _, p in MARKS])
     out["solve_mf_finite three marks"] = _result(solve_mf_finite(pop, discrete))
 
-    means, errors = estimate_utility(pop, solve_mf_finite(pop, q).strategy, MC_PATHS, 1.0, MC_SEED)
+    strategy = solve_mf_finite(pop, q).strategy
+    means, errors = estimate_utility(pop, strategy, MC_PATHS, 1.0, MC_SEED)
     out[f"estimate_utility reference {MC_PATHS} paths"] = _sha(means, errors)
+    path = simulate_common(1.0, pop.types[0].market, MC_SEED)
+    agent = simulate_agent(pop.types[0], strategy.row(0), path, MC_SEED)
+    out["simulate_agent reference"] = _sha(agent.terminal_wealth, " ".join(z.value for z in agent.signals))
+    out[f"simulate_cohort reference {COHORT_AGENTS} agents"] = _sha(*simulate_cohort(COHORT_AGENTS, pop, strategy, path,
+                                                                                    MC_SEED))
+    distinct = populations["distinct B (p_s 0.25, rho 0.8)"]
+    means, errors = estimate_utility(distinct, solve_mf_finite(distinct, q).strategy, DISTINCT_PATHS, 1.0, MC_SEED)
+    out[f"estimate_utility distinct B {DISTINCT_PATHS} paths"] = _sha(means, errors)
     return out
 
 
