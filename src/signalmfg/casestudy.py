@@ -26,6 +26,7 @@ def investor(
     alpha: float = 2.0,
     weight: float = 0.5,
 ) -> InvestorType:
+    """A case-study ``InvestorType`` on ``market`` (the case-study market when omitted), with these defaults."""
     market = market if market is not None else default_market()
     return InvestorType(x0=x0, market=market, p_s=p_s, rho=rho, alpha=alpha, theta=theta, weight=weight)
 

@@ -73,11 +73,20 @@ _ANDERSON_MEMORY = 3
 class SolverConfig:
     """Fixed-point iteration controls.
 
-    ``damping`` is the mixing weight beta of the Anderson iteration
-    (``damped_fixed_point``): 1 takes the extrapolated images, beta < 1
-    mixes in the extrapolated iterates.  ``init`` is the starting strategy
-    (all-zeros when omitted); ``horizon`` is the investment horizon used for
-    the per-type values in the result.
+    tol      : the iteration stops once the sup residual sup|BR(x) - x| of
+               its iterate x is below ``tol`` (in strategy space, or in
+               statistic space for ``solve_mf_statistic``).  It bounds the
+               residual, not the distance to the fixed point, which is
+               larger where the map contracts weakly.
+    max_iter : iterations after which a solve stops unconverged.
+    damping  : the mixing weight beta of the Anderson iteration
+               (``damped_fixed_point``): 1 takes the extrapolated images,
+               beta < 1 mixes in the extrapolated iterates.
+    init     : the starting strategy (all-zeros when omitted).
+    horizon  : the investment horizon of the per-type values in the result.
+    opt_tol  : the width of the Newton bracket of each best-response row: a
+               row stops once its verified bracket is at most ``opt_tol``/2
+               wide, so rows from any two starts agree within ``opt_tol``.
     """
 
     tol: float = 1e-8
@@ -99,7 +108,19 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumResult:
-    """Converged (or best-effort) equilibrium with diagnostics."""
+    """Converged (or best-effort) equilibrium with diagnostics.
+
+    strategy       : the last iterate; for ``solve_mf_statistic``, the best response to the
+                     last statistic iterate.
+    residual       : sup|BR(x) - x| at the last iterate x, in the space the solver iterates in.
+    iterations     : Anderson steps taken.
+    per_type_M     : each type's (or player's) M in its final environment.
+    per_type_value : each type's closed-form value over ``SolverConfig.horizon``.
+    converged      : ``residual`` < ``SolverConfig.tol``: a small residual, not
+                     a bound on the distance to the fixed point.
+    stats          : the mean-field statistic of ``strategy``; None for the n-agent game.
+    notes          : non-convergence, Newton-cap rows, clipped M and overflowing values.
+    """
 
     strategy: Strategy
     residual: float
@@ -222,7 +243,8 @@ def _solve(ctx: TargetContext, problems: Sequence[_Problem], environment: Callab
     round builds one environment for all problems still iterating:
     ``environment(batch, live, points)`` is given ``ctx`` taken at their
     investors, their indices and their points, and returns the batch
-    against their environments, each row's Newton start and ``answer``.
+    against their environments, each row's Newton start (None for
+    ``_best_rows``' default) and ``answer``.
     One best response follows for all of them, where rows never mix
     (``response._best_rows``), so each problem's iterates, residuals and
     iteration count are those of its solve alone.  ``answer(k, part, rows)``
@@ -387,7 +409,6 @@ def solve_mf_statistic(
     probs = [float(p) for _, p in common_marks]
     q = Quadrature.discrete(marks, probs)
     ctx = _contexts(pop.types, q)
-    middle = np.repeat(ctx.bounds.mean(axis=1, keepdims=True), len(SIGNALS), axis=1)
     population = np.zeros(len(pop), dtype=np.intp)
 
     def answer(k: int, part: np.ndarray, rows: np.ndarray) -> tuple:
@@ -397,9 +418,9 @@ def solve_mf_statistic(
         return np.concatenate((sums[0, :1], mean_jump[0])), lambda: _mf_last(pop, rows, env(), sums[0], mean_jump[0])
 
     def environment(batch: TargetContext, live: list, points: list) -> tuple:
-        # Each best response starts at the middle of the admissible intervals.
+        # No Newton start: each best response starts at ``_best_rows``' default, the middle of each interval.
         m = points[0]
-        return _mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), middle, answer
+        return _mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), None, answer
 
     problem = _strategy_problem(np.arange(len(pop)), ctx, cfg)
     start = answer(0, problem.investors, problem.start.reshape(len(pop), len(SIGNALS)))[0]

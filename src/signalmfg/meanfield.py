@@ -9,36 +9,38 @@ mean wealth, and the mean-jump function e_c -> m(e_c) multiplying the
 geometric mean wealth at each jump; m mixes each type's log jump return under
 its signal law P(z | e_c), once per distinct (rho, p_s, jump law, row) of
 the population, the jump law being the market's (kappa_hat, sigma_hat)
-(``signals.jump_law``).  At marks, m streams: one block of marks at a
-time, it takes the law one signal row at a time (``signals.law_rows``) and
-adds each row's term to the mixture at once, so no law, CDF or log-return
-table of a block is built.  It takes only the signals some row holds (no
-signal, and every nonzero signal with a nonzero position): a zero
+(``signals.jump_law``).  The mixture sum_z P(z | e_c) log(1 + pi_z eta) is
+formed once, by ``_log_mixture``, from (pi_z, P(z | e_c)) pairs one signal
+at a time, each term in place: no signal first, then the nonzero signals in
+order.  At marks, m streams: one block of marks at a time, it takes the law
+one signal row at a time (``signals.law_rows``), so no law, CDF or
+log-return table of a block is built.  It takes only the signals some row
+holds (no signal, and every nonzero signal with a nonzero position): a zero
 position's term is an exact zero, so m keeps its bits while the CDF skips
 the edges of the other signals.  It takes the jump sizes at the marks as
 given (``_log_mean_jump_given``), so Monte Carlo computes them once for m
 and for its paths, and sums log m per path.  On the quadrature nodes, m is
-summed from the law table of every
-signal and the jump sizes there by one kernel, ``_population_sums``, with
-the evaluator's bits: ``aggregate`` runs it on one population, and both
-mean-field solvers run it through ``response._mean_field``, on every
-population a round iterates at once, with the tables their target context
-already holds.
+summed from the columns of the law table of every signal and the jump
+sizes there by one kernel, ``_population_sums``, with the evaluator's bits:
+``aggregate`` runs it on one population, and both mean-field solvers run it
+through ``response._mean_field``, on every population a round iterates at
+once, with the tables their target context already holds.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .model import NONE_INDEX, SIGNALS, InvestorType, Population, Strategy, check_admissible, check_horizon
 from .quad import Quadrature
-from .signals import distinct, jump_law, jump_sizes, law_rows, signal_expectation, signal_laws
+from .signals import distinct, jump_law, jump_sizes, law_rows, signal_laws
 
 # Marks per block of m(e_c) and of the Monte Carlo passes: bounds the rows of
 # a block, each (distinct investors, block), on ~1e6 Monte Carlo marks.
@@ -78,23 +80,39 @@ def wealth_diffusion(types: Sequence[InvestorType], pi0) -> tuple[np.ndarray, np
     return drift, sigma * pi0, sigma0 * pi0
 
 
+def _log_mixture(terms: Iterable[tuple[np.ndarray, np.ndarray]], sizes: np.ndarray) -> np.ndarray:
+    """sum_z P(z | e_c)*log1p(pi_z*eta) of each investor, from its (pi_z, P(z | e_c)) ``terms`` and jump sizes eta.
+
+    Each term is formed in place and added to the mixture before the next
+    pair is taken, in the order the pairs come: the no-signal term first,
+    then the nonzero signals in order.  The one statement of m's mixture,
+    on the quadrature nodes (``_population_sums``) and at marks
+    (``_log_mean_jump_given``).
+    """
+    def term(position: np.ndarray, law: np.ndarray) -> np.ndarray:
+        value = np.multiply(position, sizes)
+        np.log1p(value, out=value)
+        value *= law
+        return value
+
+    return functools.reduce(operator.iadd, itertools.starmap(term, terms))
+
+
 def _log_mean_jump_given(pop: Population, strat: Strategy) -> Callable:
     """log m at flat marks ``e``, given each type's jump sizes there: ``signals.jump_sizes(pop.types, e)``.
 
     log m(e_c) = sum_i w_i * sum_z P_i(z | e_c) log(1 + pi_iz eta_i(e_c)).  The
     expectation over z is taken once per distinct (rho, p_s, jump law, row),
     so types differing only in weight, x0, alpha or theta share it.  Marks
-    go through in blocks of ``_MARK_BLOCK``; in a block the law comes one
-    signal row at a time (``signals.law_rows``: CDF row, p_s*(CDF_hi -
-    CDF_lo)), and each term P(z | e_c)*log1p(pi_z*eta) is formed in place
-    and added to the mixture before the next row is taken, in
-    ``signal_expectation``'s order: the no-signal term first, then the held
-    nonzero signals in order.  Only the held signals come: no signal, and
-    each nonzero signal at which some distinct row is nonzero.  The terms of
-    the others are P(z | e_c)*log1p(0*eta) = +-0 at finite marks, so leaving
-    them out keeps every bit of m (only the sign of a zero log m may differ,
-    and m = exp(log m) is 1 either way).  The weighted types are then added
-    one at a time, in population order.
+    go through in blocks of ``_MARK_BLOCK``; in a block ``_log_mixture``
+    takes the law one signal row at a time (``signals.law_rows``: CDF row,
+    p_s*(CDF_hi - CDF_lo)), so no table of the block is built.  Only the
+    held signals come: no signal, and each nonzero signal at which some
+    distinct row is nonzero.  The terms of the others are
+    P(z | e_c)*log1p(0*eta) = +-0 at finite marks, so leaving them out
+    keeps every bit of m (only the sign of a zero log m may differ, and
+    m = exp(log m) is 1 either way).  The weighted types are then added one
+    at a time, in population order.
     """
     keys = [(t.rho, t.p_s, jump_law(t.market), row.tobytes()) for t, row in zip(pop.types, strat.table)]
     firsts, investor_of = distinct(keys)
@@ -103,23 +121,15 @@ def _log_mean_jump_given(pop: Population, strat: Strategy) -> Callable:
     columns = [j for j, column in enumerate(rows.T) if j == NONE_INDEX or column.any()]
     held, rows = [SIGNALS[j] for j in columns], rows[:, columns].T[:, :, np.newaxis]
 
-    def term(column: int, law: np.ndarray, sizes: np.ndarray) -> np.ndarray:  # P(z | e_c)*log1p(pi_z*eta), in place
-        value = np.multiply(rows[column], sizes)
-        np.log1p(value, out=value)
-        value *= law
-        return value
-
-    def log_mean_jump(e: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        mixture = functools.reduce(operator.iadd, (term(c, law, sizes) for c, _, law in law_rows(investors, e, held)))
-        # One type at a time: np.sum over the type axis would add in pairs on a one-mark block.
-        return functools.reduce(operator.iadd, (w * mixture[d] for w, d in zip(pop.weights, investor_of)))
-
     def log_mean_jump_given(e: np.ndarray, jumps: Sequence) -> np.ndarray:
         own = [jumps[i] for i in firsts]
         log_m = np.empty(e.size)
         for start in range(0, e.size, _MARK_BLOCK):
             block = slice(start, start + _MARK_BLOCK)
-            log_m[block] = log_mean_jump(e[block], np.stack([size[block] for size in own]))
+            laws = law_rows(investors, e[block], held)
+            mixture = _log_mixture(((rows[c], law) for c, _, law in laws), np.stack([size[block] for size in own]))
+            # One type at a time: np.sum over the type axis would add in pairs on a one-mark block.
+            log_m[block] = functools.reduce(operator.iadd, (w * mixture[d] for w, d in zip(pop.weights, investor_of)))
         return log_m
 
     return log_mean_jump_given
@@ -150,23 +160,21 @@ def _population_sums(types: Sequence[InvestorType], table: np.ndarray, node_law:
     ``nodes``: the ``signals.signal_laws`` table of every signal and the
     stacked ``signals.jump_sizes``, as a target context holds them (``law``,
     ``eta_raw``).  The mixture sum_z P(z | e_c) log(1 + pi_z eta) is taken
-    once for all of them, and each population adds its weighted types to
-    +0.0, one at a time in its order, as ``np.sum`` over axis 0 adds them:
-    the one statement of m on the nodes, for one population (``aggregate``)
-    or for every population a lockstep round iterates.  Every m must be
-    finite and > 0.
+    once for all of them, by ``_log_mixture`` over the columns of the law,
+    and each population adds its weighted types to +0.0, one at a time in
+    its order, as ``np.sum`` over axis 0 adds them: the one statement of m
+    on the nodes, for one population (``aggregate``) or for every
+    population a lockstep round iterates.  Every m must be finite and > 0.
     """
     drift, _, sigma0pi = wealth_diffusion(types, table[:, NONE_INDEX])
     weights = np.array([t.weight for t in types])[:, np.newaxis]
-    mixture = signal_expectation(node_law[0], np.log1p(table.T[:, :, np.newaxis] * node_law[1]))
-    terms = np.concatenate((np.stack((sigma0pi, drift, np.log([t.x0 for t in types])), axis=1), mixture), axis=1)
-    position = np.arange(len(types)) - np.searchsorted(population, population)
-    padded = np.zeros((population[-1] + 1, position.max() + 1, terms.shape[1]))
-    padded[population, position] = weights * terms
-    # Column k holds each population's k-th type, 0 past its last; the columns are added in turn to +0.0, as
-    # np.sum starts (np.array([-0.0]).sum() is +0.0).  A sum from +0.0 is never -0.0, so the zeros add nothing.
-    # The mixture's sums are only exponentiated: the sign of a zero there moves no bit of m.
-    sums = sum(padded.transpose(1, 0, 2), 0.0)
+    order = [NONE_INDEX, *range(NONE_INDEX), *range(NONE_INDEX + 1, len(SIGNALS))]
+    mixture = _log_mixture(((table[:, z, np.newaxis], node_law[0][:, z]) for z in order), node_law[1])
+    own = np.stack((sigma0pi, drift, np.log([t.x0 for t in types])), axis=1)
+    terms = weights * np.concatenate((own, mixture), axis=1)
+    # Added to +0.0, as np.sum starts (np.array([-0.0]).sum() is +0.0).  The mixture's sums are only
+    # exponentiated: the sign of a zero there moves no bit of m.
+    sums = np.array([sum(terms[population == p], 0.0) for p in range(population[-1] + 1)])
     mean_jump = np.exp(sums[:, 3:])
     valid = ((mean_jump > 0.0) & np.isfinite(mean_jump)).all(axis=1)
     if not valid.all():

@@ -592,6 +592,7 @@ def _newton(ctx: TargetContext, opt_tol: float, start: np.ndarray) -> tuple[np.n
 def best_response_to_stats(
     pop: Population, stats: MeanFieldStats, q: Quadrature, opt_tol: float = DEFAULT_OPT_TOL
 ) -> Strategy:
+    """Mean-field best response of every type of ``pop`` to the environment that ``stats`` sums up."""
     ctx = mf_target_context(pop.types, q, stats.sigma0pi_bar, stats.mean_jump_nodes, stats.taupi_bar)
     return _respond(ctx, opt_tol)
 

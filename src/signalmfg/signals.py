@@ -12,11 +12,11 @@ P(z | e_c) = (1 - p_s)*[z = 0] + p_s*N01(I(z, e_c)).  It is written once,
 one signal row at a time: ``signal_rows`` states N01(I(z, e_c)) as CDF
 differences at the edges of the signals asked for (all by default), each
 edge's CDF once for any number of rho, and ``law_rows`` weights them by
-p_s.  The tables stack the rows: ``signal_kernel``, and ``signal_laws``'s
-(investors, 7, nodes) law in ``SIGNALS`` order, which the target contexts
-and the n-agent peer mixtures read and ``signal_expectation`` sums; the
-mean-jump function at marks streams ``law_rows`` of the signals a strategy
-holds instead.  ``classify_index`` is the signal before reception
+p_s.  The tables of every signal stack the rows: ``signal_kernel``, and
+``signal_laws``'s (investors, 7, nodes) law in ``SIGNALS`` order, which the
+target contexts, the n-agent peer mixtures and m on the nodes read; m at
+marks streams ``law_rows`` of the signals a strategy holds instead
+(``meanfield``).  ``classify_index`` is the signal before reception
 (``signal_offset``, one byte per mark) followed by reception (``receive``),
 so Monte Carlo can keep the first and draw the reception coins later.
 """
@@ -137,21 +137,22 @@ def signal_rows(rho, e_c, signals: Sequence[Signal] = NONZERO_SIGNALS):
         yield upper - lower
 
 
-def signal_kernel(rho, e_c, signals: Sequence[Signal] = NONZERO_SIGNALS) -> np.ndarray:
-    """N01(I(z, e_c)) for z in ``signals``: the ``signal_rows`` as a (len(signals), *shape(rho), *shape(e_c)) table."""
-    return np.reshape(list(signal_rows(rho, e_c, signals)), (len(signals),) + np.shape(rho) + np.shape(e_c))
+def signal_kernel(rho, e_c) -> np.ndarray:
+    """N01(I(z, e_c)) for the nonzero signals: the ``signal_rows`` as a (6, *shape(rho), *shape(e_c)) table."""
+    return np.reshape(list(signal_rows(rho, e_c)), (len(NONZERO_SIGNALS),) + np.shape(rho) + np.shape(e_c))
 
 
 def law_rows(types: Sequence[InvestorType], e_c, signals: Sequence[Signal] = SIGNALS):
     """P(z | e_c) of ``types`` for z in ``signals``, one signal at a time: (column, kernel, law) triples.
 
     ``signals`` is a subsequence of ``SIGNALS`` that holds ``Signal.NONE``;
-    ``column`` indexes it.  The rows come in ``signal_expectation``'s order:
-    no signal first, with ``kernel`` None and ``law`` = 1 - p_s, then the
-    nonzero signals in order, with ``kernel`` each investor's N01(I(z, e_c))
-    (``signal_rows`` over the distinct rho, picked per investor only when
-    some, not all, share a rho) and ``law`` = p_s * ``kernel``.  Each row
-    broadcasts to (investors, *shape(e_c)).
+    ``column`` indexes it.  The rows come in the order in which m adds its
+    terms (``meanfield._log_mixture``): no signal first, with ``kernel``
+    None and ``law`` = 1 - p_s, then the nonzero signals in order, with
+    ``kernel`` each investor's N01(I(z, e_c)) (``signal_rows`` over the
+    distinct rho, picked per investor only when some, not all, share a rho)
+    and ``law`` = p_s * ``kernel``.  Each row broadcasts to (investors,
+    *shape(e_c)).
     """
     e = np.asarray(e_c, dtype=float)
     nonzero = [column for column, z in enumerate(signals) if z is not Signal.NONE]
@@ -164,39 +165,20 @@ def law_rows(types: Sequence[InvestorType], e_c, signals: Sequence[Signal] = SIG
         yield column, kernel, p_s * kernel
 
 
-def signal_laws(types: Sequence[InvestorType], e_c,
-                signals: Sequence[Signal] = SIGNALS) -> tuple[np.ndarray, np.ndarray]:
-    """(kernels, law) of ``types`` at marks ``e_c``: the tables of P(z | e_c) for z in ``signals``.
+def signal_laws(types: Sequence[InvestorType], e_c) -> tuple[np.ndarray, np.ndarray]:
+    """(kernels, law) of ``types`` at marks ``e_c``: the tables of P(z | e_c).
 
-    ``signals`` is a subsequence of ``SIGNALS`` that holds ``Signal.NONE``,
-    all of them by default.  ``kernels`` (investors, nonzero signals,
-    *shape(e_c)) is each investor's ``signal_kernel`` on the nonzero ones
-    and ``law`` (investors, len(signals), *shape(e_c)) is P(z | e_c) in
-    ``signals`` order, both filled from ``law_rows``.
+    ``kernels`` (investors, 6, *shape(e_c)) is each investor's
+    ``signal_kernel`` and ``law`` (investors, 7, *shape(e_c)) is
+    P(z | e_c) in ``SIGNALS`` order, both filled from ``law_rows``.
     """
     shape = np.shape(e_c)
-    kernels, law = np.empty((len(types), len(signals) - 1) + shape), np.empty((len(types), len(signals)) + shape)
-    for k, (column, kernel, row) in enumerate(law_rows(types, e_c, signals)):
+    kernels, law = np.empty((len(types), len(NONZERO_SIGNALS)) + shape), np.empty((len(types), len(SIGNALS)) + shape)
+    for k, (column, kernel, row) in enumerate(law_rows(types, e_c)):
         law[:, column] = row
         if k:  # the no-signal row comes first and has no kernel
             kernels[:, k - 1] = kernel
     return kernels, law
-
-
-def signal_expectation(law: np.ndarray, values: np.ndarray, signals: Sequence[Signal] = SIGNALS) -> np.ndarray:
-    """E[v(z) | e_c] under P(z | e_c), the ``signal_laws`` table ``law`` of ``signals``.
-
-    ``values`` (len(signals), investors, *shape(e_c)) holds v at each
-    signal in ``signals`` order.  The terms P(z | e_c)*v(z) are added one
-    column of ``law`` at a time: the no-signal term first, then the nonzero
-    signals in ``NONZERO_SIGNALS`` order.  A signal left out adds nothing
-    where its v is 0, except the sign of a zero expectation.
-    """
-    none = signals.index(Signal.NONE)
-    total = law[:, none] * values[none]
-    for z in [*range(none), *range(none + 1, len(signals))]:
-        total += law[:, z] * values[z]
-    return total
 
 
 def conditional_prob(z: Signal, e_c, rho: float):

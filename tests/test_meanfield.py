@@ -9,9 +9,10 @@ from signalmfg.meanfield import _MARK_BLOCK, _population_sums, aggregate, mean_l
 from signalmfg.model import NONE_INDEX, NONZERO_SIGNALS, SIGNAL_INDEX, SIGNALS, Population, Strategy
 from signalmfg.quad import Quadrature
 from signalmfg.response import _contexts
-from signalmfg.signals import (classify_index, conditional_prob, eta, jump_sizes, perturb, signal_expectation,
-                               signal_laws)
+from signalmfg.signals import classify_index, conditional_prob, eta, jump_sizes, perturb, signal_laws
 from signalmfg.sim import CommonNoisePath
+
+from oracles import signal_expectation
 
 
 def path_of(marks, w0_total, T=1.0):
@@ -144,9 +145,9 @@ class TestAggregate:
         terms = np.array([[t.weight * t.market.sigma0 * -0.0] for t in pop.types])
         assert np.float64(stats.sigma0pi_bar).tobytes() == terms.sum(axis=0)[0].tobytes()
 
-    def test_padding_past_a_population_adds_nothing(self, quad128):
-        # A one-type population beside a two-type one is padded to two columns; its sums keep their bits, the
-        # sum of its one -0.0 term included.
+    def test_population_sums_do_not_depend_on_neighbours(self, quad128):
+        # A one-type population beside a two-type one keeps the bits of its sums alone, the sum of its one -0.0
+        # term included.
         types = [casestudy.investor(weight=1.0)] + [casestudy.investor(weight=0.5)] * 2
         table = np.full((3, len(SIGNALS)), 0.25)
         table[0, NONE_INDEX] = -0.0

@@ -14,11 +14,15 @@ from signalmfg.signals import (
     conditional_prob,
     eta,
     jump_sizes,
+    law_rows,
     perturb,
-    signal_expectation,
     signal_kernel,
     signal_laws,
+    signal_rows,
 )
+from signalmfg.meanfield import _population_sums
+
+from oracles import signal_expectation
 
 LAW = MarketParams(kappa_hat=0.0, sigma_hat=0.1)
 
@@ -290,33 +294,38 @@ class TestSignalLaws:
 
     @pytest.mark.parametrize("held", [(3, 4, 5), (0, 3, 5), (1,), (0,), (5,), (), tuple(range(6))])
     def test_held_signals_are_bitwise_the_full_tables(self, held):
-        # The tables of some signals have the bits of the full tables' columns, also where they are not neighbours.
-        types = [casestudy.investor(p_s=0.5, rho=0.5), casestudy.investor(p_s=0.9, rho=-0.3)]
+        # The rows and laws of some signals have the bits of the full tables' columns, also where they are not
+        # neighbours.  Types 0 and 2 share a rho, so law_rows picks each investor's kernel row.
+        types = [casestudy.investor(p_s=0.5, rho=0.5), casestudy.investor(p_s=0.9, rho=-0.3),
+                 casestudy.investor(p_s=0.2, rho=0.5)]
         e_c = np.linspace(-6.0, 6.0, 101)
         nonzero = [NONZERO_SIGNALS[k] for k in held]
         signals = [z for z in SIGNALS if z is Signal.NONE or z in nonzero]
-        columns = [SIGNALS.index(z) for z in signals]
-        rhos = [0.5, -0.3]
-        assert signal_kernel(rhos, e_c, nonzero).tobytes() == signal_kernel(rhos, e_c)[list(held)].tobytes()
-        kernels, law = signal_laws(types, e_c, signals)
+        rows, full_kernel = signal_rows([0.5, -0.3], e_c, nonzero), signal_kernel([0.5, -0.3], e_c)
+        assert [row.tobytes() for row in rows] == [full_kernel[k].tobytes() for k in held]
         full_kernels, full_law = signal_laws(types, e_c)
-        assert kernels.tobytes() == full_kernels[:, list(held)].tobytes()
-        assert law.tobytes() == full_law[:, columns].tobytes()
-        values = np.random.default_rng(3).standard_normal((len(SIGNALS), len(types), e_c.size))
-        values[[i for i in range(len(SIGNALS)) if i not in columns]] = 0.0
-        expected = signal_expectation(full_law, values)
-        assert signal_expectation(law, values[columns], signals).tobytes() == expected.tobytes()
+        rows = list(law_rows(types, e_c, signals))
+        # No signal first, with no kernel, then the held nonzero signals in order.
+        assert [signals[column] for column, _, _ in rows] == [Signal.NONE, *nonzero]
+        assert rows[0][1] is None
+        for column, kernel, law in rows:
+            z = signals[column]
+            assert np.broadcast_to(law, (len(types), e_c.size)).tobytes() == full_law[:, SIGNALS.index(z)].tobytes()
+            if kernel is not None:
+                assert kernel.tobytes() == full_kernels[:, NONZERO_SIGNALS.index(z)].tobytes()
 
     def test_expectation_is_the_law_table_summed_in_order(self):
-        types = [casestudy.investor(p_s=0.5, rho=0.5), casestudy.investor(p_s=0.0, rho=0.5),
-                 casestudy.investor(p_s=0.9, rho=-0.3)]
+        # m on the nodes (meanfield._population_sums) is the law table's expectation of log(1 + pi_z*eta), its terms
+        # added in order (the oracle), then the weighted types added to +0.0 one at a time: the same bits.
+        types = [casestudy.investor(weight=0.2, p_s=0.5, rho=0.5), casestudy.investor(weight=0.3, p_s=0.0, rho=0.5),
+                 casestudy.investor(weight=0.5, p_s=0.9, rho=-0.3)]
         e_c = np.linspace(-6.0, 6.0, 101)
+        table = np.random.default_rng(2).uniform(0.0, 0.9, size=(len(types), len(SIGNALS)))
         _, law = signal_laws(types, e_c)
-        values = np.random.default_rng(2).standard_normal((len(SIGNALS), len(types), e_c.size))
-        expected = law[:, NONE_INDEX] * values[NONE_INDEX]
-        for z in NONZERO_SIGNALS:
-            column = SIGNALS.index(z)
-            expected = expected + law[:, column] * values[column]
-        # The no-signal term first, then the nonzero signals in order: the same bits.
-        assert signal_expectation(law, values).tobytes() == expected.tobytes()
-
+        sizes = np.stack(jump_sizes(types, e_c))
+        mixture = signal_expectation(law, np.log1p(table.T[:, :, np.newaxis] * sizes))
+        expected = 0.0
+        for t, row in zip(types, mixture):
+            expected = expected + t.weight * row
+        _, mean_jump = _population_sums(types, table, (law, sizes), e_c, np.zeros(len(types), dtype=np.intp))
+        assert mean_jump[0].tobytes() == np.exp(expected).tobytes()
