@@ -42,6 +42,7 @@ import numpy as np
 from .meanfield import MeanFieldStats, _population_sums, _stats
 from .metrics import _value_constant, value_mf
 from .model import (
+    ADMISSIBLE_INTERVAL,
     SIGNALS,
     InvestorType,
     Population,
@@ -220,17 +221,17 @@ class _Problem:
 
 
 def _strategy_problem(investors: np.ndarray, ctx: TargetContext, cfg: SolverConfig) -> _Problem:
-    """The iteration on strategy tables of the investors of ``ctx`` at ``investors``, each row clipped to its
-    admissible interval; its image is the best response.
+    """The iteration on strategy tables of the investors of ``ctx`` at ``investors``, clipped to the admissible
+    interval; its image is the best response.
 
-    An ``init`` outside the admissible intervals raises.
+    An ``init`` outside the admissible interval raises.
     """
     if cfg.init is not None:
         if cfg.init.n_types != len(investors):
             raise ValueError(f"init strategy has {cfg.init.n_types} rows, expected {len(investors)}")
         check_admissible(Population([ctx.investors[i] for i in investors]), cfg.init)
     start = (Strategy.zeros(len(investors)) if cfg.init is None else cfg.init).table.ravel()
-    return _Problem(investors, start, tuple(np.repeat(ctx.bounds[investors], len(SIGNALS), axis=0).T))
+    return _Problem(investors, start, ADMISSIBLE_INTERVAL)
 
 
 def _solve(ctx: TargetContext, problems: Sequence[_Problem], environment: Callable,
@@ -374,16 +375,17 @@ def _statistic_box(ctx: TargetContext, nodes: np.ndarray) -> tuple[np.ndarray, n
     at one end of its interval: the range is the all-lower statistic plus
     each type's negative, respectively positive, moves to its upper end.
     """
-    lo, hi = ctx.bounds.T
-    population = np.zeros(len(lo), dtype=np.intp)
+    lo, hi = ADMISSIBLE_INTERVAL
+    n_types = len(ctx.investors)
+    population = np.zeros(n_types, dtype=np.intp)
 
     def log_statistic(positions: np.ndarray) -> np.ndarray:
         table = np.repeat(positions[:, np.newaxis], len(SIGNALS), axis=1)
         sums, mean_jump = _population_sums(ctx.investors, table, (ctx.law, ctx.eta_raw), nodes, population)
         return np.concatenate((sums[0, :1], np.log(mean_jump[0])))
 
-    base = log_statistic(lo)
-    moves = np.array([log_statistic(np.where(np.arange(len(lo)) == i, hi, lo)) - base for i in range(len(lo))])
+    base = log_statistic(np.full(n_types, lo))
+    moves = np.array([log_statistic(np.where(np.arange(n_types) == i, hi, lo)) - base for i in range(n_types)])
     ends = base + np.minimum(moves, 0.0).sum(axis=0), base + np.maximum(moves, 0.0).sum(axis=0)
     return tuple(np.concatenate((end[:1], np.exp(end[1:]))) for end in ends)
 
@@ -418,7 +420,7 @@ def solve_mf_statistic(
         return np.concatenate((sums[0, :1], mean_jump[0])), lambda: _mf_last(pop, rows, env(), sums[0], mean_jump[0])
 
     def environment(batch: TargetContext, live: list, points: list) -> tuple:
-        # No Newton start: each best response starts at ``_best_rows``' default, the middle of each interval.
+        # No Newton start: each best response starts at ``_best_rows``' default, the middle of the interval.
         m = points[0]
         return _mf_environment(ctx, float(m[0]), np.asarray(m[1:], dtype=float)), None, answer
 

@@ -1,8 +1,9 @@
 """Domain types: markets, investor types, populations, strategies.
 
 Positions are stock fractions chosen per signal from a finite alphabet; an
-admissible position stays inside a compact interval that keeps wealth strictly
-positive through any jump.  Everything here is an immutable value object;
+admissible position stays inside ``ADMISSIBLE_INTERVAL``, one compact interval
+for every type and signal that keeps wealth strictly positive through any
+jump.  Everything here is an immutable value object;
 ``validate_population`` is the single diagnostic entry point and never raises.
 """
 
@@ -17,10 +18,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# Admissible stock fractions for the single-stock log-normal-jump market are
-# [0, 1 - DEFAULT_POSITION_EPS]: a compact subset of {0} plus the interior of
-# [0, 1], which bounds the jump return 1 + phi*eta away from zero.
-DEFAULT_POSITION_EPS = 1e-6
+# The (lo, hi) of the admissible stock fractions of every type under every signal.  Under the
+# log-normal jump law every signal admits positions in [0, 1]; the compact [0, 1 - 1e-6] of {0}
+# plus the interior of [0, 1] bounds the jump return 1 + phi*eta away from zero.
+ADMISSIBLE_INTERVAL = (0.0, 1.0 - 1e-6)
 
 WEIGHT_TOL = 1e-12
 
@@ -75,7 +76,7 @@ class InvestorType:
     signal quality (correlation of the perturbed mark with the common mark),
     ``alpha`` the relative risk aversion (> 0, != 1), ``theta`` the relative
     performance concern in [0, 1] and ``weight`` the population proportion.
-    ``eps_b`` shrinks the admissible interval to [0, 1 - eps_b].
+    Its positions are admissible in ``ADMISSIBLE_INTERVAL``, as every type's.
     """
 
     x0: float
@@ -85,7 +86,6 @@ class InvestorType:
     alpha: float
     theta: float
     weight: float
-    eps_b: float = DEFAULT_POSITION_EPS
 
 
 @dataclass(frozen=True)
@@ -103,28 +103,6 @@ class Population:
     @property
     def weights(self) -> np.ndarray:
         return np.array([t.weight for t in self.types])
-
-
-@dataclass(frozen=True)
-class AdmissibleInterval:
-    """Compact interval of admissible stock fractions."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty admissible interval [{self.lo}, {self.hi}]")
-
-
-def admissible_interval(inv_type: InvestorType) -> AdmissibleInterval:
-    """Admissible positions for ``inv_type``, under every signal.
-
-    Under the log-normal jump law every signal admits positions in [0, 1];
-    the compact sub-interval [0, 1 - eps_b] keeps the jump return 1 + phi*eta
-    bounded away from zero.
-    """
-    return AdmissibleInterval(0.0, 1.0 - inv_type.eps_b)
 
 
 class Strategy:
@@ -189,27 +167,25 @@ def strategy_distance(a: Strategy, b: Strategy) -> float:
 
 
 def check_admissible(pop: Population, strat: Strategy) -> None:
-    """Raise, naming the first offending (type, signal), if a position (or NaN) leaves its interval."""
+    """Raise, naming the first offending (type, signal), if a position (or NaN) leaves ``ADMISSIBLE_INTERVAL``."""
     if strat.n_types != len(pop):
         raise ValueError(f"strategy has {strat.n_types} rows for {len(pop)} types")
-    bounds = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, pop.types)])
-    _check_positions(strat.table, bounds, np.zeros(len(pop), dtype=np.intp))
+    _check_positions(strat.table, np.zeros(len(pop), dtype=np.intp))
 
 
-def _check_positions(table: np.ndarray, bounds: np.ndarray, population: np.ndarray) -> None:
-    """``check_admissible`` of the rows of ``table`` against their (lo, hi) rows of ``bounds``.
+def _check_positions(table: np.ndarray, population: np.ndarray) -> None:
+    """``check_admissible`` of the rows of ``table``.
 
     The rows form populations, labelled in order by ``population``; the
     offending type is named by its index in its own population.
     """
-    lo, hi = bounds.T[..., np.newaxis]
+    lo, hi = ADMISSIBLE_INTERVAL
     outside = ~((table >= lo) & (table <= hi))
     if outside.any():
         i, k = np.argwhere(outside)[0]
         raise ValueError(
             f"inadmissible position {float(table[i, k])} for type {i - np.searchsorted(population, population[i])}, "
-            f"signal {SIGNALS[k].value}: "
-            f"allowed [{float(lo[i, 0])}, {float(hi[i, 0])}]"
+            f"signal {SIGNALS[k].value}: allowed [{lo}, {hi}]"
         )
 
 
@@ -271,8 +247,6 @@ def validate_investor(t: InvestorType, index: int = 0, check_weight: bool = True
         violations.append(f"type {i}: concern theta must lie in [0, 1], got {t.theta}")
     if check_weight and not (0.0 <= t.weight <= 1.0):
         violations.append(f"type {i}: weight must lie in [0, 1], got {t.weight}")
-    if not (0.0 < t.eps_b < 1.0):
-        violations.append(f"type {i}: eps_b must lie in (0, 1), got {t.eps_b}")
     m = t.market
     for name, value in ((f.name, getattr(m, f.name)) for f in fields(m)):
         if not math.isfinite(value):

@@ -2,20 +2,21 @@
 
 One ``TargetContext`` holds an environment's investors in both game modes.
 ``_contexts`` builds every field that does not depend on the peers (signal
-laws from ``signals.signal_laws``, jump sizes, row weights, boxes), once per
+laws from ``signals.signal_laws``, jump sizes, row weights), once per
 solve; ``_with_environment`` writes the environment into it: mean-field,
 from a statistic (``_mf_environment``), which ``_mean_field`` computes for
 the strategies of one or many populations side by side, all from one node
 mixture on the context's own law tables, or n-agent, from the other
 players' explicit strategies (``_nagent_environment``).  An investor's
 seven targets (one per signal) are rows of one (7 x nodes) weight table
-applied to one jump integrand.  Each is strictly concave on its admissible
-interval whenever jumps are live, with closed-form first and second
-derivatives, so ``_respond`` solves the seven first-order conditions of
-every distinct investor in one bracketed Newton iteration, started where the
-caller says (a solver: at the iterate) and stopped only on a verified
-bracket; investors whose contexts and starts are equal byte for byte share
-one solve.  ``maximize_concave_1d`` (golden section) stays as a
+applied to one jump integrand.  Each is strictly concave on the admissible
+interval (``model.ADMISSIBLE_INTERVAL``, one for every type and signal)
+whenever jumps are live, with closed-form first and second derivatives, so
+``_respond`` solves the seven first-order conditions of every distinct
+investor in one bracketed Newton iteration, started where the caller says
+(a solver: at the iterate) and stopped only on a verified bracket;
+investors whose contexts and starts are equal byte for byte share one
+solve.  ``maximize_concave_1d`` (golden section) stays as a
 derivative-free maximizer for arbitrary concave functions.
 """
 
@@ -34,13 +35,12 @@ from .model import (
     NONZERO_INDEX,
     SIGNAL_INDEX,
     SIGNALS,
-    AdmissibleInterval,
+    ADMISSIBLE_INTERVAL,
     InvestorType,
     Population,
     Signal,
     Strategy,
     _check_positions,
-    admissible_interval,
     check_admissible,
 )
 from .quad import Quadrature
@@ -89,7 +89,7 @@ class TargetContext:
     lam*(1-p_s)*w for no signal, w*N01(I(z, e_c))/N01(I(z)) else;
     ``row_mass`` turns the seven targets into M's jump part: 1 for no
     signal, lam*p_s*N01(I(z)) else.  The drift is ``drift_slope``*phi -
-    ``drift_curvature``*phi^2/2; ``bounds`` = (lo, hi).  Investors with
+    ``drift_curvature``*phi^2/2.  Investors with
     equal ``static_class`` labels have byte-equal fields from ``alpha`` to
     ``jump_free``; labels compare only within one context.
     """
@@ -100,7 +100,6 @@ class TargetContext:
     excess_return: np.ndarray = field(repr=False)
     sigma0: np.ndarray = field(repr=False)
     drift_curvature: np.ndarray = field(repr=False)
-    bounds: np.ndarray = field(repr=False)
     eta_nodes: np.ndarray = field(repr=False)
     eta_raw: np.ndarray = field(repr=False)
     law: np.ndarray = field(repr=False)
@@ -152,10 +151,9 @@ def _contexts(types: Sequence[InvestorType], q: Quadrature) -> TargetContext:
     weights[:, NONZERO_INDEX] = q.weights * kernels / _SIGNAL_MASS[:, np.newaxis]
     mass = np.ones((len(types), len(SIGNALS)))
     mass[:, NONZERO_INDEX] = (lam * p_s)[:, np.newaxis] * _SIGNAL_MASS
-    bounds = np.array([(iv.lo, iv.hi) for iv in map(admissible_interval, types)])
     eta_nodes = np.where(degenerate[:, np.newaxis], 0.0, jumps)
     static = (alpha, -theta * (1.0 - alpha), kappa - r, sigma0, alpha * (sigma**2 + sigma0**2),
-              bounds, eta_nodes, jumps, law, weights, mass, degenerate, jump_free)
+              eta_nodes, jumps, law, weights, mass, degenerate, jump_free)
     labelled = static + (theta, r)  # M reads them, not only -theta*(1-alpha) and kappa - r
     _, static_class = distinct([b"".join(a[i].tobytes() for a in labelled) for i in range(len(types))])
     return TargetContext(types, *static, np.array(static_class))
@@ -186,7 +184,7 @@ def _mean_field(ctx: TargetContext, table: np.ndarray, population: np.ndarray, n
     ``_mf_environment``.  Raises on inadmissible positions, naming the
     (type, signal) in its population.
     """
-    _check_positions(table, ctx.bounds, population)
+    _check_positions(table, population)
     sums, mean_jump = _population_sums(ctx.investors, table, (ctx.law, ctx.eta_raw), nodes, population)
     return _mf_environment(ctx, sums[population, 0], mean_jump[population], sums[population, 1]), sums, mean_jump
 
@@ -305,14 +303,14 @@ def target_values(table, ctx: TargetContext) -> tuple[np.ndarray, np.ndarray]:
 
 
 def maximize_concave_1d(
-    f: Callable[[float], float], iv: AdmissibleInterval, tol: float = DEFAULT_OPT_TOL
+    f: Callable[[float], float], iv: tuple[float, float], tol: float = DEFAULT_OPT_TOL
 ) -> tuple[float, float]:
-    """Maximize a strictly concave scalar function on a compact interval.
+    """Maximize a strictly concave scalar function on the compact interval ``iv`` = (lo, hi).
 
     Golden-section search shrinks the bracket to width ``tol``, then a single
     parabolic fit through the last three probes refines the maximizer; the
     best evaluated point wins, so refinement can only improve the result.
-    Returns (argmax, max).
+    Returns (argmax, max); an empty interval (not lo <= hi) raises.
 
     Localization from double-precision values is flatness-limited: once
     |f(x) - f(x*)| falls below one ulp of f(x*) the probes tie, so the
@@ -322,6 +320,9 @@ def maximize_concave_1d(
     """
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
+    lo, hi = iv
+    if not lo <= hi:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
 
     def probe(x: float) -> float:
         v = float(f(x))
@@ -329,7 +330,7 @@ def maximize_concave_1d(
             raise ValueError(f"objective not finite at phi={x}")
         return v
 
-    a, b = iv.lo, iv.hi
+    a, b = lo, hi
     if b - a <= tol:
         mid = 0.5 * (a + b)
         return mid, probe(mid)
@@ -360,7 +361,7 @@ def maximize_concave_1d(
         denom = (xb - xa) * (fb - fc) - (xb - xc) * (fb - fa)
         if denom != 0.0:
             vertex = xb - 0.5 * ((xb - xa) ** 2 * (fb - fc) - (xb - xc) ** 2 * (fb - fa)) / denom
-            vertex = min(max(vertex, iv.lo), iv.hi)
+            vertex = min(max(vertex, lo), hi)
             fv = probe(vertex)
             if fv > best_f:
                 best_x, best_f = vertex, fv
@@ -409,7 +410,7 @@ def _best_rows(ctx: TargetContext, opt_tol: float, start: np.ndarray | None = No
 
     Each row's Newton starts at its entry of ``start`` (investors x 7),
     typically the iterate whose environment ``ctx`` holds; without a start,
-    at the middle of its admissible interval.  Where it starts moves a row
+    at the middle of the admissible interval.  Where it starts moves a row
     by at most ``opt_tol``.  Investors with the same ``static_class``,
     byte-equal environment fields and byte-equal start rows have the same
     rows: ``_newton`` solves one of each such group, whose rows and cap
@@ -418,7 +419,7 @@ def _best_rows(ctx: TargetContext, opt_tol: float, start: np.ndarray | None = No
     """
     if not opt_tol > 0.0:
         raise ValueError("opt_tol must be > 0")
-    start = np.repeat(ctx.bounds.mean(axis=1, keepdims=True), len(SIGNALS), axis=1) if start is None else start
+    start = np.full((len(ctx.investors), len(SIGNALS)), 0.5 * sum(ADMISSIBLE_INTERVAL)) if start is None else start
     return _distinct_investors(ctx, np.asarray(start, dtype=float), lambda c, s: _newton(c, opt_tol, s))
 
 
@@ -480,9 +481,10 @@ def _newton(ctx: TargetContext, opt_tol: float, start: np.ndarray) -> tuple[np.n
     log E_k (1 + phi eta_k)^-alpha - ``_LOG_CAP``), which keeps the sign of
     g' and the step g'/g'' exact.
 
-    A row starts at its entry of ``start``, clipped to its admissible
-    interval [lo, hi], and keeps a verified bracket [a, b] of its maximizer:
-    an evaluated point x becomes a where g'(x) >= 0 or x = lo, and b where
+    A row starts at its entry of ``start``, clipped to the admissible
+    interval [lo, hi] = ``model.ADMISSIBLE_INTERVAL``, the same for every
+    row, and keeps a verified bracket [a, b] of its maximizer: an evaluated
+    point x becomes a where g'(x) >= 0 or x = lo, and b where
     g'(x) <= 0 or x = hi (unverified ends are -inf and inf).  A row stops
     only on that certificate, b - a <= ``opt_tol``/2, and returns the Newton
     point of its last evaluation clipped to [a, b], which is within
@@ -519,16 +521,16 @@ def _newton(ctx: TargetContext, opt_tol: float, start: np.ndarray) -> tuple[np.n
     n_investors, n_signals = len(ctx.investors), len(SIGNALS)
     n_rows = n_investors * n_signals
     nodes, coefficients = _first_order_terms(ctx)
-    # Per still active row (rows drop out as they stop): its next point, its admissible [lo, hi], its
-    # verified bracket [a, b] (-inf and inf until verified), its last step and the step before, and its
-    # second point where it straddles its root.
-    state = np.empty((8, n_rows))
-    x, lo, hi, a, b, last, before, near = state  # views, updated in place
-    state[1:3] = np.repeat(ctx.bounds, n_signals, axis=0).T
+    lo, hi = ADMISSIBLE_INTERVAL
+    # Per still active row (rows drop out as they stop): its next point, its verified bracket [a, b]
+    # (-inf and inf until verified), its last step and the step before, and its second point where it
+    # straddles its root.
+    state = np.empty((6, n_rows))
+    x, a, b, last, before, near = state  # views, updated in place
     np.minimum(np.maximum(np.ravel(start), lo), hi, out=x)
     a.fill(-np.inf)
     b.fill(np.inf)
-    np.subtract(hi, lo, out=last)
+    last.fill(hi - lo)
     before[:] = last
     rows, pairs = np.arange(n_rows), np.arange(0)
     row = np.empty(n_rows)
@@ -560,7 +562,7 @@ def _newton(ctx: TargetContext, opt_tol: float, start: np.ndarray) -> tuple[np.n
                 if not rows.size:
                     break
                 nodes, coefficients = nodes.compress(keep, axis=1), coefficients.compress(keep, axis=1)
-                x, lo, hi, a, b, last, before, near = state
+                x, a, b, last, before, near = state
             # Next: the Newton point pushed past itself, clipped to [lo, hi], if inside the verified bracket
             # and short (rtsafe), with its mirror image as a second point once close; else bisection.
             delta = newton - x

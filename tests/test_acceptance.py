@@ -21,11 +21,11 @@ from signalmfg.equilibrium import SolverConfig, residual, solve_mf_finite, solve
 from signalmfg.meanfield import aggregate, mean_log_terminal
 from signalmfg.metrics import certainty_equivalent, value_mf
 from signalmfg.model import (
+    ADMISSIBLE_INTERVAL,
     SIGNALS,
     Population,
     Signal,
     Strategy,
-    admissible_interval,
     strategy_distance,
 )
 from signalmfg.quad import Quadrature
@@ -105,7 +105,7 @@ def test_03_symmetry(quad, reference):
 
 def test_04_empirical_uniqueness(quad, reference):
     pop, base, _ = reference
-    hi = 1.0 - pop.types[0].eps_b
+    hi = ADMISSIBLE_INTERVAL[1]
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(10):
@@ -218,7 +218,7 @@ def test_09_ce_shape_in_peer_competitiveness(quad, reference):
 def test_10_concavity_suite(quad, reference):
     pop, _, _ = reference
     rng = np.random.default_rng(7)
-    hi = 1.0 - pop.types[0].eps_b
+    hi = ADMISSIBLE_INTERVAL[1]
     worst_second = -np.inf
     worst_gap = np.inf
     for _ in range(5):
@@ -232,12 +232,11 @@ def test_10_concavity_suite(quad, reference):
                     if z is Signal.NONE
                     else (lambda p, z=z: target_signal(p, z, ctx))
                 )
-                iv = admissible_interval(t)
-                grid21 = np.linspace(iv.lo, iv.hi, 21)
+                grid21 = np.linspace(*ADMISSIBLE_INTERVAL, 21)
                 vals = f(grid21)
                 worst_second = max(worst_second, float(np.max(vals[2:] - 2 * vals[1:-1] + vals[:-2])))
-                arg, best = maximize_concave_1d(f, iv, 1e-10)
-                scan = float(np.max(f(np.linspace(iv.lo, iv.hi, 10_000))))
+                arg, best = maximize_concave_1d(f, ADMISSIBLE_INTERVAL, 1e-10)
+                scan = float(np.max(f(np.linspace(*ADMISSIBLE_INTERVAL, 10_000))))
                 worst_gap = min(worst_gap, best - scan)
     ok = worst_second <= 1e-10 and worst_gap >= -1e-9
     report(10, "concavity suite", ok, f"max 2nd diff={worst_second:.2e} min opt-grid gap={worst_gap:.2e}")
@@ -260,7 +259,7 @@ def test_11_cross_solver_oracle():
 
 def test_12_positivity_invariants(quad, reference):
     pop, res, _ = reference
-    eps_b = pop.types[0].eps_b
+    floor = 1.0 - ADMISSIBLE_INTERVAL[1]  # 1 + phi*eta > 1 - hi for every jump eta > -1
     market = pop.types[0].market
     rng = np.random.default_rng(99)
     n = 1_000_000
@@ -274,9 +273,9 @@ def test_12_positivity_invariants(quad, reference):
         worst = min(worst, float(np.min(returns)))
     path = simulate_common(1.0, market, seed=41)
     _, wealth = simulate_cohort(2_000, pop, res.strategy, path, seed=41)
-    ok = worst >= eps_b and bool(np.all(wealth > 0.0))
+    ok = worst >= floor and bool(np.all(wealth > 0.0))
     report(12, "positivity invariants", ok, f"min jump return={worst:.3e} min wealth={wealth.min():.3e}")
-    assert worst >= eps_b
+    assert worst >= floor
     assert np.all(wealth > 0.0)
 
 

@@ -18,6 +18,7 @@ from signalmfg.equilibrium import (
 from signalmfg.meanfield import aggregate
 from signalmfg.metrics import M_mf, M_nagent, _value_constant
 from signalmfg.model import (
+    ADMISSIBLE_INTERVAL,
     NONE_INDEX,
     NONZERO_INDEX,
     SIGNALS,
@@ -124,8 +125,8 @@ class TestSolveMfFinite:
 
     def test_result_invariants(self, ref_pop, quad128, ref_eq):
         assert ref_eq.converged == (ref_eq.residual < 1e-8)
-        hi = 1.0 - ref_pop.types[0].eps_b
-        assert np.all(ref_eq.strategy.table >= 0.0) and np.all(ref_eq.strategy.table <= hi)
+        lo, hi = ADMISSIBLE_INTERVAL
+        assert np.all(ref_eq.strategy.table >= lo) and np.all(ref_eq.strategy.table <= hi)
 
     def test_stats_self_consistency(self, ref_pop, quad128, ref_eq):
         fresh = aggregate(ref_pop, ref_eq.strategy, quad128)
@@ -463,7 +464,7 @@ def extreme_equilibrium(index, q):
 def assert_warm_rows_are_cold_rows(ctx, iterate, rng):
     """From starts at lo, lo + 1e-12, hi, the iterate and random points, every row is the cold (midpoint-started)
     row within opt_tol, and a row whose g' points out of its interval at a bound is that bound exactly."""
-    lo, hi = (np.repeat(end[:, np.newaxis], len(SIGNALS), axis=1) for end in ctx.bounds.T)
+    lo, hi = (np.full((len(ctx.investors), len(SIGNALS)), end) for end in ADMISSIBLE_INTERVAL)
     terms = response._first_order_terms(ctx)
     g_lo, g_hi = (response._derivatives(end.ravel(), *terms)[0].reshape(end.shape) for end in (lo, hi))
     own = np.ones(lo.shape, dtype=bool)
@@ -498,7 +499,7 @@ class TestWarmStart:
     )
     def test_drawn_types_and_environments(self, quad128, lam, sigma_hat, kind, env, seed):
         t = casestudy.investor(casestudy.default_market(lam=lam, sigma_hat=sigma_hat), weight=1.0, **kind)
-        iterate = Strategy.constant(1, env * (1.0 - t.eps_b))
+        iterate = Strategy.constant(1, env * ADMISSIBLE_INTERVAL[1])
         ctx = context_from_stats(t, aggregate(Population([t]), iterate, quad128), quad128)
         assert_warm_rows_are_cold_rows(ctx, iterate.table, np.random.default_rng(seed))
 
@@ -923,7 +924,7 @@ class TestSolveNAgent:
 
     @pytest.mark.parametrize("value", [-0.5, 1.0, 2.0, np.nan])
     def test_inadmissible_init_rejected(self, quad128, value):
-        # Outside [0, 1 - eps_b]: named as the mean-field solver names it, before any environment is built.
+        # Outside ADMISSIBLE_INTERVAL: named as the mean-field solver names it, before any environment is built.
         players, init = [casestudy.investor()] * 3, Strategy.constant(3, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -991,7 +992,7 @@ class TestSolveMfStatistic:
         pop = Population([casestudy.investor(m(kappa_hat=0.3)), casestudy.investor(m(kappa_hat=-0.3, sigma_hat=0.5))])
         q = Quadrature.discrete([-1.0, 0.0, 1.5], [0.25, 0.5, 0.25])
         lo, hi = _statistic_box(_contexts(pop.types, q), q.nodes)
-        hi_position = 1.0 - pop.types[0].eps_b
+        hi_position = ADMISSIBLE_INTERVAL[1]
 
         def statistic(table):
             stats = aggregate(pop, Strategy(table), q)

@@ -10,7 +10,7 @@ from signalmfg import casestudy
 from signalmfg.equilibrium import solve_mf_finite
 from signalmfg.meanfield import aggregate
 from signalmfg.metrics import M_mf, M_nagent, certainty_equivalent, value_mf
-from signalmfg.model import SIGNALS, Population, Strategy, admissible_interval
+from signalmfg.model import ADMISSIBLE_INTERVAL, SIGNALS, Population, Strategy
 from signalmfg.response import context_from_stats, respond_type
 
 MERTON_M = 0.0064 / 0.36  # (kappa - r)^2 / (2 alpha sigma0^2)
@@ -75,10 +75,10 @@ class TestDeviations:
         return pop.types[0], result.strategy.row(0), result.stats
 
     def deviations(self, t, row):
-        iv = admissible_interval(t)
+        lo, hi = ADMISSIBLE_INTERVAL
         for z in range(len(SIGNALS)):
             for shift in (-self.DELTA, self.DELTA):
-                if iv.lo <= row[z] + shift <= iv.hi:
+                if lo <= row[z] + shift <= hi:
                     moved = row.copy()
                     moved[z] += shift
                     yield moved

@@ -7,20 +7,24 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from signalmfg import casestudy
+from signalmfg.equilibrium import SolverConfig, solve_mf_finite, solve_nagent
+from signalmfg.meanfield import aggregate
 from signalmfg.model import (
     NONE_INDEX,
     SIGNALS,
     WEIGHT_TOL,
-    AdmissibleInterval,
+    ADMISSIBLE_INTERVAL,
     InvestorType,
     Population,
     Signal,
     Strategy,
-    admissible_interval,
     check_admissible,
     strategy_distance,
     validate_population,
 )
+from signalmfg.quad import Quadrature
+from signalmfg.response import best_response
+from signalmfg.sim import estimate_utility, simulate_agent, simulate_cohort, simulate_common
 
 
 def two_type_pop(**b_overrides):
@@ -169,14 +173,7 @@ class TestStrategy:
 
 class TestAdmissibleInterval:
     def test_case_study_interval(self):
-        t = casestudy.investor()
-        iv = admissible_interval(t)
-        assert iv.lo == 0.0
-        assert iv.hi == pytest.approx(1.0 - t.eps_b)
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            AdmissibleInterval(1.0, 0.0)
+        assert ADMISSIBLE_INTERVAL == (0.0, 1.0 - 1e-6)
 
     def test_check_admissible_names_offender(self, ref_pop):
         table = np.zeros((2, 7))
@@ -189,6 +186,41 @@ class TestAdmissibleInterval:
         table[1, NONE_INDEX] = np.nan
         with pytest.raises(ValueError, match="inadmissible position nan for type 1, signal 0"):
             check_admissible(ref_pop, Strategy(table))
+
+
+# Every consumer of an admissible strategy, called on the reference population and a strategy table.
+ADMISSIBILITY_CONSUMERS = {
+    "check_admissible": lambda pop, strat, q: check_admissible(pop, strat),
+    "aggregate": aggregate,
+    "best_response": best_response,
+    "solve_mf_finite init": lambda pop, strat, q: solve_mf_finite(pop, q, SolverConfig(init=strat, max_iter=1)),
+    "solve_nagent init": lambda pop, strat, q: solve_nagent(pop.types, q, SolverConfig(init=strat, max_iter=1)),
+    "estimate_utility": lambda pop, strat, q: estimate_utility(pop, strat, 100, 1.0, 0),
+    "simulate_agent": lambda pop, strat, q: simulate_agent(pop.types[0], strat.row(0),
+                                                           simulate_common(1.0, pop.types[0].market, 0), 0),
+    "simulate_cohort": lambda pop, strat, q: simulate_cohort(20, pop, strat,
+                                                             simulate_common(1.0, pop.types[0].market, 0), 0),
+}
+
+
+class TestAdmissibleBoundary:
+    """Every consumer accepts a position exactly at hi and rejects the next double past either end, and NaN,
+    naming the same (type, signal) and the one interval."""
+
+    @pytest.mark.parametrize("consumer", ADMISSIBILITY_CONSUMERS)
+    def test_position_at_hi_passes(self, ref_pop, consumer):
+        q = Quadrature.standard_normal(32)
+        ADMISSIBILITY_CONSUMERS[consumer](ref_pop, Strategy.constant(2, ADMISSIBLE_INTERVAL[1]), q)
+
+    @pytest.mark.parametrize("value", [np.nextafter(ADMISSIBLE_INTERVAL[1], 1.0), np.nextafter(0.0, -1.0), np.nan])
+    @pytest.mark.parametrize("consumer", ADMISSIBILITY_CONSUMERS)
+    def test_position_past_the_interval_raises(self, ref_pop, consumer, value):
+        q = Quadrature.standard_normal(32)
+        table = np.full((2, len(SIGNALS)), ADMISSIBLE_INTERVAL[1])
+        table[0, SIGNALS.index(Signal.POS_HALF)] = value
+        message = r"inadmissible position \S+ for type 0, signal \+0\.5: allowed \[0\.0, 0\.999999\]$"
+        with pytest.raises(ValueError, match=message):
+            ADMISSIBILITY_CONSUMERS[consumer](ref_pop, Strategy(table), q)
 
 
 class TestSignalAlphabet:

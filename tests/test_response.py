@@ -12,13 +12,12 @@ from signalmfg.model import (
     NONZERO_SIGNALS,
     SIGNAL_INDEX,
     SIGNALS,
-    AdmissibleInterval,
+    ADMISSIBLE_INTERVAL,
     InvestorType,
     MarketParams,
     Population,
     Signal,
     Strategy,
-    admissible_interval,
     validate_investor,
 )
 from signalmfg.quad import Quadrature
@@ -126,26 +125,30 @@ class TestTargetSignal:
 
 class TestMaximizeConcave1d:
     def test_quadratic_vertex(self):
-        x, v = maximize_concave_1d(lambda x: -((x - 0.3) ** 2), AdmissibleInterval(0.0, 1.0), 1e-10)
+        x, v = maximize_concave_1d(lambda x: -((x - 0.3) ** 2), (0.0, 1.0), 1e-10)
         assert x == pytest.approx(0.3, abs=1e-9)
         assert v == pytest.approx(0.0, abs=1e-15)
 
     def test_boundary_maximum(self):
-        x, _ = maximize_concave_1d(lambda x: x, AdmissibleInterval(0.0, 1.0), 1e-10)
+        x, _ = maximize_concave_1d(lambda x: x, (0.0, 1.0), 1e-10)
         assert x == pytest.approx(1.0, abs=1e-9)
 
     def test_merton_vertex(self):
         # localization is flatness-limited: sqrt(ulp(f*) / curvature) ~ 5e-9 here
-        x, _ = maximize_concave_1d(lambda x: 0.08 * x - 0.09 * x * x, AdmissibleInterval(0.0, 1.0), 1e-10)
+        x, _ = maximize_concave_1d(lambda x: 0.08 * x - 0.09 * x * x, (0.0, 1.0), 1e-10)
         assert x == pytest.approx(MERTON, abs=2e-8)
 
     def test_tol_validated(self):
         with pytest.raises(ValueError):
-            maximize_concave_1d(lambda x: -x * x, AdmissibleInterval(0.0, 1.0), 0.0)
+            maximize_concave_1d(lambda x: -x * x, (0.0, 1.0), 0.0)
 
     def test_non_finite_objective(self):
         with pytest.raises(ValueError, match="finite"):
-            maximize_concave_1d(lambda x: float("nan"), AdmissibleInterval(0.0, 1.0), 1e-8)
+            maximize_concave_1d(lambda x: float("nan"), (0.0, 1.0), 1e-8)
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"empty interval \[1\.0, 0\.0\]"):
+            maximize_concave_1d(lambda x: -x * x, (1.0, 0.0))
 
 
 class TestBestResponse:
@@ -172,7 +175,7 @@ class TestBestResponse:
 
     def test_admissibility_closure(self, ref_pop, quad128):
         rng = np.random.default_rng(0)
-        hi = 1.0 - ref_pop.types[0].eps_b
+        hi = ADMISSIBLE_INTERVAL[1]
         for _ in range(3):
             env = Strategy(rng.uniform(0.0, hi, size=(2, 7)))
             out = best_response(ref_pop, env, quad128)
@@ -185,14 +188,13 @@ class TestBestResponse:
         out = best_response(ref_pop, env, quad128)
         for i, t in enumerate(ref_pop.types):
             ctx = context_from_stats(t, stats, quad128)
-            iv = admissible_interval(t)
             for z in SIGNALS:
                 f = (
                     (lambda p: target_no_signal(p, ctx))
                     if z is Signal.NONE
                     else (lambda p: target_signal(p, z, ctx))
                 )
-                grid = np.linspace(iv.lo, iv.hi, 10_001)
+                grid = np.linspace(*ADMISSIBLE_INTERVAL, 10_001)
                 best = grid[int(np.argmax(f(grid)))]
                 assert out.position(i, z) == pytest.approx(best, abs=1e-4)
 
@@ -211,15 +213,14 @@ class TestBestResponse:
             t = casestudy.investor(theta=theta)
             ctx = context_from_stats(t, stats, quad128)
             phi, _ = maximize_concave_1d(
-                lambda p: target_no_signal(p, ctx), admissible_interval(t), 1e-10
+                lambda p: target_no_signal(p, ctx), ADMISSIBLE_INTERVAL, 1e-10
             )
             args.append(phi)
         assert all(b >= a - 1e-9 for a, b in zip(args, args[1:]))
 
     def test_sampled_concavity(self, ref_pop, quad128):
         ctx = mf_context(ref_pop, Strategy.constant(2, 0.5), quad128)
-        iv = admissible_interval(ref_pop.types[0])
-        grid = np.linspace(iv.lo, iv.hi, 21)
+        grid = np.linspace(*ADMISSIBLE_INTERVAL, 21)
         for z in SIGNALS:
             f = (
                 (lambda p: target_no_signal(p, ctx))
@@ -276,15 +277,15 @@ def signal_target(z, ctx):
 class TestNewtonBestResponse:
     def test_first_order_conditions_on_reference(self, ref_pop, quad128, ref_eq):
         kinds = set()
+        lo, hi = ADMISSIBLE_INTERVAL
         for t in ref_pop.types:
             row = respond_type(t, context_from_stats(t, ref_eq.stats, quad128))
-            iv = admissible_interval(t)
             for z, phi in zip(SIGNALS, row):
                 slope = first_derivative(phi, z, t, ref_eq.stats, quad128)
-                if phi == iv.lo:
+                if phi == lo:
                     kinds.add("lo")
                     assert slope <= 0.0
-                elif phi == iv.hi:
+                elif phi == hi:
                     kinds.add("hi")
                     assert slope >= 0.0
                 else:
@@ -294,7 +295,7 @@ class TestNewtonBestResponse:
 
     def test_values_at_least_golden_section(self, ref_pop, quad128, ref_eq):
         rng = np.random.default_rng(11)
-        hi = 1.0 - ref_pop.types[0].eps_b
+        hi = ADMISSIBLE_INTERVAL[1]
         envs = [ref_eq.stats] + [aggregate(ref_pop, Strategy(rng.uniform(0.0, hi, (2, 7))), quad128) for _ in range(3)]
         for stats in envs:
             t = ref_pop.types[0]
@@ -302,7 +303,7 @@ class TestNewtonBestResponse:
             row = respond_type(t, ctx)
             for z, phi in zip(SIGNALS, row):
                 f = signal_target(z, ctx)
-                _, golden = maximize_concave_1d(f, admissible_interval(t))
+                _, golden = maximize_concave_1d(f, ADMISSIBLE_INTERVAL)
                 assert f(phi) >= golden - 1e-15
 
     def test_merton_exact_without_jumps(self, quad128):
@@ -325,11 +326,12 @@ class TestNewtonBestResponse:
     )
     def test_edge_inputs_give_admissible_rows(self, quad128, market, kwargs):
         t = casestudy.investor(casestudy.default_market(**market), weight=1.0, **kwargs)
-        for env in (0.0, 0.5, 1.0 - t.eps_b):
+        lo, hi = ADMISSIBLE_INTERVAL
+        for env in (0.0, 0.5, hi):
             stats = aggregate(Population([t]), Strategy.constant(1, env), quad128)
             row = respond_type(t, context_from_stats(t, stats, quad128))
             assert np.all(np.isfinite(row))
-            assert np.all(row >= 0.0) and np.all(row <= 1.0 - t.eps_b)
+            assert np.all(row >= lo) and np.all(row <= hi)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -343,23 +345,26 @@ class TestNewtonBestResponse:
         rho=st.floats(-0.999, 0.999),
         alpha=st.floats(0.2, 8.0),
         theta=st.floats(0.0, 1.0),
-        eps_b=st.floats(1e-6, 0.5),
         env=st.floats(0.0, 1.0),
     )
     # Subnormal lam and sigma0: g'' of the signal rows underflows and the Newton quotient overflows to inf.
     @example(lam=2.225073858507e-311, kappa=0.25, sigma=0.0, sigma0=2.2250738585e-313, kappa_hat=0.0,
-             sigma_hat=0.5, p_s=0.0, rho=0.0, alpha=0.5, theta=0.0, eps_b=0.5, env=0.0)
+             sigma_hat=0.5, p_s=0.0, rho=0.0, alpha=0.5, theta=0.0, env=0.0)
+    # A bold type (Merton fraction 0.3/(0.5*0.09) = 6.7): its no-signal and upward-signal rows bind at hi.
+    @example(lam=10.0, kappa=0.3, sigma=0.0, sigma0=0.3, kappa_hat=0.0, sigma_hat=0.1, p_s=0.5, rho=0.5,
+             alpha=0.5, theta=0.0, env=1.0)
     def test_property_rows_finite_and_admissible(
-        self, quad128, lam, kappa, sigma, sigma0, kappa_hat, sigma_hat, p_s, rho, alpha, theta, eps_b, env
+        self, quad128, lam, kappa, sigma, sigma0, kappa_hat, sigma_hat, p_s, rho, alpha, theta, env
     ):
         market = MarketParams(0.0, kappa, sigma, sigma0, kappa_hat, sigma_hat, lam)
-        t = InvestorType(1.0, market, p_s, rho, alpha, theta, 1.0, eps_b)
+        t = InvestorType(1.0, market, p_s, rho, alpha, theta, 1.0)
         if validate_investor(t):
             return
-        stats = aggregate(Population([t]), Strategy.constant(1, env * (1.0 - eps_b)), quad128)
+        lo, hi = ADMISSIBLE_INTERVAL
+        stats = aggregate(Population([t]), Strategy.constant(1, env * hi), quad128)
         row = respond_type(t, context_from_stats(t, stats, quad128))
         assert np.all(np.isfinite(row))
-        assert np.all(row >= 0.0) and np.all(row <= 1.0 - eps_b)
+        assert np.all(row >= lo) and np.all(row <= hi)
 
     def test_signal_rows_invariant_to_a_lifted_jump_factor(self, ref_pop, quad128, ref_eq):
         # Signal targets carry no drift, so scaling E by exp(1000) leaves their
@@ -399,7 +404,7 @@ class TestNewtonBestResponse:
             jumps = mp.fsum(w * e * mp.exp(el - alpha * mp.log1p(phi * e)) for w, e, el in zip(weights, etas, env_logs))
             return slope - curvature * phi + jumps
 
-        lo, hi = (mp.mpf(float(v)) for v in ctx.bounds[0])
+        lo, hi = (mp.mpf(v) for v in ADMISSIBLE_INTERVAL)
         assert g1(lo) > 0 > g1(hi)
         while hi - lo > 1e-14:
             mid = (lo + hi) / 2
@@ -459,11 +464,11 @@ class TestBatchedRows:
             assert row.tobytes() == respond_type(t, single).tobytes() == row_reversed.tobytes()
 
         # The batch holds a row scaled below the cap, flat rows and an endpoint optimum.
-        hi = admissible_interval(types[1]).hi
+        hi = ADMISSIBLE_INTERVAL[1]
         log_power = ctx.env_jump_log[1] - types[1].alpha * np.log1p(hi * ctx.eta_nodes[1])
         assert log_power.max() > _LOG_CAP
         assert ctx.jumps_degenerate.tolist() == [False, False, True, True, False, False]
-        assert batch[-1, NONE_INDEX] == admissible_interval(types[-1]).hi
+        assert batch[-1, NONE_INDEX] == hi
 
     def test_mean_field_batch_fields_equal_one_type_contexts(self, quad128, ref_eq):
         # Shared and distinct rho and jump laws: kernels and eta are built once per

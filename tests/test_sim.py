@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from signalmfg import casestudy, cli, meanfield, signals, sim
 from signalmfg.meanfield import aggregate, mean_log_terminal
-from signalmfg.model import SIGNALS, Population, Signal, Strategy, validate_population
+from signalmfg.model import ADMISSIBLE_INTERVAL, SIGNALS, Population, Signal, Strategy, validate_population
 from signalmfg.quad import Quadrature
 from signalmfg.sim import (
     _STREAM_AGENT,
@@ -251,8 +251,7 @@ class TestSimulateAgent:
 
     def test_crash_floor_keeps_wealth_positive(self):
         t = casestudy.investor()
-        hi = 1.0 - t.eps_b
-        out = simulate_agent(t, np.full(7, hi), crash_path(), seed=0)
+        out = simulate_agent(t, np.full(7, ADMISSIBLE_INTERVAL[1]), crash_path(), seed=0)
         assert out.terminal_wealth > 0.0
 
     def test_signals_match_reception_probability(self):
@@ -530,7 +529,7 @@ class TestCohortKernel:
 
     @pytest.mark.parametrize("n", [1, 3_000])
     def test_crash_path_matches_oracle(self, ref_pop, n):
-        hi = 1.0 - ref_pop.types[0].eps_b
+        hi = ADMISSIBLE_INTERVAL[1]
         _, wealth = self.assert_matches_oracle(n, ref_pop, Strategy.constant(2, hi), crash_path(), seed=0)
         assert np.all(wealth > 0.0)
 
@@ -559,7 +558,7 @@ class TestCohortKernel:
         ]
         pop = Population(types)
         assert not validate_population(pop)
-        # Every position at an admissible bound: 0 or 1 - eps_b.
-        strat = Strategy([[1.0 - t.eps_b if high else 0.0 for high in block[4]] for t, block in zip(types, blocks)])
+        # Every position at an admissible bound: lo or hi.
+        strat = Strategy([[ADMISSIBLE_INTERVAL[high] for high in block[4]] for block in blocks])
         _, wealth = simulate_cohort(200, pop, strat, simulate_common(1.0, market, seed), seed)
         assert np.all(np.isfinite(wealth)) and np.all(wealth > 0.0)

@@ -15,9 +15,11 @@ records three things, parent and change side by side:
   calls and Newton rows (the (investor, signal) rows entering
   ``response._newton``).  Counts repeat exactly and do not depend on the
   machine.
-* ``solves``: ``time.perf_counter`` medians of single solves, alternating
-  checkouts: the reference ``solve_mf_finite``, 200 drawn types, and
-  ``solve_nagent`` on 20 and 80 distinct players.
+* ``solves``: ``time.perf_counter`` seconds of single solves, 5 pairs of
+  processes alternating checkouts: the reference ``solve_mf_finite``, 200
+  drawn types, and ``solve_nagent`` on 20 and 80 distinct players.  Per
+  solve, as per end-to-end metric: each process's median, the median and
+  quartiles of each side, and the pairs the change wins.
 * ``monte_carlo``: one 1e5-path ``estimate_utility`` at the reference
   equilibrium: the marks it draws (read off its ``jump_sizes`` calls), the
   values it passes to the normal CDF (``signals.std_normal_cdf``; the
@@ -200,6 +202,16 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def compare(parent: list[float], change: list[float]) -> dict:
+    """Each side's runs summed up, the pairs (runs at one index) the change is lower in, and its median's change."""
+    return {
+        "parent": summary(parent),
+        "change": summary(change),
+        "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
+        "relative_change": statistics.median(change) / statistics.median(parent) - 1.0,
+    }
+
+
 def alternate(run, pairs: int):
     """``run(side, pair)`` for ``pairs`` pairs, the parent first in even pairs; returns each side's results."""
     out = {"parent": [], "change": []}
@@ -224,8 +236,8 @@ def main(argv=None) -> int:
         "machine": {"cpu": platform.processor() or platform.machine(), "nproc": os.cpu_count(),
                     "python": platform.python_version()},
         "method": f"{PAIRS} alternating pairs per workload, perfbench/run.py --seconds {SECONDS}, "
-                  f"seeds {args.seed}..{args.seed + PAIRS - 1}; solves and the monte carlo split: medians of 5 "
-                  "alternating runs",
+                  f"seeds {args.seed}..{args.seed + PAIRS - 1}; solves: 5 alternating pairs of processes; "
+                  "the monte carlo split: medians of 5 alternating runs",
     }
     print("counts", file=sys.stderr)
     report["counts"] = {side: python_in(path, COUNTS) for side, path in checkouts.items()}
@@ -237,8 +249,10 @@ def main(argv=None) -> int:
                                                               for part in runs[0]}
     print("solves", file=sys.stderr)
     solves = alternate(lambda side, _: python_in(checkouts[side], SOLVES), 5)
-    report["solves"] = {side: {name: statistics.median(run[name]["median_s"] for run in runs)
-                               for name in runs[0]} for side, runs in solves.items()}
+    report["solves"] = {}
+    for name in solves["parent"][0]:
+        parent, change = ([run[name]["median_s"] for run in solves[side]] for side in ("parent", "change"))
+        report["solves"][name] = compare(parent, change)
     report["benchmark"] = {}
     for workload in WORKLOADS:
         print(workload, file=sys.stderr)
@@ -246,13 +260,7 @@ def main(argv=None) -> int:
         entry = {"failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
                  "all_correct": all(r["correct"] for rs in runs.values() for r in rs)}
         for metric in METRICS:
-            parent, change = ([r[metric] for r in runs[side]] for side in ("parent", "change"))
-            entry[metric] = {
-                "parent": summary(parent),
-                "change": summary(change),
-                "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
-                "relative_change": statistics.median(change) / statistics.median(parent) - 1.0,
-            }
+            entry[metric] = compare(*([r[metric] for r in runs[side]] for side in ("parent", "change")))
         report["benchmark"][workload] = entry
         Path(f"BENCH_{args.pr}.json").write_text(json.dumps(report, indent=1) + "\n")
     Path(f"BENCH_{args.pr}.json").write_text(json.dumps(report, indent=1) + "\n")
